@@ -1,0 +1,412 @@
+"""Knowledge-base repair and revision on top of the run engine.
+
+A knowledge base is a listing of items -- earlier entries are better
+entrenched -- plus definite rules and conflict sets over them.  Repair
+compiles the base into a staged rule table, runs it, and reads the
+surviving items off the stable part of the string: when a conflict
+fires, the engine excises the latest-arrived culprit, which under the
+listing order is the least entrenched one.
+
+Revision accepts externally given items as true: their rules are folded
+into the table with the new items erased from the premises, so the base
+items bear all consequences of accepting them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .consequence import (
+    BOT, CE, Rule, RuleTable, from_horn, revision_operator,
+    stream_revision_operator,
+)
+from .engine import (
+    QSystem, ReplacementMap, RunTrace, StabilityReport, estimate_beliefs,
+    is_clean_window, run,
+)
+
+
+# ---------------------------------------------------------------------------
+# knowledge bases
+# ---------------------------------------------------------------------------
+
+@dataclass
+class KnowledgeBase:
+    """Items in entrenchment order with rules and conflicts over them.
+
+    ``horn_rules`` are (premises, conclusion) pairs; ``conflicts`` are
+    sets that cannot jointly stand.  ``replacements`` are optional
+    per-item substitution hints, only consulted by q-mode repair.
+    """
+
+    items: tuple[int, ...]
+    horn_rules: tuple[tuple[frozenset[int], int], ...] = ()
+    conflicts: tuple[frozenset[int], ...] = ()
+    labels: dict[int, str] = field(default_factory=dict)
+    replacements: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.items = tuple(self.items)
+        if len(set(self.items)) != len(self.items):
+            raise ValueError("duplicate items in the listing")
+        known = set(self.items)
+        self.horn_rules = tuple(
+            (frozenset(p), c) for p, c in self.horn_rules)
+        self.conflicts = tuple(frozenset(g) for g in self.conflicts)
+        for prem, concl in self.horn_rules:
+            if not prem <= known or concl not in known:
+                raise ValueError("rule mentions an undeclared item")
+        for grp in self.conflicts:
+            if not grp or not grp <= known:
+                raise ValueError("conflict must name declared items")
+        for a, b in self.replacements.items():
+            if a not in known or b not in known:
+                raise ValueError("replacement hint mentions an undeclared item")
+
+    def label(self, item: int) -> str:
+        return self.labels.get(item, "item%d" % item)
+
+    def rank(self) -> dict[int, int]:
+        """Item -> position in the entrenchment listing."""
+        return {item: pos for pos, item in enumerate(self.items)}
+
+
+@dataclass
+class Additions:
+    """Externally given items, in arrival order, with their rules.
+
+    Rules and conflicts may mention base items as well; validation
+    happens against the base at use time.
+    """
+
+    items: tuple[int, ...]
+    horn_rules: tuple[tuple[frozenset[int], int], ...] = ()
+    conflicts: tuple[frozenset[int], ...] = ()
+    labels: dict[int, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.items = tuple(self.items)
+        self.horn_rules = tuple(
+            (frozenset(p), c) for p, c in self.horn_rules)
+        self.conflicts = tuple(frozenset(g) for g in self.conflicts)
+        if len(set(self.items)) != len(self.items):
+            raise ValueError("duplicate items in the additions")
+
+
+# ---------------------------------------------------------------------------
+# results
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RepairResult:
+    kept: frozenset[int]
+    removed: frozenset[int]
+    stability: StabilityReport
+    trace: RunTrace
+    partial: bool          # horizon ended inside an unsettled window
+    mode: str
+
+
+@dataclass
+class RevisionResult:
+    kept: frozenset[int]
+    removed: frozenset[int]
+    stability: Optional[StabilityReport]
+    trace: Optional[RunTrace]
+    partial: bool
+    mode: str
+    accepted: tuple[int, ...]      # injected items, arrival order
+    rejected: bool = False         # a lone input refuted itself; no run
+    inconsistent_input: bool = False  # the injected set alone yields ⊥
+
+
+# ---------------------------------------------------------------------------
+# compilation
+# ---------------------------------------------------------------------------
+
+def _ranked_table(kb: KnowledgeBase, adds: Optional[Additions] = None):
+    """Re-index items by entrenchment rank and compile the full table.
+
+    Base items take ranks 0..n-1 in listing order; added items follow in
+    arrival order.  Returns (n, m, table) with the table over ranks.
+    """
+    rank = kb.rank()
+    n = len(kb.items)
+    add_rules: tuple = ()
+    add_conflicts: tuple = ()
+    if adds is not None:
+        for i, item in enumerate(adds.items):
+            if item in rank:
+                raise ValueError("added item %r is already in the base"
+                                 % kb.label(item))
+            rank[item] = n + i
+        add_rules = adds.horn_rules
+        add_conflicts = adds.conflicts
+        for prem, concl in add_rules:
+            if not prem <= rank.keys() or concl not in rank:
+                raise ValueError("added rule mentions an unknown item")
+        for grp in add_conflicts:
+            if not grp or not grp <= rank.keys():
+                raise ValueError("added conflict mentions an unknown item")
+    m = len(rank) - n
+    rules = [(frozenset(rank[p] for p in prem), rank[c])
+             for prem, c in kb.horn_rules + add_rules]
+    conflicts = [frozenset(rank[p] for p in grp)
+                 for grp in kb.conflicts + add_conflicts]
+    table = from_horn(range(n + m), rules, conflicts)
+    return n, m, table
+
+
+def _window_default(horizon: int, window: Optional[int]) -> int:
+    if window is not None:
+        if not 0 <= window <= horizon:
+            raise ValueError("window must satisfy 0 <= window <= horizon")
+        return window
+    return min(100, max(1, horizon // 4))
+
+
+def _finish(kb: KnowledgeBase, system: QSystem, horizon: int, window: int):
+    tr = run(system, horizon)
+    rep = estimate_beliefs(tr, window)
+    n = len(kb.items)
+    kept = frozenset(kb.items[r] for r in rep.belief_estimate if r < n)
+    removed = frozenset(kb.items) - kept
+    partial = not is_clean_window(system, rep)
+    return kept, removed, rep, tr, partial
+
+
+# ---------------------------------------------------------------------------
+# repair
+# ---------------------------------------------------------------------------
+
+def repair(kb: KnowledgeBase, horizon: int,
+           window: Optional[int] = None, mode: str = "d") -> RepairResult:
+    """Run the compiled base and keep what stands at the horizon.
+
+    The default mode excises conflicted items outright.  Mode "q"
+    substitutes the base's replacement hints instead, where present: a
+    conflict whose least entrenched member carries a hint becomes a
+    replacement event rather than an excision.  A hint chain that fails
+    to cover a value the run ends up replacing surfaces as a
+    missing-replacement error naming the stage and position.
+    """
+    if mode not in ("d", "q"):
+        raise ValueError("mode must be 'd' or 'q'")
+    if horizon < len(kb.items):
+        raise ValueError("horizon %d cannot list all %d items"
+                         % (horizon, len(kb.items)))
+    window = _window_default(horizon, window)
+    n, _, table = _ranked_table(kb)
+    replacement = ReplacementMap()
+    if mode == "q":
+        rank = kb.rank()
+        hints = {rank[a]: rank[b] for a, b in kb.replacements.items()}
+        replacement = ReplacementMap(sorted(hints.items()))
+        flipped = []
+        for r in table:
+            if r.conclusion == BOT and max(r.premises) in hints:
+                r = Rule(r.stage, r.premises, CE)
+            flipped.append(r)
+        table = RuleTable(flipped)
+    system = QSystem(table, replacement)
+    kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
+    return RepairResult(kept, removed, rep, tr, partial, mode)
+
+
+# ---------------------------------------------------------------------------
+# revision
+# ---------------------------------------------------------------------------
+
+def _nullary_markers(table: RuleTable) -> list[Rule]:
+    return [r for r in table
+            if not r.premises and r.conclusion in (BOT, CE)]
+
+
+def _runnable(table: RuleTable) -> RuleTable:
+    """The table with premise-free marker rules removed.
+
+    Such rules mean the injected items refute themselves; the caller
+    records that verdict separately and runs the salvageable part.
+    """
+    return RuleTable(r for r in table
+                     if r.premises or r.conclusion not in (BOT, CE))
+
+
+def revise(kb: KnowledgeBase, addition: Additions, horizon: int,
+           window: Optional[int] = None) -> RevisionResult:
+    """Accept one externally given item and rerun the base.
+
+    The new item is held true: its rules survive with the item erased
+    from the premises, so conflicts with it charge the base items
+    involved -- entrenchment does not protect them.  An addition that
+    refutes itself against the base table is rejected without a run.
+    """
+    if len(addition.items) != 1:
+        raise ValueError("revise takes exactly one added item")
+    if horizon < len(kb.items):
+        raise ValueError("horizon %d cannot list all %d items"
+                         % (horizon, len(kb.items)))
+    window = _window_default(horizon, window)
+    n, _, table = _ranked_table(kb, addition)
+    revised = revision_operator(table, range(n), n)
+    if _nullary_markers(revised):
+        return RevisionResult(
+            kept=frozenset(kb.items), removed=frozenset(),
+            stability=None, trace=None, partial=False, mode="d",
+            accepted=(), rejected=True)
+    system = QSystem(_runnable(revised), ReplacementMap())
+    kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
+    return RevisionResult(kept, removed, rep, tr, partial, "d",
+                          accepted=tuple(addition.items))
+
+
+def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
+                  window: Optional[int] = None) -> RevisionResult:
+    """Accept a finite arrival sequence of externally given items.
+
+    Item i becomes available at stage i: every rewritten rule's stage is
+    raised to the largest arrival index it consumed, so consequences of
+    late arrivals cannot fire early.  If the injected set alone yields
+    the inconsistency marker the result is flagged and the salvageable
+    rules still run.
+    """
+    if horizon < len(kb.items):
+        raise ValueError("horizon %d cannot list all %d items"
+                         % (horizon, len(kb.items)))
+    window = _window_default(horizon, window)
+    n, m, table = _ranked_table(kb, additions)
+    revised = stream_revision_operator(table, range(n), range(n, n + m))
+    flagged = bool(_nullary_markers(revised))
+    system = QSystem(_runnable(revised), ReplacementMap())
+    kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
+    return RevisionResult(kept, removed, rep, tr, partial, "d",
+                          accepted=tuple(additions.items),
+                          inconsistent_input=flagged)
+
+
+# ---------------------------------------------------------------------------
+# file format
+# ---------------------------------------------------------------------------
+#   item <name>                    one per line, entrenchment order
+#   rule <name> ... -> <name>      definite rule over declared items
+#   conflict <name> ...            a set that cannot jointly stand
+#   replace <name> -> <name>       hint for q-mode repair
+
+class KBParseError(ValueError):
+    def __init__(self, line_no: int, message: str) -> None:
+        super().__init__("line %d: %s" % (line_no, message))
+        self.line_no = line_no
+        self.message = message
+
+
+def _parse_lines(text: str, names: dict[str, int], next_id: int,
+                 allow_replace: bool):
+    items: list[int] = []
+    labels: dict[int, str] = {}
+    rules: list[tuple[frozenset[int], int]] = []
+    conflicts: list[frozenset[int]] = []
+    replacements: dict[int, int] = {}
+
+    def resolve(token: str, line_no: int) -> int:
+        if token not in names:
+            raise KBParseError(line_no, "unknown item %r" % token)
+        return names[token]
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        verb, rest = parts[0], parts[1:]
+        if verb == "item":
+            if len(rest) != 1:
+                raise KBParseError(line_no, "item takes exactly one name")
+            name = rest[0]
+            if name in names:
+                raise KBParseError(line_no, "duplicate item %r" % name)
+            names[name] = next_id
+            labels[next_id] = name
+            items.append(next_id)
+            next_id += 1
+        elif verb == "rule":
+            if "->" not in rest:
+                raise KBParseError(line_no, "rule needs '->'")
+            cut = rest.index("->")
+            prem, concl = rest[:cut], rest[cut + 1:]
+            if not prem or len(concl) != 1:
+                raise KBParseError(
+                    line_no, "rule needs premises and one conclusion")
+            rules.append((frozenset(resolve(p, line_no) for p in prem),
+                          resolve(concl[0], line_no)))
+        elif verb == "conflict":
+            if not rest:
+                raise KBParseError(line_no, "conflict needs at least one item")
+            conflicts.append(frozenset(resolve(p, line_no) for p in rest))
+        elif verb == "replace":
+            if not allow_replace:
+                raise KBParseError(
+                    line_no, "replace hints belong to the base file")
+            if len(rest) != 3 or rest[1] != "->":
+                raise KBParseError(line_no, "replace takes 'old -> new'")
+            replacements[resolve(rest[0], line_no)] = resolve(rest[2], line_no)
+        else:
+            raise KBParseError(line_no, "unknown declaration %r" % verb)
+    return items, labels, rules, conflicts, replacements
+
+
+def parse_kb(text: str) -> KnowledgeBase:
+    names: dict[str, int] = {}
+    items, labels, rules, conflicts, repl = _parse_lines(
+        text, names, 0, allow_replace=True)
+    return KnowledgeBase(tuple(items), tuple(rules), tuple(conflicts),
+                         labels, repl)
+
+
+def parse_additions(text: str, kb: KnowledgeBase) -> Additions:
+    """Additions may reference base items by their labels."""
+    names = {name: item for item, name in kb.labels.items()}
+    next_id = max(kb.items, default=-1) + 1
+    items, labels, rules, conflicts, _ = _parse_lines(
+        text, names, next_id, allow_replace=False)
+    return Additions(tuple(items), tuple(rules), tuple(conflicts), labels)
+
+
+def load_kb(path: str) -> KnowledgeBase:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_kb(fh.read())
+
+
+def load_additions(path: str, kb: KnowledgeBase) -> Additions:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_additions(fh.read(), kb)
+
+
+# ---------------------------------------------------------------------------
+# reporting
+# ---------------------------------------------------------------------------
+
+def render_result(kb: KnowledgeBase, res,
+                  extra_labels: Optional[dict[int, str]] = None) -> str:
+    """Human-readable summary shared by the repair and revise commands."""
+    extra = extra_labels or {}
+
+    def tag(item: int) -> str:
+        return extra.get(item) or kb.label(item)
+
+    lines = ["mode %s" % res.mode]
+    if res.stability is not None:
+        lines.append("horizon %d window %d"
+                     % (res.stability.horizon, res.stability.window))
+    lines.append("kept: %s" % (" ".join(tag(i) for i in sorted(res.kept))
+                               or "(nothing)"))
+    lines.append("removed: %s" % (" ".join(tag(i) for i in sorted(res.removed))
+                                  or "(nothing)"))
+    if getattr(res, "accepted", ()):
+        lines.append("accepted: %s" % " ".join(tag(i) for i in res.accepted))
+    if getattr(res, "rejected", False):
+        lines.append("rejected: the added item refutes itself")
+    if getattr(res, "inconsistent_input", False):
+        lines.append("warning: the added items are jointly inconsistent")
+    lines.append("partial: %s" % ("yes" if res.partial else "no"))
+    return "\n".join(lines) + "\n"

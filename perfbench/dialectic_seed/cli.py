@@ -1,0 +1,326 @@
+"""Command-line front end.
+
+One binary, subcommand style:
+
+    dialectic validate SPEC [--bound 8]
+    dialectic run SPEC [--horizon 10000] [--window 100] [--trace OUT]
+    dialectic diff [SPEC] [--horizon ...] [--fuzz N] [--seed S] [--jobs J]
+    dialectic diagonalize [FAMILY] [--horizon ...] [--report OUT]
+    dialectic repair KB [--mode d|q] [--trace OUT]
+    dialectic revise KB ADDITIONS [--trace OUT]
+
+Exit codes: 0 success, 1 domain failure (failed validation, mismatch,
+refused input), 2 usage or unparsable input.  All output is
+deterministic for fixed inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from random import Random
+
+from .applications import (
+    KBParseError, load_additions, load_kb, render_result, repair, revise,
+    revise_stream,
+)
+from .consequence import BOT, CE, TableError, validate_aco
+from .engine import (
+    EXCISION, EXPANSION, MissingReplacementError, classify_variant,
+    estimate_beliefs, run,
+)
+from .legacy import (
+    AlignmentScopeError, LegacySystem, PairApproximation, TranslationError,
+    stream_alignment,
+)
+from .opponents import FamilyParseError, default_family, load_family
+from .diagonalizer import diagonalize
+from .randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
+from .strings import token_to_str
+from .systemspec import SpecParseError, VariantError, check_variant, load_system
+
+DEFAULT_HORIZON = 10000
+DEFAULT_WINDOW = 100
+DEFAULT_BOUND = 8
+
+
+# ---------------------------------------------------------------------------
+# trace files
+# ---------------------------------------------------------------------------
+
+def _write_trace(trace, path: str) -> None:
+    lines = []
+    for rec in trace.records:
+        if rec.kind == EXPANSION:
+            lines.append("%d\texpand" % rec.stage)
+        elif rec.kind == EXCISION:
+            lines.append("%d\texcise\tk=%d\told=%s"
+                         % (rec.stage, rec.k, token_to_str(rec.old)))
+        else:
+            lines.append("%d\treplace\tk=%d\told=%s\tnew=%s"
+                         % (rec.stage, rec.k, token_to_str(rec.old),
+                            token_to_str(rec.new)))
+    lines.append("final\t%s" % trace.final_sigma.serialize())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def cmd_validate(args) -> int:
+    spec = load_system(args.spec)
+    check_variant(spec)
+    report = validate_aco(spec.table, bound=args.bound)
+    print(report.render())
+    return 0 if report.ok else 1
+
+
+def cmd_run(args) -> int:
+    spec = load_system(args.spec)
+    check_variant(spec)
+    system = spec.build()
+    trace = run(system, args.horizon)
+    report = estimate_beliefs(trace, args.window)
+    beliefs = sorted(report.belief_estimate)
+    shown = " ".join(token_to_str(v) for v in beliefs[:20])
+    if len(beliefs) > 20:
+        shown += " ..."
+    print("variant: %s" % classify_variant(system))
+    print("horizon: %d" % report.horizon)
+    print("window: %d" % report.window)
+    print("stable prefix: %d" % report.stable_prefix_length)
+    print("beliefs (%d): %s" % (len(beliefs), shown))
+    print("loop suspects: %s"
+          % (" ".join("p%d" % p for p in report.loop_suspects) or "none"))
+    if args.trace:
+        _write_trace(trace, args.trace)
+    return 0
+
+
+def _pair_legacy(system) -> LegacySystem:
+    """Read the spec's rules as an explicit pair set for the stack side.
+
+    Pairs enter at stage 1 at the earliest; the revision map follows the
+    spec's replacement entries and swaps the two marker codes.  The map
+    must be total (acyclicity probes walk revision chains), so codes the
+    spec never revises are parked on fresh spares above the marker range;
+    a run that genuinely revises such a code dies on the plain-table side
+    first, so the spares never reach a comparison.
+    """
+    entries = []
+    for r in system.table:
+        if r.conclusion == BOT:
+            x = MARKER_C
+        elif r.conclusion == CE:
+            x = MARKER_CE
+        else:
+            x = r.conclusion
+        entries.append((max(1, r.stage), x, r.premises))
+    repl = system.replacement
+    spares: dict[int, int] = {}
+    spare_base = max(MARKER_CE, repl.max_index()) + 1
+
+    def f_minus(code: int) -> int:
+        if code == MARKER_C:
+            return MARKER_CE
+        if code == MARKER_CE:
+            return MARKER_C
+        nxt = repl.get(code)
+        if nxt is not None:
+            return nxt
+        if code not in spares:
+            spares[code] = spare_base + len(spares)
+        return spares[code]
+
+    return LegacySystem(
+        approximation=PairApproximation(entries),
+        f=lambda i: i,
+        f_inv=lambda i: i,
+        f_minus=f_minus,
+        c=MARKER_C,
+        c_minus=MARKER_CE,
+    )
+
+
+def _diff_one(seed: int, horizon: int, clause_order) -> tuple[bool, str]:
+    """Both translation directions on seeded random systems."""
+    rng = Random(seed)
+    qsys = random_qsystem(rng)
+    back = stream_alignment("backward", qsys=qsys, horizon=horizon,
+                            clause_order=clause_order)
+    legacy = random_legacy(rng)
+    fwd = stream_alignment("forward", legacy=legacy, horizon=horizon,
+                           clause_order=clause_order)
+    ok = back.ok and fwd.ok
+    text = "seed %d: %s | %s" % (seed, back.render(), fwd.render())
+    return ok, text
+
+
+def cmd_diff(args) -> int:
+    clause_order = tuple(int(t) for t in args.clause_order.split(","))
+    if args.fuzz:
+        results = []
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                futs = [pool.submit(_diff_one, args.seed + i, args.horizon,
+                                    clause_order)
+                        for i in range(args.fuzz)]
+                results = [f.result() for f in futs]
+        else:
+            results = [_diff_one(args.seed + i, args.horizon, clause_order)
+                       for i in range(args.fuzz)]
+        bad = [text for ok, text in results if not ok]
+        for text in bad[:10]:
+            print(text)
+        print("fuzz: %d of %d seeds agree" % (len(results) - len(bad),
+                                              len(results)))
+        return 0 if not bad else 1
+    if not args.spec:
+        print("diff needs a spec file or --fuzz", file=sys.stderr)
+        return 2
+    spec = load_system(args.spec)
+    system = spec.build()
+    back = stream_alignment("backward", qsys=system, horizon=args.horizon,
+                            clause_order=clause_order)
+    print(back.render())
+    fwd = stream_alignment("forward", legacy=_pair_legacy(system),
+                           horizon=args.horizon,
+                           clause_order=clause_order)
+    print(fwd.render())
+    return 0 if back.ok and fwd.ok else 1
+
+
+def cmd_diagonalize(args) -> int:
+    if args.family:
+        _, opponents = load_family(args.family)
+    else:
+        _, opponents = default_family()
+    report = diagonalize(opponents, args.horizon, args.window,
+                         fuel_cap=args.fuel_cap)
+    text = report.render()
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for line in report.verdict_lines():
+            print(line)
+    else:
+        print(text, end="")
+    return 0
+
+
+def cmd_repair(args) -> int:
+    kb = load_kb(args.kb)
+    result = repair(kb, args.horizon, window=args.window, mode=args.mode)
+    print(render_result(kb, result), end="")
+    if args.trace:
+        _write_trace(result.trace, args.trace)
+    return 0
+
+
+def cmd_revise(args) -> int:
+    kb = load_kb(args.kb)
+    additions = load_additions(args.additions, kb)
+    if len(additions.items) == 1:
+        result = revise(kb, additions, args.horizon, window=args.window)
+    else:
+        result = revise_stream(kb, additions, args.horizon,
+                               window=args.window)
+    print(render_result(kb, result, extra_labels=additions.labels), end="")
+    if result.trace is not None and args.trace:
+        _write_trace(result.trace, args.trace)
+    return 0 if not result.rejected else 1
+
+
+# ---------------------------------------------------------------------------
+# wiring
+# ---------------------------------------------------------------------------
+
+def _add_horizon_window(sub, horizon=DEFAULT_HORIZON) -> None:
+    sub.add_argument("--horizon", type=int, default=horizon,
+                     help="stages to run (default %d)" % horizon)
+    sub.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                     help="quiet tail needed for stability (default %d)"
+                     % DEFAULT_WINDOW)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dialectic",
+        description="belief-revision runs, translations and constructions")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("validate", help="check the operator laws of a spec")
+    p.add_argument("spec")
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                   help="largest axiom index enumerated (default %d)"
+                   % DEFAULT_BOUND)
+    p.set_defaults(func=cmd_validate)
+
+    p = subs.add_parser("run", help="run a spec and report stability")
+    p.add_argument("spec")
+    _add_horizon_window(p)
+    p.add_argument("--trace", help="write the step trace to this file")
+    p.set_defaults(func=cmd_run)
+
+    p = subs.add_parser("diff",
+                        help="compare string and stack engines in lockstep")
+    p.add_argument("spec", nargs="?")
+    _add_horizon_window(p)
+    p.add_argument("--fuzz", type=int, default=0,
+                   help="check this many random seeded systems instead")
+    p.add_argument("--seed", type=int, default=0, help="base seed for --fuzz")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for --fuzz")
+    p.add_argument("--clause-order", default="1,2,3",
+                   help="stack clause priority (diagnostic; default 1,2,3)")
+    p.set_defaults(func=cmd_diff)
+
+    p = subs.add_parser("diagonalize",
+                        help="run the construction against an opponent family")
+    p.add_argument("family", nargs="?",
+                   help="family file (default: the bundled one)")
+    _add_horizon_window(p)
+    p.add_argument("--fuel-cap", type=int, default=None,
+                   help="cap the per-stage opponent budget (default: stage)")
+    p.add_argument("--report", help="write the full report to this file")
+    p.set_defaults(func=cmd_diagonalize)
+
+    p = subs.add_parser("repair", help="repair an inconsistent knowledge base")
+    p.add_argument("kb")
+    _add_horizon_window(p)
+    p.add_argument("--mode", choices=("d", "q"), default="d",
+                   help="excise (d) or follow replacement hints (q)")
+    p.add_argument("--trace", help="write the step trace to this file")
+    p.set_defaults(func=cmd_repair)
+
+    p = subs.add_parser("revise",
+                        help="accept externally given items into a base")
+    p.add_argument("kb")
+    p.add_argument("additions", help="file of arriving items and their rules")
+    _add_horizon_window(p)
+    p.add_argument("--trace", help="write the step trace to this file")
+    p.set_defaults(func=cmd_revise)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (SpecParseError, KBParseError, FamilyParseError) as exc:
+        print("parse error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("cannot read input: %s" % exc, file=sys.stderr)
+        return 2
+    except (VariantError, TableError, TranslationError, AlignmentScopeError,
+            MissingReplacementError, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

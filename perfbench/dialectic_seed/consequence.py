@@ -1,0 +1,403 @@
+"""Finitely presented staged consequence operators.
+
+An operator is given by a finite table of rules ``(stage, premises, conclusion)``
+where the conclusion is an axiom, the inconsistency marker, or the
+counterexample marker.  Evaluation at stage ``n`` over a finite axiom set
+``F`` returns ``F`` itself plus the conclusion of every rule whose stage has
+arrived and whose premises are contained in ``F`` — a single pass, not a
+closure.  Inclusion and monotony (in both arguments) hold by construction;
+the independent validator re-checks them together with the iteration law
+on a bounded fragment.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
+
+from .strings import AxiomId
+
+# Conclusion sentinels.  Axioms are their own (non-negative) codes.
+BOT: int = -2   # inconsistency marker
+CE: int = -3    # counterexample marker
+
+
+def symbol_to_str(sym: int) -> str:
+    if sym == BOT:
+        return "BOT"
+    if sym == CE:
+        return "CE"
+    return "a%d" % sym
+
+
+def symbol_from_str(text: str) -> int:
+    if text == "BOT":
+        return BOT
+    if text == "CE":
+        return CE
+    if len(text) > 1 and text[0] == "a" and text[1:].isdigit():
+        return int(text[1:])
+    raise ValueError("malformed conclusion symbol %r" % (text,))
+
+
+class TableError(ValueError):
+    """A rule table violates a structural requirement."""
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One line of a finite operator presentation."""
+
+    stage: int
+    premises: frozenset[AxiomId]
+    conclusion: int
+
+    def __post_init__(self) -> None:
+        if self.stage < 0:
+            raise TableError("rule stage must be a natural number")
+        for p in self.premises:
+            if p < 0:
+                raise TableError("rule premises must be axioms")
+        if self.conclusion < 0 and self.conclusion not in (BOT, CE):
+            raise TableError("bad conclusion code %d" % self.conclusion)
+
+    def render(self) -> str:
+        prem = " ".join("a%d" % p for p in sorted(self.premises))
+        return "at %d : %s |- %s" % (self.stage, prem, symbol_to_str(self.conclusion))
+
+
+def rule(stage: int, premises: Iterable[AxiomId], conclusion: int) -> Rule:
+    return Rule(stage, frozenset(premises), conclusion)
+
+
+class RuleTable:
+    """Append-only list of rules presenting a staged operator."""
+
+    def __init__(self, rules: Iterable[Rule] = ()) -> None:
+        self._rules: list[Rule] = list(rules)
+
+    def append(self, r: Rule) -> None:
+        self._rules.append(r)
+
+    @property
+    def rules(self) -> Sequence[Rule]:
+        return tuple(self._rules)
+
+    def __len__(self) -> int:
+        return len(self._rules)
+
+    def __iter__(self):
+        return iter(self._rules)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RuleTable):
+            return self._rules == other._rules
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "RuleTable(%d rules)" % len(self._rules)
+
+    def max_stage(self) -> int:
+        return max((r.stage for r in self._rules), default=0)
+
+    def max_axiom(self) -> int:
+        """Largest axiom index mentioned anywhere in the table, -1 if none."""
+        m = -1
+        for r in self._rules:
+            if r.premises:
+                m = max(m, max(r.premises))
+            if r.conclusion >= 0:
+                m = max(m, r.conclusion)
+        return m
+
+    def conclusion_kinds(self) -> frozenset[int]:
+        return frozenset(r.conclusion for r in self._rules if r.conclusion in (BOT, CE))
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------------
+
+def evaluate(table: RuleTable, n: int, F: Iterable[AxiomId]) -> frozenset[int]:
+    """Single-pass staged evaluation: ``F`` plus conclusions of fired rules.
+
+    Conclusions are not fed back; derived axioms do not enable further rules
+    within one evaluation.
+    """
+    fset = frozenset(F)
+    out = set(fset)
+    for r in table:
+        if r.stage <= n and r.premises <= fset:
+            out.add(r.conclusion)
+    return frozenset(out)
+
+
+def limit_closure(table: RuleTable, F: Iterable[AxiomId]) -> frozenset[int]:
+    """Evaluation with every stage admitted (the table's maximal stage)."""
+    return evaluate(table, table.max_stage(), F)
+
+
+def check_no_empty_derivation(table: RuleTable) -> None:
+    """Reject tables from which ⊥ or ce is derivable from the empty set."""
+    for r in table:
+        if r.conclusion in (BOT, CE) and not r.premises:
+            raise TableError(
+                "table derives %s from the empty set (rule at stage %d)"
+                % (symbol_to_str(r.conclusion), r.stage)
+            )
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+class ValidationScopeError(ValueError):
+    """The requested validation bound does not cover the table."""
+
+
+@dataclass
+class ValidationReport:
+    ok: bool
+    bound: int
+    width: int
+    checked_sets: int
+    failures: list[str] = field(default_factory=list)
+    structural_iteration: bool = False
+
+    def render(self) -> str:
+        lines = ["validation %s (bound=%d, width=%d, sets=%d)"
+                 % ("passed" if self.ok else "FAILED", self.bound, self.width,
+                    self.checked_sets)]
+        if self.structural_iteration:
+            lines.append("iteration law certified structurally "
+                         "(no axiom-producing rules)")
+        lines.extend(self.failures)
+        return "\n".join(lines)
+
+
+def _subsets_up_to(universe: Sequence[int], width: int):
+    for size in range(0, width + 1):
+        yield from itertools.combinations(universe, size)
+
+
+def validate_aco(table: RuleTable, bound: int, width: int = 4) -> ValidationReport:
+    """Re-check inclusion, monotony (both arguments) and the iteration law.
+
+    All finite sets of at most ``width`` axioms drawn from ``{a0..a_bound}``
+    are enumerated.  ``bound`` must cover every axiom the table mentions.
+    """
+    if bound < table.max_axiom():
+        raise ValidationScopeError(
+            "bound %d below largest mentioned axiom index %d"
+            % (bound, table.max_axiom())
+        )
+    universe = list(range(bound + 1))
+    top_stage = table.max_stage()
+    failures: list[str] = []
+    checked = 0
+
+    axiom_producing = any(r.conclusion >= 0 for r in table)
+
+    subsets = [frozenset(s) for s in _subsets_up_to(universe, width)]
+    for F in subsets:
+        checked += 1
+        prev: frozenset[int] | None = None
+        for n in range(top_stage + 1):
+            out = evaluate(table, n, F)
+            if not F <= out:
+                failures.append("inclusion fails at n=%d F=%s" % (n, sorted(F)))
+            if prev is not None and not prev <= out:
+                failures.append("stage monotony fails at n=%d F=%s" % (n, sorted(F)))
+            prev = out
+        # monotony in F against every superset in the sample
+        full = evaluate(table, top_stage, F)
+        for G in subsets:
+            if F < G and not full <= evaluate(table, top_stage, G):
+                failures.append(
+                    "set monotony fails for F=%s G=%s" % (sorted(F), sorted(G))
+                )
+        if axiom_producing:
+            # iteration: closing the axiom part of the closure reproduces it
+            core = frozenset(x for x in full if x >= 0)
+            again = evaluate(table, top_stage, core)
+            if again != full:
+                failures.append(
+                    "iteration fails for F=%s: closure of closure differs"
+                    % sorted(F)
+                )
+    report = ValidationReport(
+        ok=not failures,
+        bound=bound,
+        width=width,
+        checked_sets=checked,
+        failures=failures[:20],
+        structural_iteration=not axiom_producing,
+    )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# knowledge-base compilation
+# ---------------------------------------------------------------------------
+
+def from_horn(
+    items: Sequence[AxiomId],
+    horn_rules: Iterable[tuple[Iterable[AxiomId], AxiomId]],
+    conflicts: Iterable[Iterable[AxiomId]],
+    saturation_cap: int = 20000,
+) -> RuleTable:
+    """Compile definite rules plus conflict sets into a staged table.
+
+    Direct horn rules sit at stage 1, conflicts at stage 0, and every
+    composition at the sum of its component stages (derivation depth).  The
+    transitive closure is materialized because evaluation is single-pass:
+    a chain k0→k1→k2 yields the derived rule {k0} ⊢ k2 at stage 2.
+    """
+    item_set = set(items)
+    best: dict[tuple[frozenset[int], int], int] = {}
+
+    def note(premises: frozenset[int], concl: int, stage: int) -> bool:
+        key = (premises, concl)
+        old = best.get(key)
+        if old is None or stage < old:
+            best[key] = stage
+            return True
+        return False
+
+    for prem, concl in horn_rules:
+        pf = frozenset(prem)
+        if not pf <= item_set or concl not in item_set:
+            raise TableError("horn rule mentions unknown item")
+        if concl in pf:
+            continue  # trivially true; inert
+        note(pf, concl, 1)
+    for grp in conflicts:
+        gf = frozenset(grp)
+        if not gf <= item_set:
+            raise TableError("conflict mentions unknown item")
+        if not gf:
+            raise TableError("empty conflict set")
+        note(gf, BOT, 0)
+
+    # saturate compositions: (P ⊢ c) + (Q ∋ c ⊢ d)  ⇒  (P ∪ Q∖{c} ⊢ d)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(best.items())
+        for (p1, c1), s1 in snapshot:
+            if c1 < 0:
+                continue
+            for (p2, c2), s2 in snapshot:
+                if c1 not in p2:
+                    continue
+                newp = p1 | (p2 - {c1})
+                if c2 >= 0 and c2 in newp:
+                    continue
+                if note(newp, c2, s1 + s2):
+                    changed = True
+        if len(best) > saturation_cap:
+            raise TableError("saturation exceeded cap of %d rules" % saturation_cap)
+
+    rules = [Rule(stage, prem, concl)
+             for (prem, concl), stage in sorted(
+                 best.items(),
+                 key=lambda kv: (kv[1], sorted(kv[0][0]), kv[0][1]))]
+    return RuleTable(rules)
+
+
+# ---------------------------------------------------------------------------
+# revision operators
+# ---------------------------------------------------------------------------
+
+def revision_operator(base: RuleTable, K: Iterable[AxiomId], b: AxiomId) -> RuleTable:
+    """Operator for revising by ``b``: ``b`` held true, output filtered to K ∪ {⊥}.
+
+    Satisfies ``evaluate(result, n, F) == evaluate(base, n, F ∪ {b}) ∩ (K ∪ {⊥})``
+    for every F ⊆ K.
+    """
+    kset = frozenset(K)
+    if b in kset:
+        raise TableError("revision input a%d is already a background item" % b)
+    out: list[Rule] = []
+    seen: set[tuple[frozenset[int], int, int]] = set()
+    for r in base:
+        prem = r.premises - {b}
+        if not prem <= kset:
+            continue
+        if r.conclusion != BOT and (r.conclusion < 0 or r.conclusion not in kset):
+            continue
+        key = (prem, r.conclusion, r.stage)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(Rule(r.stage, prem, r.conclusion))
+    return RuleTable(out)
+
+
+def stream_revision_operator(
+    base: RuleTable, K: Iterable[AxiomId], stream: Sequence[AxiomId]
+) -> RuleTable:
+    """Iterated revision: stream item ``b_i`` becomes available at stage ``i``.
+
+    Each rewritten rule's stage is raised to the largest stream index it
+    consumed, so no rule fires before its inputs have arrived.
+    """
+    kset = frozenset(K)
+    spos = {b: i for i, b in enumerate(stream)}
+    if kset & spos.keys():
+        raise TableError("stream items must be disjoint from the background set")
+    out: list[Rule] = []
+    seen: set[tuple[frozenset[int], int, int]] = set()
+    for r in base:
+        dropped = [p for p in r.premises if p in spos]
+        prem = frozenset(p for p in r.premises if p not in spos)
+        if not prem <= kset:
+            continue
+        if r.conclusion != BOT and (r.conclusion < 0 or r.conclusion not in kset):
+            continue
+        stage = r.stage
+        if dropped:
+            stage = max(stage, max(spos[p] for p in dropped))
+        key = (prem, r.conclusion, stage)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(Rule(stage, prem, r.conclusion))
+    return RuleTable(out)
+
+
+# ---------------------------------------------------------------------------
+# rule-line grammar:  at <stage> : <premise tokens> |- <symbol>
+# ---------------------------------------------------------------------------
+
+def parse_rule_line(text: str) -> Rule:
+    body = text.strip()
+    if not body.startswith("at "):
+        raise ValueError("rule line must start with 'at '")
+    rest = body[3:]
+    if ":" not in rest or "|-" not in rest:
+        raise ValueError("rule line needs ': ... |- ...'")
+    stage_part, tail = rest.split(":", 1)
+    prem_part, concl_part = tail.split("|-", 1)
+    try:
+        stage = int(stage_part.strip())
+    except ValueError:
+        raise ValueError("bad stage %r" % stage_part.strip()) from None
+    premises = []
+    for tok in prem_part.split():
+        if not (len(tok) > 1 and tok[0] == "a" and tok[1:].isdigit()):
+            raise ValueError("bad premise token %r" % tok)
+        premises.append(int(tok[1:]))
+    conclusion = symbol_from_str(concl_part.strip())
+    return Rule(stage, frozenset(premises), conclusion)
+
+
+def parse_rule_table(text: str) -> RuleTable:
+    """Parse a block of rule lines; blank lines and ``#`` comments ignored."""
+    rules = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rules.append(parse_rule_line(line))
+    return RuleTable(rules)

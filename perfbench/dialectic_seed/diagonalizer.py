@@ -1,0 +1,664 @@
+"""Priority construction separating one run from a roster of opponents.
+
+Against each opponent we field one strategy.  A strategy claims a fresh
+block of three axioms, watches the opponent's run for that block, and
+forces our own run (the "home" run) to treat the block in exactly the
+order the opponent cannot follow -- appending at most three rules to the
+home system along the way.  Strategies are ranked; whenever one of them
+acts, every lower-ranked strategy is thrown back to the start and must
+later re-enter on an untouched block.  Because each strategy acts at most
+four times per entry, every strategy is thrown back only finitely often,
+and each ends up either completed or permanently parked on a condition
+its opponent never satisfies.
+
+The verdict for an opponent is a witness axiom on which the two limiting
+belief estimates disagree, drawn from the strategy's final block.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from .consequence import BOT, CE, Rule, RuleTable
+from .engine import (QSystem, ReplacementMap, RunEngine, StabilityReport,
+                     estimate_beliefs, run)
+from .opponents import PartialPSystem, r_iterate
+
+__all__ = [
+    "Strategy", "Diagonalizer", "DiagonalizationReport", "diagonalize",
+    "audit_freshness", "audit_finite_injury", "audit_hands_off",
+    "audit_e_sets", "audit_ce_discipline", "audit_replay", "run_all_audits",
+]
+
+
+# strategy statuses; the waits name the condition being watched
+DEACTIVATED = "deactivated"
+S2WAIT = "S2wait"    # claimed block not yet enumerated by the opponent
+PO2WAIT = "PO2wait"  # replacement-iterates of the enumerated prefix pending
+S5WAIT = "S5wait"    # opponent has not yet shown the predicted prefix
+S7WAIT = "S7wait"    # opponent has not yet marked the predicted prefix
+S8DONE = "S8done"    # nothing left to do
+
+
+class Strategy:
+    """Mutable per-opponent state; one rank in the priority list."""
+
+    def __init__(self, index: int, theta: PartialPSystem) -> None:
+        self.index = index
+        self.theta = theta
+        self.status = DEACTIVATED
+        self.epoch = 0
+        self.N = -1
+        self.S: frozenset[int] = frozenset()
+        self.Z: frozenset[int] = frozenset()
+        self.E: Optional[frozenset[int]] = None
+        self.a_I: Optional[int] = None
+        self.a_J: Optional[int] = None
+        self.rho: Optional[tuple[int, ...]] = None
+        self.rho_code = 0
+        self.skip = False
+        self.trio_pos: Optional[tuple[int, int, int]] = None
+        self.tau: list[int] = []
+        self._po2_next = 0
+        self._s5_version = -1
+        self.acts: list[tuple[int, str]] = []
+        self.activations: list[int] = []
+
+    def reset_for_entry(self) -> None:
+        self.S = frozenset()
+        self.Z = frozenset()
+        self.E = None
+        self.a_I = None
+        self.a_J = None
+        self.rho = None
+        self.rho_code = 0
+        self.skip = False
+        self.trio_pos = None
+        self.tau = []
+        self._po2_next = 0
+        self._s5_version = -1
+
+
+def _code_of(values) -> int:
+    code = 0
+    for v in values:
+        code |= 1 << (v + 1)
+    return code
+
+
+# ---------------------------------------------------------------------------
+# the scheduler
+# ---------------------------------------------------------------------------
+
+class Diagonalizer:
+    """Drives the home run, the opponents, and the strategies in lockstep.
+
+    Stage s does, in order: one strategy act (the highest-ranked whose
+    watched condition holds), else the idle work (re-entry of the
+    highest-ranked thrown-back strategy, then one fresh replacement
+    entry); then one home-run step; then one budgeted step of every
+    opponent with fuel s.
+    """
+
+    def __init__(self, opponents, fuel_cap: int = None) -> None:
+        self.table = RuleTable()
+        self.replacement = ReplacementMap()
+        self.engine = RunEngine(QSystem(self.table, self.replacement))
+        self.fuel_cap = fuel_cap
+        self.strategies = [Strategy(i, th) for i, th in enumerate(opponents)]
+        self.mentions: list[int] = []
+        self.mention_max = 0
+        self.timeline: list[str] = []
+        self.injuries: list[tuple[int, int, int]] = []  # (stage, hurt, by)
+        self.rule_meta: list[dict] = []
+        self.activation_log: list[dict] = []
+        self.z_history: list[tuple[int, int, frozenset]] = []
+        self.act_records: list[dict] = []
+        self._r_next = 0
+        self.stage = 0
+
+    def _fuel(self, s: int) -> int:
+        """Budget for opponent programs at stage s (capped if asked)."""
+        return s if self.fuel_cap is None else min(s, self.fuel_cap)
+
+    # -- bookkeeping --------------------------------------------------------
+
+    def _mention(self, values) -> None:
+        for v in values:
+            self.mentions.append(v)
+            if v > self.mention_max:
+                self.mention_max = v
+
+    def _set_z(self, strat: Strategy, z: frozenset, stage: int) -> None:
+        strat.Z = z
+        self.z_history.append((stage, strat.index, z))
+
+    def _append_rule(self, stage: int, premises: frozenset, conclusion: int,
+                     strat: Strategy, label: str) -> Rule:
+        r = Rule(stage, premises, conclusion)
+        self.engine.append_rule(r)
+        self.rule_meta.append({
+            "stage": stage, "strategy": strat.index, "N": strat.N,
+            "S": strat.S, "label": label, "rule": r,
+        })
+        self._mention(premises)
+        return r
+
+    def _deactivate_below(self, index: int, stage: int) -> None:
+        for strat in self.strategies[index + 1:]:
+            if strat.status != DEACTIVATED:
+                self.injuries.append((stage, strat.index, index))
+                self.timeline.append("%d\tinjure R%d by R%d"
+                                     % (stage, strat.index, index))
+                strat.status = DEACTIVATED
+
+    # -- the idle branch ----------------------------------------------------
+
+    def _activate_next(self, stage: int) -> None:
+        for strat in self.strategies:
+            if strat.status == DEACTIVATED:
+                self._enter(strat, stage)
+                return
+
+    def _enter(self, strat: Strategy, stage: int) -> None:
+        cut = len(self.mentions)
+        N = 3 + self.mention_max
+        strat.reset_for_entry()
+        strat.N = N
+        strat.epoch += 1
+        higher = frozenset().union(
+            *(s.Z for s in self.strategies[:strat.index])) if strat.index else frozenset()
+        strat.S = frozenset(range(N)) - higher
+        assert not self.replacement.defined(N), "claimed axiom already mapped"
+        self.replacement.define(N, N + 2)
+        self._mention((N, N + 1, N + 2))
+        strat.status = S2WAIT
+        strat.activations.append(stage)
+        self.activation_log.append({
+            "stage": stage, "strategy": strat.index, "N": N,
+            "S": strat.S, "cut": cut,
+        })
+        self._set_z(strat, frozenset(), stage)
+        self.timeline.append("%d\tactivate R%d N=%d" % (stage, strat.index, N))
+
+    def _extend_replacement(self, stage: int) -> None:
+        k = self._r_next
+        while self.replacement.defined(k):
+            k += 1
+        self.replacement.define(k, k + 1)
+        self._mention((k, k + 1))
+        self._r_next = k + 1
+
+    # -- condition checks ---------------------------------------------------
+
+    def _check(self, strat: Strategy, s: int) -> Optional[dict]:
+        if strat.status == S2WAIT:
+            return self._check_claim_enumerated(strat, s)
+        if strat.status == PO2WAIT:
+            return self._check_iterates(strat, s)
+        if strat.status == S5WAIT:
+            return self._check_prefix_shown(strat, s)
+        if strat.status == S7WAIT:
+            return self._check_prefix_marked(strat, s)
+        return None
+
+    def _check_claim_enumerated(self, strat: Strategy, s: int) -> Optional[dict]:
+        th = strat.theta
+        N = strat.N
+        pos = (th.enum_position(N), th.enum_position(N + 1),
+               th.enum_position(N + 2))
+        if None in pos:
+            return None
+        l, m, n = sorted(pos)
+        if len(th.sigma) <= n:
+            return None
+        g_l = th.g_value(l, self._fuel(s))
+        if th.r_value(g_l, self._fuel(s)) is None:
+            return None
+        return {"l": l, "m": m, "n": n, "g_l": g_l}
+
+    def _check_iterates(self, strat: Strategy, s: int) -> Optional[dict]:
+        th = strat.theta
+        n = strat.trio_pos[2]
+        j = strat._po2_next
+        while j < n:
+            res = r_iterate(th, th.g_value(j, self._fuel(s)), strat.E,
+                            self._fuel(s))
+            if res is None:
+                strat._po2_next = j
+                return None
+            strat.tau.append(res[0])
+            j += 1
+        strat._po2_next = j
+        return {"tau": tuple(strat.tau)}
+
+    def _check_prefix_shown(self, strat: Strategy, s: int) -> Optional[dict]:
+        th = strat.theta
+        if th.version == strat._s5_version:
+            return None
+        strat._s5_version = th.version
+        if strat.skip:
+            fo_i = th.first_occurrence(strat.a_I)
+            fo_j = th.first_occurrence(strat.a_J)
+            if fo_i is None or fo_j is None or fo_i >= fo_j:
+                return None
+            return {"rho": tuple(th.sigma[:fo_i + 1])}
+        rho = strat.rho
+        if len(th.sigma) < len(rho):
+            return None
+        for i, v in enumerate(rho):
+            if th.sigma[i] != v:
+                return None
+        return {}
+
+    def _check_prefix_marked(self, strat: Strategy, s: int) -> Optional[dict]:
+        if strat.theta.ce_upto(strat.rho_code, s, self._fuel(s)):
+            return {}
+        return None
+
+    # -- acts ---------------------------------------------------------------
+
+    def _act(self, strat: Strategy, s: int, payload: dict) -> None:
+        if strat.status == S2WAIT:
+            self._act_claim_found(strat, s, payload)
+        elif strat.status == PO2WAIT:
+            self._act_order_predicted(strat, s, payload)
+        elif strat.status == S5WAIT:
+            self._act_split_pair(strat, s, payload)
+        elif strat.status == S7WAIT:
+            self._act_finish(strat, s)
+        self._deactivate_below(strat.index, s)
+
+    def _act_claim_found(self, strat: Strategy, s: int, payload: dict) -> None:
+        th = strat.theta
+        N = strat.N
+        strat.trio_pos = (payload["l"], payload["m"], payload["n"])
+        self._mention((max(th.sigma), payload["n"]))
+        if payload["g_l"] == N:
+            strat.E = frozenset({N}).union(
+                *(st.Z for st in self.strategies[:strat.index])) \
+                if strat.index else frozenset({N})
+            strat.status = PO2WAIT
+            strat._po2_next = 0
+            strat.tau = []
+            mode = "anchor-first"
+        else:
+            strat.skip = True
+            strat.a_I = N + 2
+            strat.a_J = N + 1
+            strat.status = S5WAIT
+            strat._s5_version = -1
+            mode = "decoy-first"
+        strat.acts.append((s, "S2"))
+        self.act_records.append({"stage": s, "strategy": strat.index,
+                                 "label": "S2", "mode": mode,
+                                 "E": strat.E})
+        self.timeline.append("%d\tact R%d S2 %s l=%d m=%d n=%d"
+                             % (s, strat.index, mode,
+                                payload["l"], payload["m"], payload["n"]))
+
+    def _act_order_predicted(self, strat: Strategy, s: int, payload: dict) -> None:
+        N = strat.N
+        tau = payload["tau"]
+        self._mention(tau)
+        idx = next(i for i, v in enumerate(tau) if v in (N + 1, N + 2))
+        rho = tau[:idx + 1]
+        strat.rho = rho
+        if rho[-1] == N + 1:
+            case = 1
+            strat.a_I, strat.a_J = N + 1, N + 2
+            self._append_rule(s, strat.S | {N}, CE, strat, "S4")
+        else:
+            case = 2
+            strat.a_I, strat.a_J = N + 2, N + 1
+            self._append_rule(s, strat.S | {N}, BOT, strat, "S4")
+        self._set_z(strat, frozenset({N}), s)
+        strat.status = S5WAIT
+        strat._s5_version = -1
+        strat.acts.append((s, "S4"))
+        self.act_records.append({"stage": s, "strategy": strat.index,
+                                 "label": "S4", "case": case,
+                                 "rho": rho})
+        self.timeline.append("%d\tact R%d S4 case=%d aI=a%d aJ=a%d |rho|=%d"
+                             % (s, strat.index, case, strat.a_I, strat.a_J,
+                                len(rho)))
+
+    def _act_split_pair(self, strat: Strategy, s: int, payload: dict) -> None:
+        if strat.skip:
+            strat.rho = payload["rho"]
+            self._mention(strat.rho)
+        strat.rho_code = _code_of(strat.rho)
+        strat.theta.pin_code(strat.rho_code)
+        self._append_rule(s, strat.S | {strat.a_I, strat.a_J}, BOT,
+                          strat, "S6")
+        if strat.skip:
+            self._set_z(strat, frozenset({strat.a_I}), s)
+        else:
+            self._set_z(strat, frozenset({strat.N, strat.a_I}), s)
+        strat.status = S7WAIT
+        strat.acts.append((s, "S6"))
+        self.act_records.append({"stage": s, "strategy": strat.index,
+                                 "label": "S6", "rho": strat.rho})
+        self.timeline.append("%d\tact R%d S6 aI=a%d aJ=a%d |rho|=%d"
+                             % (s, strat.index, strat.a_I, strat.a_J,
+                                len(strat.rho)))
+
+    def _act_finish(self, strat: Strategy, s: int) -> None:
+        self._append_rule(s, strat.S | {strat.a_J}, BOT, strat, "S8")
+        self._set_z(strat, (strat.Z - {strat.a_I}) | {strat.a_J}, s)
+        strat.status = S8DONE
+        strat.acts.append((s, "S8"))
+        self.act_records.append({"stage": s, "strategy": strat.index,
+                                 "label": "S8"})
+        self.timeline.append("%d\tact R%d S8 aJ=a%d"
+                             % (s, strat.index, strat.a_J))
+
+    # -- the drive loop -----------------------------------------------------
+
+    def run_to(self, horizon: int) -> None:
+        while self.stage < horizon:
+            s = self.stage + 1
+            acted = False
+            for strat in self.strategies:
+                if strat.status in (DEACTIVATED, S8DONE):
+                    continue
+                payload = self._check(strat, s)
+                if payload is not None:
+                    self._act(strat, s, payload)
+                    acted = True
+                    break
+            if not acted:
+                self._activate_next(s)
+                self._extend_replacement(s)
+            self.engine.step_once()
+            for strat in self.strategies:
+                strat.theta.step(self._fuel(s))
+            self.stage = s
+
+
+# ---------------------------------------------------------------------------
+# the report
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DiagonalizationReport:
+    horizon: int
+    window: int
+    opponent_names: tuple[str, ...]
+    statuses: tuple[str, ...]
+    Ns: tuple[int, ...]
+    Ss: tuple[frozenset, ...]
+    Es: tuple[Optional[frozenset], ...]
+    Zs: tuple[frozenset, ...]
+    skips: tuple[bool, ...]
+    rhos: tuple[Optional[tuple], ...]
+    witnesses: tuple[Optional[int], ...]
+    gamma: StabilityReport
+    thetas: tuple[StabilityReport, ...]
+    rules: tuple[Rule, ...]
+    rule_meta: tuple[dict, ...]
+    replacement_items: tuple[tuple[int, int], ...]
+    timeline: tuple[str, ...]
+    injuries: tuple[tuple[int, int, int], ...]
+    mentions: tuple[int, ...]
+    activation_log: tuple[dict, ...]
+    act_records: tuple[dict, ...]
+    z_history: tuple[tuple[int, int, frozenset], ...]
+    notes: tuple[str, ...]
+
+    def witness_token(self, i: int) -> str:
+        w = self.witnesses[i]
+        return "-" if w is None else "a%d" % w
+
+    def verdict_lines(self) -> list[str]:
+        return ["opponent %d: %s witness=%s"
+                % (i, self.statuses[i], self.witness_token(i))
+                for i in range(len(self.statuses))]
+
+    def render(self) -> str:
+        out = []
+        out.append("diagonalization report")
+        out.append("horizon %d window %d" % (self.horizon, self.window))
+        out.append("opponents:")
+        for i, name in enumerate(self.opponent_names):
+            out.append("  %d %s" % (i, name))
+        out.append("[timeline]")
+        out.extend(self.timeline)
+        out.append("[rules]")
+        for idx, meta in enumerate(self.rule_meta):
+            out.append("%d\tR%d\t%s" % (idx, meta["strategy"],
+                                        meta["rule"].render()))
+        out.append("[replacement]")
+        shown = self.replacement_items[:64]
+        for i, j in shown:
+            out.append("a%d -> a%d" % (i, j))
+        rest = len(self.replacement_items) - len(shown)
+        if rest > 0:
+            out.append("... %d more entries" % rest)
+        out.append("[injuries]")
+        if not self.injuries:
+            out.append("none")
+        else:
+            per: dict[int, list[int]] = {}
+            for stage, hurt, _by in self.injuries:
+                per.setdefault(hurt, []).append(stage)
+            for hurt in sorted(per):
+                stages = per[hurt]
+                out.append("R%d injured %d times, last at stage %d"
+                           % (hurt, len(stages), stages[-1]))
+        out.append("[verdicts]")
+        out.extend(self.verdict_lines())
+        out.append("[notes]")
+        if not self.notes:
+            out.append("none")
+        else:
+            out.extend(self.notes)
+        return "\n".join(out) + "\n"
+
+
+def _witness(diff: frozenset, floor: int) -> Optional[int]:
+    if not diff:
+        return None
+    high = [v for v in diff if v >= floor]
+    return min(high) if high else min(diff)
+
+
+def diagonalize(opponents, horizon: int, window: int = 100,
+                fuel_cap: int = None) -> DiagonalizationReport:
+    """Run the whole construction and assemble its report."""
+    diag = Diagonalizer(opponents, fuel_cap=fuel_cap)
+    diag.run_to(horizon)
+    gamma = estimate_beliefs(diag.engine.trace(), window)
+    thetas = tuple(st.theta.stability_report(horizon, window)
+                   for st in diag.strategies)
+    witnesses = []
+    notes = []
+    for strat, threp in zip(diag.strategies, thetas):
+        diff = gamma.belief_estimate ^ threp.belief_estimate
+        witnesses.append(_witness(diff, strat.N if strat.N >= 0 else 0))
+        th = strat.theta
+        if th.invalid_reason:
+            notes.append("opponent %d: %s" % (strat.index, th.invalid_reason))
+        if th.r_cycle_found:
+            notes.append("opponent %d: replacement cycle detected; not a "
+                         "counterexample system" % strat.index)
+        stalls = th.diverge_counts
+        if any(stalls.values()):
+            notes.append("opponent %d: stalled steps g=%d H=%d r=%d"
+                         % (strat.index, stalls["g"], stalls["H"],
+                            stalls["r"]))
+        if threp.loop_suspects:
+            notes.append("opponent %d: %d positions still moving inside "
+                         "the window" % (strat.index, len(threp.loop_suspects)))
+    if gamma.loop_suspects:
+        notes.append("home run: %d positions still moving inside the window"
+                     % len(gamma.loop_suspects))
+    return DiagonalizationReport(
+        horizon=horizon,
+        window=window,
+        opponent_names=tuple(st.theta.name for st in diag.strategies),
+        statuses=tuple(st.status for st in diag.strategies),
+        Ns=tuple(st.N for st in diag.strategies),
+        Ss=tuple(st.S for st in diag.strategies),
+        Es=tuple(st.E for st in diag.strategies),
+        Zs=tuple(st.Z for st in diag.strategies),
+        skips=tuple(st.skip for st in diag.strategies),
+        rhos=tuple(st.rho for st in diag.strategies),
+        witnesses=tuple(witnesses),
+        gamma=gamma,
+        thetas=thetas,
+        rules=tuple(m["rule"] for m in diag.rule_meta),
+        rule_meta=tuple(diag.rule_meta),
+        replacement_items=tuple(diag.replacement.explicit_items()),
+        timeline=tuple(diag.timeline),
+        injuries=tuple(diag.injuries),
+        mentions=tuple(diag.mentions),
+        activation_log=tuple(diag.activation_log),
+        act_records=tuple(diag.act_records),
+        z_history=tuple(diag.z_history),
+        notes=tuple(notes),
+    )
+
+
+# ---------------------------------------------------------------------------
+# audits
+# ---------------------------------------------------------------------------
+#
+# Every audit recomputes its property from the report's event logs alone
+# and returns a list of problem descriptions; empty means the property
+# held on this run.
+
+def audit_freshness(report: DiagonalizationReport) -> list[str]:
+    """Each entry's claimed block lies above everything mentioned before."""
+    problems = []
+    for act in report.activation_log:
+        cut = act["cut"]
+        before = report.mentions[:cut]
+        ceiling = max(before) if before else 0
+        if act["N"] <= ceiling:
+            problems.append(
+                "entry of R%d at stage %d claimed a%d, but a%d was already "
+                "mentioned" % (act["strategy"], act["stage"], act["N"],
+                               ceiling))
+    return problems
+
+
+def audit_finite_injury(report: DiagonalizationReport) -> list[str]:
+    """Throw-backs are bounded by higher-ranked activity and settle."""
+    problems = []
+    n = len(report.statuses)
+    acts_by = {i: [] for i in range(n)}
+    for rec in report.act_records:
+        acts_by[rec["strategy"]].append(rec["stage"])
+    for i in range(n):
+        higher_acts = sum(len(acts_by[j]) for j in range(i))
+        entries = [a["stage"] for a in report.activation_log
+                   if a["strategy"] == i]
+        hurt = [inj for inj in report.injuries if inj[1] == i]
+        if len(hurt) > higher_acts:
+            problems.append("R%d thrown back %d times but higher strategies "
+                            "acted only %d times" % (i, len(hurt), higher_acts))
+        last_higher = max((st for j in range(i) for st in acts_by[j]),
+                          default=0)
+        if entries and entries[-1] <= last_higher:
+            problems.append("R%d never re-entered after the last "
+                            "higher-ranked act at stage %d" % (i, last_higher))
+        if not entries and report.statuses[i] != DEACTIVATED:
+            problems.append("R%d has status %s without any entry"
+                            % (i, report.statuses[i]))
+    return problems
+
+
+def audit_hands_off(report: DiagonalizationReport) -> list[str]:
+    """Below each strategy's block, the home beliefs equal the default
+    listing minus exactly the removals claimed by higher strategies."""
+    problems = []
+    B = report.gamma.belief_estimate
+    for i, N in enumerate(report.Ns):
+        if N < 0:
+            continue
+        removed = frozenset()
+        for j in range(i):
+            removed |= report.Zs[j]
+        expected = frozenset(range(N)) - removed
+        actual = frozenset(v for v in B if v < N)
+        if actual != expected:
+            problems.append(
+                "below a%d the home beliefs differ from the claim at %s"
+                % (N, sorted(actual ^ expected)))
+    return problems
+
+
+def audit_e_sets(report: DiagonalizationReport) -> list[str]:
+    """Frozen iteration-escape sets match the claims current at freezing."""
+    problems = []
+    for rec in report.act_records:
+        if rec["label"] != "S2" or rec.get("E") is None:
+            continue
+        i = rec["strategy"]
+        stage = rec["stage"]
+        # the strategy's block at that moment
+        N = None
+        for act in report.activation_log:
+            if act["strategy"] == i and act["stage"] <= stage:
+                N = act["N"]
+        z_at = {}
+        for zstage, j, z in report.z_history:
+            if zstage < stage and j < i:
+                z_at[j] = z
+        expected = frozenset({N}).union(*z_at.values()) if z_at \
+            else frozenset({N})
+        if rec["E"] != expected:
+            problems.append("R%d froze escape set %s at stage %d; expected %s"
+                            % (i, sorted(rec["E"]), stage, sorted(expected)))
+    return problems
+
+
+def audit_ce_discipline(report: DiagonalizationReport) -> list[str]:
+    """Marker rules carry exactly the appender's kept set plus its anchor."""
+    problems = []
+    for meta in report.rule_meta:
+        r = meta["rule"]
+        if r.conclusion != CE:
+            continue
+        expected = meta["S"] | {meta["N"]}
+        if r.premises != expected:
+            problems.append("marker rule at stage %d has premises %s; "
+                            "expected %s" % (r.stage, sorted(r.premises),
+                                             sorted(expected)))
+    return problems
+
+
+def audit_replay(report: DiagonalizationReport) -> list[str]:
+    """Each appended rule only moves beliefs at or above its block."""
+    problems = []
+    repl = ReplacementMap(report.replacement_items)
+    for k, meta in enumerate(report.rule_meta):
+        with_rule = RuleTable(report.rules[:k + 1])
+        without = RuleTable(report.rules[:k])
+        est_a = estimate_beliefs(
+            run(QSystem(with_rule, repl), report.horizon),
+            report.window).belief_estimate
+        est_b = estimate_beliefs(
+            run(QSystem(without, repl), report.horizon),
+            report.window).belief_estimate
+        cut = meta["N"]
+        low_a = frozenset(v for v in est_a if v < cut)
+        low_b = frozenset(v for v in est_b if v < cut)
+        if low_a != low_b:
+            problems.append(
+                "rule %d (stage %d) moved beliefs below a%d: %s"
+                % (k, meta["stage"], cut, sorted(low_a ^ low_b)))
+    return problems
+
+
+def run_all_audits(report: DiagonalizationReport) -> dict[str, list[str]]:
+    return {
+        "freshness": audit_freshness(report),
+        "finite-injury": audit_finite_injury(report),
+        "hands-off": audit_hands_off(report),
+        "escape-sets": audit_e_sets(report),
+        "marker-discipline": audit_ce_discipline(report),
+        "replay": audit_replay(report),
+    }

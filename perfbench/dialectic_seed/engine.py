@@ -1,0 +1,596 @@
+"""The run recursion: belief strings evolving under a staged operator.
+
+At stage ``s`` the agent inspects its current string σ.  If some prefix of σ
+already supports the inconsistency marker or the counterexample marker under
+the operator at stage ``s``, the least such prefix is cut back: ⊥ excises the
+offending last axiom, ce replaces it via the replacement map (⊥ wins a tie at
+the same prefix).  Otherwise the string expands with the next axiom of the
+canonical listing.
+
+Two implementations are provided on purpose: :func:`step` is a direct,
+definition-shaped reference, while :class:`RunEngine` maintains incremental
+state (premise counts, first-occurrence positions, quiescence fast-forward)
+so that long horizons stay cheap.  The test-suite replays one against the
+other.
+"""
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+
+from .consequence import BOT, CE, Rule, RuleTable, check_no_empty_derivation, evaluate
+from .strings import GAP, BeliefString, token_to_str
+
+EXPANSION = "EXP"
+EXCISION = "EXC"
+REPLACEMENT = "REP"
+
+
+class ReplacementCycleError(ValueError):
+    """An inserted replacement edge closes a cycle within the checked depth."""
+
+
+class MissingReplacementError(RuntimeError):
+    """A replacement was demanded for an axiom the map does not cover."""
+
+    def __init__(self, stage: int, position: int, axiom: int) -> None:
+        super().__init__(
+            "no replacement for a%d (stage %d, position %d)"
+            % (axiom, stage, position)
+        )
+        self.stage = stage
+        self.position = position
+        self.axiom = axiom
+
+
+class ReplacementMap:
+    """Partial map axiom → axiom with no fixed points and no short cycles.
+
+    Entries may be given explicitly or supplied lazily by ``default_fn``;
+    lazily produced values are cached and checked exactly like explicit ones.
+    ``allow_pair`` whitelists one specific 2-cycle (used by the legacy
+    translation, whose printed back-map swaps the two marker images).
+    """
+
+    CHECK_DEPTH = 64
+
+    def __init__(
+        self,
+        entries: Iterable[tuple[int, int]] | dict[int, int] = (),
+        default_fn: Optional[Callable[[int], int]] = None,
+        allow_pair: Optional[tuple[int, int]] = None,
+    ) -> None:
+        self._map: dict[int, int] = {}
+        self._explicit: set[int] = set()
+        self._default = default_fn
+        self._allow = frozenset(allow_pair) if allow_pair else frozenset()
+        items = entries.items() if isinstance(entries, dict) else entries
+        for i, j in items:
+            self.define(i, j)
+
+    def _insert(self, i: int, j: int) -> None:
+        if i < 0 or j < 0:
+            raise ReplacementCycleError("replacement entries must be axioms")
+        if i == j:
+            raise ReplacementCycleError("replacement fixed point at a%d" % i)
+        if not (self._allow and i in self._allow and j in self._allow):
+            v = j
+            for _ in range(self.CHECK_DEPTH):
+                if v == i:
+                    raise ReplacementCycleError(
+                        "replacement cycle through a%d within depth %d"
+                        % (i, self.CHECK_DEPTH)
+                    )
+                nxt = self._map.get(v)
+                if nxt is None:
+                    break
+                v = nxt
+        self._map[i] = j
+
+    def define(self, i: int, j: int) -> None:
+        self._insert(i, j)
+        self._explicit.add(i)
+
+    def get(self, i: int) -> Optional[int]:
+        if i in self._map:
+            return self._map[i]
+        if self._default is None:
+            return None
+        # materialize the default chain from i, bounded by the check depth
+        v = i
+        for _ in range(self.CHECK_DEPTH):
+            if v in self._map:
+                break
+            j = self._default(v)
+            self._insert(v, j)
+            v = j
+        return self._map[i]
+
+    def defined(self, i: int) -> bool:
+        return i in self._map or self._default is not None
+
+    @property
+    def has_default(self) -> bool:
+        return self._default is not None
+
+    def explicit_items(self) -> list[tuple[int, int]]:
+        return sorted((i, self._map[i]) for i in self._explicit)
+
+    def max_index(self) -> int:
+        m = -1
+        for i in self._explicit:
+            m = max(m, i, self._map[i])
+        return m
+
+    def __repr__(self) -> str:
+        return "ReplacementMap(%d explicit)" % len(self._explicit)
+
+
+@dataclass
+class QSystem:
+    """A dialectical system: staged operator table plus replacement map.
+
+    The axiom universe is the identity listing a0, a1, ...; the string's
+    expansion step always appends ``a_len``.
+    """
+
+    table: RuleTable
+    replacement: ReplacementMap
+
+    def __post_init__(self) -> None:
+        check_no_empty_derivation(self.table)
+
+
+# ---------------------------------------------------------------------------
+# trace containers
+# ---------------------------------------------------------------------------
+
+class StepRecord(NamedTuple):
+    stage: int
+    kind: str           # EXP | EXC | REP
+    k: Optional[int]    # 1-based prefix length for EXC/REP
+    old: Optional[int]  # axiom leaving the string (EXC/REP)
+    new: Optional[int]  # replacement image (REP only)
+
+
+@dataclass
+class TraceEvent:
+    stage: int
+    kind: str
+    k: Optional[int]
+    old: Optional[int]
+    new: Optional[int]
+    sigma_after: BeliefString
+
+
+@dataclass
+class RunTrace:
+    """Compact run history: per-stage records plus the final string.
+
+    Full strings are reconstructed on demand (``events`` / ``iter_sigmas``)
+    so that long runs stay small in memory.
+    """
+
+    records: list[StepRecord]
+    horizon: int
+    final_sigma: BeliefString
+
+    def iter_sigmas(self) -> Iterator[tuple[int, ...]]:
+        """Yield σ_0 .. σ_horizon as plain tuples."""
+        sigma: list[int] = []
+        yield tuple(sigma)
+        for rec in self.records:
+            _apply_record(sigma, rec)
+            yield tuple(sigma)
+
+    def events(self) -> Iterator[TraceEvent]:
+        sigma: list[int] = []
+        for rec in self.records:
+            _apply_record(sigma, rec)
+            yield TraceEvent(rec.stage, rec.kind, rec.k, rec.old, rec.new,
+                             BeliefString(sigma))
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def _apply_record(sigma: list[int], rec: StepRecord) -> None:
+    if rec.kind == EXPANSION:
+        sigma.append(len(sigma))
+    elif rec.kind == EXCISION:
+        del sigma[rec.k - 1:]
+        sigma.append(GAP)
+    elif rec.kind == REPLACEMENT:
+        del sigma[rec.k - 1:]
+        sigma.append(rec.new)
+    else:  # pragma: no cover - defensive
+        raise ValueError("unknown record kind %r" % (rec.kind,))
+
+
+# ---------------------------------------------------------------------------
+# reference stepper (definition-shaped; used as an oracle by the tests)
+# ---------------------------------------------------------------------------
+
+def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, TraceEvent]:
+    """One stage of the run recursion, computed directly from the definition."""
+    toks = sigma.tokens
+    prefix_range: set[int] = set()
+    for k in range(1, len(toks) + 1):
+        tok = toks[k - 1]
+        if tok != GAP:
+            prefix_range.add(tok)
+        syms = evaluate(system.table, s, prefix_range)
+        if BOT in syms:
+            assert tok != GAP, "gap-skip violated: least prefix ends in a gap"
+            new_sigma = BeliefString(toks[: k - 1] + (GAP,))
+            ev = TraceEvent(s, EXCISION, k, tok, None, new_sigma)
+            return new_sigma, ev
+        if CE in syms:
+            assert tok != GAP, "gap-skip violated: least prefix ends in a gap"
+            image = system.replacement.get(tok)
+            if image is None:
+                raise MissingReplacementError(s, k - 1, tok)
+            new_sigma = BeliefString(toks[: k - 1] + (image,))
+            ev = TraceEvent(s, REPLACEMENT, k, tok, image, new_sigma)
+            return new_sigma, ev
+    new_sigma = BeliefString(toks + (len(toks),))
+    return new_sigma, TraceEvent(s, EXPANSION, None, None, None, new_sigma)
+
+
+# ---------------------------------------------------------------------------
+# incremental engine
+# ---------------------------------------------------------------------------
+
+class _RuleState:
+    __slots__ = ("stage", "premises", "conclusion", "missing", "active")
+
+    def __init__(self, stage: int, premises: frozenset[int], conclusion: int) -> None:
+        self.stage = stage
+        self.premises = premises
+        self.conclusion = conclusion
+        self.missing = -1
+        self.active = False
+
+
+class RunEngine:
+    """Stateful run driver with O(1)-amortized stages.
+
+    Tracks, per axiom, its multiplicity and ascending occurrence positions in
+    σ, and per rule the number of absent premises; quiescent stretches (no
+    rule can fire) are fast-forwarded in bulk.  Rules may be appended while
+    the run is underway (the diagonalizer does), provided their stage is not
+    in the past.
+    """
+
+    def __init__(self, system: QSystem) -> None:
+        self.system = system
+        self.sigma: list[int] = []
+        self.stage = 0
+        self.records: list[StepRecord] = []
+        self.counts: dict[int, int] = {}
+        self.occ: dict[int, list[int]] = {}
+        self.last_change: list[int] = []
+        self.high_water = 0  # positions below this have been occupied before
+        self._rules: list[_RuleState] = []
+        self._by_ax: dict[int, list[int]] = {}
+        self._pending: list[tuple[int, int]] = []
+        self._satisfied: set[int] = set()
+        for r in system.table:
+            self._admit(r)
+
+    # -- rule bookkeeping ---------------------------------------------------
+
+    def _admit(self, r: Rule) -> None:
+        if r.conclusion not in (BOT, CE):
+            return  # axiom-producing rules never trigger events
+        if not r.premises:
+            raise ValueError("event rule with empty premises")
+        rid = len(self._rules)
+        st = _RuleState(r.stage, r.premises, r.conclusion)
+        self._rules.append(st)
+        for p in r.premises:
+            self._by_ax.setdefault(p, []).append(rid)
+        if r.stage <= self.stage:
+            self._activate(rid)
+        else:
+            heapq.heappush(self._pending, (r.stage, rid))
+
+    def _activate(self, rid: int) -> None:
+        st = self._rules[rid]
+        st.active = True
+        st.missing = sum(1 for p in st.premises if self.counts.get(p, 0) == 0)
+        if st.missing == 0:
+            self._satisfied.add(rid)
+
+    def append_rule(self, r: Rule) -> None:
+        """Admit a rule mid-run; it participates from its stage onward."""
+        self.system.table.append(r)
+        self._admit(r)
+
+    def _activate_due(self) -> None:
+        while self._pending and self._pending[0][0] <= self.stage:
+            _, rid = heapq.heappop(self._pending)
+            self._activate(rid)
+
+    # -- string mutation ----------------------------------------------------
+
+    def _stamp(self, pos: int, stamp: int) -> None:
+        lc = self.last_change
+        if pos >= len(lc):
+            lc.extend([0] * (pos + 1 - len(lc)))
+        lc[pos] = stamp
+
+    def _push(self, val: int, stamp: int) -> None:
+        pos = len(self.sigma)
+        self.sigma.append(val)
+        if pos < self.high_water:
+            self._stamp(pos, stamp)  # refilling a disturbed position
+        else:
+            self.high_water = pos + 1
+            self._stamp(pos, 0)  # a frontier append is not a change
+        if val != GAP:
+            c = self.counts.get(val, 0)
+            self.counts[val] = c + 1
+            self.occ.setdefault(val, []).append(pos)
+            if c == 0:
+                for rid in self._by_ax.get(val, ()):
+                    st = self._rules[rid]
+                    if st.active:
+                        st.missing -= 1
+                        if st.missing == 0:
+                            self._satisfied.add(rid)
+
+    def _pop(self, stamp: int) -> int:
+        pos = len(self.sigma) - 1
+        val = self.sigma.pop()
+        self._stamp(pos, stamp)
+        if val != GAP:
+            c = self.counts[val] - 1
+            self.counts[val] = c
+            self.occ[val].pop()
+            if c == 0:
+                for rid in self._by_ax.get(val, ()):
+                    st = self._rules[rid]
+                    if st.active:
+                        st.missing += 1
+                        self._satisfied.discard(rid)
+        return val
+
+    # -- stages -------------------------------------------------------------
+
+    def step_once(self) -> StepRecord:
+        """Advance exactly one stage and return its record."""
+        s = self.stage
+        self._activate_due()
+        if self._satisfied:
+            rec = self._fire(s)
+        else:
+            self._push(len(self.sigma), s + 1)
+            rec = StepRecord(s, EXPANSION, None, None, None)
+        self.records.append(rec)
+        self.stage = s + 1
+        return rec
+
+    def _fire(self, s: int) -> StepRecord:
+        k_bot: Optional[int] = None
+        k_ce: Optional[int] = None
+        occ = self.occ
+        for rid in self._satisfied:
+            st = self._rules[rid]
+            k_r = 1 + max(occ[p][0] for p in st.premises)
+            if st.conclusion == BOT:
+                if k_bot is None or k_r < k_bot:
+                    k_bot = k_r
+            else:
+                if k_ce is None or k_r < k_ce:
+                    k_ce = k_r
+        if k_bot is not None and (k_ce is None or k_bot <= k_ce):
+            k = k_bot
+            kind = EXCISION
+        else:
+            k = k_ce
+            kind = REPLACEMENT
+        old = self.sigma[k - 1]
+        assert old != GAP, "gap-skip violated in incremental path"
+        new: Optional[int] = None
+        if kind == REPLACEMENT:
+            new = self.system.replacement.get(old)
+            if new is None:
+                raise MissingReplacementError(s, k - 1, old)
+        while len(self.sigma) >= k:
+            self._pop(s + 1)
+        self._push(GAP if kind == EXCISION else new, s + 1)
+        return StepRecord(s, kind, k, old, new)
+
+    def _next_interesting(self, horizon: int) -> int:
+        """Earliest stage at which some rule could fire during pure expansion."""
+        best = horizon
+        L = len(self.sigma)
+        s_now = self.stage
+        counts = self.counts
+
+        def candidate(st: _RuleState) -> Optional[int]:
+            worst = s_now
+            for p in st.premises:
+                if counts.get(p, 0) == 0:
+                    if p < L:
+                        return None  # cannot re-enter without an event
+                    worst = max(worst, s_now + (p - L) + 1)
+            return max(st.stage, worst)
+
+        for st in self._rules:
+            c = candidate(st)
+            if c is not None and c < best:
+                best = c
+        return best
+
+    def advance_to(self, horizon: int) -> None:
+        while self.stage < horizon:
+            self._activate_due()
+            if self._satisfied:
+                self.step_once()
+                continue
+            target = max(self._next_interesting(horizon), self.stage + 1)
+            target = min(target, horizon)
+            s = self.stage
+            while s < target:
+                self._push(len(self.sigma), s + 1)
+                self.records.append(StepRecord(s, EXPANSION, None, None, None))
+                s += 1
+            self.stage = target
+
+    # -- views --------------------------------------------------------------
+
+    def belief_string(self) -> BeliefString:
+        return BeliefString(self.sigma)
+
+    def range_set(self) -> frozenset[int]:
+        return frozenset(v for v, c in self.counts.items() if c > 0)
+
+    def trace(self) -> RunTrace:
+        return RunTrace(list(self.records), self.stage, self.belief_string())
+
+
+def run(system: QSystem, horizon: int) -> RunTrace:
+    """Run from the empty string for ``horizon`` stages."""
+    if horizon < 0:
+        raise ValueError("horizon must be a natural number")
+    eng = RunEngine(system)
+    eng.advance_to(horizon)
+    return eng.trace()
+
+
+# ---------------------------------------------------------------------------
+# stability estimation
+# ---------------------------------------------------------------------------
+
+@dataclass
+class StabilityReport:
+    horizon: int
+    window: int
+    final_tokens: tuple[int, ...]
+    last_change: tuple[int, ...]          # indexed by position, max extent ever
+    stable_prefix_length: int
+    belief_estimate: frozenset[int]
+    loop_suspects: tuple[int, ...]
+
+    def position_summary(self) -> list[tuple[int, Optional[int], int]]:
+        """(position, final token or None if vacated, last-change stage)."""
+        out = []
+        for pos, stamp in enumerate(self.last_change):
+            tok = self.final_tokens[pos] if pos < len(self.final_tokens) else None
+            out.append((pos, tok, stamp))
+        return out
+
+
+def estimate_beliefs(trace: RunTrace, window: int) -> StabilityReport:
+    """Window-based limiting-belief estimate, recomputed from the trace alone.
+
+    A position is stable when it was last disturbed no later than
+    horizon − window; the belief estimate is the axiom range of the longest
+    stable prefix, and positions disturbed inside the final window are
+    flagged as loop suspects.  Frontier appends (a position occupied for the
+    first time) do not count as disturbances, so uneventful growth is
+    stable.  This is a heuristic: a slow stabilizer can be flagged even when
+    the true run is loopless.
+    """
+    if window < 0 or window > trace.horizon:
+        raise ValueError("window must satisfy 0 <= window <= horizon")
+    sigma: list[int] = []
+    last_change: list[int] = []
+    high_water = 0
+
+    def stamp(pos: int, st: int) -> None:
+        if pos >= len(last_change):
+            last_change.extend([0] * (pos + 1 - len(last_change)))
+        last_change[pos] = st
+
+    def push(val: int, st: int) -> None:
+        nonlocal high_water
+        pos = len(sigma)
+        sigma.append(val)
+        if pos < high_water:
+            stamp(pos, st)
+        else:
+            high_water = pos + 1
+            stamp(pos, 0)
+
+    for rec in trace.records:
+        if rec.kind == EXPANSION:
+            push(len(sigma), rec.stage + 1)
+        else:
+            for pos in range(len(sigma) - 1, rec.k - 2, -1):
+                stamp(pos, rec.stage + 1)
+            del sigma[rec.k - 1:]
+            push(GAP if rec.kind == EXCISION else rec.new, rec.stage + 1)
+    if tuple(sigma) != trace.final_sigma.tokens:
+        raise ValueError("trace records do not reproduce the recorded final string")
+
+    threshold = trace.horizon - window
+    prefix = 0
+    while prefix < len(sigma) and last_change[prefix] <= threshold:
+        prefix += 1
+    estimate = frozenset(t for t in sigma[:prefix] if t != GAP)
+    suspects = tuple(pos for pos, st in enumerate(last_change) if st > threshold)
+    return StabilityReport(
+        horizon=trace.horizon,
+        window=window,
+        final_tokens=tuple(sigma),
+        last_change=tuple(last_change),
+        stable_prefix_length=prefix,
+        belief_estimate=estimate,
+        loop_suspects=suspects,
+    )
+
+
+def is_clean_window(system: QSystem, report: StabilityReport) -> bool:
+    """No loop suspects and every rule's stage has comfortably arrived."""
+    return (not report.loop_suspects
+            and system.table.max_stage() <= report.horizon - report.window)
+
+
+# ---------------------------------------------------------------------------
+# variant classification
+# ---------------------------------------------------------------------------
+
+def classify_variant(system: QSystem) -> str:
+    """'d' (no counterexamples), 'p' (no inconsistency), or 'q' (both).
+
+    An operator producing neither marker is classed 'd' by convention.
+    """
+    kinds = system.table.conclusion_kinds()
+    if BOT in kinds and CE in kinds:
+        return "q"
+    if CE in kinds:
+        return "p"
+    return "d"
+
+
+def variant_flags(system: QSystem) -> tuple[bool, bool]:
+    """(satisfies d-constraints, satisfies p-constraints)."""
+    kinds = system.table.conclusion_kinds()
+    return (CE not in kinds, BOT not in kinds)
+
+
+# ---------------------------------------------------------------------------
+# trace files
+# ---------------------------------------------------------------------------
+
+def format_trace(trace: RunTrace) -> str:
+    """Tab-separated, one line per stage; reproducible byte-for-byte."""
+    lines = []
+    sigma: list[int] = []
+    for rec in trace.records:
+        _apply_record(sigma, rec)
+        k = "-" if rec.k is None else str(rec.k)
+        old = "-" if rec.kind != REPLACEMENT else token_to_str(rec.old)
+        new = "-" if rec.kind != REPLACEMENT else token_to_str(rec.new)
+        body = " ".join(token_to_str(t) for t in sigma)
+        lines.append("%d\t%s\t%s\t%s\t%s\t%s" % (rec.stage, rec.kind, k, old, new, body))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def write_trace(trace: RunTrace, path) -> None:
+    with open(path, "w") as fp:
+        fp.write(format_trace(trace))

@@ -1,0 +1,658 @@
+"""The older stack-based run formalism and translations to and from it.
+
+Here a run does not act on a single string with gaps but on an array of
+vertical stacks r_s(x), one per position.  A stage either opens a fresh
+stack at the frontier (clause 1), clears a stack and resets its right
+neighbour on an inconsistency (clause 2), or pushes a revised value on a
+counterexample (clause 3); the provisional belief set A_s is read off the
+stacks through the staged operator.  The translation constructions identify
+this picture with the string-based one: stack tips line up with string
+entries, directly in one direction and shifted by two indices and five
+stages in the other, and the alignment checkers verify that correspondence
+stage by stage on concrete runs.
+
+Operators appear in two guises: explicit growing sets of pairs ⟨x, F⟩
+(meaning x is derivable from F), or a query-only adapter backed by a rule
+table.  Both answer H_s(Y); only the pair-backed form can be translated
+into a rule table.
+"""
+from __future__ import annotations
+
+from bisect import insort
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
+
+from .consequence import BOT, CE, Rule, RuleTable, evaluate
+from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace
+from .strings import GAP
+
+DEFAULT_CLAUSES = (1, 2, 3)
+
+
+class UndefinedPositionError(RuntimeError):
+    """A revision clause selected position zero, which has no neighbour."""
+
+    def __init__(self, stage: int, clause: int) -> None:
+        super().__init__("clause %d fired at position 0 (stage %d)" % (clause, stage))
+        self.stage = stage
+        self.clause = clause
+
+
+class TranslationError(ValueError):
+    """A system cannot be carried across to the other formalism."""
+
+
+class AlignmentScopeError(ValueError):
+    """The two runs do not cover the stage range being compared."""
+
+
+# ---------------------------------------------------------------------------
+# operator approximations
+# ---------------------------------------------------------------------------
+
+class PairApproximation:
+    """Growing finite sets of derivation pairs ⟨x, F⟩.
+
+    Entries are (stage, x, F) triples: the pair becomes available at that
+    stage and stays forever.  Stage 0 is always the empty set.
+    """
+
+    def __init__(self, entries: Iterable[tuple[int, int, Iterable[int]]] = ()) -> None:
+        self._pairs: list[tuple[int, int, frozenset[int]]] = []
+        for stage, x, F in entries:
+            if stage < 1:
+                raise ValueError("pairs may enter at stage 1 or later")
+            self._pairs.append((stage, x, frozenset(F)))
+        self._pairs.sort(key=lambda e: (e[0], e[1], sorted(e[2])))
+
+    def pairs(self) -> list[tuple[int, int, frozenset[int]]]:
+        return list(self._pairs)
+
+    def query(self, s: int, Y: frozenset[int]) -> frozenset[int]:
+        out = set()
+        for stage, x, F in self._pairs:
+            if stage <= s and F <= Y:
+                out.add(x)
+        return frozenset(out)
+
+    def marker_pairs(self, c: int, c_minus: int) -> list[tuple[int, bool, frozenset[int]]]:
+        """(stage, is_c, premise codes) for the pairs that drive revision."""
+        out = []
+        for stage, x, F in self._pairs:
+            if x == c or x == c_minus:
+                out.append((stage, x == c, F))
+        return out
+
+
+class TableBackedApproximation:
+    """Query-only operator built from a rule table under the index shift.
+
+    Code 0 stands for the inconsistency marker, 1 for the counterexample
+    marker and n+2 for axiom n.  Stage t answers with the table evaluated at
+    stage t−5 over the decoded axioms, capped by a computable bound M(t−5)
+    exceeding every index the string run can have touched; stages 1–4
+    supply only the two seed pairs ⟨0,{0}⟩ and ⟨1,{1}⟩ that make the marker
+    codes self-deriving, and stage 0 is empty.
+    """
+
+    def __init__(self, table: RuleTable, replacement: ReplacementMap) -> None:
+        if replacement.has_default:
+            raise TranslationError(
+                "the stack-side operator needs a finite replacement scheme")
+        self._table = table
+        self._repl = replacement
+        self._base = max(table.max_axiom(), replacement.max_index(), 0)
+        self._chain_max: dict[int, int] = {}
+        self._m: list[int] = []
+        self._run_max = 0
+
+    def _chain_top(self, x: int) -> int:
+        """Largest value on the replacement chain out of x."""
+        seen: list[int] = []
+        v = x
+        best = x
+        while v not in self._chain_max:
+            if v in seen:
+                raise TranslationError("replacement chain loops at a%d" % v)
+            seen.append(v)
+            nxt = self._repl.get(v)
+            if nxt is None:
+                break
+            best = max(best, nxt)
+            v = nxt
+        if v in self._chain_max:
+            best = max(best, self._chain_max[v])
+        for u in seen:
+            self._chain_max[u] = best
+        return best
+
+    def bound(self, s: int) -> int:
+        """M(s): exceeds every index either run can mention by stage s."""
+        while len(self._m) <= s:
+            x = len(self._m)
+            self._run_max = max(self._run_max, self._chain_top(x))
+            self._m.append(3 + max(x, self._base, self._run_max))
+        return self._m[s]
+
+    def query(self, t: int, Y: frozenset[int]) -> frozenset[int]:
+        if t == 0:
+            return frozenset()
+        out = {y for y in (0, 1) if y in Y}
+        if t >= 5:
+            s = t - 5
+            m = self.bound(s)
+            X = frozenset(y - 2 for y in Y if 2 <= y <= m)
+            for v in evaluate(self._table, s, X):
+                if v == BOT:
+                    out.add(0)
+                elif v == CE:
+                    out.add(1)
+                else:
+                    out.add(v + 2)
+        return frozenset(out)
+
+    def marker_pairs(self, c: int, c_minus: int) -> list[tuple[int, bool, frozenset[int]]]:
+        # premise codes never exceed the bound, so table pairs enter at
+        # exactly their rule stage plus the five-stage offset
+        if (c, c_minus) != (0, 1):
+            raise TranslationError("table-backed operators use marker codes 0 and 1")
+        out = [(1, True, frozenset({0})), (1, False, frozenset({1}))]
+        for r in self._table:
+            if r.conclusion in (BOT, CE):
+                prem = frozenset(p + 2 for p in r.premises)
+                out.append((r.stage + 5, r.conclusion == BOT, prem))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# systems and states
+# ---------------------------------------------------------------------------
+
+@dataclass
+class LegacySystem:
+    """Quintuple presentation: operator, argument listing, revision map.
+
+    ``approximation`` answers ``query(s, Y)``; ``f`` lists the arguments
+    (f(i) is the i-th argument in consideration) with ``f_inv`` its inverse
+    on the inspected prefix; ``f_minus`` revises argument values; ``c``
+    flags an inconsistency and ``c_minus`` a counterexample.
+    """
+
+    approximation: object
+    f: Callable[[int], int]
+    f_inv: Callable[[int], int]
+    f_minus: Callable[[int], int]
+    c: int
+    c_minus: int
+
+
+@dataclass
+class LegacyState:
+    """Stacks for positions 0..p; the frontier stack is never empty."""
+
+    stacks: tuple[tuple[int, ...], ...]
+    h: int
+    A: Optional[frozenset[int]] = None
+
+    @property
+    def p(self) -> int:
+        return len(self.stacks) - 1
+
+    def rho(self, x: int) -> Optional[int]:
+        """Top of stack x, None when x is empty or beyond the frontier."""
+        if 0 <= x < len(self.stacks) and self.stacks[x]:
+            return self.stacks[x][-1]
+        return None
+
+    def tips_below(self, x: int) -> frozenset[int]:
+        """The set L(x): tips of the nonempty stacks at positions < x."""
+        return frozenset(st[-1] for st in self.stacks[:x] if st)
+
+
+def initial_state(system: LegacySystem, compute_A: bool = True) -> LegacyState:
+    return LegacyState(stacks=((system.f(0),),), h=0,
+                       A=frozenset() if compute_A else None)
+
+
+def serialize_state(state: LegacyState) -> str:
+    lines = []
+    for x, st in enumerate(state.stacks):
+        lines.append(("%d: %s" % (x, " ".join(str(v) for v in st))).rstrip())
+    a = "-" if state.A is None else "{%s}" % ", ".join(str(v) for v in sorted(state.A))
+    lines.append("p=%d, h=%d, A=%s" % (state.p, state.h, a))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the three-clause recursion
+# ---------------------------------------------------------------------------
+
+def _select_clause(z_c: Optional[int], z_ce: Optional[int],
+                   clause_order: Sequence[int]) -> tuple[int, Optional[int]]:
+    """Which clause fires, and at which position.
+
+    The operator is monotone along positions, so the least marked level
+    decides everything except a tie where both markers sit at the same
+    level; there the listed order of clauses 2 and 3 breaks the tie (the
+    published order lets the inconsistency win).
+    """
+    if z_c is None and z_ce is None:
+        return 1, None
+    if z_c is None:
+        return 3, z_ce
+    if z_ce is None or z_c < z_ce:
+        return 2, z_c
+    if z_ce < z_c:
+        return 3, z_ce
+    for cl in clause_order:
+        if cl == 2:
+            return 2, z_c
+        if cl == 3:
+            return 3, z_ce
+    raise ValueError("clause order must mention clauses 2 and 3")
+
+
+def _provisional(system: LegacySystem, stacks, h: int, s: int) -> frozenset[int]:
+    """A_s: union of the operator's output strictly below the settled height."""
+    out: set[int] = set()
+    tips: set[int] = set()
+    for i in range(h):
+        out |= system.approximation.query(s, frozenset(tips))
+        if stacks[i]:
+            tips.add(stacks[i][-1])
+    return frozenset(out)
+
+
+def legacy_step(
+    system: LegacySystem,
+    state: LegacyState,
+    s: int,
+    compute_A: bool = True,
+    clause_order: Sequence[int] = DEFAULT_CLAUSES,
+) -> LegacyState:
+    """One stage of the stack recursion: the stage-s state to stage s+1."""
+    m = state.p
+    chis = []
+    tips: set[int] = set()
+    for z in range(m + 1):
+        chis.append(system.approximation.query(s, frozenset(tips)))
+        if state.stacks[z]:
+            tips.add(state.stacks[z][-1])
+    z_c = next((z for z in range(m + 1) if system.c in chis[z]), None)
+    z_ce = next((z for z in range(m + 1) if system.c_minus in chis[z]), None)
+    clause, z = _select_clause(z_c, z_ce, clause_order)
+
+    if clause == 1:
+        stacks = state.stacks + ((system.f(m + 1),),)
+        h = m + 1
+    elif clause == 2:
+        if z == 0:
+            raise UndefinedPositionError(s + 1, 2)
+        stacks = state.stacks[:z - 1] + ((), (system.f(z),))
+        h = z - 1
+    else:
+        if z == 0:
+            raise UndefinedPositionError(s + 1, 3)
+        below = state.stacks[z - 1]
+        assert below, "revision clause selected an empty neighbour stack"
+        stacks = state.stacks[:z - 1] + (below + (system.f_minus(below[-1]),),
+                                         (system.f(z),))
+        h = z - 1
+
+    A = None
+    if compute_A:
+        A = _provisional(system, stacks, h, s + 1)
+    return LegacyState(stacks=stacks, h=h, A=A)
+
+
+def legacy_run(
+    system: LegacySystem,
+    horizon: int,
+    compute_A: bool = True,
+    clause_order: Sequence[int] = DEFAULT_CLAUSES,
+) -> list[LegacyState]:
+    """States 0..horizon of the recursion (horizon+1 entries)."""
+    states = [initial_state(system, compute_A)]
+    for s in range(horizon):
+        states.append(legacy_step(system, states[-1], s, compute_A, clause_order))
+    return states
+
+
+def audit_state(system: LegacySystem, state: LegacyState, s: int) -> None:
+    """Recheck the structural invariants of a stage-s state from scratch."""
+    assert state.stacks[-1], "frontier stack must be nonempty"
+    assert state.h in (state.p, state.p - 1)
+    if state.A is not None:
+        again = _provisional(system, state.stacks, state.h, s)
+        assert state.A == again, "stored A differs from recomputation"
+
+
+# ---------------------------------------------------------------------------
+# fast pair-driven runner
+# ---------------------------------------------------------------------------
+
+class FastLegacyEngine:
+    """Incremental stack runner that skips whole-board operator queries.
+
+    Only the marker pairs can change the course of a run, so each stage
+    asks merely: which pairs have all premises among the current tips, and
+    how deep is the shallowest prefix containing them?  Everything else is
+    frontier growth.  Provisional belief sets are not computed.
+    """
+
+    def __init__(self, system: LegacySystem,
+                 clause_order: Sequence[int] = DEFAULT_CLAUSES) -> None:
+        self.system = system
+        self.order = tuple(clause_order)
+        pairs = system.approximation.marker_pairs(system.c, system.c_minus)
+        self._c_pairs = [(st, prem) for st, is_c, prem in pairs if is_c]
+        self._ce_pairs = [(st, prem) for st, is_c, prem in pairs if not is_c]
+        v0 = system.f(0)
+        self.stacks: list[list[int]] = [[v0]]
+        self.occ: dict[int, list[int]] = {v0: [0]}
+        self.stage = 0
+        self.h = 0
+
+    # -- tip bookkeeping ---------------------------------------------------
+
+    def _tip_on(self, x: int, v: int) -> None:
+        insort(self.occ.setdefault(v, []), x)
+
+    def _tip_off(self, x: int, v: int) -> None:
+        hits = self.occ[v]
+        hits.remove(x)
+        if not hits:
+            del self.occ[v]
+
+    def _truncate(self, length: int) -> None:
+        while len(self.stacks) > length:
+            st = self.stacks.pop()
+            if st:
+                self._tip_off(len(self.stacks), st[-1])
+
+    def _least(self, pairs, s: int, m: int) -> Optional[int]:
+        """Shallowest usable position for any active pair, None if none."""
+        best: Optional[int] = None
+        for stage, prem in pairs:
+            if stage > s:
+                continue
+            z = 0
+            for code in prem:
+                hits = self.occ.get(code)
+                if hits is None or hits[0] + 1 > m:
+                    z = -1
+                    break
+                if hits[0] + 1 > z:
+                    z = hits[0] + 1
+            if z >= 0 and (best is None or z < best):
+                best = z
+        return best
+
+    # -- stages ------------------------------------------------------------
+
+    def step(self) -> tuple[int, Optional[int]]:
+        """Advance one stage; return the clause applied and its position."""
+        s = self.stage
+        m = len(self.stacks) - 1
+        clause, z = _select_clause(self._least(self._c_pairs, s, m),
+                                   self._least(self._ce_pairs, s, m),
+                                   self.order)
+        if clause == 1:
+            v = self.system.f(m + 1)
+            self.stacks.append([v])
+            self._tip_on(m + 1, v)
+            self.h = m + 1
+        else:
+            if z == 0:
+                raise UndefinedPositionError(s + 1, clause)
+            self._truncate(z + 1)
+            old = self.stacks[z]
+            if old:
+                self._tip_off(z, old[-1])
+            self.stacks[z] = [self.system.f(z)]
+            self._tip_on(z, self.system.f(z))
+            below = self.stacks[z - 1]
+            if clause == 2:
+                if below:
+                    self._tip_off(z - 1, below[-1])
+                self.stacks[z - 1] = []
+            else:
+                assert below, "revision clause selected an empty neighbour stack"
+                self._tip_off(z - 1, below[-1])
+                revised = self.system.f_minus(below[-1])
+                below.append(revised)
+                self._tip_on(z - 1, revised)
+            self.h = z - 1
+        self.stage = s + 1
+        return clause, z
+
+    @property
+    def p(self) -> int:
+        return len(self.stacks) - 1
+
+    def rho(self, x: int) -> Optional[int]:
+        if 0 <= x < len(self.stacks) and self.stacks[x]:
+            return self.stacks[x][-1]
+        return None
+
+    def snapshot(self) -> LegacyState:
+        return LegacyState(stacks=tuple(tuple(st) for st in self.stacks),
+                           h=self.h, A=None)
+
+
+def fast_legacy_run(
+    system: LegacySystem,
+    horizon: int,
+    clause_order: Sequence[int] = DEFAULT_CLAUSES,
+) -> list[LegacyState]:
+    """Same states as legacy_run with compute_A=False, computed event-first."""
+    eng = FastLegacyEngine(system, clause_order)
+    states = [LegacyState(stacks=((system.f(0),),), h=0, A=None)]
+    for _ in range(horizon):
+        eng.step()
+        states.append(eng.snapshot())
+    return states
+
+
+# ---------------------------------------------------------------------------
+# translations
+# ---------------------------------------------------------------------------
+
+def forward_translate(legacy: LegacySystem) -> QSystem:
+    """Carry a pair-backed system over to the string formalism.
+
+    Each pair ⟨x, F⟩ entering at stage s becomes the rule s : F ⊢ x under
+    the argument listing (codes pulled back through f); when x is a marker
+    the matching logical symbol is derived alongside the raw code.  The
+    replacement map pulls the revision function back through the listing,
+    with the sanctioned marker pair allowed to swap.
+    """
+    if not hasattr(legacy.approximation, "pairs"):
+        raise TranslationError("forward translation needs an explicit pair set")
+
+    def pull(code: int) -> int:
+        i = legacy.f_inv(code)
+        if legacy.f(i) != code:
+            raise TranslationError("argument listing is not invertible at %d" % code)
+        return i
+
+    rules = []
+    for stage, x, F in legacy.approximation.pairs():
+        prem = frozenset(pull(y) for y in F)
+        rules.append(Rule(stage, prem, pull(x)))
+        if x == legacy.c:
+            rules.append(Rule(stage, prem, BOT))
+        elif x == legacy.c_minus:
+            rules.append(Rule(stage, prem, CE))
+
+    def revise(i: int) -> int:
+        return pull(legacy.f_minus(legacy.f(i)))
+
+    pair = (pull(legacy.c), pull(legacy.c_minus))
+    repl = ReplacementMap(default_fn=revise, allow_pair=pair)
+    return QSystem(RuleTable(rules), repl)
+
+
+def backward_translate(qsys: QSystem) -> LegacySystem:
+    """Carry a finitely presented string system over to the stack formalism.
+
+    Indices shift by two so codes 0 and 1 can stand for the two logical
+    symbols; the argument listing is the identity and the revision map
+    swaps the marker codes and follows the replacement map above them.
+    """
+    repl = qsys.replacement
+
+    def f_minus(y: int) -> int:
+        if y == 0:
+            return 1
+        if y == 1:
+            return 0
+        k = repl.get(y - 2)
+        if k is None:
+            raise KeyError("no revision defined for code %d" % y)
+        return k + 2
+
+    return LegacySystem(
+        approximation=TableBackedApproximation(qsys.table, repl),
+        f=lambda i: i,
+        f_inv=lambda i: i,
+        f_minus=f_minus,
+        c=0,
+        c_minus=1,
+    )
+
+
+# ---------------------------------------------------------------------------
+# alignment checking
+# ---------------------------------------------------------------------------
+
+@dataclass
+class AlignmentReport:
+    ok: bool
+    direction: str
+    stages_checked: int
+    mismatch_stage: Optional[int] = None
+    mismatch_position: Optional[int] = None
+    detail: str = ""
+
+    def render(self) -> str:
+        if self.ok:
+            return "alignment ok (%s, %d stages)" % (self.direction, self.stages_checked)
+        return "alignment MISMATCH (%s) at stage %d, position %s: %s" % (
+            self.direction, self.mismatch_stage,
+            "-" if self.mismatch_position is None else str(self.mismatch_position),
+            self.detail)
+
+
+def _entry_matches(v: int, tip: Optional[int], f: Callable[[int], int],
+                   shift: int) -> bool:
+    if v == GAP:
+        return tip is None
+    if tip is None:
+        return False
+    return tip == (v + shift if shift else f(v))
+
+
+def _entry_detail(v: int, tip: Optional[int]) -> str:
+    left = "gap" if v == GAP else "a%d" % v
+    right = "empty stack" if tip is None else "tip %d" % tip
+    return "%s vs %s" % (left, right)
+
+
+def check_alignment(
+    qtrace: RunTrace,
+    legacy_states: Sequence[LegacyState],
+    direction: str,
+    system: Optional[LegacySystem] = None,
+) -> AlignmentReport:
+    """Compare a string run against a stack run, every position, every stage.
+
+    forward: same stage, |σ_s| = p(s), entries match tips under the
+    argument listing, gaps match empty stacks.  backward: stage offset 5
+    and index offset 2, per the second translation.
+    """
+    if direction == "forward":
+        if system is None:
+            raise ValueError("forward alignment needs the stack system's listing")
+        off_stage, off_idx, f = 0, 0, system.f
+    elif direction == "backward":
+        off_stage, off_idx, f = 5, 2, None
+    else:
+        raise ValueError("direction must be 'forward' or 'backward'")
+
+    sigmas = list(qtrace.iter_sigmas())
+    if len(legacy_states) < len(sigmas) + off_stage:
+        raise AlignmentScopeError(
+            "stack run covers %d stages, need %d"
+            % (len(legacy_states) - 1, len(sigmas) - 1 + off_stage))
+    for s, sigma in enumerate(sigmas):
+        st = legacy_states[s + off_stage]
+        if len(sigma) != st.p - off_idx:
+            return AlignmentReport(False, direction, s, s, None,
+                                   "length %d vs %d" % (len(sigma), st.p - off_idx))
+        for n, v in enumerate(sigma):
+            tip = st.rho(n + off_idx)
+            if not _entry_matches(v, tip, f, off_idx):
+                return AlignmentReport(False, direction, s, s, n,
+                                       _entry_detail(v, tip))
+    return AlignmentReport(True, direction, len(sigmas))
+
+
+def stream_alignment(
+    direction: str,
+    qsys: Optional[QSystem] = None,
+    legacy: Optional[LegacySystem] = None,
+    horizon: int = 100,
+    clause_order: Sequence[int] = DEFAULT_CLAUSES,
+) -> AlignmentReport:
+    """Run both engines in lockstep and compare only what each stage touched.
+
+    Supply the string system for the backward direction (the stack side is
+    derived) or the pair-backed stack system for the forward direction (the
+    string side is derived).  Unchanged positions matched at the previous
+    stage are not re-read, so quiet stretches cost O(1) per stage; a full
+    sweep of the final stage guards the bookkeeping.
+    """
+    if direction == "backward":
+        if qsys is None:
+            raise ValueError("backward streaming needs the string system")
+        legacy = backward_translate(qsys)
+        off_stage, off_idx, f = 5, 2, None
+    elif direction == "forward":
+        if legacy is None:
+            raise ValueError("forward streaming needs the stack system")
+        qsys = forward_translate(legacy)
+        off_stage, off_idx, f = 0, 0, legacy.f
+    else:
+        raise ValueError("direction must be 'forward' or 'backward'")
+
+    eng = RunEngine(qsys)
+    fast = FastLegacyEngine(legacy, clause_order)
+    for _ in range(off_stage):
+        fast.step()
+
+    def compare_from(lo: int, s: int) -> Optional[AlignmentReport]:
+        sigma = eng.sigma
+        if len(sigma) != fast.p - off_idx:
+            return AlignmentReport(False, direction, s, s, None,
+                                   "length %d vs %d" % (len(sigma), fast.p - off_idx))
+        for n in range(max(lo, 0), len(sigma)):
+            tip = fast.rho(n + off_idx)
+            if not _entry_matches(sigma[n], tip, f, off_idx):
+                return AlignmentReport(False, direction, s, s, n,
+                                       _entry_detail(sigma[n], tip))
+        return None
+
+    bad = compare_from(0, 0)
+    if bad is not None:
+        return bad
+    for s in range(horizon):
+        rec = eng.step_once()
+        clause, z = fast.step()
+        lo_eng = len(eng.sigma) - 1 if rec.kind == EXPANSION else rec.k - 1
+        lo_leg = fast.p - 1 - off_idx if clause == 1 else z - 1 - off_idx
+        bad = compare_from(min(lo_eng, lo_leg), s + 1)
+        if bad is not None:
+            return bad
+    bad = compare_from(0, horizon)
+    return bad if bad is not None else AlignmentReport(True, direction, horizon + 1)

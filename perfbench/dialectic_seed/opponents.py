@@ -1,0 +1,534 @@
+"""Opponent belief systems driven by budgeted programs.
+
+An opponent is a counterexample-style revision system whose three moving
+parts -- the axiom enumeration g, the staged operator h, and the
+replacement function r -- are fueled programs (see universe).  Because the
+programs are partial, the opponent's run may stall: a step either makes
+progress or reports which component failed to answer.  Stalled steps are
+retried with the larger budgets of later stages, so a merely-slow
+component only delays the run, while a truly divergent one freezes it.
+
+Sets of axioms (and the counterexample marker) travel through programs as
+single naturals under a fixed bit-coding, and a whole opponent can be
+named by one integer relative to a program registry.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Optional
+
+from .consequence import CE, RuleTable, evaluate
+from .engine import QSystem, ReplacementMap, StabilityReport, variant_flags
+from .systemspec import VariantError
+from .strings import BeliefString
+from .universe import FueledFunction, ProgramUniverse, closure, parse_sexpr
+
+__all__ = [
+    "pi_encode", "pi_decode", "decode_index",
+    "Progress", "Diverged", "PartialPSystem", "opponent_step",
+    "r_iterate", "p_system_from_table",
+    "FamilyParseError", "parse_family", "load_family", "default_family",
+]
+
+
+# ---------------------------------------------------------------------------
+# set coding
+# ---------------------------------------------------------------------------
+#
+# Bit 0 carries the counterexample marker; bit i+1 carries axiom i.  So
+# {} <-> 0, {ce} <-> 1, {a0} <-> 2, {ce, a1} <-> 5, and so on.
+
+def pi_encode(items) -> int:
+    code = 0
+    for v in items:
+        if v == CE:
+            code |= 1
+        elif isinstance(v, int) and v >= 0:
+            code |= 1 << (v + 1)
+        else:
+            raise ValueError("cannot encode %r" % (v,))
+    return code
+
+
+def pi_decode(code: int) -> frozenset[int]:
+    if code < 0:
+        raise ValueError("codes are naturals")
+    out = []
+    if code & 1:
+        out.append(CE)
+    code >>= 1
+    i = 0
+    while code:
+        if code & 1:
+            out.append(i)
+        code >>= 1
+        i += 1
+    return frozenset(out)
+
+
+def decode_index(m: int) -> tuple[int, int, int]:
+    """Split an opponent index into its three program indices.
+
+    The packing is by prime powers: m = 2^a * 3^b * 5^c * rest, and the
+    exponents (a, b, c) name the enumeration, operator and replacement
+    programs.  Zero has no such reading and is rejected.
+    """
+    if m < 1:
+        raise ValueError("opponent index must be positive")
+    out = []
+    for p in (2, 3, 5):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append(e)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# step outcomes
+# ---------------------------------------------------------------------------
+
+class Progress(NamedTuple):
+    length: int
+    changed: bool
+
+
+class Diverged(NamedTuple):
+    component: str  # "g", "H", or "r"
+
+
+# ---------------------------------------------------------------------------
+# the opponent proper
+# ---------------------------------------------------------------------------
+
+class PartialPSystem:
+    """A counterexample revision run whose parts are fueled programs.
+
+    The operator of the run is H(s, X) = union over t <= s of the decoded
+    values of h(t, code(X)).  With ``monotone_h`` set (the default for
+    curated families) each union is read off at t = s alone, which is
+    exact whenever h's counterexample verdicts and outputs only grow with
+    t; the opt-out keeps the literal union at desk scales.
+
+    The string, the disturbance stamps and the stability estimate follow
+    the same conventions as the run engine, so the two sides of a
+    diagonalization argument can be compared like for like.
+    """
+
+    def __init__(self, universe: ProgramUniverse, i0: int, i1: int, i2: int,
+                 name: str = "", monotone_h: bool = True) -> None:
+        self.universe = universe
+        self.g = universe[i0]
+        self.h = universe[i1]
+        self.r = universe[i2]
+        self.indices = (i0, i1, i2)
+        self.name = name or "opponent(%d,%d,%d)" % (i0, i1, i2)
+        self.monotone_h = monotone_h
+        self.stage = 0
+        self.sigma: list[int] = []
+        self.version = 0
+        self.last_change = 0
+        self.invalid_reason: Optional[str] = None
+        self.frozen = False
+        self.r_cycle_found = False
+        self.diverge_counts = {"g": 0, "H": 0, "r": 0}
+        # enumeration cache: g resolved on an initial segment of positions
+        self._g_vals: list[int] = []
+        self._g_pos: dict[int, int] = {}  # value -> least enumeration index
+        self._r_memo: dict[int, int] = {}
+        self._code = 0                    # bit code of set(sigma)
+        self._first_occ: dict[int, int] = {}
+        self._first_occ_ok = True
+        self._stamps: list[int] = []      # per position, engine-style
+        self._high_water = 0
+        # per-code operator accumulators for the literal-union mode:
+        # code -> [next unvisited t, or-accumulated value]
+        self._h_acc: dict[int, list[int]] = {}
+        self._h_pinned: set[int] = set()
+
+    # -- component access ---------------------------------------------------
+
+    def g_value(self, j: int, fuel: int) -> Optional[int]:
+        """The j-th enumerated axiom, resolving the prefix as needed."""
+        while len(self._g_vals) <= j:
+            v = self.g.call((len(self._g_vals),), fuel)
+            if v is None:
+                self.diverge_counts["g"] += 1
+                return None
+            self._g_pos.setdefault(v, len(self._g_vals))
+            self._g_vals.append(v)
+        return self._g_vals[j]
+
+    def enum_position(self, value: int) -> Optional[int]:
+        """Least resolved enumeration index of value, if seen so far."""
+        return self._g_pos.get(value)
+
+    def resolved_prefix(self) -> int:
+        return len(self._g_vals)
+
+    def r_value(self, x: int, fuel: int) -> Optional[int]:
+        if x in self._r_memo:
+            return self._r_memo[x]
+        v = self.r.call((x,), fuel)
+        if v is None:
+            self.diverge_counts["r"] += 1
+            return None
+        self._r_memo[x] = v
+        return v
+
+    def h_value_upto(self, code: int, cap: int, fuel: int) -> Optional[int]:
+        """Or of h(t, code) over t <= cap, or None when fuel runs short.
+
+        In monotone mode this is the single value at t = cap.  Otherwise
+        an accumulator per code walks t upward across calls, so repeated
+        polling (the diagonalizer does a lot of it) costs one evaluation
+        per stage, not a fresh scan.
+        """
+        if self.monotone_h:
+            return self.h.call((cap, code), fuel)
+        acc = self._h_acc.get(code)
+        if acc is None:
+            acc = [0, 0]
+            self._h_acc[code] = acc
+            if len(self._h_acc) > 96:
+                self._trim_accumulators()
+        while acc[0] <= cap:
+            v = self.h.call((acc[0], code), fuel)
+            if v is None:
+                return None
+            acc[1] |= v
+            acc[0] += 1
+        return acc[1]
+
+    def pin_code(self, code: int) -> None:
+        """Keep the accumulator for this code across cache trims."""
+        self._h_pinned.add(code)
+
+    def _trim_accumulators(self) -> None:
+        for key in list(self._h_acc):
+            if key not in self._h_pinned:
+                del self._h_acc[key]
+                if len(self._h_acc) <= 48:
+                    break
+
+    def ce_upto(self, code: int, cap: int, fuel: int) -> Optional[bool]:
+        v = self.h_value_upto(code, cap, fuel)
+        if v is None:
+            return None
+        return bool(v & 1)
+
+    # -- string bookkeeping -------------------------------------------------
+
+    def _stamp(self, pos: int, stamp: int) -> None:
+        if pos >= len(self._stamps):
+            self._stamps.extend([0] * (pos + 1 - len(self._stamps)))
+        self._stamps[pos] = stamp
+
+    def _append(self, val: int, stamp: int) -> None:
+        pos = len(self.sigma)
+        self.sigma.append(val)
+        if pos < self._high_water:
+            self._stamp(pos, stamp)
+            self.last_change = max(self.last_change, stamp)
+        else:
+            self._high_water = pos + 1
+            self._stamp(pos, 0)
+        self._code |= 1 << (val + 1)
+        if self._first_occ_ok:
+            self._first_occ.setdefault(val, pos)
+        self.version += 1
+
+    def _truncate_to(self, k: int, stamp: int) -> None:
+        for pos in range(len(self.sigma) - 1, k - 1, -1):
+            self._stamp(pos, stamp)
+        del self.sigma[k:]
+        self._code = 0
+        for v in self.sigma:
+            self._code |= 1 << (v + 1)
+        self._first_occ_ok = False
+        self.last_change = max(self.last_change, stamp)
+        self.version += 1
+
+    def first_occurrence(self, value: int) -> Optional[int]:
+        if not self._first_occ_ok:
+            self._first_occ = {}
+            for pos, v in enumerate(self.sigma):
+                self._first_occ.setdefault(v, pos)
+            self._first_occ_ok = True
+        return self._first_occ.get(value)
+
+    def range_code(self) -> int:
+        return self._code
+
+    def belief_string(self) -> BeliefString:
+        return BeliefString(self.sigma)
+
+    # -- the run ------------------------------------------------------------
+
+    def step(self, fuel: int):
+        """Advance one stage; returns Progress or Diverged.
+
+        The stage counter advances either way -- a stalled component is
+        retried at the next stage's budget against the same string.  A
+        run that derives the marker from the empty prefix is invalid and
+        freezes; a run whose operator fails the inclusion law is flagged
+        but carries on mechanically.
+        """
+        s = self.stage
+        self.stage = s + 1
+        if self.frozen:
+            return Progress(len(self.sigma), False)
+        full = self.h_value_upto(self._code, s, fuel)
+        if full is None:
+            self.diverge_counts["H"] += 1
+            return Diverged("H")
+        if self.invalid_reason is None and (full & self._code) != self._code:
+            self.invalid_reason = ("operator output at stage %d does not "
+                                   "include its argument" % s)
+        if full & 1:
+            k = self._least_marked_prefix(s, fuel)
+            if k is None:
+                self.diverge_counts["H"] += 1
+                return Diverged("H")
+            if k == 0:
+                self.invalid_reason = ("marker derived from the empty "
+                                       "prefix at stage %d" % s)
+                self.frozen = True
+                return Progress(len(self.sigma), False)
+            old = self.sigma[k - 1]
+            new = self.r_value(old, fuel)
+            if new is None:
+                return Diverged("r")
+            self._truncate_to(k - 1, s + 1)
+            self._append(new, s + 1)
+            return Progress(len(self.sigma), True)
+        val = self.g_value(len(self.sigma), fuel)
+        if val is None:
+            return Diverged("g")
+        self._append(val, s + 1)
+        return Progress(len(self.sigma), True)
+
+    def _least_marked_prefix(self, s: int, fuel: int) -> Optional[int]:
+        code = 0
+        for k in range(len(self.sigma) + 1):
+            flag = self.ce_upto(code, s, fuel)
+            if flag is None:
+                return None
+            if flag:
+                return k
+            if k < len(self.sigma):
+                code |= 1 << (self.sigma[k] + 1)
+        # unreachable: the final iteration queries the full-range code,
+        # which is exactly what the caller saw the marker on
+        return None
+
+    # -- stability ----------------------------------------------------------
+
+    def stability_report(self, horizon: int, window: int) -> StabilityReport:
+        if window < 0 or window > horizon:
+            raise ValueError("window must satisfy 0 <= window <= horizon")
+        threshold = horizon - window
+        prefix = 0
+        while prefix < len(self.sigma) and self._stamps[prefix] <= threshold:
+            prefix += 1
+        estimate = frozenset(self.sigma[:prefix])
+        suspects = tuple(p for p, st in enumerate(self._stamps)
+                         if st > threshold)
+        return StabilityReport(
+            horizon=horizon,
+            window=window,
+            final_tokens=tuple(self.sigma),
+            last_change=tuple(self._stamps),
+            stable_prefix_length=prefix,
+            belief_estimate=estimate,
+            loop_suspects=suspects,
+        )
+
+    def belief_estimate(self, horizon: int, window: int) -> frozenset[int]:
+        return self.stability_report(horizon, window).belief_estimate
+
+    def __repr__(self) -> str:
+        return "<PartialPSystem %s stage=%d |sigma|=%d>" % (
+            self.name, self.stage, len(self.sigma))
+
+
+def opponent_step(theta: PartialPSystem, fuel: int):
+    """One stage of the opponent's run under the given budget."""
+    return theta.step(fuel)
+
+
+# ---------------------------------------------------------------------------
+# iterated replacement
+# ---------------------------------------------------------------------------
+
+def r_iterate(theta: PartialPSystem, start: int, E, fuel: int):
+    """Push start through theta's replacement until it leaves E.
+
+    Returns (value, exponent) -- the first iterate outside E and how many
+    applications it took (zero when start is already outside).  Returns
+    None when the replacement stalls, and also when the iteration revisits
+    a value, which can never leave E; the latter additionally marks the
+    opponent as replacement-cyclic, since a genuine counterexample system
+    needs acyclic replacement.
+    """
+    E = frozenset(E)
+    value = start
+    e = 0
+    seen = {start}
+    while value in E:
+        nxt = theta.r_value(value, fuel)
+        if nxt is None:
+            return None
+        value = nxt
+        e += 1
+        if value in seen:
+            theta.r_cycle_found = True
+            return None
+        seen.add(value)
+    return (value, e)
+
+
+# ---------------------------------------------------------------------------
+# table-backed opponents
+# ---------------------------------------------------------------------------
+
+def p_system_from_table(table: RuleTable, replacement: ReplacementMap,
+                        universe: Optional[ProgramUniverse] = None,
+                        name: str = "") -> PartialPSystem:
+    """Wrap a counterexample-only rule table as an opponent.
+
+    The enumeration is the identity, the operator evaluates the table on
+    the decoded argument, and the replacement defers to the given map
+    (stalling where the map is undefined).  Staged evaluation only grows
+    with the stage, so the monotone shortcut is sound here.
+    """
+    _, p_ok = variant_flags(QSystem(table, ReplacementMap()))
+    if not p_ok:
+        raise VariantError("table derives inconsistency; opponents are "
+                           "counterexample-only")
+    if universe is None:
+        universe = ProgramUniverse()
+
+    def op(t: int, x: int) -> int:
+        F = pi_decode(x)
+        if CE in F:
+            F = F - {CE}
+        out = evaluate(table, t, F)
+        return pi_encode(out)
+
+    def rep(x: int) -> Optional[int]:
+        return replacement.get(x)
+
+    i0 = universe.register(closure(lambda n: n, name="%s.enum" % (name or "table")))
+    i1 = universe.register(closure(op, name="%s.op" % (name or "table")))
+    i2 = universe.register(closure(rep, name="%s.rep" % (name or "table")))
+    return PartialPSystem(universe, i0, i1, i2,
+                          name=name or "table-opponent", monotone_h=True)
+
+
+# ---------------------------------------------------------------------------
+# family files
+# ---------------------------------------------------------------------------
+
+class FamilyParseError(ValueError):
+    def __init__(self, line_no: int, message: str) -> None:
+        super().__init__("line %d: %s" % (line_no, message))
+        self.line_no = line_no
+        self.message = message
+
+
+def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
+    """Read a family file: program definitions, then opponent rosters.
+
+    Grammar, one declaration per line::
+
+        prog <name> = <script>
+        opponent <name> : g=<prog> h=<prog> r=<prog> [scan=full]
+        opponent <name> : m=<number> [scan=full]
+
+    Programs are scripts in the small expression language; opponents name
+    their parts either directly or through a packed index (see
+    decode_index).  ``scan=full`` opts an opponent out of the monotone
+    operator shortcut.  '#' starts a comment.
+    """
+    universe = ProgramUniverse()
+    opponents: list[PartialPSystem] = []
+    names: set[str] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head == "prog":
+            lhs, eq, script_text = rest.partition("=")
+            prog_name = lhs.strip()
+            if not eq or not prog_name:
+                raise FamilyParseError(line_no, "expected 'prog <name> = <script>'")
+            try:
+                ast = parse_sexpr(script_text.strip())
+            except Exception as exc:
+                raise FamilyParseError(line_no, "bad script: %s" % exc) from None
+            try:
+                universe.register(FueledFunction("sexpr", ast, name=prog_name,
+                                                 source=script_text.strip()))
+            except Exception as exc:
+                raise FamilyParseError(line_no, str(exc)) from None
+        elif head == "opponent":
+            opp_name, colon, spec = rest.partition(":")
+            opp_name = opp_name.strip()
+            if not colon or not opp_name:
+                raise FamilyParseError(line_no, "expected 'opponent <name> : ...'")
+            if opp_name in names:
+                raise FamilyParseError(line_no, "duplicate opponent %r" % opp_name)
+            fields = {}
+            for part in spec.split():
+                key, eq, value = part.partition("=")
+                if not eq or key in fields:
+                    raise FamilyParseError(line_no, "bad field %r" % part)
+                fields[key] = value
+            monotone = True
+            if fields.pop("scan", None) == "full":
+                monotone = False
+            if "m" in fields:
+                if set(fields) != {"m"}:
+                    raise FamilyParseError(line_no, "m= excludes g=/h=/r=")
+                try:
+                    m = int(fields["m"])
+                    trio = decode_index(m)
+                except ValueError as exc:
+                    raise FamilyParseError(line_no, str(exc)) from None
+                if max(trio) >= len(universe):
+                    raise FamilyParseError(
+                        line_no, "index %d names program %d but only %d are "
+                        "defined" % (m, max(trio), len(universe)))
+                i0, i1, i2 = trio
+            elif set(fields) == {"g", "h", "r"}:
+                try:
+                    i0 = universe.index_of(fields["g"])
+                    i1 = universe.index_of(fields["h"])
+                    i2 = universe.index_of(fields["r"])
+                except KeyError as exc:
+                    raise FamilyParseError(line_no, str(exc.args[0])) from None
+            else:
+                raise FamilyParseError(
+                    line_no, "opponent needs either m= or all of g=, h=, r=")
+            names.add(opp_name)
+            opponents.append(PartialPSystem(universe, i0, i1, i2,
+                                            name=opp_name, monotone_h=monotone))
+        else:
+            raise FamilyParseError(line_no, "unknown declaration %r" % head)
+    return universe, opponents
+
+
+def load_family(path) -> tuple[ProgramUniverse, list[PartialPSystem]]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_family(fh.read())
+
+
+def default_family() -> tuple[ProgramUniverse, list[PartialPSystem]]:
+    """The family bundled with the package."""
+    from importlib import resources
+    text = (resources.files(__package__) / "data" / "default.family").read_text(
+        encoding="utf-8")
+    return parse_family(text)

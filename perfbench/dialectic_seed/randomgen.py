@@ -1,0 +1,120 @@
+"""Seeded generators for test corpora.
+
+All generators take a ``random.Random`` so corpora are reproducible from a
+seed.  The shape is tuned for eventful runs: rule premises come from a
+small pool of low axioms that keep re-entering the string by expansion,
+and replacement images sit above the pool so replaced values never need a
+second image.
+"""
+from __future__ import annotations
+
+from random import Random
+
+from .consequence import BOT, CE, Rule, RuleTable
+from .engine import QSystem, ReplacementMap
+from .legacy import LegacySystem, PairApproximation
+
+# marker codes for generated stack systems sit far above any code a run
+# of reasonable horizon can reach by frontier growth
+MARKER_C = 10 ** 6
+MARKER_CE = MARKER_C + 1
+
+
+def random_rules(
+    rng: Random,
+    max_rules: int = 8,
+    pool: int = 12,
+    max_stage: int = 40,
+    conclusions: str = "markers",
+) -> list[Rule]:
+    """Rules with premises drawn from the pool [0, pool).
+
+    ``conclusions`` is "markers" (only ⊥ and ce) or "mixed" (axioms too).
+    """
+    rules = []
+    for _ in range(rng.randrange(max_rules + 1)):
+        width = rng.randrange(1, 4)
+        prem = frozenset(rng.sample(range(pool), width))
+        roll = rng.random()
+        if conclusions == "mixed" and roll < 0.4:
+            concl = rng.randrange(pool)
+        elif roll < 0.7:
+            concl = BOT
+        else:
+            concl = CE
+        rules.append(Rule(rng.randrange(max_stage), prem, concl))
+    return rules
+
+
+def random_qsystem(
+    rng: Random,
+    max_rules: int = 8,
+    pool: int = 12,
+    max_stage: int = 40,
+    conclusions: str = "markers",
+) -> QSystem:
+    """Finitely presented system whose replacement covers the premise pool.
+
+    Images lie in [pool, 2*pool), above every premise, so the map is
+    acyclic and no replaced value ever needs replacing again.
+    """
+    table = RuleTable(random_rules(rng, max_rules, pool, max_stage, conclusions))
+    entries = [(i, pool + rng.randrange(pool)) for i in range(pool)]
+    return QSystem(table, ReplacementMap(entries))
+
+
+def random_legacy(
+    rng: Random,
+    max_pairs: int = 6,
+    pool: int = 10,
+    max_stage: int = 25,
+    axiom_pairs: bool = False,
+) -> LegacySystem:
+    """Pair-backed stack system over a shuffled argument listing.
+
+    The listing permutes [0, pool) and is the identity beyond; pair
+    premises are codes below the pool.  With ``axiom_pairs`` the operator
+    also derives plain codes (including the pool's inclusion pairs), which
+    matters for belief sets but never for the course of a run.
+    """
+    perm = list(range(pool))
+    rng.shuffle(perm)
+    inv = {code: i for i, code in enumerate(perm)}
+
+    def f(i: int) -> int:
+        return perm[i] if 0 <= i < pool else i
+
+    def f_inv(code: int) -> int:
+        return inv.get(code, code)
+
+    def f_minus(code: int) -> int:
+        if code == MARKER_C:
+            return MARKER_CE
+        if code == MARKER_CE:
+            return MARKER_C
+        return code + 1 + (code % 3)
+
+    entries = []
+    if axiom_pairs:
+        for code in range(pool):
+            entries.append((1, code, frozenset({code})))
+    for _ in range(rng.randrange(1, max_pairs + 1)):
+        stage = rng.randrange(1, max_stage)
+        width = rng.randrange(1, 4)
+        F = frozenset(rng.sample(range(pool), width))
+        roll = rng.random()
+        if axiom_pairs and roll < 0.3:
+            x = rng.randrange(pool)
+        elif roll < 0.65:
+            x = MARKER_C
+        else:
+            x = MARKER_CE
+        entries.append((stage, x, F))
+    return LegacySystem(
+        approximation=PairApproximation(entries),
+        f=f,
+        f_inv=f_inv,
+        f_minus=f_minus,
+        c=MARKER_C,
+        c_minus=MARKER_CE,
+    )

@@ -1,0 +1,146 @@
+"""Belief strings over the axiom universe plus the gap marker.
+
+A belief string is the whole epistemic state of an agent at one stage: a
+finite sequence whose entries are either axiom indices (``a0, a1, ...``) or
+``*``, a position whose former occupant was rejected outright.  Duplicate
+axioms are permitted; positions are 0-based.  The four primitive mutations
+used by the run recursion (contraction, expansion, replacement, excision)
+live here as pure functions.
+"""
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+# Axioms are identified by their index in the canonical listing a0, a1, ...
+AxiomId = int
+
+# Token value standing in for the gap marker.
+GAP: int = -1
+
+
+class OperationError(ValueError):
+    """A primitive string operation was applied outside its precondition."""
+
+
+# ---------------------------------------------------------------------------
+# token grammar (shared with trace files and rule-table files)
+# ---------------------------------------------------------------------------
+
+def token_to_str(tok: int) -> str:
+    return "*" if tok == GAP else "a%d" % tok
+
+
+def token_from_str(text: str) -> int:
+    if text == "*":
+        return GAP
+    if len(text) > 1 and text[0] == "a" and text[1:].isdigit():
+        return int(text[1:])
+    raise OperationError("malformed token %r" % (text,))
+
+
+class BeliefString:
+    """Immutable finite sequence of axiom indices and gap markers."""
+
+    __slots__ = ("_toks",)
+
+    def __init__(self, tokens: Iterable[int] = ()) -> None:
+        toks = tuple(tokens)
+        for t in toks:
+            if t < 0 and t != GAP:
+                raise OperationError("invalid token value %d" % t)
+        object.__setattr__(self, "_toks", toks)
+
+    # -- sequence protocol --------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._toks)
+
+    def __getitem__(self, idx):
+        return self._toks[idx]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._toks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BeliefString):
+            return self._toks == other._toks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._toks)
+
+    def __repr__(self) -> str:
+        return "BeliefString(<%s>)" % self.serialize()
+
+    # -- serialization ------------------------------------------------------
+
+    def serialize(self) -> str:
+        """Space-separated token text, e.g. ``'a0 * a2'``; empty string for ⟨⟩."""
+        return " ".join(token_to_str(t) for t in self._toks)
+
+    @classmethod
+    def parse(cls, text: str) -> "BeliefString":
+        return cls(token_from_str(part) for part in text.split())
+
+    # -- derived data -------------------------------------------------------
+
+    def range(self) -> frozenset[int]:
+        """Set of axioms present anywhere in the string; gaps contribute nothing."""
+        return frozenset(t for t in self._toks if t != GAP)
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        return self._toks
+
+
+EMPTY = BeliefString()
+
+
+# ---------------------------------------------------------------------------
+# the four primitive operations
+# ---------------------------------------------------------------------------
+
+def belief_range(sigma: BeliefString) -> frozenset[int]:
+    """Axioms occurring in ``sigma``; the gap marker never counts."""
+    return sigma.range()
+
+
+def contraction(sigma: BeliefString, k: int) -> BeliefString:
+    """Initial segment of length ``k``.
+
+    Requires ``0 <= k < len(sigma)``: contracting to the full length or
+    beyond is out of range by convention.
+    """
+    if not 0 <= k < len(sigma):
+        raise OperationError(
+            "contraction index %d out of range for length %d" % (k, len(sigma))
+        )
+    return BeliefString(sigma.tokens[:k])
+
+
+def expansion(sigma: BeliefString) -> BeliefString:
+    """Append the next axiom in the canonical listing: a_{len(sigma)}."""
+    return BeliefString(sigma.tokens + (len(sigma),))
+
+
+def replacement(sigma: BeliefString, new_axiom: AxiomId) -> BeliefString:
+    """Swap the last token, which must be an axiom, for a different axiom."""
+    if len(sigma) == 0:
+        raise OperationError("replacement on the empty string")
+    last = sigma.tokens[-1]
+    if last == GAP:
+        raise OperationError("replacement on a gap-terminated string")
+    if new_axiom == last:
+        raise OperationError("replacement with the identical axiom a%d" % last)
+    if new_axiom < 0:
+        raise OperationError("replacement target must be an axiom")
+    return BeliefString(sigma.tokens[:-1] + (new_axiom,))
+
+
+def excision(sigma: BeliefString) -> BeliefString:
+    """Turn the last token, which must be an axiom, into a gap."""
+    if len(sigma) == 0:
+        raise OperationError("excision on the empty string")
+    if sigma.tokens[-1] == GAP:
+        raise OperationError("excision on a gap-terminated string")
+    return BeliefString(sigma.tokens[:-1] + (GAP,))

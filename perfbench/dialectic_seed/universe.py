@@ -1,0 +1,277 @@
+"""Budgeted program registry backing the opponent machinery.
+
+A *program* here is a partial function on naturals: it may answer, or it
+may fail to answer within the evaluation budget ("fuel").  Three carriers
+are supported -- a python callable, a finite lookup table, and a script in
+a deliberately tiny expression language -- all wrapped behind the same
+call interface so the rest of the package never cares which one it got.
+
+The one law every carrier obeys: convergence is monotone in fuel.  If a
+call answers at budget f, it answers identically at every budget above f.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+
+class ProgramError(ValueError):
+    """Malformed program text, or a call that cannot be well-formed."""
+
+
+class _Diverge(Exception):
+    """Internal: evaluation will not produce a value."""
+
+
+# ---------------------------------------------------------------------------
+# the expression language
+# ---------------------------------------------------------------------------
+#
+# Scripts are s-expressions over integer literals and the variables
+#   n -- the first argument (single-argument programs),
+#   t -- the first argument again (conventional name in two-argument use),
+#   x -- the second argument.
+#
+# Every AST node visited costs one unit of fuel, so deeper evaluations
+# need bigger budgets but never change their answers.  `and`, `or` and
+# `if` are short-circuiting (the skipped branch costs nothing), and the
+# partial operations -- division or modulus by zero, shifts by amounts
+# outside [0, 64] -- do not error but diverge, as does the literal form
+# (diverge).
+
+_ARITH = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "band": lambda a, b: a & b,
+    "bor": lambda a, b: a | b,
+    "bxor": lambda a, b: a ^ b,
+    "eq": lambda a, b: 1 if a == b else 0,
+    "lt": lambda a, b: 1 if a < b else 0,
+    "le": lambda a, b: 1 if a <= b else 0,
+    "ge": lambda a, b: 1 if a >= b else 0,
+    "gt": lambda a, b: 1 if a > b else 0,
+}
+
+_KNOWN_OPS = (set(_ARITH) | {"div", "mod", "shl", "shr",
+                             "and", "or", "not", "if", "diverge"})
+
+
+def tokenize_sexpr(text: str) -> list[str]:
+    out = []
+    buf = []
+    for ch in text:
+        if ch in "()":
+            if buf:
+                out.append("".join(buf))
+                buf = []
+            out.append(ch)
+        elif ch.isspace():
+            if buf:
+                out.append("".join(buf))
+                buf = []
+        else:
+            buf.append(ch)
+    if buf:
+        out.append("".join(buf))
+    return out
+
+
+def parse_sexpr(text: str):
+    """Parse a script into its AST (nested tuples over ints and names)."""
+    tokens = tokenize_sexpr(text)
+    if not tokens:
+        raise ProgramError("empty program")
+    pos = 0
+
+    def parse_one():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ProgramError("unexpected end of program")
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            if pos >= len(tokens):
+                raise ProgramError("unterminated form")
+            head = tokens[pos]
+            pos += 1
+            if head in "()":
+                raise ProgramError("operator name expected after '('")
+            if head not in _KNOWN_OPS:
+                raise ProgramError("unknown operator %r" % head)
+            args = []
+            while pos < len(tokens) and tokens[pos] != ")":
+                args.append(parse_one())
+            if pos >= len(tokens):
+                raise ProgramError("unterminated form")
+            pos += 1  # consume ')'
+            return _check_arity(head, tuple(args))
+        if tok == ")":
+            raise ProgramError("unbalanced ')'")
+        if tok in ("n", "t", "x"):
+            return tok
+        try:
+            return int(tok)
+        except ValueError:
+            raise ProgramError("unknown token %r" % tok) from None
+
+    node = parse_one()
+    if pos != len(tokens):
+        raise ProgramError("trailing tokens after program")
+    return node
+
+
+def _check_arity(head, args):
+    want = {"not": 1, "diverge": 0, "if": 3}.get(head, 2)
+    if len(args) != want:
+        raise ProgramError("%s takes %d operand(s), got %d"
+                           % (head, want, len(args)))
+    return (head,) + args
+
+
+def eval_sexpr(node, env: dict, budget: list) -> int:
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise _Diverge
+    if isinstance(node, int):
+        return node
+    if isinstance(node, str):
+        return env[node]
+    op = node[0]
+    if op == "diverge":
+        raise _Diverge
+    if op == "if":
+        if eval_sexpr(node[1], env, budget) != 0:
+            return eval_sexpr(node[2], env, budget)
+        return eval_sexpr(node[3], env, budget)
+    if op == "and":
+        if eval_sexpr(node[1], env, budget) == 0:
+            return 0
+        return 1 if eval_sexpr(node[2], env, budget) != 0 else 0
+    if op == "or":
+        a = eval_sexpr(node[1], env, budget)
+        if a != 0:
+            return 1
+        return 1 if eval_sexpr(node[2], env, budget) != 0 else 0
+    if op == "not":
+        return 1 if eval_sexpr(node[1], env, budget) == 0 else 0
+    a = eval_sexpr(node[1], env, budget)
+    b = eval_sexpr(node[2], env, budget)
+    if op in ("div", "mod"):
+        if b == 0:
+            raise _Diverge
+        return a // b if op == "div" else a % b
+    if op in ("shl", "shr"):
+        if b < 0 or b > 64:
+            raise _Diverge
+        return a << b if op == "shl" else a >> b
+    return _ARITH[op](a, b)
+
+
+# ---------------------------------------------------------------------------
+# the common wrapper
+# ---------------------------------------------------------------------------
+
+@dataclass
+class FueledFunction:
+    """A partial function on naturals with budgeted evaluation.
+
+    kind is "closure" (payload: python callable returning int or None),
+    "table" (payload: dict from argument tuples to ints; missing keys
+    diverge), or "sexpr" (payload: parsed AST).  Closure and table calls
+    cost one unit of fuel; script calls cost one unit per visited node.
+    """
+
+    kind: str
+    payload: object
+    name: str = ""
+    source: str = ""
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("closure", "table", "sexpr"):
+            raise ProgramError("unknown program kind %r" % self.kind)
+
+    def call(self, args: tuple[int, ...], fuel: int) -> Optional[int]:
+        """Evaluate on args; None means no answer within this budget."""
+        if fuel < 1:
+            return None
+        if self.kind == "closure":
+            value = self.payload(*args)
+        elif self.kind == "table":
+            value = self.payload.get(tuple(args))
+        else:
+            env = {"n": args[0], "t": args[0]}
+            if len(args) > 1:
+                env["x"] = args[1]
+            budget = [fuel]
+            try:
+                value = eval_sexpr(self.payload, env, budget)
+            except _Diverge:
+                return None
+            except KeyError as exc:
+                raise ProgramError("program %r uses unbound variable %s"
+                                   % (self.name, exc)) from None
+        if value is None:
+            return None
+        if not isinstance(value, int) or value < 0:
+            raise ProgramError("program %r produced %r; expected a natural"
+                               % (self.name, value))
+        return value
+
+
+def script(text: str, name: str = "") -> FueledFunction:
+    return FueledFunction("sexpr", parse_sexpr(text), name=name, source=text)
+
+
+def closure(fn: Callable[..., Optional[int]], name: str = "") -> FueledFunction:
+    return FueledFunction("closure", fn, name=name)
+
+
+def lookup_table(mapping: dict, name: str = "") -> FueledFunction:
+    fixed = {}
+    for key, value in mapping.items():
+        if not isinstance(key, tuple):
+            key = (key,)
+        fixed[key] = value
+    return FueledFunction("table", fixed, name=name)
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+class ProgramUniverse:
+    """A finite, append-only numbering of programs.
+
+    Opponents name their three components by index into one of these, so
+    a single integer (see decode_index in the opponents module) can pin
+    down a whole opponent relative to the registry.
+    """
+
+    def __init__(self) -> None:
+        self._programs: list[FueledFunction] = []
+        self._by_name: dict[str, int] = {}
+
+    def register(self, fn: FueledFunction) -> int:
+        index = len(self._programs)
+        self._programs.append(fn)
+        if fn.name:
+            if fn.name in self._by_name:
+                raise ProgramError("duplicate program name %r" % fn.name)
+            self._by_name[fn.name] = index
+        return index
+
+    def __len__(self) -> int:
+        return len(self._programs)
+
+    def __getitem__(self, index: int) -> FueledFunction:
+        return self._programs[index]
+
+    def index_of(self, name: str) -> int:
+        if name not in self._by_name:
+            raise KeyError("no program named %r" % name)
+        return self._by_name[name]
+
+    def names(self) -> list[str]:
+        return sorted(self._by_name)
