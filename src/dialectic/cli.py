@@ -26,8 +26,8 @@ from .applications import (
 )
 from .consequence import BOT, CE, TableError, validate_aco
 from .engine import (
-    EXCISION, EXPANSION, MissingReplacementError, classify_variant,
-    estimate_beliefs, run,
+    MissingReplacementError, classify_variant, estimate_beliefs, run,
+    write_trace,
 )
 from .legacy import (
     AlignmentScopeError, LegacySystem, PairApproximation, TranslationError,
@@ -42,27 +42,6 @@ from .systemspec import SpecParseError, VariantError, check_variant, load_system
 DEFAULT_HORIZON = 10000
 DEFAULT_WINDOW = 100
 DEFAULT_BOUND = 8
-
-
-# ---------------------------------------------------------------------------
-# trace files
-# ---------------------------------------------------------------------------
-
-def _write_trace(trace, path: str) -> None:
-    lines = []
-    for rec in trace.records:
-        if rec.kind == EXPANSION:
-            lines.append("%d\texpand" % rec.stage)
-        elif rec.kind == EXCISION:
-            lines.append("%d\texcise\tk=%d\told=%s"
-                         % (rec.stage, rec.k, token_to_str(rec.old)))
-        else:
-            lines.append("%d\treplace\tk=%d\told=%s\tnew=%s"
-                         % (rec.stage, rec.k, token_to_str(rec.old),
-                            token_to_str(rec.new)))
-    lines.append("final\t%s" % trace.final_sigma.serialize())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +74,7 @@ def cmd_run(args) -> int:
     print("loop suspects: %s"
           % (" ".join("p%d" % p for p in report.loop_suspects) or "none"))
     if args.trace:
-        _write_trace(trace, args.trace)
+        write_trace(trace, args.trace)
     return 0
 
 
@@ -159,7 +138,7 @@ def _diff_one(seed: int, horizon: int, clause_order) -> tuple[bool, str]:
 
 
 def cmd_diff(args) -> int:
-    clause_order = tuple(int(t) for t in args.clause_order.split(","))
+    clause_order = args.clause_order
     if args.fuzz:
         results = []
         if args.jobs > 1:
@@ -216,7 +195,7 @@ def cmd_repair(args) -> int:
     result = repair(kb, args.horizon, window=args.window, mode=args.mode)
     print(render_result(kb, result), end="")
     if args.trace:
-        _write_trace(result.trace, args.trace)
+        write_trace(result.trace, args.trace)
     return 0
 
 
@@ -230,13 +209,21 @@ def cmd_revise(args) -> int:
                                window=args.window)
     print(render_result(kb, result, extra_labels=additions.labels), end="")
     if result.trace is not None and args.trace:
-        _write_trace(result.trace, args.trace)
+        write_trace(result.trace, args.trace)
     return 0 if not result.rejected else 1
 
 
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
+
 
 def _add_horizon_window(sub, horizon=DEFAULT_HORIZON) -> None:
     sub.add_argument("--horizon", type=int, default=horizon,
@@ -274,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed for --fuzz")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for --fuzz")
-    p.add_argument("--clause-order", default="1,2,3",
+    p.add_argument("--clause-order", type=_int_list, default="1,2,3",
                    help="stack clause priority (diagnostic; default 1,2,3)")
     p.set_defaults(func=cmd_diff)
 

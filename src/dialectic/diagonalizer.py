@@ -23,7 +23,7 @@ from typing import Optional
 from .consequence import BOT, CE, Rule, RuleTable
 from .engine import (QSystem, ReplacementMap, RunEngine, StabilityReport,
                      estimate_beliefs, run)
-from .opponents import PartialPSystem, r_iterate
+from .opponents import PartialPSystem, pi_encode, r_iterate
 
 __all__ = [
     "Strategy", "Diagonalizer", "DiagonalizationReport", "diagonalize",
@@ -80,13 +80,6 @@ class Strategy:
         self._s5_version = -1
 
 
-def _code_of(values) -> int:
-    code = 0
-    for v in values:
-        code |= 1 << (v + 1)
-    return code
-
-
 # ---------------------------------------------------------------------------
 # the scheduler
 # ---------------------------------------------------------------------------
@@ -134,8 +127,8 @@ class Diagonalizer:
         strat.Z = z
         self.z_history.append((stage, strat.index, z))
 
-    def _append_rule(self, stage: int, premises: frozenset, conclusion: int,
-                     strat: Strategy, label: str) -> Rule:
+    def _add_rule(self, stage: int, premises: frozenset, conclusion: int,
+                  strat: Strategy, label: str) -> Rule:
         r = Rule(stage, premises, conclusion)
         self.engine.append_rule(r)
         self.rule_meta.append({
@@ -308,11 +301,11 @@ class Diagonalizer:
         if rho[-1] == N + 1:
             case = 1
             strat.a_I, strat.a_J = N + 1, N + 2
-            self._append_rule(s, strat.S | {N}, CE, strat, "S4")
+            self._add_rule(s, strat.S | {N}, CE, strat, "S4")
         else:
             case = 2
             strat.a_I, strat.a_J = N + 2, N + 1
-            self._append_rule(s, strat.S | {N}, BOT, strat, "S4")
+            self._add_rule(s, strat.S | {N}, BOT, strat, "S4")
         self._set_z(strat, frozenset({N}), s)
         strat.status = S5WAIT
         strat._s5_version = -1
@@ -328,10 +321,10 @@ class Diagonalizer:
         if strat.skip:
             strat.rho = payload["rho"]
             self._mention(strat.rho)
-        strat.rho_code = _code_of(strat.rho)
+        strat.rho_code = pi_encode(strat.rho)
         strat.theta.pin_code(strat.rho_code)
-        self._append_rule(s, strat.S | {strat.a_I, strat.a_J}, BOT,
-                          strat, "S6")
+        self._add_rule(s, strat.S | {strat.a_I, strat.a_J}, BOT,
+                       strat, "S6")
         if strat.skip:
             self._set_z(strat, frozenset({strat.a_I}), s)
         else:
@@ -345,7 +338,7 @@ class Diagonalizer:
                                 len(strat.rho)))
 
     def _act_finish(self, strat: Strategy, s: int) -> None:
-        self._append_rule(s, strat.S | {strat.a_J}, BOT, strat, "S8")
+        self._add_rule(s, strat.S | {strat.a_J}, BOT, strat, "S8")
         self._set_z(strat, (strat.Z - {strat.a_I}) | {strat.a_J}, s)
         strat.status = S8DONE
         strat.acts.append((s, "S8"))

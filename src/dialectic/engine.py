@@ -277,8 +277,6 @@ class RunEngine:
         self.records: list[StepRecord] = []
         self.counts: dict[int, int] = {}
         self.occ: dict[int, list[int]] = {}
-        self.last_change: list[int] = []
-        self.high_water = 0  # positions below this have been occupied before
         self._rules: list[_RuleState] = []
         self._by_ax: dict[int, list[int]] = {}
         self._pending: list[tuple[int, int]] = []
@@ -322,20 +320,9 @@ class RunEngine:
 
     # -- string mutation ----------------------------------------------------
 
-    def _stamp(self, pos: int, stamp: int) -> None:
-        lc = self.last_change
-        if pos >= len(lc):
-            lc.extend([0] * (pos + 1 - len(lc)))
-        lc[pos] = stamp
-
-    def _push(self, val: int, stamp: int) -> None:
+    def _push(self, val: int) -> None:
         pos = len(self.sigma)
         self.sigma.append(val)
-        if pos < self.high_water:
-            self._stamp(pos, stamp)  # refilling a disturbed position
-        else:
-            self.high_water = pos + 1
-            self._stamp(pos, 0)  # a frontier append is not a change
         if val != GAP:
             c = self.counts.get(val, 0)
             self.counts[val] = c + 1
@@ -348,10 +335,8 @@ class RunEngine:
                         if st.missing == 0:
                             self._satisfied.add(rid)
 
-    def _pop(self, stamp: int) -> int:
-        pos = len(self.sigma) - 1
+    def _pop(self) -> int:
         val = self.sigma.pop()
-        self._stamp(pos, stamp)
         if val != GAP:
             c = self.counts[val] - 1
             self.counts[val] = c
@@ -373,7 +358,7 @@ class RunEngine:
         if self._satisfied:
             rec = self._fire(s)
         else:
-            self._push(len(self.sigma), s + 1)
+            self._push(len(self.sigma))
             rec = StepRecord(s, EXPANSION, None, None, None)
         self.records.append(rec)
         self.stage = s + 1
@@ -406,8 +391,8 @@ class RunEngine:
             if new is None:
                 raise MissingReplacementError(s, k - 1, old)
         while len(self.sigma) >= k:
-            self._pop(s + 1)
-        self._push(GAP if kind == EXCISION else new, s + 1)
+            self._pop()
+        self._push(GAP if kind == EXCISION else new)
         return StepRecord(s, kind, k, old, new)
 
     def _next_interesting(self, horizon: int) -> int:
@@ -442,7 +427,7 @@ class RunEngine:
             target = min(target, horizon)
             s = self.stage
             while s < target:
-                self._push(len(self.sigma), s + 1)
+                self._push(len(self.sigma))
                 self.records.append(StepRecord(s, EXPANSION, None, None, None))
                 s += 1
             self.stage = target
@@ -451,9 +436,6 @@ class RunEngine:
 
     def belief_string(self) -> BeliefString:
         return BeliefString(self.sigma)
-
-    def range_set(self) -> frozenset[int]:
-        return frozenset(v for v, c in self.counts.items() if c > 0)
 
     def trace(self) -> RunTrace:
         return RunTrace(list(self.records), self.stage, self.belief_string())
@@ -482,73 +464,78 @@ class StabilityReport:
     belief_estimate: frozenset[int]
     loop_suspects: tuple[int, ...]
 
-    def position_summary(self) -> list[tuple[int, Optional[int], int]]:
-        """(position, final token or None if vacated, last-change stage)."""
-        out = []
-        for pos, stamp in enumerate(self.last_change):
-            tok = self.final_tokens[pos] if pos < len(self.final_tokens) else None
-            out.append((pos, tok, stamp))
-        return out
+
+class DisturbanceStamps:
+    """The stage at which each position of a belief string was last disturbed.
+
+    Vacating a position and refilling one that was occupied before are
+    disturbances, stamped with the stage at which they happen.  A frontier
+    append (a position occupied for the first time) stamps 0, so uneventful
+    growth is stable.  The stamps span the furthest extent the string ever
+    reached, vacated positions included.
+    """
+
+    __slots__ = ("stamps",)
+
+    def __init__(self) -> None:
+        self.stamps: list[int] = []
+
+    def update(self, cut: int, old_len: int, stage: int) -> None:
+        """Positions cut..old_len-1 were dropped and one token appended at cut."""
+        stamps = self.stamps
+        if cut < old_len:
+            stamps[cut:old_len] = [stage] * (old_len - cut)
+        elif cut < len(stamps):
+            stamps[cut] = stage
+        else:
+            stamps.append(0)
+
+    def report(self, tokens: list[int], horizon: int, window: int) -> StabilityReport:
+        """Window-based limiting-belief estimate for the string ``tokens``.
+
+        A position is stable when it was last disturbed no later than
+        horizon − window; the belief estimate is the axiom range of the
+        longest stable prefix, and positions disturbed inside the final
+        window are flagged as loop suspects.
+        """
+        if window < 0 or window > horizon:
+            raise ValueError("window must satisfy 0 <= window <= horizon")
+        threshold = horizon - window
+        stamps = self.stamps
+        prefix = 0
+        while prefix < len(tokens) and stamps[prefix] <= threshold:
+            prefix += 1
+        estimate = frozenset(t for t in tokens[:prefix] if t != GAP)
+        suspects = tuple(pos for pos, st in enumerate(stamps) if st > threshold)
+        return StabilityReport(
+            horizon=horizon,
+            window=window,
+            final_tokens=tuple(tokens),
+            last_change=tuple(stamps),
+            stable_prefix_length=prefix,
+            belief_estimate=estimate,
+            loop_suspects=suspects,
+        )
 
 
 def estimate_beliefs(trace: RunTrace, window: int) -> StabilityReport:
     """Window-based limiting-belief estimate, recomputed from the trace alone.
 
-    A position is stable when it was last disturbed no later than
-    horizon − window; the belief estimate is the axiom range of the longest
-    stable prefix, and positions disturbed inside the final window are
-    flagged as loop suspects.  Frontier appends (a position occupied for the
-    first time) do not count as disturbances, so uneventful growth is
-    stable.  This is a heuristic: a slow stabilizer can be flagged even when
-    the true run is loopless.
+    The records are replayed into a fresh string and its disturbance stamps
+    (see :class:`DisturbanceStamps`), independently of the engine that
+    wrote them.  This is a heuristic: a slow stabilizer can be flagged even
+    when the true run is loopless.
     """
-    if window < 0 or window > trace.horizon:
-        raise ValueError("window must satisfy 0 <= window <= horizon")
     sigma: list[int] = []
-    last_change: list[int] = []
-    high_water = 0
-
-    def stamp(pos: int, st: int) -> None:
-        if pos >= len(last_change):
-            last_change.extend([0] * (pos + 1 - len(last_change)))
-        last_change[pos] = st
-
-    def push(val: int, st: int) -> None:
-        nonlocal high_water
-        pos = len(sigma)
-        sigma.append(val)
-        if pos < high_water:
-            stamp(pos, st)
-        else:
-            high_water = pos + 1
-            stamp(pos, 0)
-
+    stamps = DisturbanceStamps()
+    update = stamps.update
     for rec in trace.records:
-        if rec.kind == EXPANSION:
-            push(len(sigma), rec.stage + 1)
-        else:
-            for pos in range(len(sigma) - 1, rec.k - 2, -1):
-                stamp(pos, rec.stage + 1)
-            del sigma[rec.k - 1:]
-            push(GAP if rec.kind == EXCISION else rec.new, rec.stage + 1)
+        old_len = len(sigma)
+        _apply_record(sigma, rec)
+        update(old_len if rec.k is None else rec.k - 1, old_len, rec.stage + 1)
     if tuple(sigma) != trace.final_sigma.tokens:
         raise ValueError("trace records do not reproduce the recorded final string")
-
-    threshold = trace.horizon - window
-    prefix = 0
-    while prefix < len(sigma) and last_change[prefix] <= threshold:
-        prefix += 1
-    estimate = frozenset(t for t in sigma[:prefix] if t != GAP)
-    suspects = tuple(pos for pos, st in enumerate(last_change) if st > threshold)
-    return StabilityReport(
-        horizon=trace.horizon,
-        window=window,
-        final_tokens=tuple(sigma),
-        last_change=tuple(last_change),
-        stable_prefix_length=prefix,
-        belief_estimate=estimate,
-        loop_suspects=suspects,
-    )
+    return stamps.report(sigma, trace.horizon, window)
 
 
 def is_clean_window(system: QSystem, report: StabilityReport) -> bool:
@@ -584,20 +571,19 @@ def variant_flags(system: QSystem) -> tuple[bool, bool]:
 # trace files
 # ---------------------------------------------------------------------------
 
-def format_trace(trace: RunTrace) -> str:
-    """Tab-separated, one line per stage; reproducible byte-for-byte."""
-    lines = []
-    sigma: list[int] = []
-    for rec in trace.records:
-        _apply_record(sigma, rec)
-        k = "-" if rec.k is None else str(rec.k)
-        old = "-" if rec.kind != REPLACEMENT else token_to_str(rec.old)
-        new = "-" if rec.kind != REPLACEMENT else token_to_str(rec.new)
-        body = " ".join(token_to_str(t) for t in sigma)
-        lines.append("%d\t%s\t%s\t%s\t%s\t%s" % (rec.stage, rec.kind, k, old, new, body))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def write_trace(trace: RunTrace, path) -> None:
-    with open(path, "w") as fp:
-        fp.write(format_trace(trace))
+    """One tab-separated line per stage, then ``final`` and the last string."""
+    lines = []
+    for rec in trace.records:
+        if rec.kind == EXPANSION:
+            lines.append("%d\texpand" % rec.stage)
+        elif rec.kind == EXCISION:
+            lines.append("%d\texcise\tk=%d\told=%s"
+                         % (rec.stage, rec.k, token_to_str(rec.old)))
+        else:
+            lines.append("%d\treplace\tk=%d\told=%s\tnew=%s"
+                         % (rec.stage, rec.k, token_to_str(rec.old),
+                            token_to_str(rec.new)))
+    lines.append("final\t%s" % trace.final_sigma.serialize())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

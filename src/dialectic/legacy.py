@@ -204,10 +204,6 @@ class LegacyState:
             return self.stacks[x][-1]
         return None
 
-    def tips_below(self, x: int) -> frozenset[int]:
-        """The set L(x): tips of the nonempty stacks at positions < x."""
-        return frozenset(st[-1] for st in self.stacks[:x] if st)
-
 
 def initial_state(system: LegacySystem, compute_A: bool = True) -> LegacyState:
     return LegacyState(stacks=((system.f(0),),), h=0,

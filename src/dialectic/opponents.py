@@ -18,14 +18,14 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .consequence import CE, RuleTable, evaluate
-from .engine import QSystem, ReplacementMap, StabilityReport, variant_flags
+from .engine import (DisturbanceStamps, QSystem, ReplacementMap,
+                     StabilityReport, variant_flags)
 from .systemspec import VariantError
-from .strings import BeliefString
 from .universe import FueledFunction, ProgramUniverse, closure, parse_sexpr
 
 __all__ = [
     "pi_encode", "pi_decode", "decode_index",
-    "Progress", "Diverged", "PartialPSystem", "opponent_step",
+    "Progress", "Diverged", "PartialPSystem",
     "r_iterate", "p_system_from_table",
     "FamilyParseError", "parse_family", "load_family", "default_family",
 ]
@@ -128,7 +128,6 @@ class PartialPSystem:
         self.stage = 0
         self.sigma: list[int] = []
         self.version = 0
-        self.last_change = 0
         self.invalid_reason: Optional[str] = None
         self.frozen = False
         self.r_cycle_found = False
@@ -140,8 +139,7 @@ class PartialPSystem:
         self._code = 0                    # bit code of set(sigma)
         self._first_occ: dict[int, int] = {}
         self._first_occ_ok = True
-        self._stamps: list[int] = []      # per position, engine-style
-        self._high_water = 0
+        self._stamps = DisturbanceStamps()
         # per-code operator accumulators for the literal-union mode:
         # code -> [next unvisited t, or-accumulated value]
         self._h_acc: dict[int, list[int]] = {}
@@ -163,9 +161,6 @@ class PartialPSystem:
     def enum_position(self, value: int) -> Optional[int]:
         """Least resolved enumeration index of value, if seen so far."""
         return self._g_pos.get(value)
-
-    def resolved_prefix(self) -> int:
-        return len(self._g_vals)
 
     def r_value(self, x: int, fuel: int) -> Optional[int]:
         if x in self._r_memo:
@@ -220,34 +215,21 @@ class PartialPSystem:
 
     # -- string bookkeeping -------------------------------------------------
 
-    def _stamp(self, pos: int, stamp: int) -> None:
-        if pos >= len(self._stamps):
-            self._stamps.extend([0] * (pos + 1 - len(self._stamps)))
-        self._stamps[pos] = stamp
-
-    def _append(self, val: int, stamp: int) -> None:
-        pos = len(self.sigma)
-        self.sigma.append(val)
-        if pos < self._high_water:
-            self._stamp(pos, stamp)
-            self.last_change = max(self.last_change, stamp)
-        else:
-            self._high_water = pos + 1
-            self._stamp(pos, 0)
+    def _rewrite(self, cut: int, val: int, stage: int) -> None:
+        """Drop positions cut.. of σ and append val, keeping the set code,
+        the first occurrences and the disturbance stamps in step."""
+        sigma = self.sigma
+        self._stamps.update(cut, len(sigma), stage)
+        if cut < len(sigma):
+            del sigma[cut:]
+            self._code = 0
+            for v in sigma:
+                self._code |= 1 << (v + 1)
+            self._first_occ_ok = False
+        elif self._first_occ_ok:
+            self._first_occ.setdefault(val, cut)
+        sigma.append(val)
         self._code |= 1 << (val + 1)
-        if self._first_occ_ok:
-            self._first_occ.setdefault(val, pos)
-        self.version += 1
-
-    def _truncate_to(self, k: int, stamp: int) -> None:
-        for pos in range(len(self.sigma) - 1, k - 1, -1):
-            self._stamp(pos, stamp)
-        del self.sigma[k:]
-        self._code = 0
-        for v in self.sigma:
-            self._code |= 1 << (v + 1)
-        self._first_occ_ok = False
-        self.last_change = max(self.last_change, stamp)
         self.version += 1
 
     def first_occurrence(self, value: int) -> Optional[int]:
@@ -257,12 +239,6 @@ class PartialPSystem:
                 self._first_occ.setdefault(v, pos)
             self._first_occ_ok = True
         return self._first_occ.get(value)
-
-    def range_code(self) -> int:
-        return self._code
-
-    def belief_string(self) -> BeliefString:
-        return BeliefString(self.sigma)
 
     # -- the run ------------------------------------------------------------
 
@@ -300,13 +276,12 @@ class PartialPSystem:
             new = self.r_value(old, fuel)
             if new is None:
                 return Diverged("r")
-            self._truncate_to(k - 1, s + 1)
-            self._append(new, s + 1)
+            self._rewrite(k - 1, new, s + 1)
             return Progress(len(self.sigma), True)
         val = self.g_value(len(self.sigma), fuel)
         if val is None:
             return Diverged("g")
-        self._append(val, s + 1)
+        self._rewrite(len(self.sigma), val, s + 1)
         return Progress(len(self.sigma), True)
 
     def _least_marked_prefix(self, s: int, fuel: int) -> Optional[int]:
@@ -326,36 +301,11 @@ class PartialPSystem:
     # -- stability ----------------------------------------------------------
 
     def stability_report(self, horizon: int, window: int) -> StabilityReport:
-        if window < 0 or window > horizon:
-            raise ValueError("window must satisfy 0 <= window <= horizon")
-        threshold = horizon - window
-        prefix = 0
-        while prefix < len(self.sigma) and self._stamps[prefix] <= threshold:
-            prefix += 1
-        estimate = frozenset(self.sigma[:prefix])
-        suspects = tuple(p for p, st in enumerate(self._stamps)
-                         if st > threshold)
-        return StabilityReport(
-            horizon=horizon,
-            window=window,
-            final_tokens=tuple(self.sigma),
-            last_change=tuple(self._stamps),
-            stable_prefix_length=prefix,
-            belief_estimate=estimate,
-            loop_suspects=suspects,
-        )
-
-    def belief_estimate(self, horizon: int, window: int) -> frozenset[int]:
-        return self.stability_report(horizon, window).belief_estimate
+        return self._stamps.report(self.sigma, horizon, window)
 
     def __repr__(self) -> str:
         return "<PartialPSystem %s stage=%d |sigma|=%d>" % (
             self.name, self.stage, len(self.sigma))
-
-
-def opponent_step(theta: PartialPSystem, fuel: int):
-    """One stage of the opponent's run under the given budget."""
-    return theta.step(fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,15 @@ def test_diff_fuzz_parallel_matches_serial(capsys):
     assert (code_s, out_s) == (code_p, out_p)
 
 
+def test_diff_bad_clause_order_exits_2(capsys, spec_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", spec_file, "--clause-order", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--clause-order" in err and "'x'" in err
+    assert "invalid literal" not in err
+
+
 def test_diff_without_input_exits_2(capsys):
     code, out, err = run_cli(capsys, "diff")
     assert code == 2

@@ -22,11 +22,11 @@ from dialectic.engine import (
     RunEngine,
     classify_variant,
     estimate_beliefs,
-    format_trace,
     is_clean_window,
     run,
     step,
     variant_flags,
+    write_trace,
 )
 from dialectic.strings import GAP, BeliefString
 
@@ -318,22 +318,21 @@ def test_variant_discipline_in_traces():
 # trace formatting
 # ---------------------------------------------------------------------------
 
-def test_trace_format_golden():
-    tr = run(qsys([rule(1, {0}, BOT)]), 4)
-    assert format_trace(tr) == (
-        "0\tEXP\t-\t-\t-\ta0\n"
-        "1\tEXC\t1\t-\t-\t*\n"
-        "2\tEXP\t-\t-\t-\t* a1\n"
-        "3\tEXP\t-\t-\t-\t* a1 a2\n"
+def test_trace_format_golden(tmp_path):
+    path = tmp_path / "steps.txt"
+    write_trace(run(qsys([rule(1, {0}, BOT)]), 4), path)
+    assert path.read_bytes() == (
+        b"0\texpand\n"
+        b"1\texcise\tk=1\told=a0\n"
+        b"2\texpand\n"
+        b"3\texpand\n"
+        b"final\t* a1 a2\n"
     )
 
 
-def test_trace_format_replacement_line():
-    tr = run(qsys([rule(3, {0}, CE)], repl=[(0, 2)]), 4)
-    lines = format_trace(tr).splitlines()
-    assert lines[3] == "3\tREP\t1\ta0\ta2\ta2"
-
-
-def test_trace_format_deterministic():
-    system = qsys([rule(2, {0, 1}, BOT)])
-    assert format_trace(run(system, 25)) == format_trace(run(system, 25))
+def test_trace_format_replacement_line(tmp_path):
+    path = tmp_path / "steps.txt"
+    write_trace(run(qsys([rule(3, {0}, CE)], repl=[(0, 2)]), 4), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[3] == "3\treplace\tk=1\told=a0\tnew=a2"
+    assert lines[4] == "final\ta2"

@@ -249,7 +249,7 @@ def test_masked_operator_run_timeline():
     # run further and estimate: the third and fourth axioms never settle back
     for s in range(71, 201):
         th.step(s)
-    est = th.belief_estimate(200, 50)
+    est = th.stability_report(200, 50).belief_estimate
     assert 3 not in est and 4 not in est
     assert {0, 1, 2, 5, 6}.issubset(est)
 
