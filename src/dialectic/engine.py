@@ -16,7 +16,10 @@ other.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .consequence import BOT, CE, Rule, RuleTable, check_no_empty_derivation, evaluate
@@ -29,6 +32,15 @@ REPLACEMENT = "REP"
 
 class ReplacementCycleError(ValueError):
     """An inserted replacement edge closes a cycle within the checked depth."""
+
+
+class GapSkipError(RuntimeError):
+    """The least marked prefix ends in a gap, which the run recursion excludes."""
+
+    def __init__(self, stage: int, position: int) -> None:
+        super().__init__("gap-skip violated: least prefix ends in a gap"
+                         " (stage %d, position %d)" % (stage, position))
+        self.stage, self.position = stage, position
 
 
 class MissingReplacementError(RuntimeError):
@@ -166,15 +178,31 @@ class TraceEvent:
 
 @dataclass
 class RunTrace:
-    """Compact run history: per-stage records plus the final string.
+    """Compact run history: the events, the horizon and the final string.
 
-    Full strings are reconstructed on demand (``events`` / ``iter_sigmas``)
-    so that long runs stay small in memory.
+    Only excisions and replacements are stored (``event_records``, in stage
+    order); every other stage below ``horizon`` expands σ with a_len.
+    ``records`` is a lazy per-stage view, and ``iter_sigmas``, ``events``
+    and :func:`write_trace` walk the events and the quiet stretches between
+    them, so a stored run costs memory in proportion to its events.
     """
 
-    records: list[StepRecord]
+    event_records: list[StepRecord]
     horizon: int
     final_sigma: BeliefString
+
+    @property
+    def records(self) -> "StageRecords":
+        return StageRecords(self)
+
+    def _stretches(self) -> Iterator[tuple[int, int, Optional[StepRecord]]]:
+        """Yield (start, end, event): expansions at stages start..end-1, then
+        the event at stage end, or None for the quiet tail to the horizon."""
+        start = 0
+        for rec in self.event_records:
+            yield start, rec.stage, rec
+            start = rec.stage + 1
+        yield start, self.horizon, None
 
     def iter_sigmas(self) -> Iterator[tuple[int, ...]]:
         """Yield σ_0 .. σ_horizon as plain tuples.
@@ -186,33 +214,51 @@ class RunTrace:
         identity path on those entries.
         """
         sigma: list[int] = []
-        yield tuple(sigma)
-        for rec in self.records:
-            _apply_record(sigma, rec)
-            yield tuple(sigma)
+        yield ()
+        for start, end, rec in self._stretches():
+            for _ in range(start, end):
+                sigma.append(len(sigma))
+                yield tuple(sigma)
+            if rec is not None:
+                _apply_record(sigma, rec)
+                yield tuple(sigma)
 
     def events(self) -> Iterator[TraceEvent]:
-        sigma: list[int] = []
-        for rec in self.records:
-            _apply_record(sigma, rec)
-            yield TraceEvent(rec.stage, rec.kind, rec.k, rec.old, rec.new,
-                             BeliefString(sigma))
+        """One event per stage, expansions included, with the string after it."""
+        sigmas = self.iter_sigmas()
+        next(sigmas)
+        for rec, sigma in zip(self.records, sigmas):
+            yield TraceEvent(*rec, BeliefString(sigma))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.horizon
+
+
+@dataclass(eq=False)
+class StageRecords:
+    """Per-stage view of a :class:`RunTrace`: its event records, with an
+    EXP record made on the fly for every stage between them."""
+
+    trace: RunTrace
+
+    def __len__(self) -> int:
+        return self.trace.horizon
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        for start, end, rec in self.trace._stretches():
+            for s in range(start, end):
+                yield StepRecord(s, EXPANSION, None, None, None)
+            if rec is not None:
+                yield rec
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 def _apply_record(sigma: list[int], rec: StepRecord) -> None:
-    if rec.kind == EXPANSION:
-        sigma.append(len(sigma))
-    elif rec.kind == EXCISION:
-        del sigma[rec.k - 1:]
-        sigma.append(GAP)
-    elif rec.kind == REPLACEMENT:
-        del sigma[rec.k - 1:]
-        sigma.append(rec.new)
-    else:  # pragma: no cover - defensive
-        raise ValueError("unknown record kind %r" % (rec.kind,))
+    """Apply one event (EXC or REP) to σ in place."""
+    del sigma[rec.k - 1:]
+    sigma.append(GAP if rec.kind == EXCISION else rec.new)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +274,13 @@ def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, Tr
         if tok != GAP:
             prefix_range.add(tok)
         syms = evaluate(system.table, s, prefix_range)
+        if (BOT in syms or CE in syms) and tok == GAP:
+            raise GapSkipError(s, k - 1)
         if BOT in syms:
-            assert tok != GAP, "gap-skip violated: least prefix ends in a gap"
             new_sigma = BeliefString(toks[: k - 1] + (GAP,))
             ev = TraceEvent(s, EXCISION, k, tok, None, new_sigma)
             return new_sigma, ev
         if CE in syms:
-            assert tok != GAP, "gap-skip violated: least prefix ends in a gap"
             image = system.replacement.get(tok)
             if image is None:
                 raise MissingReplacementError(s, k - 1, tok)
@@ -261,21 +307,21 @@ class _RuleState:
 
 
 class RunEngine:
-    """Stateful run driver with O(1)-amortized stages.
+    """Stateful run driver whose cost follows the events, not the stages.
 
-    Tracks, per axiom, its multiplicity and ascending occurrence positions in
-    σ, and per rule the number of absent premises; quiescent stretches (no
-    rule can fire) are fast-forwarded in bulk.  Rules may be appended while
-    the run is underway (the diagonalizer does), provided their stage is not
-    in the past.
+    Tracks, for every axiom some event rule mentions, its ascending
+    occurrence positions in σ, and per rule the number of absent premises;
+    quiescent stretches (no rule can fire) are appended in bulk, and only
+    the events are recorded.  Rules may be appended while the run is
+    underway (the diagonalizer does), provided their stage is not in the
+    past; a premise new to the engine is then counted from σ once.
     """
 
     def __init__(self, system: QSystem) -> None:
         self.system = system
         self.sigma: list[int] = []
         self.stage = 0
-        self.records: list[StepRecord] = []
-        self.counts: dict[int, int] = {}
+        self.event_records: list[StepRecord] = []
         self.occ: dict[int, list[int]] = {}
         self._rules: list[_RuleState] = []
         self._by_ax: dict[int, list[int]] = {}
@@ -295,7 +341,10 @@ class RunEngine:
         st = _RuleState(r.stage, r.premises, r.conclusion)
         self._rules.append(st)
         for p in r.premises:
-            self._by_ax.setdefault(p, []).append(rid)
+            if p not in self._by_ax:
+                self._by_ax[p] = []
+                self.occ[p] = [i for i, v in enumerate(self.sigma) if v == p]
+            self._by_ax[p].append(rid)
         if r.stage <= self.stage:
             self._activate(rid)
         else:
@@ -304,7 +353,7 @@ class RunEngine:
     def _activate(self, rid: int) -> None:
         st = self._rules[rid]
         st.active = True
-        st.missing = sum(1 for p in st.premises if self.counts.get(p, 0) == 0)
+        st.missing = sum(1 for p in st.premises if not self.occ[p])
         if st.missing == 0:
             self._satisfied.add(rid)
 
@@ -318,36 +367,46 @@ class RunEngine:
             _, rid = heapq.heappop(self._pending)
             self._activate(rid)
 
+    def _flip(self, ax: int, delta: int) -> None:
+        """Axiom ``ax`` entered (delta -1) or left (delta +1) σ."""
+        for rid in self._by_ax[ax]:
+            st = self._rules[rid]
+            if st.active:
+                st.missing += delta
+                if st.missing == 0:
+                    self._satisfied.add(rid)
+                else:
+                    self._satisfied.discard(rid)
+
     # -- string mutation ----------------------------------------------------
 
-    def _push(self, val: int) -> None:
-        pos = len(self.sigma)
-        self.sigma.append(val)
-        if val != GAP:
-            c = self.counts.get(val, 0)
-            self.counts[val] = c + 1
-            self.occ.setdefault(val, []).append(pos)
-            if c == 0:
-                for rid in self._by_ax.get(val, ()):
-                    st = self._rules[rid]
-                    if st.active:
-                        st.missing -= 1
-                        if st.missing == 0:
-                            self._satisfied.add(rid)
+    def _occurs(self, val: int, pos: int) -> None:
+        hits = self.occ.get(val)
+        if hits is not None:
+            hits.append(pos)
+            if len(hits) == 1:
+                self._flip(val, -1)
 
-    def _pop(self) -> int:
-        val = self.sigma.pop()
-        if val != GAP:
-            c = self.counts[val] - 1
-            self.counts[val] = c
-            self.occ[val].pop()
-            if c == 0:
-                for rid in self._by_ax.get(val, ()):
-                    st = self._rules[rid]
-                    if st.active:
-                        st.missing += 1
-                        self._satisfied.discard(rid)
-        return val
+    def _push(self, val: int) -> None:
+        self.sigma.append(val)
+        self._occurs(val, len(self.sigma) - 1)
+
+    def _expand(self, n: int) -> None:
+        """Append a_L .. a_{L+n-1}: the expansions of n quiet stages."""
+        L = len(self.sigma)
+        self.sigma.extend(range(L, L + n))
+        for ax in self.occ:
+            if L <= ax < L + n:
+                self._occurs(ax, ax)
+
+    def _truncate(self, cut: int) -> None:
+        """Drop positions cut.. of σ."""
+        occ = self.occ
+        for ax in occ.keys() & self.sigma[cut:]:
+            del occ[ax][bisect_left(occ[ax], cut):]
+            if not occ[ax]:
+                self._flip(ax, +1)
+        del self.sigma[cut:]
 
     # -- stages -------------------------------------------------------------
 
@@ -357,64 +416,45 @@ class RunEngine:
         self._activate_due()
         if self._satisfied:
             rec = self._fire(s)
+            self.event_records.append(rec)
         else:
             self._push(len(self.sigma))
             rec = StepRecord(s, EXPANSION, None, None, None)
-        self.records.append(rec)
         self.stage = s + 1
         return rec
 
     def _fire(self, s: int) -> StepRecord:
-        k_bot: Optional[int] = None
-        k_ce: Optional[int] = None
-        occ = self.occ
-        for rid in self._satisfied:
-            st = self._rules[rid]
-            k_r = 1 + max(occ[p][0] for p in st.premises)
-            if st.conclusion == BOT:
-                if k_bot is None or k_r < k_bot:
-                    k_bot = k_r
-            else:
-                if k_ce is None or k_r < k_ce:
-                    k_ce = k_r
-        if k_bot is not None and (k_ce is None or k_bot <= k_ce):
-            k = k_bot
-            kind = EXCISION
-        else:
-            k = k_ce
-            kind = REPLACEMENT
+        # the least prefix any satisfied rule marks; at a tie ⊥ (is_ce
+        # False) sorts first and wins over ce
+        occ, rules = self.occ, self._rules
+        k, is_ce = min((1 + max(occ[p][0] for p in rules[rid].premises),
+                        rules[rid].conclusion == CE) for rid in self._satisfied)
+        kind = REPLACEMENT if is_ce else EXCISION
         old = self.sigma[k - 1]
-        assert old != GAP, "gap-skip violated in incremental path"
+        if old == GAP:
+            raise GapSkipError(s, k - 1)
         new: Optional[int] = None
         if kind == REPLACEMENT:
             new = self.system.replacement.get(old)
             if new is None:
                 raise MissingReplacementError(s, k - 1, old)
-        while len(self.sigma) >= k:
-            self._pop()
+        self._truncate(k - 1)
         self._push(GAP if kind == EXCISION else new)
         return StepRecord(s, kind, k, old, new)
 
     def _next_interesting(self, horizon: int) -> int:
         """Earliest stage at which some rule could fire during pure expansion."""
         best = horizon
-        L = len(self.sigma)
-        s_now = self.stage
-        counts = self.counts
-
-        def candidate(st: _RuleState) -> Optional[int]:
-            worst = s_now
-            for p in st.premises:
-                if counts.get(p, 0) == 0:
-                    if p < L:
-                        return None  # cannot re-enter without an event
-                    worst = max(worst, s_now + (p - L) + 1)
-            return max(st.stage, worst)
-
+        L, s_now, occ = len(self.sigma), self.stage, self.occ
         for st in self._rules:
-            c = candidate(st)
-            if c is not None and c < best:
-                best = c
+            worst = max(st.stage, s_now)
+            for p in st.premises:
+                if not occ[p]:
+                    if p < L:
+                        break  # cannot re-enter without an event
+                    worst = max(worst, s_now + (p - L) + 1)
+            else:
+                best = min(best, worst)
         return best
 
     def advance_to(self, horizon: int) -> None:
@@ -423,13 +463,9 @@ class RunEngine:
             if self._satisfied:
                 self.step_once()
                 continue
-            target = max(self._next_interesting(horizon), self.stage + 1)
-            target = min(target, horizon)
-            s = self.stage
-            while s < target:
-                self._push(len(self.sigma))
-                self.records.append(StepRecord(s, EXPANSION, None, None, None))
-                s += 1
+            target = min(max(self._next_interesting(horizon), self.stage + 1),
+                         horizon)
+            self._expand(target - self.stage)
             self.stage = target
 
     # -- views --------------------------------------------------------------
@@ -438,7 +474,7 @@ class RunEngine:
         return BeliefString(self.sigma)
 
     def trace(self) -> RunTrace:
-        return RunTrace(list(self.records), self.stage, self.belief_string())
+        return RunTrace(list(self.event_records), self.stage, self.belief_string())
 
 
 def run(system: QSystem, horizon: int) -> RunTrace:
@@ -490,6 +526,14 @@ class DisturbanceStamps:
         else:
             stamps.append(0)
 
+    def grow(self, pos: int, n: int, stage: int) -> None:
+        """n tokens appended at pos.. on the consecutive stages from
+        ``stage``: refilled positions stamp their stage, new ones 0."""
+        stamps = self.stamps
+        m = min(n, len(stamps) - pos)
+        stamps[pos:pos + m] = range(stage, stage + m)
+        stamps.extend([0] * (n - m))
+
     def report(self, tokens: list[int], horizon: int, window: int) -> StabilityReport:
         """Window-based limiting-belief estimate for the string ``tokens``.
 
@@ -502,11 +546,12 @@ class DisturbanceStamps:
             raise ValueError("window must satisfy 0 <= window <= horizon")
         threshold = horizon - window
         stamps = self.stamps
-        prefix = 0
-        while prefix < len(tokens) and stamps[prefix] <= threshold:
-            prefix += 1
-        estimate = frozenset(t for t in tokens[:prefix] if t != GAP)
-        suspects = tuple(pos for pos, st in enumerate(stamps) if st > threshold)
+        suspects = tuple(compress(range(len(stamps)),
+                                  map(gt, stamps, repeat(threshold))))
+        prefix = min(len(tokens), suspects[0]) if suspects else len(tokens)
+        estimate = frozenset(tokens[:prefix])
+        if GAP in estimate:
+            estimate -= {GAP}
         return StabilityReport(
             horizon=horizon,
             window=window,
@@ -521,21 +566,24 @@ class DisturbanceStamps:
 def estimate_beliefs(trace: RunTrace, window: int) -> StabilityReport:
     """Window-based limiting-belief estimate, recomputed from the trace alone.
 
-    The records are replayed into a fresh string and its disturbance stamps
-    (see :class:`DisturbanceStamps`), independently of the engine that
-    wrote them.  This is a heuristic: a slow stabilizer can be flagged even
-    when the true run is loopless.
+    The events and the quiet stretches between them are replayed into a
+    fresh string and its disturbance stamps (see :class:`DisturbanceStamps`),
+    independently of the engine that wrote them.  This is a heuristic: a
+    slow stabilizer can be flagged even when the true run is loopless.
     """
     sigma: list[int] = []
     stamps = DisturbanceStamps()
-    update = stamps.update
-    for rec in trace.records:
-        old_len = len(sigma)
-        _apply_record(sigma, rec)
-        update(old_len if rec.k is None else rec.k - 1, old_len, rec.stage + 1)
-    if tuple(sigma) != trace.final_sigma.tokens:
+    for start, end, rec in trace._stretches():
+        stamps.grow(len(sigma), end - start, start + 1)
+        sigma.extend(range(len(sigma), len(sigma) + end - start))
+        if rec is not None:
+            stamps.update(rec.k - 1, len(sigma), rec.stage + 1)
+            _apply_record(sigma, rec)
+    tokens = trace.final_sigma.tokens
+    if tuple(sigma) != tokens:
         raise ValueError("trace records do not reproduce the recorded final string")
-    return stamps.report(sigma, trace.horizon, window)
+    del sigma  # the report shares the trace's tuple instead
+    return stamps.report(tokens, trace.horizon, window)
 
 
 def is_clean_window(system: QSystem, report: StabilityReport) -> bool:
@@ -574,10 +622,11 @@ def variant_flags(system: QSystem) -> tuple[bool, bool]:
 def write_trace(trace: RunTrace, path) -> None:
     """One tab-separated line per stage, then ``final`` and the last string."""
     lines = []
-    for rec in trace.records:
-        if rec.kind == EXPANSION:
-            lines.append("%d\texpand" % rec.stage)
-        elif rec.kind == EXCISION:
+    for start, end, rec in trace._stretches():
+        lines.extend(map("%d\texpand".__mod__, range(start, end)))
+        if rec is None:
+            continue
+        if rec.kind == EXCISION:
             lines.append("%d\texcise\tk=%d\told=%s"
                          % (rec.stage, rec.k, token_to_str(rec.old)))
         else:

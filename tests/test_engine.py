@@ -5,16 +5,22 @@ stepper throughout; the two paths must agree stage for stage.
 """
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import dialectic.engine
 from dialectic.consequence import BOT, CE, RuleTable, rule
 from dialectic.engine import (
     EXCISION,
     EXPANSION,
     REPLACEMENT,
+    DisturbanceStamps,
+    GapSkipError,
     MissingReplacementError,
     QSystem,
     ReplacementCycleError,
@@ -125,6 +131,26 @@ def test_step_missing_replacement_error():
     assert exc.value.axiom == 0 and exc.value.position == 0
 
 
+def test_step_gap_skip_error(monkeypatch):
+    # the definition never marks a prefix ending in a gap (a gap adds nothing
+    # to the range); force it with an operator that marks every prefix
+    monkeypatch.setattr("dialectic.engine.evaluate", lambda *args: {BOT})
+    with pytest.raises(GapSkipError) as exc:
+        step(qsys(), bs(GAP, 1), 7)
+    assert exc.value.stage == 7 and exc.value.position == 0
+
+
+def test_engine_gap_skip_error_on_hand_built_state():
+    # σ = a0 a1 a2 with the premise bookkeeping still placing a0 at 0,
+    # then position 0 overwritten by a gap behind the engine's back
+    eng = RunEngine(qsys([rule(5, {0}, BOT)]))
+    eng.advance_to(3)
+    eng.sigma[0] = GAP
+    with pytest.raises(GapSkipError) as exc:
+        eng.advance_to(6)
+    assert exc.value.stage == 5 and exc.value.position == 0
+
+
 def test_step_stage_gates_rules():
     sys0 = qsys([rule(4, {0}, BOT)])
     out, ev = step(sys0, bs(0), 3)
@@ -214,6 +240,103 @@ def test_fast_engine_matches_reference_property(seed, horizon):
     assert run(system, horizon).final_sigma == ref_sigma
 
 
+def _check_view_against_reference(system, horizon):
+    """The stored events, the per-stage views and the stability estimate of
+    ``run`` agree with stage-by-stage stepping through the reference
+    ``step`` and one stamp update per stage."""
+    sigma = BeliefString()
+    ref_records, ref_sigmas = [], [()]
+    stamps = DisturbanceStamps()
+    for s in range(horizon):
+        old_len = len(sigma)
+        sigma, ev = step(system, sigma, s)
+        ref_records.append((ev.stage, ev.kind, ev.k, ev.old, ev.new))
+        ref_sigmas.append(sigma.tokens)
+        stamps.update(old_len if ev.k is None else ev.k - 1, old_len, s + 1)
+    tr = run(system, horizon)
+    assert len(tr) == len(tr.records) == horizon
+    assert [tuple(r) for r in tr.records] == ref_records
+    assert [tuple(r) for r in tr.event_records] == [
+        r for r in ref_records if r[1] != EXPANSION]
+    assert list(tr.iter_sigmas()) == ref_sigmas
+    assert [(e.stage, e.kind, e.k, e.old, e.new, e.sigma_after.tokens)
+            for e in tr.events()] == [
+        r + (sig,) for r, sig in zip(ref_records, ref_sigmas[1:])]
+    assert tr.final_sigma.tokens == ref_sigmas[-1]
+    for window in {0, horizon // 3, horizon}:
+        assert estimate_beliefs(tr, window) == stamps.report(
+            list(ref_sigmas[-1]), horizon, window)
+    return tr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30), st.integers(0, 60))
+@example(seed=0, horizon=0)
+def test_event_trace_view_matches_stepping_property(seed, horizon):
+    _check_view_against_reference(_random_system(random.Random(seed)), horizon)
+
+
+def test_event_trace_view_edge_cases():
+    excise_at_1 = qsys([rule(1, {0}, BOT)])
+    assert len(_check_view_against_reference(excise_at_1, 0).event_records) == 0
+    # the last stage is an event: no quiet stretch after it
+    tr = _check_view_against_reference(excise_at_1, 2)
+    assert [r.stage for r in tr.event_records] == [1]
+    # a trailing quiet stretch after the event
+    tr = _check_view_against_reference(excise_at_1, 9)
+    assert [r.stage for r in tr.event_records] == [1]
+    # back-to-back events, then quiet
+    churn = qsys([rule(0, {2 * k + 1}, CE) for k in range(5)],
+                 repl=[(2 * k + 1, 2 * k + 3) for k in range(5)])
+    _check_view_against_reference(churn, 20)
+
+
+def _append_schedule_case(rng):
+    """Drive a RunEngine with rules appended at its current stage; return
+    the engine, the full rule list and how often a premise both sat in σ
+    already and was new to the engine."""
+    base = _random_system(rng)
+    rules = list(base.table)
+    eng = RunEngine(QSystem(RuleTable(list(rules)), base.replacement))
+    horizon = rng.randint(5, 80)
+    recounted = 0
+    while eng.stage < horizon:
+        if rng.random() < 0.5:
+            eng.step_once()
+        else:
+            eng.advance_to(min(horizon, eng.stage + rng.randint(1, 15)))
+        if eng.stage < horizon and rng.random() < 0.4:
+            held = [v for v in eng.sigma if v != GAP]
+            prem = set(rng.sample(held, min(len(held), rng.randint(0, 2))))
+            prem.add(len(eng.sigma) + rng.randint(0, 6))  # an axiom not yet in σ
+            if rng.random() < 0.3:
+                prem.add(rng.randint(0, 12))
+            recounted += sum(1 for p in prem
+                             if p in eng.sigma and p not in eng.occ)
+            r = rule(eng.stage + rng.randint(0, 3), frozenset(prem),
+                     rng.choice([BOT, CE]))
+            eng.append_rule(r)
+            rules.append(r)
+    return eng, rules, recounted
+
+
+def test_rules_appended_mid_run_match_full_table_run():
+    # a rule cannot fire before its stage, so admitting it at the current
+    # stage must give the run of the full table from stage 0
+    rng = random.Random(4321)
+    recounted = 0
+    for _ in range(150):
+        eng, rules, hits = _append_schedule_case(rng)
+        recounted += hits
+        full_table = QSystem(RuleTable(rules), eng.system.replacement)
+        full = run(full_table, eng.stage)
+        got = eng.trace()
+        assert got.event_records == full.event_records
+        assert got.final_sigma == full.final_sigma
+        assert got.final_sigma == _run_reference(full_table, eng.stage)[0]
+    assert recounted > 20  # the count-from-σ path was exercised
+
+
 def test_engine_stepwise_equals_bulk():
     system = qsys([rule(2, {0, 1}, BOT), rule(9, {3}, CE)], repl=[(3, 5)])
     eng = RunEngine(system)
@@ -221,7 +344,8 @@ def test_engine_stepwise_equals_bulk():
         eng.step_once()
     bulk = run(system, 40)
     assert eng.belief_string() == bulk.final_sigma
-    assert eng.records == bulk.records
+    assert eng.event_records == bulk.event_records
+    assert eng.trace().records == bulk.records
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +452,49 @@ def test_trace_format_golden(tmp_path):
         b"3\texpand\n"
         b"final\t* a1 a2\n"
     )
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+from dialectic.consequence import BOT, CE, RuleTable, rule
+from dialectic.engine import (GapSkipError, QSystem, ReplacementMap, RunEngine,
+                              estimate_beliefs, run, write_trace)
+from dialectic.strings import GAP
+system = QSystem(RuleTable([rule(1, {0}, BOT), rule(6, {4}, CE),
+                            rule(20, {30}, BOT)]),
+                 ReplacementMap([(4, 9)]))
+trace = run(system, 60)
+write_trace(trace, sys.argv[1])
+with open(sys.argv[1], encoding="utf-8") as fh:
+    sys.stdout.write(fh.read())
+rep = estimate_beliefs(trace, 10)
+print(rep.stable_prefix_length, sorted(rep.belief_estimate), rep.loop_suspects)
+eng = RunEngine(QSystem(RuleTable([rule(5, {0}, BOT)]), ReplacementMap()))
+eng.advance_to(3)
+eng.sigma[0] = GAP
+try:
+    eng.advance_to(6)
+except GapSkipError as exc:
+    print("GapSkipError", exc.stage, exc.position)
+    sys.exit(3)
+"""
+
+
+def test_run_estimate_and_trace_same_under_python_O(tmp_path):
+    # no fast path may rest on an assert, which python -O strips
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(dialectic.engine.__file__)))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _OPTIMIZED_SCRIPT,
+             str(tmp_path / ("t%d.txt" % len(flags)))],
+            capture_output=True, text=True, env=env, timeout=60)
+        outs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 3 and outs[0][2] == ""
+    assert "excise" in outs[0][1] and "replace" in outs[0][1]
+    assert outs[0][1].endswith("GapSkipError 5 0\n")
 
 
 def test_trace_format_replacement_line(tmp_path):
