@@ -10,13 +10,14 @@ One binary, subcommand style:
     dialectic revise KB ADDITIONS [--trace OUT]
 
 Exit codes: 0 success, 1 domain failure (failed validation, mismatch,
-refused input), 2 usage or unparsable input.  All output is
-deterministic for fixed inputs.
+refused input) or unwritable output, 2 usage or unparsable input.  All
+output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from random import Random
 
@@ -296,10 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (SpecParseError, KBParseError, FamilyParseError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:
+        # the reader of stdout went away: send what is still buffered to the
+        # null device, or the flush at interpreter exit fails once more
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # stdout is an in-process stream without a descriptor
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
+        return 1
     except OSError as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)
         return 2

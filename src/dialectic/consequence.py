@@ -199,6 +199,7 @@ def validate_aco(table: RuleTable, bound: int, width: int = 4) -> ValidationRepo
     axiom_producing = any(r.conclusion >= 0 for r in table)
 
     subsets = [frozenset(s) for s in _subsets_up_to(universe, width)]
+    closures = {F: evaluate(table, top_stage, F) for F in subsets}
     for F in subsets:
         checked += 1
         prev: frozenset[int] | None = None
@@ -209,17 +210,22 @@ def validate_aco(table: RuleTable, bound: int, width: int = 4) -> ValidationRepo
             if prev is not None and not prev <= out:
                 failures.append("stage monotony fails at n=%d F=%s" % (n, sorted(F)))
             prev = out
-        # monotony in F against every superset in the sample
-        full = evaluate(table, top_stage, F)
-        for G in subsets:
-            if F < G and not full <= evaluate(table, top_stage, G):
+        # monotony in F against every strict superset in the sample; adding
+        # the extras in size-then-lexicographic order visits them in the
+        # sample's own order
+        full = closures[F]
+        rest = [a for a in universe if a not in F]
+        for extra in itertools.islice(_subsets_up_to(rest, width - len(F)), 1, None):
+            G = F.union(extra)
+            if not full <= closures[G]:
                 failures.append(
                     "set monotony fails for F=%s G=%s" % (sorted(F), sorted(G))
                 )
         if axiom_producing:
             # iteration: closing the axiom part of the closure reproduces it
             core = frozenset(x for x in full if x >= 0)
-            again = evaluate(table, top_stage, core)
+            again = (closures[core] if core in closures
+                     else evaluate(table, top_stage, core))
             if again != full:
                 failures.append(
                     "iteration fails for F=%s: closure of closure differs"

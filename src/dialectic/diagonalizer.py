@@ -26,10 +26,19 @@ from .engine import (QSystem, ReplacementMap, RunEngine, StabilityReport,
 from .opponents import PartialPSystem, pi_encode, r_iterate
 
 __all__ = [
-    "Strategy", "Diagonalizer", "DiagonalizationReport", "diagonalize",
-    "audit_freshness", "audit_finite_injury", "audit_hands_off",
+    "ClaimFreshnessError", "Strategy", "Diagonalizer", "DiagonalizationReport",
+    "diagonalize", "audit_freshness", "audit_finite_injury", "audit_hands_off",
     "audit_e_sets", "audit_ce_discipline", "audit_replay", "run_all_audits",
 ]
+
+
+class ClaimFreshnessError(RuntimeError):
+    """A strategy entered on a claimed axiom that already has a replacement."""
+
+    def __init__(self, stage: int, axiom: int) -> None:
+        super().__init__("claimed axiom a%d already mapped (stage %d)"
+                         % (axiom, stage))
+        self.stage, self.axiom = stage, axiom
 
 
 # strategy statuses; the waits name the condition being watched
@@ -163,7 +172,8 @@ class Diagonalizer:
         higher = frozenset().union(
             *(s.Z for s in self.strategies[:strat.index])) if strat.index else frozenset()
         strat.S = frozenset(range(N)) - higher
-        assert not self.replacement.defined(N), "claimed axiom already mapped"
+        if self.replacement.defined(N):
+            raise ClaimFreshnessError(stage, N)
         self.replacement.define(N, N + 2)
         self._mention((N, N + 1, N + 2))
         strat.status = S2WAIT

@@ -38,6 +38,24 @@ class UndefinedPositionError(RuntimeError):
         self.clause = clause
 
 
+class EmptyNeighbourError(RuntimeError):
+    """The revision clause selected a position whose left neighbour stack
+    is empty, which the least-position rule excludes."""
+
+    def __init__(self, stage: int, position: int) -> None:
+        super().__init__("revision clause selected an empty neighbour stack"
+                         " (stage %d, position %d)" % (stage, position))
+        self.stage, self.position = stage, position
+
+
+class StateInvariantError(RuntimeError):
+    """A stack state breaks a structural invariant of the recursion."""
+
+    def __init__(self, stage: int, detail: str) -> None:
+        super().__init__("%s (stage %d)" % (detail, stage))
+        self.stage, self.detail = stage, detail
+
+
 class TranslationError(ValueError):
     """A system cannot be carried across to the other formalism."""
 
@@ -290,7 +308,8 @@ def legacy_step(
         if z == 0:
             raise UndefinedPositionError(s + 1, 3)
         below = state.stacks[z - 1]
-        assert below, "revision clause selected an empty neighbour stack"
+        if not below:
+            raise EmptyNeighbourError(s + 1, z)
         stacks = state.stacks[:z - 1] + (below + (system.f_minus(below[-1]),),
                                          (system.f(z),))
         h = z - 1
@@ -316,11 +335,14 @@ def legacy_run(
 
 def audit_state(system: LegacySystem, state: LegacyState, s: int) -> None:
     """Recheck the structural invariants of a stage-s state from scratch."""
-    assert state.stacks[-1], "frontier stack must be nonempty"
-    assert state.h in (state.p, state.p - 1)
-    if state.A is not None:
-        again = _provisional(system, state.stacks, state.h, s)
-        assert state.A == again, "stored A differs from recomputation"
+    if not state.stacks[-1]:
+        raise StateInvariantError(s, "frontier stack must be nonempty")
+    if state.h not in (state.p, state.p - 1):
+        raise StateInvariantError(s, "h=%d is neither p=%d nor p-1"
+                                  % (state.h, state.p))
+    if (state.A is not None
+            and state.A != _provisional(system, state.stacks, state.h, s)):
+        raise StateInvariantError(s, "stored A differs from recomputation")
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +435,8 @@ class FastLegacyEngine:
                     self._tip_off(z - 1, below[-1])
                 self.stacks[z - 1] = []
             else:
-                assert below, "revision clause selected an empty neighbour stack"
+                if not below:
+                    raise EmptyNeighbourError(s + 1, z)
                 self._tip_off(z - 1, below[-1])
                 revised = self.system.f_minus(below[-1])
                 below.append(revised)
@@ -576,12 +599,12 @@ def check_alignment(
     else:
         raise ValueError("direction must be 'forward' or 'backward'")
 
-    sigmas = list(qtrace.iter_sigmas())
-    if len(legacy_states) < len(sigmas) + off_stage:
+    stages = len(qtrace) + 1
+    if len(legacy_states) < stages + off_stage:
         raise AlignmentScopeError(
             "stack run covers %d stages, need %d"
-            % (len(legacy_states) - 1, len(sigmas) - 1 + off_stage))
-    for s, sigma in enumerate(sigmas):
+            % (len(legacy_states) - 1, stages - 1 + off_stage))
+    for s, sigma in enumerate(qtrace.iter_sigmas()):
         st = legacy_states[s + off_stage]
         if len(sigma) != st.p - off_idx:
             return AlignmentReport(False, direction, s, s, None,
@@ -591,7 +614,7 @@ def check_alignment(
             if not _entry_matches(v, tip, f, off_idx):
                 return AlignmentReport(False, direction, s, s, n,
                                        _entry_detail(v, tip))
-    return AlignmentReport(True, direction, len(sigmas))
+    return AlignmentReport(True, direction, stages)
 
 
 def stream_alignment(

@@ -5,6 +5,10 @@ output are captured exactly; a couple of checks re-run the same command
 to pin down byte-level determinism of the emitted files.
 """
 
+import io
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -38,6 +42,15 @@ BAD_P_SPEC = """\
 variant p
 axioms 4
 at 3 : a0 a1 |- BOT
+"""
+
+# axiom conclusions without their composition a0 ⊢ a2: the iteration law fails
+CHAIN_SPEC = """\
+variant d
+axioms 3
+at 1 : a0 |- a1
+at 2 : a1 |- a2
+at 3 : a1 a2 |- BOT
 """
 
 ADD_OK = """\
@@ -79,6 +92,59 @@ def test_validate_passes_and_reports_laws(capsys, spec_file):
     assert out == ("validation passed (bound=8, width=4, sets=256)\n"
                    "iteration law certified structurally "
                    "(no axiom-producing rules)\n")
+
+
+def test_validate_output_golden(capsys, spec_file, tmp_path):
+    code, out, err = run_cli(capsys, "validate", spec_file, "--bound", "16")
+    assert (code, err) == (0, "")
+    assert out == ("validation passed (bound=16, width=4, sets=3214)\n"
+                   "iteration law certified structurally "
+                   "(no axiom-producing rules)\n")
+    path = tmp_path / "chain.spec"
+    path.write_text(CHAIN_SPEC, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path), "--bound", "4")
+    assert (code, err) == (1, "")
+    failing = ["[0]", "[1]", "[0, 1]", "[0, 2]", "[0, 3]", "[0, 4]", "[1, 3]",
+               "[1, 4]", "[0, 1, 3]", "[0, 1, 4]", "[0, 2, 3]", "[0, 2, 4]",
+               "[0, 3, 4]", "[1, 3, 4]", "[0, 1, 3, 4]", "[0, 2, 3, 4]"]
+    assert out == "".join(
+        ["validation FAILED (bound=4, width=4, sets=31)\n"]
+        + ["iteration fails for F=%s: closure of closure differs\n" % f
+           for f in failing])
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_an_output_error(capsys, monkeypatch, spec_file):
+    # `dialectic validate SPEC | true`: the reader is gone before we write
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = main(["validate", spec_file])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_pipe_in_a_subprocess(spec_file):
+    # buffered and unbuffered stdout: the write into a pipe without a reader
+    # and the flush at interpreter exit must both stay quiet
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        sys.modules["dialectic.cli"].__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    for flags in ([], ["-u"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "dialectic.cli", "validate",
+                 spec_file], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: cannot write output: [Errno 32] Broken pipe\n"), flags
 
 
 def test_validate_refuses_undisciplined_p_variant(capsys, tmp_path):

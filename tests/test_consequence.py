@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import itertools
+from random import Random
 
 import pytest
 
+from dialectic import consequence
 from dialectic.consequence import (
     BOT,
     CE,
@@ -118,6 +120,128 @@ def test_validate_scope_error():
     t = table(rule(0, {9}, BOT))
     with pytest.raises(ValidationScopeError):
         validate_aco(t, bound=8)
+
+
+def _all_pairs_validate(t, bound, width=4):
+    """The validator as it was written first, kept as the oracle: the set
+    monotony part scans every pair of sampled sets and re-evaluates the
+    larger one each time.  ``consequence.evaluate`` is looked up at call
+    time, so a monkeypatched operator reaches both validators."""
+    universe = list(range(bound + 1))
+    top_stage = t.max_stage()
+    failures = []
+    checked = 0
+    axiom_producing = any(r.conclusion >= 0 for r in t)
+    subsets = [frozenset(s) for size in range(0, width + 1)
+               for s in itertools.combinations(universe, size)]
+    for F in subsets:
+        checked += 1
+        prev = None
+        for n in range(top_stage + 1):
+            out = consequence.evaluate(t, n, F)
+            if not F <= out:
+                failures.append("inclusion fails at n=%d F=%s" % (n, sorted(F)))
+            if prev is not None and not prev <= out:
+                failures.append("stage monotony fails at n=%d F=%s" % (n, sorted(F)))
+            prev = out
+        full = consequence.evaluate(t, top_stage, F)
+        for G in subsets:
+            if F < G and not full <= consequence.evaluate(t, top_stage, G):
+                failures.append(
+                    "set monotony fails for F=%s G=%s" % (sorted(F), sorted(G)))
+        if axiom_producing:
+            core = frozenset(x for x in full if x >= 0)
+            if consequence.evaluate(t, top_stage, core) != full:
+                failures.append(
+                    "iteration fails for F=%s: closure of closure differs"
+                    % sorted(F))
+    return consequence.ValidationReport(
+        ok=not failures, bound=bound, width=width, checked_sets=checked,
+        failures=failures[:20], structural_iteration=not axiom_producing)
+
+
+def _random_table(rnd, bound):
+    rules = []
+    for _ in range(rnd.randint(0, 5)):
+        premises = rnd.sample(range(bound + 1), rnd.randint(0, min(3, bound + 1)))
+        # axiom conclusions without their compositions break the iteration law
+        conclusion = rnd.choice([BOT, CE, rnd.randint(0, bound)])
+        rules.append(rule(rnd.randint(0, 4), premises, conclusion))
+    return RuleTable(rules)
+
+
+def _assert_same_reports(t, bound, width):
+    new = validate_aco(t, bound, width)
+    old = _all_pairs_validate(t, bound, width)
+    assert new.render() == old.render(), (t.rules, bound, width)
+    assert new == old
+    return new
+
+
+def test_validate_matches_all_pairs_oracle_on_random_tables():
+    rnd = Random(2024)
+    failing = iteration_failing = 0
+    for _ in range(240):
+        bound = rnd.randint(0, 5)
+        for width in (0, 2, 4, bound + 2):
+            rep = _assert_same_reports(_random_table(rnd, bound), bound, width)
+            failing += not rep.ok
+            iteration_failing += any("iteration" in f for f in rep.failures)
+    assert iteration_failing > 50 and failing == iteration_failing
+
+
+def test_validate_matches_all_pairs_oracle_on_edge_cases():
+    rep = _assert_same_reports(RuleTable(), -1, 4)
+    assert rep.ok and rep.checked_sets == 1
+    assert _assert_same_reports(RuleTable(), -1, 0).checked_sets == 1
+    assert _assert_same_reports(RuleTable(), 3, -1).checked_sets == 0
+    chain = table(rule(1, {0}, 1), rule(1, {1}, 2))
+    for width in (0, 2, 4, 9):
+        _assert_same_reports(chain, 4, width)
+
+
+def _non_monotone(t, n, F):
+    """A deliberately lawless operator: a set holding a0 but not a3 derives
+    ⊥ (so adding a3 loses it), and CE is derived at stage 1 only."""
+    out = set(evaluate(t, n, F))
+    if 0 in F and 3 not in F:
+        out.add(BOT)
+    if n == 1:
+        out.add(CE)
+    return frozenset(out)
+
+
+def _loses_bot_on_a3(t, n, F):
+    return frozenset(F) | ({BOT} if 0 in F and 3 not in F else frozenset())
+
+
+def test_validate_set_monotony_failures_match_oracle(monkeypatch):
+    monkeypatch.setattr(consequence, "evaluate", _non_monotone)
+    t = table(rule(2, {1}, 2), rule(0, {2}, BOT))
+    for bound, width in ((3, 2), (4, 3), (5, 4), (5, 7)):
+        _assert_same_reports(t, bound, width)
+    rep = _assert_same_reports(t, 4, 3)
+    # every set loses CE at stage 2, and a set with a0 but not a3 loses ⊥
+    # against each superset that adds a3
+    assert not rep.ok and len(rep.failures) == 20
+    assert rep.failures[:7] == [
+        "stage monotony fails at n=2 F=[]",
+        "stage monotony fails at n=2 F=[0]",
+        "set monotony fails for F=[0] G=[0, 3]",
+        "set monotony fails for F=[0] G=[0, 1, 3]",
+        "set monotony fails for F=[0] G=[0, 3, 4]",
+        "stage monotony fails at n=2 F=[1]",
+        "iteration fails for F=[1]: closure of closure differs",
+    ]
+    # without axiom conclusions the set monotony failures alone fill the
+    # report, cut at 20 in the oracle's order
+    monkeypatch.setattr(consequence, "evaluate", _loses_bot_on_a3)
+    rep = _assert_same_reports(table(rule(0, {1}, CE)), 5, 4)
+    assert rep.structural_iteration and len(rep.failures) == 20
+    assert all(f.startswith("set monotony fails for F=[0] G=[0, ")
+               for f in rep.failures[:11])
+    assert rep.failures[11] == "set monotony fails for F=[0, 1] G=[0, 1, 3]"
+    assert rep.failures[19] == "set monotony fails for F=[0, 4] G=[0, 3, 4]"
 
 
 # ---------------------------------------------------------------------------

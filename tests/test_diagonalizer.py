@@ -2,9 +2,12 @@
 
 import dataclasses
 
+import pytest
+
 from dialectic.consequence import BOT, CE
 from dialectic.diagonalizer import (
-    audit_ce_discipline, audit_hands_off, diagonalize, run_all_audits,
+    ClaimFreshnessError, Diagonalizer, audit_ce_discipline, audit_hands_off,
+    diagonalize, run_all_audits,
 )
 from dialectic.opponents import PartialPSystem, default_family
 from dialectic.universe import ProgramUniverse, closure, script
@@ -213,3 +216,13 @@ def test_report_rendering_is_reproducible():
     for section in ("diagonalization report", "[timeline]", "[rules]",
                     "[replacement]", "[injuries]", "[verdicts]", "[notes]"):
         assert section in a
+
+
+def test_claim_on_mapped_axiom_is_a_typed_error():
+    # the first strategy enters at stage 1 on N = 3; map a3 beforehand
+    th = _solo(closure(lambda n: n), closure(_masked), closure(lambda x: x + 1))
+    dz = Diagonalizer([th])
+    dz.replacement.define(3, 7)
+    with pytest.raises(ClaimFreshnessError) as info:
+        dz.run_to(5)
+    assert (info.value.stage, info.value.axiom) == (1, 3)

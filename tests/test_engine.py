@@ -459,7 +459,12 @@ import sys
 from dialectic.consequence import BOT, CE, RuleTable, rule
 from dialectic.engine import (GapSkipError, QSystem, ReplacementMap, RunEngine,
                               estimate_beliefs, run, write_trace)
+from dialectic.legacy import LegacyState, StateInvariantError, audit_state
 from dialectic.strings import GAP
+try:
+    audit_state(None, LegacyState(stacks=((0,), ()), h=1), 4)
+except StateInvariantError as exc:
+    print("StateInvariantError", exc.stage, exc.detail)
 system = QSystem(RuleTable([rule(1, {0}, BOT), rule(6, {4}, CE),
                             rule(20, {30}, BOT)]),
                  ReplacementMap([(4, 9)]))
@@ -493,6 +498,8 @@ def test_run_estimate_and_trace_same_under_python_O(tmp_path):
         outs.append((proc.returncode, proc.stdout, proc.stderr))
     assert outs[0] == outs[1]
     assert outs[0][0] == 3 and outs[0][2] == ""
+    assert outs[0][1].startswith(
+        "StateInvariantError 4 frontier stack must be nonempty\n")
     assert "excise" in outs[0][1] and "replace" in outs[0][1]
     assert outs[0][1].endswith("GapSkipError 5 0\n")
 

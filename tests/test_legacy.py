@@ -9,9 +9,12 @@ from dialectic.consequence import BOT, CE, Rule, RuleTable, evaluate, rule
 from dialectic.engine import QSystem, ReplacementMap, run
 from dialectic.legacy import (
     AlignmentScopeError,
+    EmptyNeighbourError,
     FastLegacyEngine,
+    LegacyState,
     LegacySystem,
     PairApproximation,
+    StateInvariantError,
     TableBackedApproximation,
     TranslationError,
     UndefinedPositionError,
@@ -67,6 +70,53 @@ def test_marker_from_nothing_hits_position_zero():
     assert info.value.clause == 2
     with pytest.raises(UndefinedPositionError):
         fast_legacy_run(bad, 5)
+
+
+class _SecondQueryMarks:
+    """A lawless operator: every query after the first derives the
+    counterexample marker 101, although both see the same tips."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def query(self, s, Y):
+        self.calls += 1
+        return frozenset({101}) if self.calls > 1 else frozenset()
+
+
+def test_revision_on_empty_neighbour_is_a_typed_error():
+    system = id_legacy()
+    system.approximation = _SecondQueryMarks()
+    state = LegacyState(stacks=((), (1,)), h=0)
+    with pytest.raises(EmptyNeighbourError) as info:
+        legacy_step(system, state, 3)
+    assert (info.value.stage, info.value.position) == (4, 1)
+
+
+def test_fast_revision_on_empty_neighbour_is_a_typed_error():
+    # the counterexample pair fires on tip 1 at position 1, i.e. at z = 2;
+    # stack 1 is then emptied behind the engine's back
+    eng = FastLegacyEngine(id_legacy([(1, 101, (1,))]))
+    eng.step()
+    eng.step()
+    eng.stacks[1] = []
+    with pytest.raises(EmptyNeighbourError) as info:
+        eng.step()
+    assert (info.value.stage, info.value.position) == (3, 2)
+
+
+def test_audit_state_names_each_broken_invariant():
+    legacy = id_legacy([(1, 100, (0,))])
+    audit_state(legacy, LegacyState(((0,), (1,)), h=1, A=frozenset()), 4)
+    for state, detail in [
+        (LegacyState(((0,), ()), h=1), "frontier stack must be nonempty"),
+        (LegacyState(((0,), (1,)), h=3), "h=3 is neither p=1 nor p-1"),
+        (LegacyState(((0,), (1,)), h=1, A=frozenset({7})),
+         "stored A differs from recomputation"),
+    ]:
+        with pytest.raises(StateInvariantError) as info:
+            audit_state(legacy, state, 4)
+        assert (info.value.stage, info.value.detail) == (4, detail)
 
 
 def test_serialize_state():
