@@ -226,10 +226,21 @@ def _int_list(text: str) -> tuple[int, ...]:
             "expected comma-separated integers, got %r" % text) from None
 
 
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a natural number, got %r" % text)
+    return value
+
+
 def _add_horizon_window(sub, horizon=DEFAULT_HORIZON) -> None:
-    sub.add_argument("--horizon", type=int, default=horizon,
+    sub.add_argument("--horizon", type=_natural, default=horizon,
                      help="stages to run (default %d)" % horizon)
-    sub.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+    sub.add_argument("--window", type=_natural, default=DEFAULT_WINDOW,
                      help="quiet tail needed for stability (default %d)"
                      % DEFAULT_WINDOW)
 
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="check the operator laws of a spec")
     p.add_argument("spec")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+    p.add_argument("--bound", type=_natural, default=DEFAULT_BOUND,
                    help="largest axiom index enumerated (default %d)"
                    % DEFAULT_BOUND)
     p.set_defaults(func=cmd_validate)
@@ -257,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare string and stack engines in lockstep")
     p.add_argument("spec", nargs="?")
     _add_horizon_window(p)
-    p.add_argument("--fuzz", type=int, default=0,
+    p.add_argument("--fuzz", type=_natural, default=0,
                    help="check this many random seeded systems instead")
     p.add_argument("--seed", type=int, default=0, help="base seed for --fuzz")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_natural, default=1,
                    help="parallel workers for --fuzz")
     p.add_argument("--clause-order", type=_int_list, default="1,2,3",
                    help="stack clause priority (diagnostic; default 1,2,3)")
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", nargs="?",
                    help="family file (default: the bundled one)")
     _add_horizon_window(p)
-    p.add_argument("--fuel-cap", type=int, default=None,
+    p.add_argument("--fuel-cap", type=_natural, default=None,
                    help="cap the per-stage opponent budget (default: stage)")
     p.add_argument("--report", help="write the full report to this file")
     p.set_defaults(func=cmd_diagonalize)
@@ -312,7 +323,7 @@ def main(argv=None) -> int:
             pass  # stdout is an in-process stream without a descriptor
         print("error: cannot write output: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)
         return 2
     except (VariantError, TableError, TranslationError, AlignmentScopeError,

@@ -324,20 +324,7 @@ def revision_operator(base: RuleTable, K: Iterable[AxiomId], b: AxiomId) -> Rule
     kset = frozenset(K)
     if b in kset:
         raise TableError("revision input a%d is already a background item" % b)
-    out: list[Rule] = []
-    seen: set[tuple[frozenset[int], int, int]] = set()
-    for r in base:
-        prem = r.premises - {b}
-        if not prem <= kset:
-            continue
-        if r.conclusion != BOT and (r.conclusion < 0 or r.conclusion not in kset):
-            continue
-        key = (prem, r.conclusion, r.stage)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Rule(r.stage, prem, r.conclusion))
-    return RuleTable(out)
+    return _revise(base, kset, {b: 0})
 
 
 def stream_revision_operator(
@@ -352,18 +339,25 @@ def stream_revision_operator(
     spos = {b: i for i, b in enumerate(stream)}
     if kset & spos.keys():
         raise TableError("stream items must be disjoint from the background set")
+    return _revise(base, kset, spos)
+
+
+def _revise(base: RuleTable, kset: frozenset[int], spos: dict[int, int]) -> RuleTable:
+    """Drop the premises in ``spos`` (item -> arrival stage) from every rule
+    whose other premises lie in K and whose conclusion is in K ∪ {⊥},
+    raising its stage to the latest arrival it consumed; first of each
+    (premises, conclusion, stage) kept."""
     out: list[Rule] = []
     seen: set[tuple[frozenset[int], int, int]] = set()
     for r in base:
-        dropped = [p for p in r.premises if p in spos]
-        prem = frozenset(p for p in r.premises if p not in spos)
+        prem = r.premises.difference(spos)
         if not prem <= kset:
             continue
         if r.conclusion != BOT and (r.conclusion < 0 or r.conclusion not in kset):
             continue
         stage = r.stage
-        if dropped:
-            stage = max(stage, max(spos[p] for p in dropped))
+        if len(prem) < len(r.premises):
+            stage = max(stage, max(spos[p] for p in r.premises - prem))
         key = (prem, r.conclusion, stage)
         if key in seen:
             continue

@@ -57,8 +57,10 @@ class Strategy:
         self.index = index
         self.theta = theta
         self.status = DEACTIVATED
-        self.epoch = 0
         self.N = -1
+        self.reset_for_entry()
+
+    def reset_for_entry(self) -> None:
         self.S: frozenset[int] = frozenset()
         self.Z: frozenset[int] = frozenset()
         self.E: Optional[frozenset[int]] = None
@@ -69,22 +71,6 @@ class Strategy:
         self.skip = False
         self.trio_pos: Optional[tuple[int, int, int]] = None
         self.tau: list[int] = []
-        self._po2_next = 0
-        self._s5_version = -1
-        self.acts: list[tuple[int, str]] = []
-        self.activations: list[int] = []
-
-    def reset_for_entry(self) -> None:
-        self.S = frozenset()
-        self.Z = frozenset()
-        self.E = None
-        self.a_I = None
-        self.a_J = None
-        self.rho = None
-        self.rho_code = 0
-        self.skip = False
-        self.trio_pos = None
-        self.tau = []
         self._po2_next = 0
         self._s5_version = -1
 
@@ -168,7 +154,6 @@ class Diagonalizer:
         N = 3 + self.mention_max
         strat.reset_for_entry()
         strat.N = N
-        strat.epoch += 1
         higher = frozenset().union(
             *(s.Z for s in self.strategies[:strat.index])) if strat.index else frozenset()
         strat.S = frozenset(range(N)) - higher
@@ -177,7 +162,6 @@ class Diagonalizer:
         self.replacement.define(N, N + 2)
         self._mention((N, N + 1, N + 2))
         strat.status = S2WAIT
-        strat.activations.append(stage)
         self.activation_log.append({
             "stage": stage, "strategy": strat.index, "N": N,
             "S": strat.S, "cut": cut,
@@ -293,7 +277,6 @@ class Diagonalizer:
             strat.status = S5WAIT
             strat._s5_version = -1
             mode = "decoy-first"
-        strat.acts.append((s, "S2"))
         self.act_records.append({"stage": s, "strategy": strat.index,
                                  "label": "S2", "mode": mode,
                                  "E": strat.E})
@@ -319,7 +302,6 @@ class Diagonalizer:
         self._set_z(strat, frozenset({N}), s)
         strat.status = S5WAIT
         strat._s5_version = -1
-        strat.acts.append((s, "S4"))
         self.act_records.append({"stage": s, "strategy": strat.index,
                                  "label": "S4", "case": case,
                                  "rho": rho})
@@ -340,7 +322,6 @@ class Diagonalizer:
         else:
             self._set_z(strat, frozenset({strat.N, strat.a_I}), s)
         strat.status = S7WAIT
-        strat.acts.append((s, "S6"))
         self.act_records.append({"stage": s, "strategy": strat.index,
                                  "label": "S6", "rho": strat.rho})
         self.timeline.append("%d\tact R%d S6 aI=a%d aJ=a%d |rho|=%d"
@@ -351,7 +332,6 @@ class Diagonalizer:
         self._add_rule(s, strat.S | {strat.a_J}, BOT, strat, "S8")
         self._set_z(strat, (strat.Z - {strat.a_I}) | {strat.a_J}, s)
         strat.status = S8DONE
-        strat.acts.append((s, "S8"))
         self.act_records.append({"stage": s, "strategy": strat.index,
                                  "label": "S8"})
         self.timeline.append("%d\tact R%d S8 aJ=a%d"

@@ -16,14 +16,14 @@ other.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .consequence import BOT, CE, Rule, RuleTable, check_no_empty_derivation, evaluate
-from .strings import GAP, BeliefString, token_to_str
+from .strings import (GAP, BeliefString, Tape, contraction, excision, expansion,
+                      replacement, token_to_str)
 
 EXPANSION = "EXP"
 EXCISION = "EXC"
@@ -167,23 +167,13 @@ class StepRecord(NamedTuple):
 
 
 @dataclass
-class TraceEvent:
-    stage: int
-    kind: str
-    k: Optional[int]
-    old: Optional[int]
-    new: Optional[int]
-    sigma_after: BeliefString
-
-
-@dataclass
 class RunTrace:
     """Compact run history: the events, the horizon and the final string.
 
     Only excisions and replacements are stored (``event_records``, in stage
     order); every other stage below ``horizon`` expands σ with a_len.
-    ``records`` is a lazy per-stage view, and ``iter_sigmas``, ``events``
-    and :func:`write_trace` walk the events and the quiet stretches between
+    ``records`` is a lazy per-stage view, and ``iter_sigmas`` and
+    :func:`write_trace` walk the events and the quiet stretches between
     them, so a stored run costs memory in proportion to its events.
     """
 
@@ -223,13 +213,6 @@ class RunTrace:
                 _apply_record(sigma, rec)
                 yield tuple(sigma)
 
-    def events(self) -> Iterator[TraceEvent]:
-        """One event per stage, expansions included, with the string after it."""
-        sigmas = self.iter_sigmas()
-        next(sigmas)
-        for rec, sigma in zip(self.records, sigmas):
-            yield TraceEvent(*rec, BeliefString(sigma))
-
     def __len__(self) -> int:
         return self.horizon
 
@@ -265,8 +248,10 @@ def _apply_record(sigma: list[int], rec: StepRecord) -> None:
 # reference stepper (definition-shaped; used as an oracle by the tests)
 # ---------------------------------------------------------------------------
 
-def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, TraceEvent]:
-    """One stage of the run recursion, computed directly from the definition."""
+def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, StepRecord]:
+    """One stage of the run recursion, computed directly from the definition:
+    contract σ to the least marked prefix, then excise or replace its last
+    axiom; with no marked prefix, expand."""
     toks = sigma.tokens
     prefix_range: set[int] = set()
     for k in range(1, len(toks) + 1):
@@ -274,21 +259,19 @@ def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, Tr
         if tok != GAP:
             prefix_range.add(tok)
         syms = evaluate(system.table, s, prefix_range)
-        if (BOT in syms or CE in syms) and tok == GAP:
+        if BOT not in syms and CE not in syms:
+            continue
+        if tok == GAP:
             raise GapSkipError(s, k - 1)
+        prefix = contraction(sigma, k) if k < len(toks) else sigma
         if BOT in syms:
-            new_sigma = BeliefString(toks[: k - 1] + (GAP,))
-            ev = TraceEvent(s, EXCISION, k, tok, None, new_sigma)
-            return new_sigma, ev
-        if CE in syms:
-            image = system.replacement.get(tok)
-            if image is None:
-                raise MissingReplacementError(s, k - 1, tok)
-            new_sigma = BeliefString(toks[: k - 1] + (image,))
-            ev = TraceEvent(s, REPLACEMENT, k, tok, image, new_sigma)
-            return new_sigma, ev
-    new_sigma = BeliefString(toks + (len(toks),))
-    return new_sigma, TraceEvent(s, EXPANSION, None, None, None, new_sigma)
+            return excision(prefix), StepRecord(s, EXCISION, k, tok, None)
+        image = system.replacement.get(tok)
+        if image is None:
+            raise MissingReplacementError(s, k - 1, tok)
+        return (replacement(prefix, image),
+                StepRecord(s, REPLACEMENT, k, tok, image))
+    return expansion(sigma), StepRecord(s, EXPANSION, None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +292,20 @@ class _RuleState:
 class RunEngine:
     """Stateful run driver whose cost follows the events, not the stages.
 
-    Tracks, for every axiom some event rule mentions, its ascending
-    occurrence positions in σ, and per rule the number of absent premises;
-    quiescent stretches (no rule can fire) are appended in bulk, and only
-    the events are recorded.  Rules may be appended while the run is
-    underway (the diagonalizer does), provided their stage is not in the
-    past; a premise new to the engine is then counted from σ once.
+    σ lives on a :class:`Tape` that watches every axiom some event rule
+    mentions; per rule the engine counts the absent premises.  Quiescent
+    stretches (no rule can fire) are appended in bulk, and only the events
+    are recorded.  Rules may be appended while the run is underway (the
+    diagonalizer does), provided their stage is not in the past; a premise
+    new to the engine is then found in σ once.
     """
 
     def __init__(self, system: QSystem) -> None:
         self.system = system
-        self.sigma: list[int] = []
+        self.tape = Tape()
+        self.sigma = self.tape.tokens
         self.stage = 0
         self.event_records: list[StepRecord] = []
-        self.occ: dict[int, list[int]] = {}
         self._rules: list[_RuleState] = []
         self._by_ax: dict[int, list[int]] = {}
         self._pending: list[tuple[int, int]] = []
@@ -341,10 +324,8 @@ class RunEngine:
         st = _RuleState(r.stage, r.premises, r.conclusion)
         self._rules.append(st)
         for p in r.premises:
-            if p not in self._by_ax:
-                self._by_ax[p] = []
-                self.occ[p] = [i for i, v in enumerate(self.sigma) if v == p]
-            self._by_ax[p].append(rid)
+            self.tape.watch(p)
+            self._by_ax.setdefault(p, []).append(rid)
         if r.stage <= self.stage:
             self._activate(rid)
         else:
@@ -353,7 +334,7 @@ class RunEngine:
     def _activate(self, rid: int) -> None:
         st = self._rules[rid]
         st.active = True
-        st.missing = sum(1 for p in st.premises if not self.occ[p])
+        st.missing = sum(1 for p in st.premises if p not in self.tape.first)
         if st.missing == 0:
             self._satisfied.add(rid)
 
@@ -378,36 +359,6 @@ class RunEngine:
                 else:
                     self._satisfied.discard(rid)
 
-    # -- string mutation ----------------------------------------------------
-
-    def _occurs(self, val: int, pos: int) -> None:
-        hits = self.occ.get(val)
-        if hits is not None:
-            hits.append(pos)
-            if len(hits) == 1:
-                self._flip(val, -1)
-
-    def _push(self, val: int) -> None:
-        self.sigma.append(val)
-        self._occurs(val, len(self.sigma) - 1)
-
-    def _expand(self, n: int) -> None:
-        """Append a_L .. a_{L+n-1}: the expansions of n quiet stages."""
-        L = len(self.sigma)
-        self.sigma.extend(range(L, L + n))
-        for ax in self.occ:
-            if L <= ax < L + n:
-                self._occurs(ax, ax)
-
-    def _truncate(self, cut: int) -> None:
-        """Drop positions cut.. of σ."""
-        occ = self.occ
-        for ax in occ.keys() & self.sigma[cut:]:
-            del occ[ax][bisect_left(occ[ax], cut):]
-            if not occ[ax]:
-                self._flip(ax, +1)
-        del self.sigma[cut:]
-
     # -- stages -------------------------------------------------------------
 
     def step_once(self) -> StepRecord:
@@ -418,7 +369,9 @@ class RunEngine:
             rec = self._fire(s)
             self.event_records.append(rec)
         else:
-            self._push(len(self.sigma))
+            val = len(self.sigma)
+            if self.tape.push(val):
+                self._flip(val, -1)
             rec = StepRecord(s, EXPANSION, None, None, None)
         self.stage = s + 1
         return rec
@@ -426,8 +379,8 @@ class RunEngine:
     def _fire(self, s: int) -> StepRecord:
         # the least prefix any satisfied rule marks; at a tie ⊥ (is_ce
         # False) sorts first and wins over ce
-        occ, rules = self.occ, self._rules
-        k, is_ce = min((1 + max(occ[p][0] for p in rules[rid].premises),
+        tape, rules = self.tape, self._rules
+        k, is_ce = min((tape.cover(rules[rid].premises),
                         rules[rid].conclusion == CE) for rid in self._satisfied)
         kind = REPLACEMENT if is_ce else EXCISION
         old = self.sigma[k - 1]
@@ -438,18 +391,20 @@ class RunEngine:
             new = self.system.replacement.get(old)
             if new is None:
                 raise MissingReplacementError(s, k - 1, old)
-        self._truncate(k - 1)
-        self._push(GAP if kind == EXCISION else new)
+        for ax in tape.cut(k - 1):
+            self._flip(ax, +1)
+        if tape.push(GAP if new is None else new):
+            self._flip(new, -1)
         return StepRecord(s, kind, k, old, new)
 
     def _next_interesting(self, horizon: int) -> int:
         """Earliest stage at which some rule could fire during pure expansion."""
         best = horizon
-        L, s_now, occ = len(self.sigma), self.stage, self.occ
+        L, s_now, first = len(self.sigma), self.stage, self.tape.first
         for st in self._rules:
             worst = max(st.stage, s_now)
             for p in st.premises:
-                if not occ[p]:
+                if p not in first:
                     if p < L:
                         break  # cannot re-enter without an event
                     worst = max(worst, s_now + (p - L) + 1)
@@ -465,7 +420,8 @@ class RunEngine:
                 continue
             target = min(max(self._next_interesting(horizon), self.stage + 1),
                          horizon)
-            self._expand(target - self.stage)
+            for ax in self.tape.extend_listing(target - self.stage):
+                self._flip(ax, -1)
             self.stage = target
 
     # -- views --------------------------------------------------------------

@@ -18,13 +18,12 @@ into a rule table.
 """
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .consequence import BOT, CE, Rule, RuleTable, evaluate
 from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace
-from .strings import GAP
+from .strings import GAP, Tape
 
 DEFAULT_CLAUSES = (1, 2, 3)
 
@@ -355,7 +354,9 @@ class FastLegacyEngine:
     Only the marker pairs can change the course of a run, so each stage
     asks merely: which pairs have all premises among the current tips, and
     how deep is the shallowest prefix containing them?  Everything else is
-    frontier growth.  Provisional belief sets are not computed.
+    frontier growth.  The tips ρ(0..p) live on a :class:`Tape` that watches
+    the pair premises, with GAP for an empty stack; the stacks are tuples,
+    so snapshots share them.  Provisional belief sets are not computed.
     """
 
     def __init__(self, system: LegacySystem,
@@ -365,45 +366,24 @@ class FastLegacyEngine:
         pairs = system.approximation.marker_pairs(system.c, system.c_minus)
         self._c_pairs = [(st, prem) for st, is_c, prem in pairs if is_c]
         self._ce_pairs = [(st, prem) for st, is_c, prem in pairs if not is_c]
+        self.tape = Tape()
+        for _, _, prem in pairs:
+            for code in prem:
+                self.tape.watch(code)
         v0 = system.f(0)
-        self.stacks: list[list[int]] = [[v0]]
-        self.occ: dict[int, list[int]] = {v0: [0]}
+        self.stacks: list[tuple[int, ...]] = [(v0,)]
+        self.tape.push(v0)
         self.stage = 0
         self.h = 0
 
-    # -- tip bookkeeping ---------------------------------------------------
-
-    def _tip_on(self, x: int, v: int) -> None:
-        insort(self.occ.setdefault(v, []), x)
-
-    def _tip_off(self, x: int, v: int) -> None:
-        hits = self.occ[v]
-        hits.remove(x)
-        if not hits:
-            del self.occ[v]
-
-    def _truncate(self, length: int) -> None:
-        while len(self.stacks) > length:
-            st = self.stacks.pop()
-            if st:
-                self._tip_off(len(self.stacks), st[-1])
-
     def _least(self, pairs, s: int, m: int) -> Optional[int]:
         """Shallowest usable position for any active pair, None if none."""
-        best: Optional[int] = None
+        best, cover = None, self.tape.cover
         for stage, prem in pairs:
-            if stage > s:
-                continue
-            z = 0
-            for code in prem:
-                hits = self.occ.get(code)
-                if hits is None or hits[0] + 1 > m:
-                    z = -1
-                    break
-                if hits[0] + 1 > z:
-                    z = hits[0] + 1
-            if z >= 0 and (best is None or z < best):
-                best = z
+            if stage <= s:
+                z = cover(prem)
+                if z is not None and z <= m and (best is None or z < best):
+                    best = z
         return best
 
     # -- stages ------------------------------------------------------------
@@ -417,30 +397,24 @@ class FastLegacyEngine:
                                    self.order)
         if clause == 1:
             v = self.system.f(m + 1)
-            self.stacks.append([v])
-            self._tip_on(m + 1, v)
+            self.stacks.append((v,))
+            self.tape.push(v)
             self.h = m + 1
         else:
             if z == 0:
                 raise UndefinedPositionError(s + 1, clause)
-            self._truncate(z + 1)
-            old = self.stacks[z]
-            if old:
-                self._tip_off(z, old[-1])
-            self.stacks[z] = [self.system.f(z)]
-            self._tip_on(z, self.system.f(z))
             below = self.stacks[z - 1]
             if clause == 2:
-                if below:
-                    self._tip_off(z - 1, below[-1])
-                self.stacks[z - 1] = []
+                below = ()
+            elif not below:
+                raise EmptyNeighbourError(s + 1, z)
             else:
-                if not below:
-                    raise EmptyNeighbourError(s + 1, z)
-                self._tip_off(z - 1, below[-1])
-                revised = self.system.f_minus(below[-1])
-                below.append(revised)
-                self._tip_on(z - 1, revised)
+                below += (self.system.f_minus(below[-1]),)
+            top = (self.system.f(z),)
+            self.stacks[z - 1:] = (below, top)
+            self.tape.cut(z - 1)
+            self.tape.push(below[-1] if below else GAP)
+            self.tape.push(top[0])
             self.h = z - 1
         self.stage = s + 1
         return clause, z
@@ -455,8 +429,7 @@ class FastLegacyEngine:
         return None
 
     def snapshot(self) -> LegacyState:
-        return LegacyState(stacks=tuple(tuple(st) for st in self.stacks),
-                           h=self.h, A=None)
+        return LegacyState(stacks=tuple(self.stacks), h=self.h, A=None)
 
 
 def fast_legacy_run(

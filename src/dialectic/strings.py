@@ -5,11 +5,12 @@ finite sequence whose entries are either axiom indices (``a0, a1, ...``) or
 ``*``, a position whose former occupant was rejected outright.  Duplicate
 axioms are permitted; positions are 0-based.  The four primitive mutations
 used by the run recursion (contraction, expansion, replacement, excision)
-live here as pure functions.
+live here as pure functions; :class:`Tape` is the mutable string that the
+run engine, the stack runner and the opponents keep incrementally.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 # Axioms are identified by their index in the canonical listing a0, a1, ...
 AxiomId = int
@@ -94,6 +95,80 @@ class BeliefString:
 
 
 EMPTY = BeliefString()
+
+
+class Tape:
+    """A mutable token list with the first position of each watched value.
+
+    The run engine's string, the stack runner's tips ρ(0..p) and an
+    opponent's string all change by appending and by cutting back, and
+    their consumers only ask where a value first occurs and whether it
+    occurs at all: a cut at c keeps v exactly when ``first[v] < c``.
+    ``first`` holds the watched values that are present; ``push``,
+    ``extend_listing`` and ``cut`` report the watched values that arrived
+    or left, so a caller can keep counts over them.
+    """
+
+    __slots__ = ("tokens", "first", "watched")
+
+    def __init__(self) -> None:
+        self.tokens: list[int] = []
+        self.first: dict[int, int] = {}
+        self.watched: set[int] = set()
+
+    def watch(self, v: int) -> None:
+        """Find v once (if it is new to the tape) and track it from now on."""
+        if v not in self.watched:
+            self.watched.add(v)
+            if v in self.tokens:
+                self.first[v] = self.tokens.index(v)
+
+    def push(self, v: int) -> bool:
+        """Append v; True when v is watched and was absent."""
+        tokens = self.tokens
+        tokens.append(v)
+        if v in self.watched and v not in self.first:
+            self.first[v] = len(tokens) - 1
+            return True
+        return False
+
+    def extend_listing(self, n: int) -> list[int]:
+        """Append a_L .. a_{L+n-1}, where L is the length; return the
+        watched values that arrived."""
+        tokens, first, watched = self.tokens, self.first, self.watched
+        L = len(tokens)
+        tokens.extend(range(L, L + n))
+        if n < len(watched):
+            arrived = [v for v in range(L, L + n) if v in watched and v not in first]
+        else:
+            arrived = [v for v in watched if L <= v < L + n and v not in first]
+        for v in arrived:
+            first[v] = v
+        return arrived
+
+    def cut(self, pos: int) -> list[int]:
+        """Drop positions pos..; return the watched values that left."""
+        tokens, first = self.tokens, self.first
+        if len(tokens) - pos < len(first):
+            left = [v for v in set(tokens[pos:]) if first.get(v, -1) >= pos]
+        else:
+            left = [v for v, i in first.items() if i >= pos]
+        for v in left:
+            del first[v]
+        del tokens[pos:]
+        return left
+
+    def cover(self, values: Iterable[int]) -> Optional[int]:
+        """Length of the least prefix holding every value (all watched),
+        or None when one of them is absent."""
+        first, k = self.first, 0
+        for v in values:
+            i = first.get(v)
+            if i is None:
+                return None
+            if i >= k:
+                k = i + 1
+        return k
 
 
 # ---------------------------------------------------------------------------

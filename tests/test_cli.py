@@ -7,6 +7,7 @@ to pin down byte-level determinism of the emitted files.
 
 import io
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -213,6 +214,43 @@ def test_missing_file_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(tmp_path / "nope.spec"))
     assert code == 2
     assert err.startswith("cannot read input:")
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "repair"])
+def test_non_utf8_input_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "noise.bin"
+    path.write_bytes(b"\xff\xfe" + random.Random(3).randbytes(298))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot read input:") and "codec" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["diff", "--fuzz", "-2"], "--fuzz"),
+    (["diff", "SPEC", "--horizon", "-1"], "--horizon"),
+    (["diff", "--fuzz", "2", "--jobs", "-1"], "--jobs"),
+    (["diagonalize", "--horizon", "300", "--fuel-cap", "-3"], "--fuel-cap"),
+    (["diagonalize", "--horizon", "-1"], "--horizon"),
+    (["run", "SPEC", "--horizon", "-5"], "--horizon"),
+    (["run", "SPEC", "--window", "-1"], "--window"),
+    (["run", "SPEC", "--horizon", "1e3"], "--horizon"),
+    (["validate", "SPEC", "--bound", "-4"], "--bound"),
+])
+def test_negative_counts_are_usage_errors(capsys, spec_file, argv, flag):
+    argv = [spec_file if a == "SPEC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument %s: expected a natural number" % flag in err
+
+
+def test_negative_seed_is_still_accepted(capsys):
+    code, out, err = run_cli(capsys, "diff", "--fuzz", "2", "--seed", "-3",
+                             "--horizon", "50")
+    assert code == 0 and out == "fuzz: 2 of 2 seeds agree\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -321,6 +321,22 @@ def test_revision_operator_identity():
                 assert got == want, (n, F)
 
 
+def test_revision_operator_is_the_one_item_stream():
+    rng = Random(17)
+    for _ in range(200):
+        base = table(*(rule(rng.randint(0, 3),
+                            set(rng.sample(range(6), rng.randint(1, 3))),
+                            rng.choice([BOT, CE, 0, 1, 2, 5]))
+                       for _ in range(rng.randint(0, 8))))
+        K = frozenset(rng.sample(range(5), rng.randint(0, 5)))
+        b = rng.choice([v for v in range(6) if v not in K])
+        revised = revision_operator(base, K, b)
+        assert revised.rules == stream_revision_operator(base, K, (b,)).rules
+        for F in [frozenset(), K]:
+            assert (evaluate(revised, 3, F) & (K | {BOT})
+                    == evaluate(base, 3, F | {b}) & (K | {BOT}))
+
+
 def test_revision_operator_requires_fresh_b():
     base = table(rule(0, {0}, BOT))
     with pytest.raises(TableError):

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -93,7 +94,7 @@ def test_step_expansion_when_quiet():
     sys0 = qsys()
     out, ev = step(sys0, bs(0, 1), 5)
     assert out == bs(0, 1, 2)
-    assert ev.kind == EXPANSION and ev.sigma_after == out
+    assert ev.kind == EXPANSION and ev.k is None
 
 
 def test_step_excision_least_prefix():
@@ -190,10 +191,10 @@ def test_run_replacement_scenario_duplicates():
 def test_trace_event_prefix_bound_invariant():
     tr = run(qsys([rule(1, {0}, BOT), rule(5, {2}, CE)], repl=[(2, 4)]), 12)
     prev_len = 0
-    for ev in tr.events():
-        if ev.kind != EXPANSION:
-            assert 1 <= ev.k <= prev_len
-        prev_len = len(ev.sigma_after)
+    for rec, sigma in zip(tr.records, islice(tr.iter_sigmas(), 1, None)):
+        if rec.kind != EXPANSION:
+            assert 1 <= rec.k <= prev_len
+        prev_len = len(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +228,7 @@ def test_fast_engine_matches_reference_on_random_corpus():
         ref_sigma, ref_events = _run_reference(system, horizon)
         tr = run(system, horizon)
         assert tr.final_sigma == ref_sigma
-        assert [(e.kind, e.k, e.old, e.new) for e in tr.events()] == [
-            (e.kind, e.k, e.old, e.new) for e in ref_events
-        ]
+        assert list(tr.records) == ref_events
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,7 +249,7 @@ def _check_view_against_reference(system, horizon):
     for s in range(horizon):
         old_len = len(sigma)
         sigma, ev = step(system, sigma, s)
-        ref_records.append((ev.stage, ev.kind, ev.k, ev.old, ev.new))
+        ref_records.append(tuple(ev))
         ref_sigmas.append(sigma.tokens)
         stamps.update(old_len if ev.k is None else ev.k - 1, old_len, s + 1)
     tr = run(system, horizon)
@@ -259,8 +258,8 @@ def _check_view_against_reference(system, horizon):
     assert [tuple(r) for r in tr.event_records] == [
         r for r in ref_records if r[1] != EXPANSION]
     assert list(tr.iter_sigmas()) == ref_sigmas
-    assert [(e.stage, e.kind, e.k, e.old, e.new, e.sigma_after.tokens)
-            for e in tr.events()] == [
+    assert [tuple(rec) + (sig,) for rec, sig in
+            zip(tr.records, islice(tr.iter_sigmas(), 1, None))] == [
         r + (sig,) for r, sig in zip(ref_records, ref_sigmas[1:])]
     assert tr.final_sigma.tokens == ref_sigmas[-1]
     for window in {0, horizon // 3, horizon}:
@@ -312,7 +311,7 @@ def _append_schedule_case(rng):
             if rng.random() < 0.3:
                 prem.add(rng.randint(0, 12))
             recounted += sum(1 for p in prem
-                             if p in eng.sigma and p not in eng.occ)
+                             if p in eng.sigma and p not in eng.tape.watched)
             r = rule(eng.stage + rng.randint(0, 3), frozenset(prem),
                      rng.choice([BOT, CE]))
             eng.append_rule(r)

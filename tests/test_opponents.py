@@ -319,6 +319,33 @@ def test_table_backed_matches_engine():
         assert mine.last_change == ref.last_change
 
 
+def test_table_backed_code_and_first_occurrence_track_sigma():
+    # many marker rules on one or two axioms of a small pool, spread over
+    # the run, with a total replacement: the string is cut back again and again
+    cuts = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        table = RuleTable(
+            rule(rng.randint(0, 200), frozenset(rng.sample(range(12), rng.randint(1, 2))),
+                 CE)
+            for _ in range(rng.randint(15, 30)))
+        th = p_system_from_table(table,
+                                 ReplacementMap(default_fn=lambda k: k + 1 + k % 3))
+        asked = set()
+        for s in range(1, 201):
+            before = len(th.sigma)
+            outcome = th.step(s)
+            cuts += (isinstance(outcome, Progress) and outcome.changed
+                     and len(th.sigma) <= before)
+            if rng.random() < 0.2:
+                asked.add(rng.randint(0, 20))  # watched from mid-run on
+            assert th._code == pi_encode(th.sigma)
+            for v in asked:
+                want = th.sigma.index(v) if v in th.sigma else None
+                assert th.first_occurrence(v) == want, (seed, s, v)
+    assert cuts > 500
+
+
 def test_table_backed_requires_marker_only():
     from dialectic.consequence import BOT
     from dialectic.systemspec import VariantError

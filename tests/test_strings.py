@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dialectic.strings import (
     GAP,
     BeliefString,
     OperationError,
+    Tape,
     belief_range,
     contraction,
     excision,
@@ -124,3 +125,97 @@ def test_expansion_extends_by_one(toks):
     assert len(e) == len(s) + 1
     assert e[len(s)] == len(s)
     assert e.tokens[: len(s)] == s.tokens
+
+
+# ---------------------------------------------------------------------------
+# Tape against a plain list
+# ---------------------------------------------------------------------------
+
+tape_ops = st.lists(st.one_of(
+    st.tuples(st.just("watch"), st.integers(0, 12)),
+    st.tuples(st.just("watch"), st.integers(0, 6)),
+    st.tuples(st.just("push"), st.one_of(st.just(GAP), st.integers(0, 12))),
+    st.tuples(st.just("extend"), st.integers(0, 6)),
+    st.tuples(st.just("cut"), st.integers(0, 20)),
+), max_size=40)
+
+
+def _model_first(model, watched):
+    return {v: model.index(v) for v in watched if v in model}
+
+
+def _model_cover(model, values):
+    if any(v not in model for v in values):
+        return None
+    return 1 + max((model.index(v) for v in values), default=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tape_ops)
+def test_tape_matches_list_model(ops):
+    tape, model, watched = Tape(), [], set()
+    for op, arg in ops:
+        before = _model_first(model, watched)
+        if op == "watch":
+            tape.watch(arg)
+            watched.add(arg)
+            arrived = left = set()
+        elif op == "push":
+            arrived = {arg} if tape.push(arg) else set()
+            model.append(arg)
+            left = set()
+        elif op == "extend":
+            arrived = set(tape.extend_listing(arg))
+            model.extend(range(len(model), len(model) + arg))
+            left = set()
+        else:
+            pos = arg % (len(model) + 1)
+            left = set(tape.cut(pos))
+            del model[pos:]
+            arrived = set()
+        after = _model_first(model, watched)
+        assert tape.tokens == model
+        assert tape.first == after
+        if op != "watch":
+            assert arrived == after.keys() - before.keys()
+            assert left == before.keys() - after.keys()
+        ordered = sorted(watched)
+        for values in [ordered, ordered[::2], ordered[-1:], []]:
+            assert tape.cover(values) == _model_cover(model, values)
+
+
+def test_tape_reports_first_positions_only():
+    tape = Tape()
+    tape.watch(3)
+    assert tape.extend_listing(5) == [3]      # a0 .. a4
+    assert not tape.push(3)                   # a second a3 arrives nowhere
+    tape.watch(1)
+    assert tape.first == {3: 3, 1: 1}
+    assert tape.cut(4) == []                  # the first a3 stays
+    assert sorted(tape.cut(1)) == [1, 3]
+    assert tape.cover([1]) is None and tape.cover([]) == 0
+    assert tape.push(1) and tape.cover([1]) == 2
+
+
+@pytest.mark.parametrize("pos", range(6))
+def test_tape_cut_scans_the_tail_or_the_index_alike(pos):
+    # a short tail is scanned for leavers, a long one through ``first``
+    tape = Tape()
+    for v in range(5):
+        tape.watch(v)
+    tape.extend_listing(5)
+    tape.push(2)
+    assert sorted(tape.cut(pos)) == list(range(pos, 5))
+    assert tape.first == {v: v for v in range(min(pos, 5))}
+
+
+@pytest.mark.parametrize("extra", [(), (20, 21)])
+def test_tape_listing_keeps_an_earlier_first_position(extra):
+    # n tokens against the watch set: one branch scans the new range, the
+    # other the watch set
+    tape = Tape()
+    for v in (1, 2, 3) + extra:
+        tape.watch(v)
+    tape.push(2)
+    assert sorted(tape.extend_listing(3)) == [1, 3]   # a1 a2 a3 after a2
+    assert tape.first == {2: 0, 1: 1, 3: 3}
