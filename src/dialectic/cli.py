@@ -226,15 +226,19 @@ def _int_list(text: str) -> tuple[int, ...]:
             "expected comma-separated integers, got %r" % text) from None
 
 
-def _natural(text: str) -> int:
+def _natural(text: str, least: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            "expected a natural number, got %r" % text)
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (
+            "a positive integer" if least else "a natural number", text))
     return value
+
+
+def _positive(text: str) -> int:
+    return _natural(text, 1)
 
 
 def _add_horizon_window(sub, horizon=DEFAULT_HORIZON) -> None:
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", nargs="?",
                    help="family file (default: the bundled one)")
     _add_horizon_window(p)
-    p.add_argument("--fuel-cap", type=_natural, default=None,
+    p.add_argument("--fuel-cap", type=_positive, default=None,
                    help="cap the per-stage opponent budget (default: stage)")
     p.add_argument("--report", help="write the full report to this file")
     p.set_defaults(func=cmd_diagonalize)

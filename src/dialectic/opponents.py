@@ -217,9 +217,8 @@ class PartialPSystem:
 
     def _rewrite(self, cut: int, val: int, stage: int) -> None:
         """Drop positions cut.. of σ and append val, keeping the set code
-        and the disturbance stamps in step.  Cuts are rare (8 of 49,960
-        rewrites when the bundled family is diagonalized to horizon 10^4),
-        so the set code is rebuilt on a cut."""
+        and the disturbance stamps in step.  Cuts are rare, so the set code
+        is rebuilt on a cut."""
         self._stamps.update(cut, len(self.sigma), stage)
         if cut < len(self.sigma):
             self.tape.cut(cut)

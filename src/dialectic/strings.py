@@ -138,10 +138,7 @@ class Tape:
         tokens, first, watched = self.tokens, self.first, self.watched
         L = len(tokens)
         tokens.extend(range(L, L + n))
-        if n < len(watched):
-            arrived = [v for v in range(L, L + n) if v in watched and v not in first]
-        else:
-            arrived = [v for v in watched if L <= v < L + n and v not in first]
+        arrived = [v for v in watched if L <= v < L + n and v not in first]
         for v in arrived:
             first[v] = v
         return arrived
@@ -149,10 +146,7 @@ class Tape:
     def cut(self, pos: int) -> list[int]:
         """Drop positions pos..; return the watched values that left."""
         tokens, first = self.tokens, self.first
-        if len(tokens) - pos < len(first):
-            left = [v for v in set(tokens[pos:]) if first.get(v, -1) >= pos]
-        else:
-            left = [v for v, i in first.items() if i >= pos]
+        left = [v for v in set(tokens[pos:]) if first.get(v, -1) >= pos]
         for v in left:
             del first[v]
         del tokens[pos:]

@@ -230,12 +230,14 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, command):
     (["diff", "--fuzz", "-2"], "--fuzz"),
     (["diff", "SPEC", "--horizon", "-1"], "--horizon"),
     (["diff", "--fuzz", "2", "--jobs", "-1"], "--jobs"),
-    (["diagonalize", "--horizon", "300", "--fuel-cap", "-3"], "--fuel-cap"),
     (["diagonalize", "--horizon", "-1"], "--horizon"),
     (["run", "SPEC", "--horizon", "-5"], "--horizon"),
     (["run", "SPEC", "--window", "-1"], "--window"),
     (["run", "SPEC", "--horizon", "1e3"], "--horizon"),
     (["validate", "SPEC", "--bound", "-4"], "--bound"),
+    # a fuel cap below one stalls every opponent at every stage
+    (["diagonalize", "--horizon", "300", "--fuel-cap", "-3"], "--fuel-cap"),
+    (["diagonalize", "--horizon", "300", "--fuel-cap", "0"], "--fuel-cap"),
 ])
 def test_negative_counts_are_usage_errors(capsys, spec_file, argv, flag):
     argv = [spec_file if a == "SPEC" else a for a in argv]
@@ -244,7 +246,8 @@ def test_negative_counts_are_usage_errors(capsys, spec_file, argv, flag):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "argument %s: expected a natural number" % flag in err
+    what = "a positive integer" if flag == "--fuel-cap" else "a natural number"
+    assert "argument %s: expected %s" % (flag, what) in err
 
 
 def test_negative_seed_is_still_accepted(capsys):

@@ -198,8 +198,8 @@ def test_tape_reports_first_positions_only():
 
 
 @pytest.mark.parametrize("pos", range(6))
-def test_tape_cut_scans_the_tail_or_the_index_alike(pos):
-    # a short tail is scanned for leavers, a long one through ``first``
+def test_tape_cut_reports_the_values_first_seen_in_the_tail(pos):
+    # the repeated a2 at the end leaves only with its first occurrence
     tape = Tape()
     for v in range(5):
         tape.watch(v)
@@ -211,8 +211,7 @@ def test_tape_cut_scans_the_tail_or_the_index_alike(pos):
 
 @pytest.mark.parametrize("extra", [(), (20, 21)])
 def test_tape_listing_keeps_an_earlier_first_position(extra):
-    # n tokens against the watch set: one branch scans the new range, the
-    # other the watch set
+    # watched values beyond the listed range do not arrive
     tape = Tape()
     for v in (1, 2, 3) + extra:
         tape.watch(v)
