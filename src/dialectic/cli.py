@@ -43,6 +43,7 @@ from .systemspec import SpecParseError, VariantError, check_variant, load_system
 DEFAULT_HORIZON = 10000
 DEFAULT_WINDOW = 100
 DEFAULT_BOUND = 8
+MAX_JOBS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,8 @@ def cmd_diff(args) -> int:
         results = []
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, args.fuzz)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futs = [pool.submit(_diff_one, args.seed + i, args.horizon,
                                     clause_order)
                         for i in range(args.fuzz)]
@@ -226,14 +228,16 @@ def _int_list(text: str) -> tuple[int, ...]:
             "expected comma-separated integers, got %r" % text) from None
 
 
-def _natural(text: str, least: int = 0) -> int:
+def _natural(text: str, least: int = 0, most: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         value = least - 1
-    if value < least:
-        raise argparse.ArgumentTypeError("expected %s, got %r" % (
-            "a positive integer" if least else "a natural number", text))
+    if value < least or (most is not None and value > most):
+        what = "a positive integer" if least else "a natural number"
+        if most is not None:
+            what += " at most %d" % most
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (what, text))
     return value
 
 
@@ -241,12 +245,16 @@ def _positive(text: str) -> int:
     return _natural(text, 1)
 
 
+def _jobs(text: str) -> int:
+    return _natural(text, most=MAX_JOBS)
+
+
 def _add_horizon_window(sub, horizon=DEFAULT_HORIZON) -> None:
     sub.add_argument("--horizon", type=_natural, default=horizon,
                      help="stages to run (default %d)" % horizon)
-    sub.add_argument("--window", type=_natural, default=DEFAULT_WINDOW,
-                     help="quiet tail needed for stability (default %d)"
-                     % DEFAULT_WINDOW)
+    sub.add_argument("--window", type=_natural, default=None,
+                     help="quiet tail needed for stability (default %d, or"
+                     " the horizon when that is shorter)" % DEFAULT_WINDOW)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuzz", type=_natural, default=0,
                    help="check this many random seeded systems instead")
     p.add_argument("--seed", type=int, default=0, help="base seed for --fuzz")
-    p.add_argument("--jobs", type=_natural, default=1,
-                   help="parallel workers for --fuzz")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="parallel workers for --fuzz (at most %d)" % MAX_JOBS)
     p.add_argument("--clause-order", type=_int_list, default="1,2,3",
                    help="stack clause priority (diagnostic; default 1,2,3)")
     p.set_defaults(func=cmd_diff)
@@ -310,7 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "window"):
+        if args.window is None:
+            args.window = min(DEFAULT_WINDOW, args.horizon)
+        elif args.window > args.horizon and args.func is not cmd_diff:
+            # refused before any work starts; diff ignores the window
+            parser.error("argument --window: %d exceeds --horizon %d"
+                         % (args.window, args.horizon))
     try:
         code = args.func(args)
         sys.stdout.flush()

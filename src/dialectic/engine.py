@@ -397,12 +397,17 @@ class RunEngine:
             self._flip(new, -1)
         return StepRecord(s, kind, k, old, new)
 
-    def _next_interesting(self, horizon: int) -> int:
-        """Earliest stage at which some rule could fire during pure expansion."""
+    def next_event(self, horizon: int) -> int:
+        """The current stage when a rule can fire now; otherwise the
+        earliest stage (at most ``horizon``) at which one could fire
+        during pure expansion."""
+        self._activate_due()
+        if self._satisfied:
+            return self.stage
         best = horizon
         L, s_now, first = len(self.sigma), self.stage, self.tape.first
         for st in self._rules:
-            worst = max(st.stage, s_now)
+            worst = max(st.stage, s_now + 1)
             for p in st.premises:
                 if p not in first:
                     if p < L:
@@ -414,12 +419,10 @@ class RunEngine:
 
     def advance_to(self, horizon: int) -> None:
         while self.stage < horizon:
-            self._activate_due()
-            if self._satisfied:
+            target = self.next_event(horizon)
+            if target == self.stage:
                 self.step_once()
                 continue
-            target = min(max(self._next_interesting(horizon), self.stage + 1),
-                         horizon)
             for ax in self.tape.extend_listing(target - self.stage):
                 self._flip(ax, -1)
             self.stage = target

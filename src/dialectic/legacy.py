@@ -366,6 +366,7 @@ class FastLegacyEngine:
         pairs = system.approximation.marker_pairs(system.c, system.c_minus)
         self._c_pairs = [(st, prem) for st, is_c, prem in pairs if is_c]
         self._ce_pairs = [(st, prem) for st, is_c, prem in pairs if not is_c]
+        self._pairs = self._c_pairs + self._ce_pairs
         self.tape = Tape()
         for _, _, prem in pairs:
             for code in prem:
@@ -418,6 +419,54 @@ class FastLegacyEngine:
             self.h = z - 1
         self.stage = s + 1
         return clause, z
+
+    def next_event(self, horizon: int) -> int:
+        """Lower bound (at most ``horizon``) on the next stage at which a
+        marker pair can be usable (stage reached, every premise below the
+        frontier p), assuming clause-1 growth until then.  Growth lists
+        f(p+1), f(p+2), ..., so an absent premise y arrives at f_inv(y) if
+        f(f_inv(y)) = y; at or below p it cannot return without an event,
+        and a premise f_inv does not carry back bounds nothing."""
+        s, p, first = self.stage, len(self.stacks) - 1, self.tape.first
+        f, f_inv = self.system.f, self.system.f_inv
+        best = horizon
+        for stage, prem in self._pairs:
+            need = 0
+            for y in prem:
+                q = first.get(y)
+                if q is None:
+                    q = f_inv(y)
+                    if f(q) != y:
+                        q = -1
+                    elif q <= p:
+                        break  # cannot return without an event
+                need = max(need, q - p + 1)
+            else:
+                best = min(best, max(stage, s + need))
+        return best
+
+    def advance_to(self, horizon: int) -> None:
+        """Run to stage ``horizon``: step() where next_event allows an
+        event, and append the clause-1 stacks f(p+1..) in bulk between."""
+        f, f_inv = self.system.f, self.system.f_inv
+        while self.stage < horizon:
+            t = self.next_event(horizon)
+            if t == self.stage:
+                self.step()
+                continue
+            p = len(self.stacks) - 1
+            values = [f(i) for i in range(p + 1, p + 1 + t - self.stage)]
+            self.stacks.extend((v,) for v in values)
+            first = self.tape.first
+            # a listing that repeats a code lists it before f_inv says:
+            # keep the growth only up to that position
+            early = [first[y] + 1 for y in self.tape.extend(values)
+                     if f_inv(y) != first[y] and f(f_inv(y)) == y]
+            if early:
+                del self.stacks[min(early):]
+                self.tape.cut(min(early))
+            self.h = len(self.stacks) - 1
+            self.stage += self.h - p
 
     @property
     def p(self) -> int:
@@ -597,13 +646,15 @@ def stream_alignment(
     horizon: int = 100,
     clause_order: Sequence[int] = DEFAULT_CLAUSES,
 ) -> AlignmentReport:
-    """Run both engines in lockstep and compare only what each stage touched.
+    """Advance both engines event to event and compare what they touched.
 
     Supply the string system for the backward direction (the stack side is
     derived) or the pair-backed stack system for the forward direction (the
-    string side is derived).  Unchanged positions matched at the previous
-    stage are not re-read, so quiet stretches cost O(1) per stage; a full
-    sweep of the final stage guards the bookkeeping.
+    string side is derived).  Both engines skip to the earlier of their
+    next possible events, the positions appended on the way are compared
+    once, and at an event both take one stage and the positions it
+    rewrote are compared; a full sweep of the final stage guards the
+    bookkeeping.
     """
     if direction == "backward":
         if qsys is None:
@@ -622,13 +673,18 @@ def stream_alignment(
     fast = FastLegacyEngine(legacy, clause_order)
     for _ in range(off_stage):
         fast.step()
+    image = f if f is not None else (lambda v: v + off_idx)
 
     def compare_from(lo: int, s: int) -> Optional[AlignmentReport]:
         sigma = eng.sigma
         if len(sigma) != fast.p - off_idx:
             return AlignmentReport(False, direction, s, s, None,
                                    "length %d vs %d" % (len(sigma), fast.p - off_idx))
-        for n in range(max(lo, 0), len(sigma)):
+        lo = max(lo, 0)
+        if ([v if v == GAP else image(v) for v in sigma[lo:]]
+                == fast.tape.tokens[lo + off_idx:len(sigma) + off_idx]):
+            return None
+        for n in range(lo, len(sigma)):
             tip = fast.rho(n + off_idx)
             if not _entry_matches(sigma[n], tip, f, off_idx):
                 return AlignmentReport(False, direction, s, s, n,
@@ -636,15 +692,21 @@ def stream_alignment(
         return None
 
     bad = compare_from(0, 0)
-    if bad is not None:
-        return bad
-    for s in range(horizon):
+    while bad is None and eng.stage < horizon:
+        s = eng.stage
+        t = min(eng.next_event(horizon),
+                fast.next_event(horizon + off_stage) - off_stage)
+        if t > s:
+            lo = len(eng.sigma)
+            eng.advance_to(t)
+            fast.advance_to(t + off_stage)
+            bad = compare_from(lo, t)
+            continue
         rec = eng.step_once()
         clause, z = fast.step()
         lo_eng = len(eng.sigma) - 1 if rec.kind == EXPANSION else rec.k - 1
         lo_leg = fast.p - 1 - off_idx if clause == 1 else z - 1 - off_idx
         bad = compare_from(min(lo_eng, lo_leg), s + 1)
-        if bad is not None:
-            return bad
-    bad = compare_from(0, horizon)
+    if bad is None:
+        bad = compare_from(0, horizon)
     return bad if bad is not None else AlignmentReport(True, direction, horizon + 1)

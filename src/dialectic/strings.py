@@ -105,8 +105,8 @@ class Tape:
     their consumers only ask where a value first occurs and whether it
     occurs at all: a cut at c keeps v exactly when ``first[v] < c``.
     ``first`` holds the watched values that are present; ``push``,
-    ``extend_listing`` and ``cut`` report the watched values that arrived
-    or left, so a caller can keep counts over them.
+    ``extend``, ``extend_listing`` and ``cut`` report the watched values
+    that arrived or left, so a caller can keep counts over them.
     """
 
     __slots__ = ("tokens", "first", "watched")
@@ -131,6 +131,16 @@ class Tape:
             self.first[v] = len(tokens) - 1
             return True
         return False
+
+    def extend(self, values: list[int]) -> list[int]:
+        """Append values; return the watched values that arrived."""
+        tokens, first = self.tokens, self.first
+        L = len(tokens)
+        tokens.extend(values)
+        arrived = [v for v in self.watched.intersection(values) if v not in first]
+        for v in arrived:
+            first[v] = L + values.index(v)
+        return arrived
 
     def extend_listing(self, n: int) -> list[int]:
         """Append a_L .. a_{L+n-1}, where L is the length; return the

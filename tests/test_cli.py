@@ -5,6 +5,8 @@ output are captured exactly; a couple of checks re-run the same command
 to pin down byte-level determinism of the emitted files.
 """
 
+import argparse
+import concurrent.futures
 import io
 import os
 import random
@@ -14,7 +16,7 @@ from importlib import resources
 
 import pytest
 
-from dialectic.cli import main
+from dialectic.cli import _jobs, main
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -268,6 +270,53 @@ def test_no_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, first_lines", [
+    (["run", "SPEC", "--horizon", "50"], ["variant: q", "horizon: 50",
+                                          "window: 50"]),
+    (["diagonalize", "--horizon", "50"], ["diagonalization report",
+                                          "horizon 50 window 50"]),
+    (["repair", "KB", "--horizon", "30"], ["mode d", "horizon 30 window 30"]),
+    (["run", "SPEC", "--horizon", "0"], ["variant: q", "horizon: 0",
+                                         "window: 0"]),
+    # at or above the default the window stays 100, as it always was
+    (["run", "SPEC", "--horizon", "100"], ["variant: q", "horizon: 100",
+                                           "window: 100"]),
+])
+def test_omitted_window_shrinks_to_a_short_horizon(capsys, spec_file,
+                                                   sample_kb, argv,
+                                                   first_lines):
+    argv = [{"SPEC": spec_file, "KB": sample_kb}.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[:len(first_lines)] == first_lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "SPEC", "--horizon", "50", "--window", "51"],
+    # refused before the construction runs
+    ["diagonalize", "--horizon", "5000", "--window", "6000"],
+    ["repair", "KB", "--horizon", "10", "--window", "20"],
+    ["revise", "KB", "KB", "--horizon", "10", "--window", "20"],
+])
+def test_window_beyond_horizon_is_a_usage_error(capsys, spec_file, sample_kb,
+                                                argv):
+    argv = [{"SPEC": spec_file, "KB": sample_kb}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --window:" in err and "exceeds --horizon" in err
+
+
+def test_diff_ignores_the_window(capsys, spec_file):
+    code, out, err = run_cli(capsys, "diff", spec_file, "--horizon", "50",
+                             "--window", "100")
+    assert code == 0
+    assert out == ("alignment ok (backward, 51 stages)\n"
+                   "alignment ok (forward, 51 stages)\n")
+
+
 # ---------------------------------------------------------------------------
 # diff
 # ---------------------------------------------------------------------------
@@ -305,6 +354,48 @@ def test_diff_fuzz_parallel_matches_serial(capsys):
     code_p, out_p, _ = run_cli(capsys, "diff", "--fuzz", "4", "--seed", "7",
                                "--horizon", "200", "--jobs", "2")
     assert (code_s, out_s) == (code_p, out_p)
+
+
+def test_jobs_has_an_upper_limit(capsys):
+    assert _jobs("64") == 64
+    with pytest.raises(argparse.ArgumentTypeError):
+        _jobs("65")
+    # argparse refuses the value before any worker could start
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "--fuzz", "2", "--jobs", "65"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --jobs: expected a natural number at most 64" in err
+
+
+class _InlinePool:
+    """Runs submitted calls at once, in this process; records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+        return type("Done", (), {"result": lambda self: result})()
+
+
+def test_fuzz_pool_is_no_larger_than_the_fuzz_count(capsys, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    _InlinePool.sizes.clear()
+    code, out, err = run_cli(capsys, "diff", "--fuzz", "3", "--jobs", "64",
+                             "--horizon", "50")
+    assert code == 0 and out == "fuzz: 3 of 3 seeds agree\n"
+    assert _InlinePool.sizes == [3]
 
 
 def test_diff_bad_clause_order_exits_2(capsys, spec_file):

@@ -4,9 +4,11 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dialectic.cli import _pair_legacy
 from dialectic.consequence import BOT, CE, Rule, RuleTable, evaluate, rule
-from dialectic.engine import QSystem, ReplacementMap, run
+from dialectic.engine import EXPANSION, QSystem, ReplacementMap, RunEngine, run
 from dialectic.legacy import (
     AlignmentScopeError,
     EmptyNeighbourError,
@@ -16,8 +18,11 @@ from dialectic.legacy import (
     PairApproximation,
     StateInvariantError,
     TableBackedApproximation,
+    AlignmentReport,
     TranslationError,
     UndefinedPositionError,
+    _entry_detail,
+    _entry_matches,
     backward_translate,
     check_alignment,
     fast_legacy_run,
@@ -346,6 +351,141 @@ def test_corrupted_clause_order_is_caught():
 def test_alignment_empty_systems_long():
     assert stream_alignment("backward", qsys=qsys(), horizon=100).ok
     assert stream_alignment("forward", legacy=id_legacy(), horizon=100).ok
+
+
+# ---------------------------------------------------------------------------
+# the event form against per-stage stepping
+# ---------------------------------------------------------------------------
+
+def per_stage_alignment(direction, qsys=None, legacy=None, horizon=100,
+                        clause_order=(1, 2, 3)):
+    """The alignment as it ran before the event form: both engines take
+    every stage, and the positions each stage touched are re-read."""
+    if direction == "backward":
+        legacy = backward_translate(qsys)
+        off_stage, off_idx, f = 5, 2, None
+    else:
+        qsys = forward_translate(legacy)
+        off_stage, off_idx, f = 0, 0, legacy.f
+    eng = RunEngine(qsys)
+    fast = FastLegacyEngine(legacy, clause_order)
+    for _ in range(off_stage):
+        fast.step()
+
+    def compare_from(lo, s):
+        sigma = eng.sigma
+        if len(sigma) != fast.p - off_idx:
+            return AlignmentReport(False, direction, s, s, None, "length %d vs %d"
+                                   % (len(sigma), fast.p - off_idx))
+        for n in range(max(lo, 0), len(sigma)):
+            tip = fast.rho(n + off_idx)
+            if not _entry_matches(sigma[n], tip, f, off_idx):
+                return AlignmentReport(False, direction, s, s, n,
+                                       _entry_detail(sigma[n], tip))
+        return None
+
+    bad = compare_from(0, 0)
+    if bad is not None:
+        return bad
+    for s in range(horizon):
+        rec = eng.step_once()
+        clause, z = fast.step()
+        lo_eng = len(eng.sigma) - 1 if rec.kind == EXPANSION else rec.k - 1
+        lo_leg = fast.p - 1 - off_idx if clause == 1 else z - 1 - off_idx
+        bad = compare_from(min(lo_eng, lo_leg), s + 1)
+        if bad is not None:
+            return bad
+    bad = compare_from(0, horizon)
+    return bad if bad is not None else AlignmentReport(True, direction, horizon + 1)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).render()
+    except Exception as exc:  # a typed engine error is an outcome too
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_event_alignment_matches_per_stage_alignment():
+    mismatches = 0
+    for seed in range(300):
+        rng = Random(seed)
+        horizons = (0, 1, 4, 5, 6, rng.randrange(50, 401))
+        cases = [("backward", {"qsys": random_qsystem(rng)}),
+                 ("forward", {"legacy": random_legacy(rng)}),
+                 ("forward", {"legacy": _pair_legacy(random_qsystem(rng))})]
+        for direction, system in cases:
+            for order in ((1, 2, 3), (1, 3, 2)):
+                for h in horizons:
+                    old = _outcome(per_stage_alignment, direction, horizon=h,
+                                   clause_order=order, **system)
+                    new = _outcome(stream_alignment, direction, horizon=h,
+                                   clause_order=order, **system)
+                    assert new == old, (seed, direction, order, h)
+                    mismatches += "MISMATCH" in old
+    assert mismatches > 100
+
+
+def _listing_variant(legacy, kind):
+    """The same pairs over a listing whose f_inv does not carry codes back,
+    or over a listing that repeats every code every ten positions."""
+    if kind == "no-inverse":
+        return LegacySystem(legacy.approximation, legacy.f, lambda y: -1 - y,
+                            legacy.f_minus, legacy.c, legacy.c_minus)
+    return LegacySystem(legacy.approximation, lambda i: legacy.f(i % 10),
+                        legacy.f_inv, legacy.f_minus, legacy.c, legacy.c_minus)
+
+
+def _run_engine(legacy, order, horizon, bulk):
+    eng = FastLegacyEngine(legacy, order)
+    try:
+        if bulk:
+            eng.advance_to(horizon)
+        else:
+            for _ in range(horizon):
+                eng.step()
+    except (UndefinedPositionError, EmptyNeighbourError) as exc:
+        return type(exc).__name__, str(exc)
+    return eng.stacks, eng.h, eng.stage, eng.tape.first, eng.tape.tokens
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), horizon=st.integers(0, 300),
+       kind=st.sampled_from(["pairs", "backward", "spec", "no-inverse",
+                             "repeats"]),
+       order=st.sampled_from([(1, 2, 3), (1, 3, 2)]))
+def test_advance_to_matches_stepping(seed, horizon, kind, order):
+    rng = Random(seed)
+    if kind == "backward":
+        legacy = backward_translate(random_qsystem(rng))
+    elif kind == "spec":
+        legacy = _pair_legacy(random_qsystem(rng))
+    else:
+        legacy = random_legacy(rng)
+        if kind != "pairs":
+            legacy = _listing_variant(legacy, kind)
+    assert (_run_engine(legacy, order, horizon, bulk=True)
+            == _run_engine(legacy, order, horizon, bulk=False))
+
+
+def test_next_event_bounds_from_the_listing():
+    eng = FastLegacyEngine(id_legacy([(3, 100, {1}), (2, 101, {7})]))
+    # a1 arrives at stage 1 and counts once it is off the frontier; a7
+    # arrives at stage 7
+    assert eng.next_event(1000) == 3
+    assert eng.next_event(2) == 2             # capped by the horizon
+
+
+def test_next_event_sees_a_code_that_left_for_good():
+    eng = FastLegacyEngine(id_legacy([(1, 100, {0}), (4, 101, {0, 5})]))
+    assert eng.next_event(1000) == 1          # a0 is the frontier tip at stage 0
+    eng.step()
+    assert eng.next_event(1000) == 1
+    assert eng.step() == (2, 1)               # clears stack 0
+    # the identity listing never brings code 0 back: both pairs are blocked
+    assert eng.next_event(1000) == 1000
+    eng.advance_to(1000)
+    assert (eng.stage, eng.p, eng.h) == (1000, 999, 999)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,8 @@ tape_ops = st.lists(st.one_of(
     st.tuples(st.just("watch"), st.integers(0, 6)),
     st.tuples(st.just("push"), st.one_of(st.just(GAP), st.integers(0, 12))),
     st.tuples(st.just("extend"), st.integers(0, 6)),
+    st.tuples(st.just("extend_values"),
+              st.lists(st.one_of(st.just(GAP), st.integers(0, 12)), max_size=6)),
     st.tuples(st.just("cut"), st.integers(0, 20)),
 ), max_size=40)
 
@@ -167,6 +169,10 @@ def test_tape_matches_list_model(ops):
         elif op == "extend":
             arrived = set(tape.extend_listing(arg))
             model.extend(range(len(model), len(model) + arg))
+            left = set()
+        elif op == "extend_values":
+            arrived = set(tape.extend(arg))
+            model.extend(arg)
             left = set()
         else:
             pos = arg % (len(model) + 1)
