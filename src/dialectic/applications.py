@@ -25,6 +25,7 @@ from .engine import (
     QSystem, ReplacementMap, RunTrace, StabilityReport, estimate_beliefs,
     is_clean_window, run,
 )
+from .strings import ParseError, numbered_lines, read_input
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +101,21 @@ class Additions:
 
 @dataclass
 class RepairResult:
-    kept: frozenset[int]
-    removed: frozenset[int]
-    stability: StabilityReport
-    trace: RunTrace
-    partial: bool          # horizon ended inside an unsettled window
-    mode: str
+    """What a repair or a revision kept; stability and trace are None
+    only for a rejected addition, which is not run."""
 
-
-@dataclass
-class RevisionResult:
     kept: frozenset[int]
     removed: frozenset[int]
     stability: Optional[StabilityReport]
     trace: Optional[RunTrace]
-    partial: bool
+    partial: bool          # horizon ended inside an unsettled window
     mode: str
-    accepted: tuple[int, ...]      # injected items, arrival order
+    accepted: tuple[int, ...] = ()     # injected items, arrival order
     rejected: bool = False         # a lone input refuted itself; no run
     inconsistent_input: bool = False  # the injected set alone yields ⊥
+
+
+RevisionResult = RepairResult
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,12 @@ def _ranked_table(kb: KnowledgeBase, adds: Optional[Additions] = None):
     return n, m, table
 
 
-def _window_default(horizon: int, window: Optional[int]) -> int:
+def _window_default(kb: KnowledgeBase, horizon: int,
+                    window: Optional[int]) -> int:
+    """The window to use, once the horizon is known to list every item."""
+    if horizon < len(kb.items):
+        raise ValueError("horizon %d cannot list all %d items"
+                         % (horizon, len(kb.items)))
     if window is not None:
         if not 0 <= window <= horizon:
             raise ValueError("window must satisfy 0 <= window <= horizon")
@@ -193,10 +195,7 @@ def repair(kb: KnowledgeBase, horizon: int,
     """
     if mode not in ("d", "q"):
         raise ValueError("mode must be 'd' or 'q'")
-    if horizon < len(kb.items):
-        raise ValueError("horizon %d cannot list all %d items"
-                         % (horizon, len(kb.items)))
-    window = _window_default(horizon, window)
+    window = _window_default(kb, horizon, window)
     n, _, table = _ranked_table(kb)
     replacement = ReplacementMap()
     if mode == "q":
@@ -244,17 +243,14 @@ def revise(kb: KnowledgeBase, addition: Additions, horizon: int,
     """
     if len(addition.items) != 1:
         raise ValueError("revise takes exactly one added item")
-    if horizon < len(kb.items):
-        raise ValueError("horizon %d cannot list all %d items"
-                         % (horizon, len(kb.items)))
-    window = _window_default(horizon, window)
+    window = _window_default(kb, horizon, window)
     n, _, table = _ranked_table(kb, addition)
     revised = revision_operator(table, range(n), n)
     if _nullary_markers(revised):
         return RevisionResult(
             kept=frozenset(kb.items), removed=frozenset(),
             stability=None, trace=None, partial=False, mode="d",
-            accepted=(), rejected=True)
+            rejected=True)
     system = QSystem(_runnable(revised), ReplacementMap())
     kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
     return RevisionResult(kept, removed, rep, tr, partial, "d",
@@ -271,10 +267,7 @@ def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
     the inconsistency marker the result is flagged and the salvageable
     rules still run.
     """
-    if horizon < len(kb.items):
-        raise ValueError("horizon %d cannot list all %d items"
-                         % (horizon, len(kb.items)))
-    window = _window_default(horizon, window)
+    window = _window_default(kb, horizon, window)
     n, m, table = _ranked_table(kb, additions)
     revised = stream_revision_operator(table, range(n), range(n, n + m))
     flagged = bool(_nullary_markers(revised))
@@ -293,66 +286,57 @@ def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
 #   conflict <name> ...            a set that cannot jointly stand
 #   replace <name> -> <name>       hint for q-mode repair
 
-class KBParseError(ValueError):
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
-        self.message = message
+KBParseError = ParseError
 
 
 def _parse_lines(text: str, names: dict[str, int], next_id: int,
                  allow_replace: bool):
-    items: list[int] = []
-    labels: dict[int, str] = {}
+    labels: dict[int, str] = {}    # new items in file order
     rules: list[tuple[frozenset[int], int]] = []
     conflicts: list[frozenset[int]] = []
     replacements: dict[int, int] = {}
 
-    def resolve(token: str, line_no: int) -> int:
+    def resolve(token: str) -> int:
         if token not in names:
-            raise KBParseError(line_no, "unknown item %r" % token)
+            raise ValueError("unknown item %r" % token)
         return names[token]
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        verb, rest = parts[0], parts[1:]
-        if verb == "item":
-            if len(rest) != 1:
-                raise KBParseError(line_no, "item takes exactly one name")
-            name = rest[0]
-            if name in names:
-                raise KBParseError(line_no, "duplicate item %r" % name)
-            names[name] = next_id
-            labels[next_id] = name
-            items.append(next_id)
-            next_id += 1
-        elif verb == "rule":
-            if "->" not in rest:
-                raise KBParseError(line_no, "rule needs '->'")
-            cut = rest.index("->")
-            prem, concl = rest[:cut], rest[cut + 1:]
-            if not prem or len(concl) != 1:
-                raise KBParseError(
-                    line_no, "rule needs premises and one conclusion")
-            rules.append((frozenset(resolve(p, line_no) for p in prem),
-                          resolve(concl[0], line_no)))
-        elif verb == "conflict":
-            if not rest:
-                raise KBParseError(line_no, "conflict needs at least one item")
-            conflicts.append(frozenset(resolve(p, line_no) for p in rest))
-        elif verb == "replace":
-            if not allow_replace:
-                raise KBParseError(
-                    line_no, "replace hints belong to the base file")
-            if len(rest) != 3 or rest[1] != "->":
-                raise KBParseError(line_no, "replace takes 'old -> new'")
-            replacements[resolve(rest[0], line_no)] = resolve(rest[2], line_no)
-        else:
-            raise KBParseError(line_no, "unknown declaration %r" % verb)
-    return items, labels, rules, conflicts, replacements
+    for line_no, line in numbered_lines(text):
+        verb, *rest = line.split()
+        try:
+            if verb == "item":
+                if len(rest) != 1:
+                    raise ValueError("item takes exactly one name")
+                name = rest[0]
+                if name in names:
+                    raise ValueError("duplicate item %r" % name)
+                names[name] = next_id
+                labels[next_id] = name
+                next_id += 1
+            elif verb == "rule":
+                if "->" not in rest:
+                    raise ValueError("rule needs '->'")
+                cut = rest.index("->")
+                prem, concl = rest[:cut], rest[cut + 1:]
+                if not prem or len(concl) != 1:
+                    raise ValueError("rule needs premises and one conclusion")
+                rules.append((frozenset(resolve(p) for p in prem),
+                              resolve(concl[0])))
+            elif verb == "conflict":
+                if not rest:
+                    raise ValueError("conflict needs at least one item")
+                conflicts.append(frozenset(resolve(p) for p in rest))
+            elif verb == "replace":
+                if not allow_replace:
+                    raise ValueError("replace hints belong to the base file")
+                if len(rest) != 3 or rest[1] != "->":
+                    raise ValueError("replace takes 'old -> new'")
+                replacements[resolve(rest[0])] = resolve(rest[2])
+            else:
+                raise ValueError("unknown declaration %r" % verb)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+    return list(labels), labels, rules, conflicts, replacements
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -373,20 +357,18 @@ def parse_additions(text: str, kb: KnowledgeBase) -> Additions:
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kb(fh.read())
+    return parse_kb(read_input(path))
 
 
 def load_additions(path: str, kb: KnowledgeBase) -> Additions:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_additions(fh.read(), kb)
+    return parse_additions(read_input(path), kb)
 
 
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
 
-def render_result(kb: KnowledgeBase, res,
+def render_result(kb: KnowledgeBase, res: RepairResult,
                   extra_labels: Optional[dict[int, str]] = None) -> str:
     """Human-readable summary shared by the repair and revise commands."""
     extra = extra_labels or {}
@@ -402,11 +384,11 @@ def render_result(kb: KnowledgeBase, res,
                                or "(nothing)"))
     lines.append("removed: %s" % (" ".join(tag(i) for i in sorted(res.removed))
                                   or "(nothing)"))
-    if getattr(res, "accepted", ()):
+    if res.accepted:
         lines.append("accepted: %s" % " ".join(tag(i) for i in res.accepted))
-    if getattr(res, "rejected", False):
+    if res.rejected:
         lines.append("rejected: the added item refutes itself")
-    if getattr(res, "inconsistent_input", False):
+    if res.inconsistent_input:
         lines.append("warning: the added items are jointly inconsistent")
     lines.append("partial: %s" % ("yes" if res.partial else "no"))
     return "\n".join(lines) + "\n"

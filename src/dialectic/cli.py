@@ -17,13 +17,13 @@ output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from random import Random
 
 from .applications import (
-    KBParseError, load_additions, load_kb, render_result, repair, revise,
-    revise_stream,
+    load_additions, load_kb, render_result, repair, revise, revise_stream,
 )
 from .consequence import BOT, CE, TableError, validate_aco
 from .engine import (
@@ -34,11 +34,11 @@ from .legacy import (
     AlignmentScopeError, LegacySystem, PairApproximation, TranslationError,
     stream_alignment,
 )
-from .opponents import FamilyParseError, default_family, load_family
+from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
 from .randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
-from .strings import token_to_str
-from .systemspec import SpecParseError, VariantError, check_variant, load_system
+from .strings import ParseError, token_to_str
+from .systemspec import VariantError, check_variant, load_system
 
 DEFAULT_HORIZON = 10000
 DEFAULT_WINDOW = 100
@@ -257,7 +257,9 @@ def _add_horizon_window(sub, horizon=DEFAULT_HORIZON) -> None:
                      " the horizon when that is shorter)" % DEFAULT_WINDOW)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process and shared by calls."""
     parser = argparse.ArgumentParser(
         prog="dialectic",
         description="belief-revision runs, translations and constructions")
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (SpecParseError, KBParseError, FamilyParseError) as exc:
+    except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError as exc:

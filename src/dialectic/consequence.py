@@ -15,7 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .strings import AxiomId
+from .strings import (
+    AxiomId, ParseError, axiom_from_str, natural_from_str, numbered_lines,
+)
 
 # Conclusion sentinels.  Axioms are their own (non-negative) codes.
 BOT: int = -2   # inconsistency marker
@@ -35,9 +37,7 @@ def symbol_from_str(text: str) -> int:
         return BOT
     if text == "CE":
         return CE
-    if len(text) > 1 and text[0] == "a" and text[1:].isdigit():
-        return int(text[1:])
-    raise ValueError("malformed conclusion symbol %r" % (text,))
+    return axiom_from_str(text, "malformed conclusion symbol %r" % (text,))
 
 
 class TableError(ValueError):
@@ -379,15 +379,10 @@ def parse_rule_line(text: str) -> Rule:
         raise ValueError("rule line needs ': ... |- ...'")
     stage_part, tail = rest.split(":", 1)
     prem_part, concl_part = tail.split("|-", 1)
-    try:
-        stage = int(stage_part.strip())
-    except ValueError:
-        raise ValueError("bad stage %r" % stage_part.strip()) from None
-    premises = []
-    for tok in prem_part.split():
-        if not (len(tok) > 1 and tok[0] == "a" and tok[1:].isdigit()):
-            raise ValueError("bad premise token %r" % tok)
-        premises.append(int(tok[1:]))
+    stage_part = stage_part.strip()
+    stage = natural_from_str(stage_part, "bad stage %r" % stage_part)
+    premises = [axiom_from_str(tok, "bad premise token %r" % tok)
+                for tok in prem_part.split()]
     conclusion = symbol_from_str(concl_part.strip())
     return Rule(stage, frozenset(premises), conclusion)
 
@@ -395,9 +390,9 @@ def parse_rule_line(text: str) -> Rule:
 def parse_rule_table(text: str) -> RuleTable:
     """Parse a block of rule lines; blank lines and ``#`` comments ignored."""
     rules = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rules.append(parse_rule_line(line))
+    for line_no, line in numbered_lines(text):
+        try:
+            rules.append(parse_rule_line(line))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
     return RuleTable(rules)

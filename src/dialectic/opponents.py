@@ -20,7 +20,9 @@ from typing import NamedTuple, Optional
 from .consequence import CE, RuleTable, evaluate
 from .engine import (DisturbanceStamps, QSystem, ReplacementMap,
                      StabilityReport, variant_flags)
-from .strings import Tape
+from .strings import (
+    ParseError, Tape, natural_from_str, numbered_lines, read_input,
+)
 from .systemspec import VariantError
 from .universe import FueledFunction, ProgramUniverse, closure, parse_sexpr
 
@@ -373,11 +375,7 @@ def p_system_from_table(table: RuleTable, replacement: ReplacementMap,
 # family files
 # ---------------------------------------------------------------------------
 
-class FamilyParseError(ValueError):
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
-        self.message = message
+FamilyParseError = ParseError
 
 
 def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
@@ -397,75 +395,70 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
     universe = ProgramUniverse()
     opponents: list[PartialPSystem] = []
     names: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in numbered_lines(text):
         head, _, rest = line.partition(" ")
-        if head == "prog":
-            lhs, eq, script_text = rest.partition("=")
-            prog_name = lhs.strip()
-            if not eq or not prog_name:
-                raise FamilyParseError(line_no, "expected 'prog <name> = <script>'")
-            try:
-                ast = parse_sexpr(script_text.strip())
-            except Exception as exc:
-                raise FamilyParseError(line_no, "bad script: %s" % exc) from None
-            try:
+        try:
+            if head == "prog":
+                lhs, eq, script_text = rest.partition("=")
+                prog_name = lhs.strip()
+                if not eq or not prog_name:
+                    raise ValueError("expected 'prog <name> = <script>'")
+                try:
+                    ast = parse_sexpr(script_text.strip())
+                except Exception as exc:
+                    raise ValueError("bad script: %s" % exc) from None
                 universe.register(FueledFunction("sexpr", ast, name=prog_name,
                                                  source=script_text.strip()))
-            except Exception as exc:
-                raise FamilyParseError(line_no, str(exc)) from None
-        elif head == "opponent":
-            opp_name, colon, spec = rest.partition(":")
-            opp_name = opp_name.strip()
-            if not colon or not opp_name:
-                raise FamilyParseError(line_no, "expected 'opponent <name> : ...'")
-            if opp_name in names:
-                raise FamilyParseError(line_no, "duplicate opponent %r" % opp_name)
-            fields = {}
-            for part in spec.split():
-                key, eq, value = part.partition("=")
-                if not eq or key in fields:
-                    raise FamilyParseError(line_no, "bad field %r" % part)
-                fields[key] = value
-            monotone = True
-            if fields.pop("scan", None) == "full":
-                monotone = False
-            if "m" in fields:
-                if set(fields) != {"m"}:
-                    raise FamilyParseError(line_no, "m= excludes g=/h=/r=")
-                try:
-                    m = int(fields["m"])
+            elif head == "opponent":
+                opp_name, colon, spec = rest.partition(":")
+                opp_name = opp_name.strip()
+                if not colon or not opp_name:
+                    raise ValueError("expected 'opponent <name> : ...'")
+                if opp_name in names:
+                    raise ValueError("duplicate opponent %r" % opp_name)
+                fields = {}
+                for part in spec.split():
+                    key, eq, value = part.partition("=")
+                    if not eq or key in fields:
+                        raise ValueError("bad field %r" % part)
+                    fields[key] = value
+                monotone = True
+                if fields.pop("scan", None) == "full":
+                    monotone = False
+                if "m" in fields:
+                    if set(fields) != {"m"}:
+                        raise ValueError("m= excludes g=/h=/r=")
+                    m = natural_from_str(fields["m"],
+                                         "bad field %r" % ("m=" + fields["m"]))
                     trio = decode_index(m)
-                except ValueError as exc:
-                    raise FamilyParseError(line_no, str(exc)) from None
-                if max(trio) >= len(universe):
-                    raise FamilyParseError(
-                        line_no, "index %d names program %d but only %d are "
-                        "defined" % (m, max(trio), len(universe)))
-                i0, i1, i2 = trio
-            elif set(fields) == {"g", "h", "r"}:
-                try:
-                    i0 = universe.index_of(fields["g"])
-                    i1 = universe.index_of(fields["h"])
-                    i2 = universe.index_of(fields["r"])
-                except KeyError as exc:
-                    raise FamilyParseError(line_no, str(exc.args[0])) from None
+                    if max(trio) >= len(universe):
+                        raise ValueError(
+                            "index %d names program %d but only %d are "
+                            "defined" % (m, max(trio), len(universe)))
+                    i0, i1, i2 = trio
+                elif set(fields) == {"g", "h", "r"}:
+                    try:
+                        i0 = universe.index_of(fields["g"])
+                        i1 = universe.index_of(fields["h"])
+                        i2 = universe.index_of(fields["r"])
+                    except KeyError as exc:
+                        raise ValueError(exc.args[0]) from None
+                else:
+                    raise ValueError(
+                        "opponent needs either m= or all of g=, h=, r=")
+                names.add(opp_name)
+                opponents.append(PartialPSystem(universe, i0, i1, i2,
+                                                name=opp_name,
+                                                monotone_h=monotone))
             else:
-                raise FamilyParseError(
-                    line_no, "opponent needs either m= or all of g=, h=, r=")
-            names.add(opp_name)
-            opponents.append(PartialPSystem(universe, i0, i1, i2,
-                                            name=opp_name, monotone_h=monotone))
-        else:
-            raise FamilyParseError(line_no, "unknown declaration %r" % head)
+                raise ValueError("unknown declaration %r" % head)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
     return universe, opponents
 
 
 def load_family(path) -> tuple[ProgramUniverse, list[PartialPSystem]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(fh.read())
+    return parse_family(read_input(path))
 
 
 def default_family() -> tuple[ProgramUniverse, list[PartialPSystem]]:

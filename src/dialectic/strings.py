@@ -6,7 +6,8 @@ finite sequence whose entries are either axiom indices (``a0, a1, ...``) or
 axioms are permitted; positions are 0-based.  The four primitive mutations
 used by the run recursion (contraction, expansion, replacement, excision)
 live here as pure functions; :class:`Tape` is the mutable string that the
-run engine, the stack runner and the opponents keep incrementally.
+run engine, the stack runner and the opponents keep incrementally.  The
+input layer that every file parser reads through is here too.
 """
 from __future__ import annotations
 
@@ -24,8 +25,48 @@ class OperationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# token grammar (shared with trace files and rule-table files)
+# input layer (spec, rule-table, knowledge-base, additions and family files)
 # ---------------------------------------------------------------------------
+
+class ParseError(ValueError):
+    """Line ``line_no`` of an input file could not be understood."""
+
+    def __init__(self, line_no: int, message: str) -> None:
+        super().__init__("line %d: %s" % (line_no, message))
+        self.line_no = line_no
+        self.message = message
+
+
+def read_input(path) -> str:
+    """An input file's text, decoded as UTF-8 whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line_no, stripped line)`` for each line left with content once
+    its ``#`` comment, which may start anywhere, is dropped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def natural_from_str(text: str, error: str) -> int:
+    """The value of a numeral of ASCII digits, else ValueError(error): signs,
+    ``_``, other scripts' digits and numerals too long for ``int`` fail."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise ValueError(error)
+
+
+def axiom_from_str(text: str, error: str) -> int:
+    """The index i of an axiom token ``a<i>``, else ValueError(error)."""
+    return natural_from_str(text[1:] if text[:1] == "a" else "", error)
+
 
 def token_to_str(tok: int) -> str:
     return "*" if tok == GAP else "a%d" % tok
@@ -34,9 +75,10 @@ def token_to_str(tok: int) -> str:
 def token_from_str(text: str) -> int:
     if text == "*":
         return GAP
-    if len(text) > 1 and text[0] == "a" and text[1:].isdigit():
-        return int(text[1:])
-    raise OperationError("malformed token %r" % (text,))
+    try:
+        return axiom_from_str(text, "malformed token %r" % (text,))
+    except ValueError as exc:
+        raise OperationError(*exc.args) from None
 
 
 class BeliefString:

@@ -1,13 +1,16 @@
 """Textual descriptions of dialectical systems.
 
-A system file is line oriented.  Blank lines and ``#`` comments are skipped;
-the remaining lines are directives:
+A system file is line oriented and read like every other input file (see
+the input layer in ``strings``): UTF-8 text, ``#`` starts a comment
+anywhere on a line, blank lines are skipped, and axiom tokens and counts
+are written in ASCII digits.  The remaining lines are directives:
 
     variant q              optional declared variant tag (d, p or q)
     axioms 4               optional intended base-axiom count
     at 0 : a0 a1 |- BOT    a staged operator rule
     replace a3 -> a5       an explicit replacement entry
 
+A line that cannot be understood raises ``ParseError`` naming its number.
 The renderer produces a canonical form (directives first, rules in file
 order, replacement entries sorted by source axiom) and is a fixpoint of
 parse-then-render.
@@ -19,16 +22,13 @@ from typing import Optional
 
 from .consequence import Rule, RuleTable, parse_rule_line
 from .engine import QSystem, ReplacementMap, variant_flags
+from .strings import (
+    ParseError, axiom_from_str, natural_from_str, numbered_lines, read_input,
+)
 
 VARIANTS = ("d", "p", "q")
 
-
-class SpecParseError(ValueError):
-    """A system file line could not be understood."""
-
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
+SpecParseError = ParseError
 
 
 class VariantError(ValueError):
@@ -57,57 +57,41 @@ class SystemSpec:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_replace(body: str, line_no: int) -> tuple[int, int]:
-    if "->" not in body:
-        raise SpecParseError(line_no, "replace line needs 'a<i> -> a<j>'")
-    left, right = body.split("->", 1)
-
-    def axiom(tok: str) -> int:
-        tok = tok.strip()
-        if not (len(tok) > 1 and tok[0] == "a" and tok[1:].isdigit()):
-            raise SpecParseError(line_no, "bad axiom token %r" % tok)
-        return int(tok[1:])
-
-    return axiom(left), axiom(right)
-
-
 def parse_system(text: str) -> SystemSpec:
-    """Parse a system file; raise SpecParseError with the offending line."""
+    """Parse a system file; raise ParseError with the offending line."""
     rules: list[Rule] = []
     repl: dict[int, int] = {}
     variant: Optional[str] = None
     axioms: Optional[int] = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in numbered_lines(text):
         word = line.split(None, 1)[0]
-        if word == "variant":
-            tag = line[len("variant"):].strip()
-            if tag not in VARIANTS:
-                raise SpecParseError(line_no, "variant must be one of d, p, q")
-            if variant is not None:
-                raise SpecParseError(line_no, "duplicate variant directive")
-            variant = tag
-        elif word == "axioms":
-            body = line[len("axioms"):].strip()
-            if not body.isdigit():
-                raise SpecParseError(line_no, "axioms needs a nonnegative count")
-            if axioms is not None:
-                raise SpecParseError(line_no, "duplicate axioms directive")
-            axioms = int(body)
-        elif word == "at":
-            try:
+        body = line[len(word):].strip()
+        try:
+            if word == "variant":
+                if body not in VARIANTS:
+                    raise ValueError("variant must be one of d, p, q")
+                if variant is not None:
+                    raise ValueError("duplicate variant directive")
+                variant = body
+            elif word == "axioms":
+                count = natural_from_str(body, "axioms needs a nonnegative count")
+                if axioms is not None:
+                    raise ValueError("duplicate axioms directive")
+                axioms = count
+            elif word == "at":
                 rules.append(parse_rule_line(line))
-            except ValueError as exc:
-                raise SpecParseError(line_no, str(exc)) from None
-        elif word == "replace":
-            i, j = _parse_replace(line[len("replace"):], line_no)
-            if i in repl:
-                raise SpecParseError(line_no, "duplicate replacement for a%d" % i)
-            repl[i] = j
-        else:
-            raise SpecParseError(line_no, "unknown directive %r" % word)
+            elif word == "replace":
+                if "->" not in body:
+                    raise ValueError("replace line needs 'a<i> -> a<j>'")
+                i, j = (axiom_from_str(tok, "bad axiom token %r" % tok)
+                        for tok in map(str.strip, body.split("->", 1)))
+                if i in repl:
+                    raise ValueError("duplicate replacement for a%d" % i)
+                repl[i] = j
+            else:
+                raise ValueError("unknown directive %r" % word)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
     return SystemSpec(RuleTable(rules), tuple(sorted(repl.items())), variant, axioms)
 
 
@@ -129,8 +113,7 @@ def render_system(spec: SystemSpec) -> str:
 
 
 def load_system(path) -> SystemSpec:
-    with open(path) as fp:
-        return parse_system(fp.read())
+    return parse_system(read_input(path))
 
 
 def save_system(spec: SystemSpec, path) -> None:

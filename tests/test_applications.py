@@ -272,13 +272,27 @@ def test_parse_additions_sees_base_labels():
 
 
 def test_render_result_golden():
+    # one result type serves repair and revision; these texts were taken
+    # when repair and revision still had result classes of their own
     kb = parse_kb(SAMPLE)
-    text = render_result(kb, repair(kb, 200))
-    assert text == ("mode d\n"
-                    "horizon 200 window 50\n"
-                    "kept: k0 k1 k3\n"
-                    "removed: k2\n"
-                    "partial: no\n")
+    ok = parse_additions("item k4\nrule k4 -> k0\n", kb)
+    bad = parse_additions("item k9\nconflict k9\n", kb)
+    pair = parse_additions("item b1\nitem b2\nconflict b1 b2\n", kb)
+    ran = "horizon 200 window 50\nkept: k0 k1 k3\nremoved: k2\n"
+    cases = [
+        (repair(kb, 200), {}, "mode d\n" + ran),
+        (repair(kb, 200, mode="q"), {}, "mode q\n" + ran),
+        (revise(kb, ok, 200), ok.labels, "mode d\n" + ran + "accepted: k4\n"),
+        (revise(kb, bad, 200), bad.labels,
+         "mode d\nkept: k0 k1 k2 k3\nremoved: (nothing)\n"
+         "rejected: the added item refutes itself\n"),
+        (revise_stream(kb, pair, 200), pair.labels,
+         "mode d\n" + ran + "accepted: b1 b2\n"
+         "warning: the added items are jointly inconsistent\n"),
+    ]
+    for result, labels, head in cases:
+        text = render_result(kb, result, extra_labels=labels)
+        assert text == head + "partial: no\n"
 
 
 def test_bundled_sample_kb():

@@ -7,6 +7,7 @@ to pin down byte-level determinism of the emitted files.
 
 import argparse
 import concurrent.futures
+import contextlib
 import io
 import os
 import random
@@ -15,6 +16,7 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dialectic.cli import _jobs, main
 
@@ -210,6 +212,59 @@ def test_spec_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
     assert err.startswith("parse error:")
     assert "line 3" in err
+
+
+# README's spec example, copied verbatim; GOOD_SPEC is it without comments
+README_SPEC = """\
+variant q          # d, p, or q
+axioms 6           # listing size hint
+at 8 : a0 a1 a2 a3 |- CE      # staged rule; conclusion BOT or CE
+at 42 : a0 a1 a2 a4 a5 |- BOT
+replace a3 -> a5   # replacement map entry
+"""
+
+
+def test_readme_spec_runs_like_its_comment_free_copy(capsys, tmp_path,
+                                                     spec_file):
+    path = tmp_path / "readme.spec"
+    path.write_text(README_SPEC, encoding="utf-8")
+    bare = run_cli(capsys, "run", spec_file, "--horizon", "300")
+    assert bare[0] == 0
+    assert run_cli(capsys, "run", str(path), "--horizon", "300") == bare
+
+
+LONG = "9" * 5000   # more digits than int() converts
+
+
+@pytest.mark.parametrize("text", [
+    "replace a\u00b2 -> a1\n",
+    "axioms \u00b2\n",
+    "axioms %s\n" % LONG,
+    "replace a%s -> a1\n" % LONG,
+    "at %s : a0 |- BOT\n" % LONG,
+    "replace a\u0663 -> a1\n",
+], ids=["replace-sup2", "axioms-sup2", "axioms-long", "replace-long",
+        "stage-long", "replace-arabic3"])
+def test_unreadable_numbers_are_parse_errors(capsys, tmp_path, text):
+    path = tmp_path / "numbers.spec"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 1: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_input_is_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "accent.spec"
+    path.write_text("# r\u00e8gle\n" + GOOD_SPEC, encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0", PYTHONPATH=os.path.dirname(
+                   os.path.dirname(sys.modules["dialectic.cli"].__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dialectic.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("validation passed")
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -495,3 +550,99 @@ def test_revise_kb_parse_error_exits_2(capsys, sample_kb, tmp_path):
     code, out, err = run_cli(capsys, "revise", sample_kb, str(adds))
     assert code == 2
     assert err.startswith("parse error:")
+
+
+# ---------------------------------------------------------------------------
+# parser fuzz gate: whatever the input, every command that reads a file
+# exits 0, 1 or 2 with at most one line on stderr (Miller, Fredriksen & So,
+# CACM 33(12), 1990)
+# ---------------------------------------------------------------------------
+
+# small stages only: `validate` walks every stage up to the largest, so a
+# readable stage in the millions would only measure that walk
+GOOD_NUMBERS = st.sampled_from(["0", "1", "2", "3", "6", "12"])
+BAD_NUMBERS = st.sampled_from(["-1", "+1", "1_0", "٣", "²", "１", LONG])
+GOOD_SCRIPTS = st.sampled_from(["n", "x", "(+ n 1)", "(diverge)",
+                                "(if (ge t 2) x n)"])
+BAD_SCRIPTS = st.sampled_from(["(wat n)", "(+ n %s)" % LONG, "(", "(+ n ٣)"])
+NAMES = st.sampled_from(["k0", "k1", "k2", "k4", "b", "ident", "loop"])
+COMMENTS = st.sampled_from(["", "", " # note", "#", "\t# règle"])
+
+
+def _grammars(numbers, scripts):
+    """Line strategies of the spec, knowledge-base and family grammars."""
+    axioms = numbers.map("a{}".format)
+    return [
+        st.one_of(
+            st.builds("variant {}".format, st.sampled_from("dpqx")),
+            st.builds("axioms {}".format, numbers),
+            st.builds("at {} : {} |- {}".format, numbers,
+                      st.lists(axioms, max_size=3).map(" ".join),
+                      st.one_of(st.sampled_from(["BOT", "CE"]), axioms)),
+            st.builds("replace {} -> {}".format, axioms, axioms)),
+        st.one_of(
+            st.builds("item {}".format, NAMES),
+            st.builds("rule {} -> {}".format,
+                      st.lists(NAMES, max_size=3).map(" ".join), NAMES),
+            st.builds("conflict {}".format,
+                      st.lists(NAMES, max_size=3).map(" ".join)),
+            st.builds("replace {} -> {}".format, NAMES, NAMES)),
+        st.one_of(
+            st.builds("prog {} = {}".format, NAMES, scripts),
+            st.builds("opponent {} : m={}".format, NAMES, numbers),
+            st.builds("opponent {} : g={} h={} r={}{}".format, NAMES, NAMES,
+                      NAMES, NAMES, st.sampled_from(["", " scan=full"]))),
+    ]
+
+
+def _files(lines):
+    return st.lists(st.tuples(lines, COMMENTS).map("".join),
+                    max_size=12).map("\n".join)
+
+
+# a word soup of every grammar's keywords and tokens, for the noisy files
+SOUP = st.lists(st.one_of(st.sampled_from([
+    "variant", "axioms", "at", "replace", "item", "rule", "conflict", "prog",
+    "opponent", ":", "|-", "->", "=", "BOT", "CE", "*", "#", "scan=full",
+    "m=6", "g=", "règle", "٣", "²", LONG]), NAMES,
+    st.one_of(GOOD_NUMBERS, BAD_NUMBERS).map("a{}".format)),
+    max_size=8).map(" ".join)
+FILES = st.one_of(
+    *map(_files, _grammars(GOOD_NUMBERS, GOOD_SCRIPTS)),
+    *(_files(st.one_of(lines, SOUP)) for lines in _grammars(
+        st.one_of(GOOD_NUMBERS, BAD_NUMBERS),
+        st.one_of(GOOD_SCRIPTS, BAD_SCRIPTS))))
+
+FUZZ_COMMANDS = [
+    ["validate", "F", "--bound", "4"],
+    ["run", "F", "--horizon", "50"],
+    ["repair", "F", "--horizon", "50"],
+    ["repair", "F", "--horizon", "50", "--mode", "q"],
+    ["revise", "KB", "F", "--horizon", "50"],
+    # horizon 0 parses the family and builds every opponent, runs no program
+    ["diagonalize", "F", "--horizon", "0"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(content=st.one_of(st.text(max_size=400).map(str.encode),
+                         st.binary(max_size=400),
+                         FILES.map(str.encode)))
+def test_any_input_file_exits_0_1_or_2(fuzz_file, content):
+    fuzz_file.write_bytes(content)
+    files = {"F": str(fuzz_file),
+             "KB": str(resources.files("dialectic") / "data" / "sample.kb")}
+    for argv in FUZZ_COMMANDS:
+        argv = [files.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert text.count("\n") <= 1 and "Traceback" not in text, argv

@@ -25,6 +25,7 @@ from dialectic.consequence import (
     stream_revision_operator,
     validate_aco,
 )
+from dialectic.strings import ParseError
 
 
 def table(*rules):
@@ -388,6 +389,11 @@ def test_parse_rule_table_skips_blank_and_comments():
     text = "# header\n\nat 0 : a0 |- CE\n  # tail\nat 1 : a1 a2 |- BOT\n"
     t = parse_rule_table(text)
     assert len(t) == 2
+    t = parse_rule_table("at 0 : a0 |- CE   # trailing note\n")
+    assert t == RuleTable([Rule(0, frozenset({0}), CE)])
+    with pytest.raises(ParseError) as err:
+        parse_rule_table(text + "at x : a0 |- BOT\n")
+    assert err.value.line_no == 6
 
 
 def test_rule_render_round_trip():

@@ -387,6 +387,10 @@ def test_family_parse_errors():
         ("prog p1 = (wat n)", 1),
         ("prog p = n\nopponent a : g=p h=p", 2),
         ("prog p = n\nopponent a : m=0", 2),
+        ("prog p = n\nopponent a : m=-1", 2),
+        ("prog p = n\nopponent a : m=+1", 2),
+        ("prog p = n\nopponent a : m=\u0661", 2),   # Arabic-Indic one
+        ("prog p = n\nopponent a : m=" + "1" * 5000, 2),
         ("prog p = n\nopponent a : m=6", 2),      # names program 1, undefined
         ("prog p = n\nopponent a : g=p h=p r=q", 2),
         ("prog p = n\nopponent a : m=1\nopponent a : m=1", 3),

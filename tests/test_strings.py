@@ -8,11 +8,15 @@ from dialectic.strings import (
     GAP,
     BeliefString,
     OperationError,
+    ParseError,
     Tape,
+    axiom_from_str,
     belief_range,
     contraction,
     excision,
     expansion,
+    natural_from_str,
+    numbered_lines,
     replacement,
     token_from_str,
     token_to_str,
@@ -100,6 +104,26 @@ def test_token_grammar():
         token_from_str("b2")
     with pytest.raises(OperationError):
         token_from_str("a")
+    with pytest.raises(OperationError):
+        token_from_str("a\u0663")
+
+
+def test_input_layer():
+    assert natural_from_str("0042", "bad") == 42
+    assert axiom_from_str("a17", "bad") == 17
+    for text in ["", "-1", "+1", "1_0", " 1", "\u0663", "\u00b2", "9" * 5000]:
+        with pytest.raises(ValueError, match="^bad$"):
+            natural_from_str(text, "bad")
+        with pytest.raises(ValueError, match="^bad$"):
+            axiom_from_str("a" + text, "bad")
+    for text in ["a", "b2", "A3", "2"]:
+        with pytest.raises(ValueError, match="^bad$"):
+            axiom_from_str(text, "bad")
+    text = "x\n\n  # only a comment\ny # z\r\n\tw\t\n#"
+    assert list(numbered_lines(text)) == [(1, "x"), (4, "y"), (5, "w")]
+    err = ParseError(3, "oops")
+    assert isinstance(err, ValueError)
+    assert (str(err), err.line_no, err.message) == ("line 3: oops", 3, "oops")
 
 
 tokens = st.lists(st.one_of(st.just(GAP), st.integers(0, 30)), max_size=12)

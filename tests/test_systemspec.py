@@ -71,6 +71,12 @@ def test_directives_are_optional():
     assert spec.replacements == ()
 
 
+def test_comments_may_follow_a_directive():
+    # as in README's example: "variant q          # d, p, or q"
+    commented = "".join(line + "   # note\n" for line in SAMPLE.splitlines())
+    assert parse_system(commented) == parse_system(SAMPLE)
+
+
 def test_save_and_load(tmp_path):
     spec = parse_system(SAMPLE)
     path = tmp_path / "system.dsys"
@@ -119,6 +125,32 @@ def test_replace_line_errors():
         parse_system("replace a0 -> b1\n")
     with pytest.raises(SpecParseError):
         parse_system("replace a0 -> a1\nreplace a0 -> a2\n")
+
+
+LONG = "7" * 5000   # more digits than int() converts
+
+
+@pytest.mark.parametrize("line", [
+    "replace a\u00b2 -> a1",          # superscript two
+    "replace a\u0663 -> a1",          # Arabic-Indic three
+    "replace a1 -> a+2",
+    "replace a%s -> a1" % LONG,
+    "axioms \u00b2",
+    "axioms 1_0",
+    "axioms " + LONG,
+    "at \u0663 : a0 |- BOT",
+    "at +1 : a0 |- BOT",
+    "at 1 : a\uff11 |- BOT",          # fullwidth one
+    "at 1 : a0 |- a\u00b2",
+    "at %s : a0 |- BOT" % LONG,
+], ids=["replace-sup2", "replace-arabic3", "replace-plus", "replace-long",
+        "axioms-sup2", "axioms-underscore", "axioms-long", "stage-arabic3",
+        "stage-plus", "premise-fullwidth", "conclusion-sup2", "stage-long"])
+def test_numbers_are_ascii_digits_only(line):
+    with pytest.raises(SpecParseError) as info:
+        parse_system("variant q\n" + line + "\n")
+    assert info.value.line_no == 2
+    assert str(info.value).startswith("line 2: ")
 
 
 def test_replacement_fixed_point_surfaces_at_build():
