@@ -53,6 +53,7 @@ MAX_JOBS = 64
 def cmd_validate(args) -> int:
     spec = load_system(args.spec)
     check_variant(spec)
+    spec.build()  # refuse what `run` refuses: a table or map it cannot run
     report = validate_aco(spec.table, bound=args.bound)
     print(report.render())
     return 0 if report.ok else 1

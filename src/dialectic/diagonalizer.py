@@ -69,9 +69,8 @@ class Strategy:
         self.rho: Optional[tuple[int, ...]] = None
         self.rho_code = 0
         self.skip = False
-        self.trio_pos: Optional[tuple[int, int, int]] = None
+        self.n = 0            # last enumeration position of the claimed block
         self.tau: list[int] = []
-        self._po2_next = 0
         self._s5_version = -1
 
 
@@ -123,7 +122,7 @@ class Diagonalizer:
         self.z_history.append((stage, strat.index, z))
 
     def _add_rule(self, stage: int, premises: frozenset, conclusion: int,
-                  strat: Strategy, label: str) -> Rule:
+                  strat: Strategy, label: str) -> None:
         r = Rule(stage, premises, conclusion)
         self.engine.append_rule(r)
         self.rule_meta.append({
@@ -131,7 +130,13 @@ class Diagonalizer:
             "S": strat.S, "label": label, "rule": r,
         })
         self._mention(premises)
-        return r
+
+    def _log_act(self, stage: int, strat: Strategy, label: str, detail: str,
+                 **fields) -> None:
+        self.act_records.append({"stage": stage, "strategy": strat.index,
+                                 "label": label, **fields})
+        self.timeline.append("%d\tact R%d %s %s"
+                             % (stage, strat.index, label, detail))
 
     def _deactivate_below(self, index: int, stage: int) -> None:
         for strat in self.strategies[index + 1:]:
@@ -154,9 +159,8 @@ class Diagonalizer:
         N = 3 + self.mention_max
         strat.reset_for_entry()
         strat.N = N
-        higher = frozenset().union(
-            *(s.Z for s in self.strategies[:strat.index])) if strat.index else frozenset()
-        strat.S = frozenset(range(N)) - higher
+        strat.S = frozenset(range(N)) - frozenset().union(
+            *(st.Z for st in self.strategies[:strat.index]))
         if self.replacement.defined(N):
             raise ClaimFreshnessError(stage, N)
         self.replacement.define(N, N + 2)
@@ -177,181 +181,116 @@ class Diagonalizer:
         self._mention((k, k + 1))
         self._r_next = k + 1
 
-    # -- condition checks ---------------------------------------------------
+    # -- one move per waiting status ----------------------------------------
+    #
+    # Each move tests its status's condition at stage s; when it holds, the
+    # move takes the act and returns True.
 
-    def _check(self, strat: Strategy, s: int) -> Optional[dict]:
-        if strat.status == S2WAIT:
-            return self._check_claim_enumerated(strat, s)
-        if strat.status == PO2WAIT:
-            return self._check_iterates(strat, s)
-        if strat.status == S5WAIT:
-            return self._check_prefix_shown(strat, s)
-        if strat.status == S7WAIT:
-            return self._check_prefix_marked(strat, s)
-        return None
-
-    def _check_claim_enumerated(self, strat: Strategy, s: int) -> Optional[dict]:
+    def _claim_found(self, strat: Strategy, s: int) -> bool:
+        """S2wait: the opponent has enumerated the block; S2 fixes the mode."""
         th = strat.theta
         N = strat.N
-        pos = (th.enum_position(N), th.enum_position(N + 1),
-               th.enum_position(N + 2))
+        pos = [th.enum_position(v) for v in (N, N + 1, N + 2)]
         if None in pos:
-            return None
+            return False
         l, m, n = sorted(pos)
         if len(th.sigma) <= n:
-            return None
+            return False
         g_l = th.g_value(l, self._fuel(s))
         if th.r_value(g_l, self._fuel(s)) is None:
-            return None
-        return {"l": l, "m": m, "n": n, "g_l": g_l}
+            return False
+        strat.n = n
+        self._mention((max(th.sigma), n))
+        if g_l == N:
+            strat.E = frozenset({N}).union(
+                *(st.Z for st in self.strategies[:strat.index]))
+            strat.status = PO2WAIT
+            mode = "anchor-first"
+        else:
+            strat.skip, strat.a_I, strat.a_J = True, N + 2, N + 1
+            strat.status = S5WAIT
+            mode = "decoy-first"
+        self._log_act(s, strat, "S2", "%s l=%d m=%d n=%d" % (mode, l, m, n),
+                      mode=mode, E=strat.E)
+        return True
 
-    def _check_iterates(self, strat: Strategy, s: int) -> Optional[dict]:
+    def _order_predicted(self, strat: Strategy, s: int) -> bool:
+        """PO2wait: every replacement-iterate below n is known; S4 predicts."""
         th = strat.theta
-        n = strat.trio_pos[2]
-        j = strat._po2_next
-        while j < n:
-            res = r_iterate(th, th.g_value(j, self._fuel(s)), strat.E,
+        tau = strat.tau
+        while len(tau) < strat.n:
+            res = r_iterate(th, th.g_value(len(tau), self._fuel(s)), strat.E,
                             self._fuel(s))
             if res is None:
-                strat._po2_next = j
-                return None
-            strat.tau.append(res[0])
-            j += 1
-        strat._po2_next = j
-        return {"tau": tuple(strat.tau)}
+                return False
+            tau.append(res[0])
+        N = strat.N
+        self._mention(tau)
+        idx = next(i for i, v in enumerate(tau) if v in (N + 1, N + 2))
+        rho = strat.rho = tuple(tau[:idx + 1])
+        if rho[-1] == N + 1:
+            case, strat.a_I, strat.a_J, conclusion = 1, N + 1, N + 2, CE
+        else:
+            case, strat.a_I, strat.a_J, conclusion = 2, N + 2, N + 1, BOT
+        self._add_rule(s, strat.S | {N}, conclusion, strat, "S4")
+        self._set_z(strat, frozenset({N}), s)
+        strat.status = S5WAIT
+        self._log_act(s, strat, "S4", "case=%d aI=a%d aJ=a%d |rho|=%d"
+                      % (case, strat.a_I, strat.a_J, len(rho)),
+                      case=case, rho=rho)
+        return True
 
-    def _check_prefix_shown(self, strat: Strategy, s: int) -> Optional[dict]:
+    def _pair_split(self, strat: Strategy, s: int) -> bool:
+        """S5wait: the opponent shows the prefix; S6 splits the pair."""
         th = strat.theta
         if th.version == strat._s5_version:
-            return None
+            return False
         strat._s5_version = th.version
         if strat.skip:
             fo_i = th.first_occurrence(strat.a_I)
             fo_j = th.first_occurrence(strat.a_J)
             if fo_i is None or fo_j is None or fo_i >= fo_j:
-                return None
-            return {"rho": tuple(th.sigma[:fo_i + 1])}
-        rho = strat.rho
-        if len(th.sigma) < len(rho):
-            return None
-        for i, v in enumerate(rho):
-            if th.sigma[i] != v:
-                return None
-        return {}
-
-    def _check_prefix_marked(self, strat: Strategy, s: int) -> Optional[dict]:
-        if strat.theta.ce_upto(strat.rho_code, s, self._fuel(s)):
-            return {}
-        return None
-
-    # -- acts ---------------------------------------------------------------
-
-    def _act(self, strat: Strategy, s: int, payload: dict) -> None:
-        if strat.status == S2WAIT:
-            self._act_claim_found(strat, s, payload)
-        elif strat.status == PO2WAIT:
-            self._act_order_predicted(strat, s, payload)
-        elif strat.status == S5WAIT:
-            self._act_split_pair(strat, s, payload)
-        elif strat.status == S7WAIT:
-            self._act_finish(strat, s)
-        self._deactivate_below(strat.index, s)
-
-    def _act_claim_found(self, strat: Strategy, s: int, payload: dict) -> None:
-        th = strat.theta
-        N = strat.N
-        strat.trio_pos = (payload["l"], payload["m"], payload["n"])
-        self._mention((max(th.sigma), payload["n"]))
-        if payload["g_l"] == N:
-            strat.E = frozenset({N}).union(
-                *(st.Z for st in self.strategies[:strat.index])) \
-                if strat.index else frozenset({N})
-            strat.status = PO2WAIT
-            strat._po2_next = 0
-            strat.tau = []
-            mode = "anchor-first"
-        else:
-            strat.skip = True
-            strat.a_I = N + 2
-            strat.a_J = N + 1
-            strat.status = S5WAIT
-            strat._s5_version = -1
-            mode = "decoy-first"
-        self.act_records.append({"stage": s, "strategy": strat.index,
-                                 "label": "S2", "mode": mode,
-                                 "E": strat.E})
-        self.timeline.append("%d\tact R%d S2 %s l=%d m=%d n=%d"
-                             % (s, strat.index, mode,
-                                payload["l"], payload["m"], payload["n"]))
-
-    def _act_order_predicted(self, strat: Strategy, s: int, payload: dict) -> None:
-        N = strat.N
-        tau = payload["tau"]
-        self._mention(tau)
-        idx = next(i for i, v in enumerate(tau) if v in (N + 1, N + 2))
-        rho = tau[:idx + 1]
-        strat.rho = rho
-        if rho[-1] == N + 1:
-            case = 1
-            strat.a_I, strat.a_J = N + 1, N + 2
-            self._add_rule(s, strat.S | {N}, CE, strat, "S4")
-        else:
-            case = 2
-            strat.a_I, strat.a_J = N + 2, N + 1
-            self._add_rule(s, strat.S | {N}, BOT, strat, "S4")
-        self._set_z(strat, frozenset({N}), s)
-        strat.status = S5WAIT
-        strat._s5_version = -1
-        self.act_records.append({"stage": s, "strategy": strat.index,
-                                 "label": "S4", "case": case,
-                                 "rho": rho})
-        self.timeline.append("%d\tact R%d S4 case=%d aI=a%d aJ=a%d |rho|=%d"
-                             % (s, strat.index, case, strat.a_I, strat.a_J,
-                                len(rho)))
-
-    def _act_split_pair(self, strat: Strategy, s: int, payload: dict) -> None:
-        if strat.skip:
-            strat.rho = payload["rho"]
+                return False
+            strat.rho = tuple(th.sigma[:fo_i + 1])
             self._mention(strat.rho)
+        elif tuple(th.sigma[:len(strat.rho)]) != strat.rho:
+            return False
         strat.rho_code = pi_encode(strat.rho)
-        strat.theta.pin_code(strat.rho_code)
+        th.pin_code(strat.rho_code)
         self._add_rule(s, strat.S | {strat.a_I, strat.a_J}, BOT,
                        strat, "S6")
-        if strat.skip:
-            self._set_z(strat, frozenset({strat.a_I}), s)
-        else:
-            self._set_z(strat, frozenset({strat.N, strat.a_I}), s)
+        self._set_z(strat, frozenset({strat.a_I} if strat.skip
+                                     else {strat.N, strat.a_I}), s)
         strat.status = S7WAIT
-        self.act_records.append({"stage": s, "strategy": strat.index,
-                                 "label": "S6", "rho": strat.rho})
-        self.timeline.append("%d\tact R%d S6 aI=a%d aJ=a%d |rho|=%d"
-                             % (s, strat.index, strat.a_I, strat.a_J,
-                                len(strat.rho)))
+        self._log_act(s, strat, "S6", "aI=a%d aJ=a%d |rho|=%d"
+                      % (strat.a_I, strat.a_J, len(strat.rho)),
+                      rho=strat.rho)
+        return True
 
-    def _act_finish(self, strat: Strategy, s: int) -> None:
+    def _finish(self, strat: Strategy, s: int) -> bool:
+        """S7wait: the opponent marks the predicted prefix; S8 finishes."""
+        if not strat.theta.ce_upto(strat.rho_code, s, self._fuel(s)):
+            return False
         self._add_rule(s, strat.S | {strat.a_J}, BOT, strat, "S8")
         self._set_z(strat, (strat.Z - {strat.a_I}) | {strat.a_J}, s)
         strat.status = S8DONE
-        self.act_records.append({"stage": s, "strategy": strat.index,
-                                 "label": "S8"})
-        self.timeline.append("%d\tact R%d S8 aJ=a%d"
-                             % (s, strat.index, strat.a_J))
+        self._log_act(s, strat, "S8", "aJ=a%d" % strat.a_J)
+        return True
+
+    _MOVES = {S2WAIT: _claim_found, PO2WAIT: _order_predicted,
+              S5WAIT: _pair_split, S7WAIT: _finish}
 
     # -- the drive loop -----------------------------------------------------
 
     def run_to(self, horizon: int) -> None:
         while self.stage < horizon:
             s = self.stage + 1
-            acted = False
             for strat in self.strategies:
-                if strat.status in (DEACTIVATED, S8DONE):
-                    continue
-                payload = self._check(strat, s)
-                if payload is not None:
-                    self._act(strat, s, payload)
-                    acted = True
+                move = self._MOVES.get(strat.status)
+                if move is not None and move(self, strat, s):
+                    self._deactivate_below(strat.index, s)
                     break
-            if not acted:
+            else:
                 self._activate_next(s)
                 self._extend_replacement(s)
             self.engine.step_once()
@@ -379,7 +318,6 @@ class DiagonalizationReport:
     witnesses: tuple[Optional[int], ...]
     gamma: StabilityReport
     thetas: tuple[StabilityReport, ...]
-    rules: tuple[Rule, ...]
     rule_meta: tuple[dict, ...]
     replacement_items: tuple[tuple[int, int], ...]
     timeline: tuple[str, ...]
@@ -389,6 +327,10 @@ class DiagonalizationReport:
     act_records: tuple[dict, ...]
     z_history: tuple[tuple[int, int, frozenset], ...]
     notes: tuple[str, ...]
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(meta["rule"] for meta in self.rule_meta)
 
     def witness_token(self, i: int) -> str:
         w = self.witnesses[i]
@@ -491,7 +433,6 @@ def diagonalize(opponents, horizon: int, window: int = 100,
         witnesses=tuple(witnesses),
         gamma=gamma,
         thetas=thetas,
-        rules=tuple(m["rule"] for m in diag.rule_meta),
         rule_meta=tuple(diag.rule_meta),
         replacement_items=tuple(diag.replacement.explicit_items()),
         timeline=tuple(diag.timeline),
@@ -561,10 +502,7 @@ def audit_hands_off(report: DiagonalizationReport) -> list[str]:
     for i, N in enumerate(report.Ns):
         if N < 0:
             continue
-        removed = frozenset()
-        for j in range(i):
-            removed |= report.Zs[j]
-        expected = frozenset(range(N)) - removed
+        expected = frozenset(range(N)) - frozenset().union(*report.Zs[:i])
         actual = frozenset(v for v in B if v < N)
         if actual != expected:
             problems.append(
@@ -590,8 +528,7 @@ def audit_e_sets(report: DiagonalizationReport) -> list[str]:
         for zstage, j, z in report.z_history:
             if zstage < stage and j < i:
                 z_at[j] = z
-        expected = frozenset({N}).union(*z_at.values()) if z_at \
-            else frozenset({N})
+        expected = frozenset({N}).union(*z_at.values())
         if rec["E"] != expected:
             problems.append("R%d froze escape set %s at stage %d; expected %s"
                             % (i, sorted(rec["E"]), stage, sorted(expected)))
@@ -617,9 +554,10 @@ def audit_replay(report: DiagonalizationReport) -> list[str]:
     """Each appended rule only moves beliefs at or above its block."""
     problems = []
     repl = ReplacementMap(report.replacement_items)
+    rules = report.rules
     for k, meta in enumerate(report.rule_meta):
-        with_rule = RuleTable(report.rules[:k + 1])
-        without = RuleTable(report.rules[:k])
+        with_rule = RuleTable(rules[:k + 1])
+        without = RuleTable(rules[:k])
         est_a = estimate_beliefs(
             run(QSystem(with_rule, repl), report.horizon),
             report.window).belief_estimate

@@ -38,7 +38,10 @@ class _Diverge(Exception):
 # `if` are short-circuiting (the skipped branch costs nothing), and the
 # partial operations -- division or modulus by zero, shifts by amounts
 # outside [0, 64] -- do not error but diverge, as does the literal form
-# (diverge).
+# (diverge).  A script nests at most MAX_SEXPR_DEPTH forms inside one
+# another, so neither the parser nor the evaluator can run out of stack.
+
+MAX_SEXPR_DEPTH = 200
 
 _ARITH = {
     "+": lambda a, b: a + b,
@@ -85,13 +88,16 @@ def parse_sexpr(text: str):
         raise ProgramError("empty program")
     pos = 0
 
-    def parse_one():
+    def parse_one(depth):
         nonlocal pos
         if pos >= len(tokens):
             raise ProgramError("unexpected end of program")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
+            if depth == MAX_SEXPR_DEPTH:
+                raise ProgramError("forms nested deeper than %d"
+                                   % MAX_SEXPR_DEPTH)
             if pos >= len(tokens):
                 raise ProgramError("unterminated form")
             head = tokens[pos]
@@ -102,7 +108,7 @@ def parse_sexpr(text: str):
                 raise ProgramError("unknown operator %r" % head)
             args = []
             while pos < len(tokens) and tokens[pos] != ")":
-                args.append(parse_one())
+                args.append(parse_one(depth + 1))
             if pos >= len(tokens):
                 raise ProgramError("unterminated form")
             pos += 1  # consume ')'
@@ -116,7 +122,7 @@ def parse_sexpr(text: str):
         except ValueError:
             raise ProgramError("unknown token %r" % tok) from None
 
-    node = parse_one()
+    node = parse_one(0)
     if pos != len(tokens):
         raise ProgramError("trailing tokens after program")
     return node

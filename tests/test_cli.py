@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dialectic.cli import _jobs, main
+from dialectic.universe import MAX_SEXPR_DEPTH
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -152,6 +153,21 @@ def test_closed_stdout_pipe_in_a_subprocess(spec_file):
             1, "error: cannot write output: [Errno 32] Broken pipe\n"), flags
 
 
+@pytest.mark.parametrize("text, message", [
+    ("at 0 : |- BOT\n",
+     "error: table derives BOT from the empty set (rule at stage 0)\n"),
+    ("variant q\nat 0 : |- BOT\n",
+     "error: table derives BOT from the empty set (rule at stage 0)\n"),
+    ("replace a1 -> a1\n", "error: replacement fixed point at a1\n"),
+])
+def test_validate_refuses_what_run_refuses(capsys, tmp_path, text, message):
+    path = tmp_path / "refused.spec"
+    path.write_text(text, encoding="utf-8")
+    for command in ("run", "validate"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out, err) == (1, "", message), command
+
+
 def test_validate_refuses_undisciplined_p_variant(capsys, tmp_path):
     path = tmp_path / "bad.spec"
     path.write_text(BAD_P_SPEC, encoding="utf-8")
@@ -265,6 +281,25 @@ def test_input_is_utf8_whatever_the_locale(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("validation passed")
+
+
+def test_deeply_nested_family_script_is_a_parse_error(tmp_path):
+    # without the cap, 988 levels parse but overflow the evaluator's stack
+    # once the opponent's fuel reaches the script's size
+    depth = 988
+    g = "(+ 1 " * depth + "n" + ")" * depth
+    path = tmp_path / "deep.family"
+    path.write_text("prog g = %s\nprog h = x\nprog r = (+ n 1)\n"
+                    "opponent o : g=g h=h r=r\n" % g, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(sys.modules["dialectic.cli"].__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dialectic.cli", "diagonalize", str(path),
+         "--horizon", "2500"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("parse error: line 1: bad script: forms nested "
+                           "deeper than %d\n" % MAX_SEXPR_DEPTH)
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -564,7 +599,9 @@ GOOD_NUMBERS = st.sampled_from(["0", "1", "2", "3", "6", "12"])
 BAD_NUMBERS = st.sampled_from(["-1", "+1", "1_0", "٣", "²", "１", LONG])
 GOOD_SCRIPTS = st.sampled_from(["n", "x", "(+ n 1)", "(diverge)",
                                 "(if (ge t 2) x n)"])
-BAD_SCRIPTS = st.sampled_from(["(wat n)", "(+ n %s)" % LONG, "(", "(+ n ٣)"])
+BAD_SCRIPTS = st.sampled_from(["(wat n)", "(+ n %s)" % LONG, "(", "(+ n ٣)",
+                               "(not " * (MAX_SEXPR_DEPTH + 1) + "n"
+                               + ")" * (MAX_SEXPR_DEPTH + 1)])
 NAMES = st.sampled_from(["k0", "k1", "k2", "k4", "b", "ident", "loop"])
 COMMENTS = st.sampled_from(["", "", " # note", "#", "\t# règle"])
 

@@ -1,6 +1,7 @@
 """Priority construction against families of opponent runs."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -56,6 +57,22 @@ def test_lone_opponent_full_chain():
     assert rep.rhos == ((0, 1, 2, 4),)
     assert rep.verdict_lines() == ["opponent 0: S8done witness=a4"]
     assert rep.injuries == ()
+    assert rep.act_records == (
+        {"stage": 7, "strategy": 0, "label": "S2", "mode": "anchor-first",
+         "E": frozenset({3})},
+        {"stage": 8, "strategy": 0, "label": "S4", "case": 1,
+         "rho": (0, 1, 2, 4)},
+        {"stage": 42, "strategy": 0, "label": "S6", "rho": (0, 1, 2, 4)},
+        {"stage": 60, "strategy": 0, "label": "S8"},
+    )
+    assert rep.activation_log == (
+        {"stage": 1, "strategy": 0, "N": 3, "S": frozenset({0, 1, 2}),
+         "cut": 0},
+    )
+    assert rep.z_history == (
+        (1, 0, frozenset()), (8, 0, frozenset({3})),
+        (42, 0, frozenset({3, 4})), (60, 0, frozenset({3, 5})),
+    )
     # the replacement holds the activation pair plus the idle chain
     items = dict(rep.replacement_items)
     assert items[3] == 5 and items[4] == 5 and items[0] == 1
@@ -85,6 +102,19 @@ def test_lone_opponent_decoy_first():
     assert rep.skips == (True,)
     assert rep.Zs == (frozenset({4}),)
     assert rep.rhos == ((1, 0, 2, 5),)
+    assert rep.act_records == (
+        {"stage": 7, "strategy": 0, "label": "S2", "mode": "decoy-first",
+         "E": None},
+        {"stage": 8, "strategy": 0, "label": "S6", "rho": (1, 0, 2, 5)},
+        {"stage": 30, "strategy": 0, "label": "S8"},
+    )
+    assert rep.activation_log == (
+        {"stage": 1, "strategy": 0, "N": 3, "S": frozenset({0, 1, 2}),
+         "cut": 0},
+    )
+    assert rep.z_history == (
+        (1, 0, frozenset()), (8, 0, frozenset({5})), (30, 0, frozenset({4})),
+    )
     assert rep.verdict_lines() == ["opponent 0: S8done witness=a4"]
     home, away = rep.gamma.belief_estimate, rep.thetas[0].belief_estimate
     assert 5 in home and 4 not in home
@@ -163,6 +193,9 @@ def test_family_rules_and_cases():
     # opponent 1 hits the contradiction branch, opponent 2 the marker branch
     assert concls == [CE, BOT, BOT, BOT, CE, BOT]
     assert [len(r.premises) for r in rep.rules] == [4, 5, 4, 82, 162, 243]
+    # the rules are read off rule_meta, so an edited report stays consistent
+    assert dataclasses.replace(rep, rule_meta=rep.rule_meta[:2]).rules == \
+        rep.rules[:2]
 
 
 def test_family_injuries_are_finite_and_downward():
@@ -216,6 +249,13 @@ def test_report_rendering_is_reproducible():
     for section in ("diagonalization report", "[timeline]", "[rules]",
                     "[replacement]", "[injuries]", "[verdicts]", "[notes]"):
         assert section in a
+
+
+def test_family_report_bytes_are_pinned():
+    _, opps = default_family()
+    text = diagonalize(opps, 3000, window=100).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "94f7d9eaa7cfb77f6f55f4a05dcf33c5ecf0ffd16906f963796e1b91b869cdea")
 
 
 def test_claim_on_mapped_axiom_is_a_typed_error():

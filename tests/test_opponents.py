@@ -13,8 +13,8 @@ from dialectic.opponents import (
 )
 from dialectic.randomgen import random_qsystem
 from dialectic.universe import (
-    FueledFunction, ProgramError, ProgramUniverse, closure, lookup_table,
-    parse_sexpr, script,
+    MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, closure,
+    lookup_table, parse_sexpr, script,
 )
 
 
@@ -79,6 +79,14 @@ def test_script_parse_errors():
                 "(not)", "y", "(if n 1)"):
         with pytest.raises(ProgramError):
             parse_sexpr(bad)
+
+
+def test_script_nesting_is_capped():
+    d = MAX_SEXPR_DEPTH
+    deepest = parse_sexpr("(+ 1 " * d + "n" + ")" * d)
+    assert FueledFunction("sexpr", deepest).call((0,), 10 ** 6) == d
+    with pytest.raises(ProgramError, match="nested deeper than"):
+        parse_sexpr("(+ 1 " * (d + 1) + "n" + ")" * (d + 1))
 
 
 def test_script_values():
