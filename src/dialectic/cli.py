@@ -165,6 +165,7 @@ def cmd_diff(args) -> int:
         print("diff needs a spec file or --fuzz", file=sys.stderr)
         return 2
     spec = load_system(args.spec)
+    check_variant(spec)
     system = spec.build()
     back = stream_alignment("backward", qsys=system, horizon=args.horizon,
                             clause_order=clause_order)

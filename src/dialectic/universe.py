@@ -12,7 +12,8 @@ call answers at budget f, it answers identically at every budget above f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 
@@ -40,6 +41,15 @@ class _Diverge(Exception):
 # outside [0, 64] -- do not error but diverge, as does the literal form
 # (diverge).  A script nests at most MAX_SEXPR_DEPTH forms inside one
 # another, so neither the parser nor the evaluator can run out of stack.
+#
+# Each script is also compiled, once, into one Python function of (n, x),
+# and FueledFunction.call uses it whenever the fuel is at least the
+# script's node count.  That is exact: with no loops in the language, an
+# evaluation visits every node at most once, so at that fuel eval_sexpr
+# cannot run out, and the function's answer or divergence is its answer.
+# Lower fuel, a script that Python's compiler refuses, and a one-argument
+# call of a script that names x (an error only if evaluation reaches x)
+# go to eval_sexpr.
 
 MAX_SEXPR_DEPTH = 200
 
@@ -175,6 +185,83 @@ def eval_sexpr(node, env: dict, budget: list) -> int:
     return _ARITH[op](a, b)
 
 
+# The compiler turns the AST into one Python expression: `if`, `and`, `or`
+# and `not` become conditional expressions, and the helpers below make the
+# partial operations and (diverge) diverge as eval_sexpr does.  Only this
+# fixed operator table and %d-formatted integer literals enter the source.
+
+def _divisor(b):
+    if b == 0:
+        raise _Diverge
+    return b
+
+
+def _shift(b):
+    if b < 0 or b > 64:
+        raise _Diverge
+    return b
+
+
+def _diverge():
+    raise _Diverge
+
+
+_PY_FORMS = {
+    "+": "({0} + {1})",
+    "-": "({0} - {1})",
+    "*": "({0} * {1})",
+    "band": "({0} & {1})",
+    "bor": "({0} | {1})",
+    "bxor": "({0} ^ {1})",
+    "eq": "(1 if {0} == {1} else 0)",
+    "lt": "(1 if {0} < {1} else 0)",
+    "le": "(1 if {0} <= {1} else 0)",
+    "ge": "(1 if {0} >= {1} else 0)",
+    "gt": "(1 if {0} > {1} else 0)",
+    "div": "({0} // _divisor({1}))",
+    "mod": "({0} % _divisor({1}))",
+    "shl": "({0} << _shift({1}))",
+    "shr": "({0} >> _shift({1}))",
+    "and": "(1 if {0} and {1} else 0)",
+    "or": "(1 if {0} or {1} else 0)",
+    "not": "(0 if {0} else 1)",
+    "if": "({1} if {0} else {2})",
+    "diverge": "_diverge()",
+}
+
+_PY_HELPERS = {"_divisor": _divisor, "_shift": _shift, "_diverge": _diverge}
+
+
+def _py_source(node, seen: list) -> str:
+    """Python expression for node; every node it covers goes onto seen."""
+    seen.append(node)
+    if type(node) is int:
+        return "%d" % node
+    if node in ("n", "t", "x"):
+        return "x" if node == "x" else "n"
+    if type(node) is not tuple or not node or node[0] not in _PY_FORMS:
+        raise ValueError("not a script AST")
+    _check_arity(node[0], node[1:])
+    return _PY_FORMS[node[0]].format(*(_py_source(a, seen)
+                                       for a in node[1:]))
+
+
+def compile_sexpr(node) -> Optional[tuple[Callable[..., int], int, int]]:
+    """Compile a script AST into (function, node count, arity).
+
+    The function takes n, or n and x, and raises _Diverge where eval_sexpr
+    diverges; the arity is 2 if the script names x, else 1.  None if the
+    AST is malformed or Python's compiler refuses it.
+    """
+    seen: list = []
+    try:
+        body = _py_source(node, seen)
+        fn = eval("lambda n, x=0: " + body, dict(_PY_HELPERS))
+    except (ValueError, SyntaxError, RecursionError, MemoryError):
+        return None
+    return fn, len(seen), 2 if "x" in seen else 1
+
+
 # ---------------------------------------------------------------------------
 # the common wrapper
 # ---------------------------------------------------------------------------
@@ -193,16 +280,30 @@ class FueledFunction:
     payload: object
     name: str = ""
     source: str = ""
+    # call() runs the compiled script when the fuel is at least _fast_fuel
+    # and the call has at least _fast_arity arguments
+    _fast = None
+    _fast_fuel = math.inf
+    _fast_arity = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("closure", "table", "sexpr"):
             raise ProgramError("unknown program kind %r" % self.kind)
+        if self.kind == "sexpr":
+            compiled = compile_sexpr(self.payload)
+            if compiled is not None:
+                self._fast, self._fast_fuel, self._fast_arity = compiled
 
     def call(self, args: tuple[int, ...], fuel: int) -> Optional[int]:
         """Evaluate on args; None means no answer within this budget."""
-        if fuel < 1:
+        if fuel >= self._fast_fuel and len(args) >= self._fast_arity:
+            try:
+                value = self._fast(*args[:2])
+            except _Diverge:
+                return None
+        elif fuel < 1:
             return None
-        if self.kind == "closure":
+        elif self.kind == "closure":
             value = self.payload(*args)
         elif self.kind == "table":
             value = self.payload.get(tuple(args))

@@ -503,6 +503,16 @@ def test_diff_without_input_exits_2(capsys):
     assert "spec file or --fuzz" in err
 
 
+def test_diff_refuses_what_run_refuses_for_the_variant(capsys, tmp_path):
+    path = tmp_path / "mistagged.spec"
+    path.write_text("variant d\nat 2 : a0 |- CE\nreplace a0 -> a2\n",
+                    encoding="utf-8")
+    message = "error: spec tagged 'd' but the table produces counterexamples\n"
+    for command in ("run", "diff"):
+        code, out, err = run_cli(capsys, command, str(path), "--horizon", "50")
+        assert (code, out, err) == (1, "", message), command
+
+
 # ---------------------------------------------------------------------------
 # diagonalize
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dialectic.consequence import CE, RuleTable, rule
 from dialectic.engine import ReplacementMap, RunEngine, QSystem, estimate_beliefs
@@ -13,8 +14,8 @@ from dialectic.opponents import (
 )
 from dialectic.randomgen import random_qsystem
 from dialectic.universe import (
-    MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, closure,
-    lookup_table, parse_sexpr, script,
+    MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, _Diverge,
+    closure, compile_sexpr, eval_sexpr, lookup_table, parse_sexpr, script,
 )
 
 
@@ -87,6 +88,104 @@ def test_script_nesting_is_capped():
     assert FueledFunction("sexpr", deepest).call((0,), 10 ** 6) == d
     with pytest.raises(ProgramError, match="nested deeper than"):
         parse_sexpr("(+ 1 " * (d + 1) + "n" + ")" * (d + 1))
+
+
+def _interpreted(ast, args, fuel):
+    """What FueledFunction.call answers, by eval_sexpr alone."""
+    if fuel < 1:
+        return None
+    env = {"n": args[0], "t": args[0]}
+    if len(args) > 1:
+        env["x"] = args[1]
+    try:
+        value = eval_sexpr(ast, env, [fuel])
+    except _Diverge:
+        return None
+    except KeyError:
+        return "unbound"
+    return value if value >= 0 else "negative"
+
+
+def _called(fn, args, fuel):
+    try:
+        return fn.call(args, fuel)
+    except ProgramError as exc:
+        return "unbound" if "unbound variable" in str(exc) else "negative"
+
+
+def _nodes(ast):
+    if isinstance(ast, tuple):
+        return 1 + sum(_nodes(a) for a in ast[1:])
+    return 1
+
+
+_ARITY = {op: 2 for op in ("+", "-", "*", "band", "bor", "bxor", "eq", "lt",
+                            "le", "ge", "gt", "div", "mod", "shl", "shr",
+                            "and", "or")}
+_ARITY.update({"not": 1, "if": 3, "diverge": 0})
+
+# every operator equally often; literals around 0 and the shift range
+# [0, 64], so division by zero and out-of-range shifts come up often
+_script_asts = st.recursive(
+    st.integers(-70, 70) | st.sampled_from((0, -1, 64, 65, "n", "t", "x",
+                                            ("diverge",))),
+    lambda sub: st.sampled_from(sorted(_ARITY)).flatmap(
+        lambda op: st.tuples(st.just(op), *[sub] * _ARITY[op])),
+    max_leaves=80)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@example(ast=("and", 0, ("diverge",)), args=(1,))
+@example(ast=("or", 7, ("div", "n", 0)), args=(1,))
+@example(ast=("mod", "x", ("-", "n", "t")), args=(2, 5))
+@example(ast=("+", ("shl", "n", 65), ("shr", "n", -1)), args=(3,))
+@example(ast=("if", ("eq", "n", 0), 0, "x"), args=(0,))
+@given(ast=_script_asts,
+       args=st.lists(st.integers(0, 2 ** 40) | st.integers(0, 70),
+                     min_size=1, max_size=2).map(tuple))
+def test_compiled_script_agrees_with_interpreter_at_every_fuel(ast, args):
+    size = _nodes(ast)
+    assert compile_sexpr(ast)[1] == size
+    fn = FueledFunction("sexpr", ast, name="p")
+    for fuel in range(size + 2):
+        assert _called(fn, args, fuel) == _interpreted(ast, args, fuel), fuel
+
+
+def test_one_argument_call_fails_only_when_it_reaches_x():
+    f = script("(if (eq n 0) 0 x)", name="guarded")
+    assert f.call((0,), 4) is None
+    for fuel in (5, 6, 7, 100):
+        assert f.call((0,), fuel) == 0
+    with pytest.raises(ProgramError, match="unbound variable 'x'"):
+        f.call((1,), 100)
+    assert f.call((1, 9), 100) == 9
+
+
+@pytest.mark.parametrize("text", [
+    "(+ 1 " * MAX_SEXPR_DEPTH + "n" + ")" * MAX_SEXPR_DEPTH,
+    "(not " * MAX_SEXPR_DEPTH + "n" + ")" * MAX_SEXPR_DEPTH,
+    "(if (lt n 1) " * (MAX_SEXPR_DEPTH - 1) + "n"
+    + " 7)" * (MAX_SEXPR_DEPTH - 1),
+], ids=["+", "not", "if"])
+def test_scripts_at_the_nesting_cap_match_the_interpreter(text):
+    ast = parse_sexpr(text)
+    fn = FueledFunction("sexpr", ast)
+    size = _nodes(ast)
+    for args in ((0,), (1,), (5, 3)):
+        for fuel in (1, size // 2, size - 1, size, size + 1, 10 ** 6):
+            assert fn.call(args, fuel) == _interpreted(ast, args, fuel)
+
+
+def test_script_that_compile_refuses_runs_on_the_interpreter():
+    # deeper than the parser allows, so only a hand-built AST gets here;
+    # Python's compiler refuses so many nested parentheses
+    ast = "n"
+    for _ in range(2 * MAX_SEXPR_DEPTH):
+        ast = ("+", 1, ast)
+    assert compile_sexpr(ast) is None
+    fn = FueledFunction("sexpr", ast)
+    assert fn.call((3,), 10 ** 6) == 3 + 2 * MAX_SEXPR_DEPTH
+    assert fn.call((3,), 4 * MAX_SEXPR_DEPTH) is None
 
 
 def test_script_values():
