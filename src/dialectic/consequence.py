@@ -12,12 +12,11 @@ on a bounded fragment.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .strings import (
-    AxiomId, ParseError, axiom_from_str, natural_from_str, numbered_lines,
-)
+from .strings import AxiomId, axiom_from_str, natural_from_str
 
 # Conclusion sentinels.  Axioms are their own (non-negative) codes.
 BOT: int = -2   # inconsistency marker
@@ -152,7 +151,29 @@ def check_no_empty_derivation(table: RuleTable) -> None:
 # ---------------------------------------------------------------------------
 
 class ValidationScopeError(ValueError):
-    """The requested validation bound does not cover the table."""
+    """The requested validation bound does not cover the table, or the
+    validation would do more work than the limits below allow."""
+
+
+# limits on one validation: the sets it enumerates, and the sets times the
+# stages 0..top it evaluates each of them at
+MAX_VALIDATION_SETS = 200_000
+MAX_VALIDATION_STEPS = 5_000_000
+
+
+def check_validation_size(bound: int, width: int, top_stage: int) -> None:
+    """Refuse, before any enumeration, a validation over the limits."""
+    n = max(bound + 1, 0)
+    sets = sum(math.comb(n, k) for k in range(min(width, n) + 1))
+    steps = sets * (top_stage + 1)
+    if sets > MAX_VALIDATION_SETS:
+        raise ValidationScopeError(
+            "bound %d would enumerate %d sets; the limit is %d"
+            % (bound, sets, MAX_VALIDATION_SETS))
+    if steps > MAX_VALIDATION_STEPS:
+        raise ValidationScopeError(
+            "%d sets at each of %d stages make %d evaluations; the limit "
+            "is %d" % (sets, top_stage + 1, steps, MAX_VALIDATION_STEPS))
 
 
 @dataclass
@@ -184,15 +205,17 @@ def validate_aco(table: RuleTable, bound: int, width: int = 4) -> ValidationRepo
     """Re-check inclusion, monotony (both arguments) and the iteration law.
 
     All finite sets of at most ``width`` axioms drawn from ``{a0..a_bound}``
-    are enumerated.  ``bound`` must cover every axiom the table mentions.
+    are enumerated.  ``bound`` must cover every axiom the table mentions,
+    and the work must lie within the limits of ``check_validation_size``.
     """
     if bound < table.max_axiom():
         raise ValidationScopeError(
             "bound %d below largest mentioned axiom index %d"
             % (bound, table.max_axiom())
         )
-    universe = list(range(bound + 1))
     top_stage = table.max_stage()
+    check_validation_size(bound, width, top_stage)
+    universe = list(range(bound + 1))
     failures: list[str] = []
     checked = 0
 
@@ -385,14 +408,3 @@ def parse_rule_line(text: str) -> Rule:
                 for tok in prem_part.split()]
     conclusion = symbol_from_str(concl_part.strip())
     return Rule(stage, frozenset(premises), conclusion)
-
-
-def parse_rule_table(text: str) -> RuleTable:
-    """Parse a block of rule lines; blank lines and ``#`` comments ignored."""
-    rules = []
-    for line_no, line in numbered_lines(text):
-        try:
-            rules.append(parse_rule_line(line))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-    return RuleTable(rules)

@@ -12,7 +12,16 @@ and each ends up either completed or permanently parked on a condition
 its opponent never satisfies.
 
 The verdict for an opponent is a witness axiom on which the two limiting
-belief estimates disagree, drawn from the strategy's final block.
+belief estimates disagree: the least such axiom at or above the block of
+the strategy's last entry, or else the least such axiom overall.
+
+The scheduler logs what it does as one list of plain tuples
+``(kind, stage, strategy, *payload)``, read by the report's views and the
+audits: ``activate`` (block N, kept set S, and cut, the number of axioms
+mentioned before; an entry also empties Z), ``act`` (label, timeline
+detail, a dict of fields), ``claim`` (the new Z), ``rule`` (label, rule)
+and ``injure`` (the index of the injuring strategy).  Mentioned axioms
+are one flat list of their own: the idle branch adds two every stage.
 """
 
 from __future__ import annotations
@@ -96,12 +105,7 @@ class Diagonalizer:
         self.strategies = [Strategy(i, th) for i, th in enumerate(opponents)]
         self.mentions: list[int] = []
         self.mention_max = 0
-        self.timeline: list[str] = []
-        self.injuries: list[tuple[int, int, int]] = []  # (stage, hurt, by)
-        self.rule_meta: list[dict] = []
-        self.activation_log: list[dict] = []
-        self.z_history: list[tuple[int, int, frozenset]] = []
-        self.act_records: list[dict] = []
+        self.events: list[tuple] = []   # see the module docstring
         self._r_next = 0
         self.stage = 0
 
@@ -119,31 +123,23 @@ class Diagonalizer:
 
     def _set_z(self, strat: Strategy, z: frozenset, stage: int) -> None:
         strat.Z = z
-        self.z_history.append((stage, strat.index, z))
+        self.events.append(("claim", stage, strat.index, z))
 
     def _add_rule(self, stage: int, premises: frozenset, conclusion: int,
                   strat: Strategy, label: str) -> None:
         r = Rule(stage, premises, conclusion)
         self.engine.append_rule(r)
-        self.rule_meta.append({
-            "stage": stage, "strategy": strat.index, "N": strat.N,
-            "S": strat.S, "label": label, "rule": r,
-        })
+        self.events.append(("rule", stage, strat.index, label, r))
         self._mention(premises)
 
     def _log_act(self, stage: int, strat: Strategy, label: str, detail: str,
                  **fields) -> None:
-        self.act_records.append({"stage": stage, "strategy": strat.index,
-                                 "label": label, **fields})
-        self.timeline.append("%d\tact R%d %s %s"
-                             % (stage, strat.index, label, detail))
+        self.events.append(("act", stage, strat.index, label, detail, fields))
 
     def _deactivate_below(self, index: int, stage: int) -> None:
         for strat in self.strategies[index + 1:]:
             if strat.status != DEACTIVATED:
-                self.injuries.append((stage, strat.index, index))
-                self.timeline.append("%d\tinjure R%d by R%d"
-                                     % (stage, strat.index, index))
+                self.events.append(("injure", stage, strat.index, index))
                 strat.status = DEACTIVATED
 
     # -- the idle branch ----------------------------------------------------
@@ -166,12 +162,7 @@ class Diagonalizer:
         self.replacement.define(N, N + 2)
         self._mention((N, N + 1, N + 2))
         strat.status = S2WAIT
-        self.activation_log.append({
-            "stage": stage, "strategy": strat.index, "N": N,
-            "S": strat.S, "cut": cut,
-        })
-        self._set_z(strat, frozenset(), stage)
-        self.timeline.append("%d\tactivate R%d N=%d" % (stage, strat.index, N))
+        self.events.append(("activate", stage, strat.index, N, strat.S, cut))
 
     def _extend_replacement(self, stage: int) -> None:
         k = self._r_next
@@ -318,19 +309,38 @@ class DiagonalizationReport:
     witnesses: tuple[Optional[int], ...]
     gamma: StabilityReport
     thetas: tuple[StabilityReport, ...]
-    rule_meta: tuple[dict, ...]
     replacement_items: tuple[tuple[int, int], ...]
-    timeline: tuple[str, ...]
-    injuries: tuple[tuple[int, int, int], ...]
     mentions: tuple[int, ...]
-    activation_log: tuple[dict, ...]
-    act_records: tuple[dict, ...]
-    z_history: tuple[tuple[int, int, frozenset], ...]
+    events: tuple[tuple, ...]
     notes: tuple[str, ...]
+
+    # views of the event list: they store nothing, so they follow an edit
+
+    @property
+    def timeline(self) -> tuple[str, ...]:
+        lines = []
+        for kind, stage, i, *payload in self.events:
+            if kind == "activate":
+                lines.append("%d\tactivate R%d N=%d" % (stage, i, payload[0]))
+            elif kind == "act":
+                lines.append("%d\tact R%d %s %s" % (stage, i, *payload[:2]))
+            elif kind == "injure":
+                lines.append("%d\tinjure R%d by R%d" % (stage, i, payload[0]))
+        return tuple(lines)
 
     @property
     def rules(self) -> tuple[Rule, ...]:
-        return tuple(meta["rule"] for meta in self.rule_meta)
+        return tuple(e[4] for e in self.events if e[0] == "rule")
+
+    @property
+    def injuries(self) -> tuple[tuple[int, int, int], ...]:
+        """(stage, hurt, by) for every throw-back."""
+        return tuple(e[1:] for e in self.events if e[0] == "injure")
+
+    @property
+    def act_records(self) -> tuple[dict, ...]:
+        return tuple({"stage": e[1], "strategy": e[2], "label": e[3], **e[5]}
+                     for e in self.events if e[0] == "act")
 
     def witness_token(self, i: int) -> str:
         w = self.witnesses[i]
@@ -342,18 +352,16 @@ class DiagonalizationReport:
                 for i in range(len(self.statuses))]
 
     def render(self) -> str:
-        out = []
-        out.append("diagonalization report")
-        out.append("horizon %d window %d" % (self.horizon, self.window))
-        out.append("opponents:")
-        for i, name in enumerate(self.opponent_names):
-            out.append("  %d %s" % (i, name))
+        out = ["diagonalization report",
+               "horizon %d window %d" % (self.horizon, self.window),
+               "opponents:"]
+        out.extend("  %d %s" % pair for pair in enumerate(self.opponent_names))
         out.append("[timeline]")
         out.extend(self.timeline)
         out.append("[rules]")
-        for idx, meta in enumerate(self.rule_meta):
-            out.append("%d\tR%d\t%s" % (idx, meta["strategy"],
-                                        meta["rule"].render()))
+        rules = (e for e in self.events if e[0] == "rule")
+        for idx, (_, _, i, _, rule) in enumerate(rules):
+            out.append("%d\tR%d\t%s" % (idx, i, rule.render()))
         out.append("[replacement]")
         shown = self.replacement_items[:64]
         for i, j in shown:
@@ -362,23 +370,16 @@ class DiagonalizationReport:
         if rest > 0:
             out.append("... %d more entries" % rest)
         out.append("[injuries]")
-        if not self.injuries:
-            out.append("none")
-        else:
-            per: dict[int, list[int]] = {}
-            for stage, hurt, _by in self.injuries:
-                per.setdefault(hurt, []).append(stage)
-            for hurt in sorted(per):
-                stages = per[hurt]
-                out.append("R%d injured %d times, last at stage %d"
-                           % (hurt, len(stages), stages[-1]))
+        per: dict[int, list[int]] = {}
+        for stage, hurt, _by in self.injuries:
+            per.setdefault(hurt, []).append(stage)
+        out.extend(["R%d injured %d times, last at stage %d"
+                    % (hurt, len(stages), stages[-1])
+                    for hurt, stages in sorted(per.items())] or ["none"])
         out.append("[verdicts]")
         out.extend(self.verdict_lines())
         out.append("[notes]")
-        if not self.notes:
-            out.append("none")
-        else:
-            out.extend(self.notes)
+        out.extend(self.notes or ["none"])
         return "\n".join(out) + "\n"
 
 
@@ -433,14 +434,9 @@ def diagonalize(opponents, horizon: int, window: int = 100,
         witnesses=tuple(witnesses),
         gamma=gamma,
         thetas=thetas,
-        rule_meta=tuple(diag.rule_meta),
         replacement_items=tuple(diag.replacement.explicit_items()),
-        timeline=tuple(diag.timeline),
-        injuries=tuple(diag.injuries),
         mentions=tuple(diag.mentions),
-        activation_log=tuple(diag.activation_log),
-        act_records=tuple(diag.act_records),
-        z_history=tuple(diag.z_history),
+        events=tuple(diag.events),
         notes=tuple(notes),
     )
 
@@ -449,46 +445,57 @@ def diagonalize(opponents, horizon: int, window: int = 100,
 # audits
 # ---------------------------------------------------------------------------
 #
-# Every audit recomputes its property from the report's event logs alone
-# and returns a list of problem descriptions; empty means the property
-# held on this run.
+# Every audit recomputes its property from the report's event list in one
+# forward pass and returns a list of problem descriptions; empty means the
+# property held on this run.
+
+def _claimed_rules(events):
+    """Each rule as (rule, N, S), with N and S from its strategy's entry."""
+    entry = {}
+    for kind, _stage, i, *payload in events:
+        if kind == "activate":
+            entry[i] = payload[:2]
+        elif kind == "rule":
+            yield (payload[1], *entry[i])
+
 
 def audit_freshness(report: DiagonalizationReport) -> list[str]:
     """Each entry's claimed block lies above everything mentioned before."""
     problems = []
-    for act in report.activation_log:
-        cut = act["cut"]
-        before = report.mentions[:cut]
-        ceiling = max(before) if before else 0
-        if act["N"] <= ceiling:
-            problems.append(
-                "entry of R%d at stage %d claimed a%d, but a%d was already "
-                "mentioned" % (act["strategy"], act["stage"], act["N"],
-                               ceiling))
+    ceiling = seen = 0   # the largest of the first `seen` mentions
+    for kind, stage, i, *payload in report.events:
+        if kind == "activate":
+            N, _, cut = payload
+            ceiling = max([ceiling, *report.mentions[seen:cut]])
+            seen = cut
+            if N <= ceiling:
+                problems.append(
+                    "entry of R%d at stage %d claimed a%d, but a%d was "
+                    "already mentioned" % (i, stage, N, ceiling))
     return problems
 
 
 def audit_finite_injury(report: DiagonalizationReport) -> list[str]:
     """Throw-backs are bounded by higher-ranked activity and settle."""
-    problems = []
     n = len(report.statuses)
-    acts_by = {i: [] for i in range(n)}
-    for rec in report.act_records:
-        acts_by[rec["strategy"]].append(rec["stage"])
+    stages = {kind: [[] for _ in range(n)]
+              for kind in ("act", "injure", "activate")}
+    for kind, stage, i, *_ in report.events:
+        if kind in stages:
+            stages[kind][i].append(stage)
+    acts, hurt, entries = stages["act"], stages["injure"], stages["activate"]
+    problems = []
     for i in range(n):
-        higher_acts = sum(len(acts_by[j]) for j in range(i))
-        entries = [a["stage"] for a in report.activation_log
-                   if a["strategy"] == i]
-        hurt = [inj for inj in report.injuries if inj[1] == i]
-        if len(hurt) > higher_acts:
+        higher = [stage for j in range(i) for stage in acts[j]]
+        if len(hurt[i]) > len(higher):
             problems.append("R%d thrown back %d times but higher strategies "
-                            "acted only %d times" % (i, len(hurt), higher_acts))
-        last_higher = max((st for j in range(i) for st in acts_by[j]),
-                          default=0)
-        if entries and entries[-1] <= last_higher:
+                            "acted only %d times" % (i, len(hurt[i]),
+                                                     len(higher)))
+        last_higher = max(higher, default=0)
+        if entries[i] and entries[i][-1] <= last_higher:
             problems.append("R%d never re-entered after the last "
                             "higher-ranked act at stage %d" % (i, last_higher))
-        if not entries and report.statuses[i] != DEACTIVATED:
+        if not entries[i] and report.statuses[i] != DEACTIVATED:
             problems.append("R%d has status %s without any entry"
                             % (i, report.statuses[i]))
     return problems
@@ -514,39 +521,31 @@ def audit_hands_off(report: DiagonalizationReport) -> list[str]:
 def audit_e_sets(report: DiagonalizationReport) -> list[str]:
     """Frozen iteration-escape sets match the claims current at freezing."""
     problems = []
-    for rec in report.act_records:
-        if rec["label"] != "S2" or rec.get("E") is None:
-            continue
-        i = rec["strategy"]
-        stage = rec["stage"]
-        # the strategy's block at that moment
-        N = None
-        for act in report.activation_log:
-            if act["strategy"] == i and act["stage"] <= stage:
-                N = act["N"]
-        z_at = {}
-        for zstage, j, z in report.z_history:
-            if zstage < stage and j < i:
-                z_at[j] = z
-        expected = frozenset({N}).union(*z_at.values())
-        if rec["E"] != expected:
-            problems.append("R%d froze escape set %s at stage %d; expected %s"
-                            % (i, sorted(rec["E"]), stage, sorted(expected)))
+    block, claim = {}, {}   # each strategy's current N and Z
+    for kind, stage, i, *payload in report.events:
+        if kind == "activate":
+            block[i], claim[i] = payload[0], frozenset()
+        elif kind == "claim":
+            claim[i] = payload[0]
+        elif kind == "act" and payload[2].get("E") is not None:
+            E = payload[2]["E"]   # frozen by S2 in the anchor-first mode
+            expected = frozenset({block[i]}).union(
+                *(z for j, z in claim.items() if j < i))
+            if E != expected:
+                problems.append(
+                    "R%d froze escape set %s at stage %d; expected %s"
+                    % (i, sorted(E), stage, sorted(expected)))
     return problems
 
 
 def audit_ce_discipline(report: DiagonalizationReport) -> list[str]:
     """Marker rules carry exactly the appender's kept set plus its anchor."""
     problems = []
-    for meta in report.rule_meta:
-        r = meta["rule"]
-        if r.conclusion != CE:
-            continue
-        expected = meta["S"] | {meta["N"]}
-        if r.premises != expected:
+    for r, N, S in _claimed_rules(report.events):
+        if r.conclusion == CE and r.premises != S | {N}:
             problems.append("marker rule at stage %d has premises %s; "
                             "expected %s" % (r.stage, sorted(r.premises),
-                                             sorted(expected)))
+                                             sorted(S | {N})))
     return problems
 
 
@@ -555,7 +554,7 @@ def audit_replay(report: DiagonalizationReport) -> list[str]:
     problems = []
     repl = ReplacementMap(report.replacement_items)
     rules = report.rules
-    for k, meta in enumerate(report.rule_meta):
+    for k, (r, cut, _) in enumerate(_claimed_rules(report.events)):
         with_rule = RuleTable(rules[:k + 1])
         without = RuleTable(rules[:k])
         est_a = estimate_beliefs(
@@ -564,13 +563,12 @@ def audit_replay(report: DiagonalizationReport) -> list[str]:
         est_b = estimate_beliefs(
             run(QSystem(without, repl), report.horizon),
             report.window).belief_estimate
-        cut = meta["N"]
         low_a = frozenset(v for v in est_a if v < cut)
         low_b = frozenset(v for v in est_b if v < cut)
         if low_a != low_b:
             problems.append(
                 "rule %d (stage %d) moved beliefs below a%d: %s"
-                % (k, meta["stage"], cut, sorted(low_a ^ low_b)))
+                % (k, r.stage, cut, sorted(low_a ^ low_b)))
     return problems
 
 

@@ -25,7 +25,7 @@ class OperationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# input layer (spec, rule-table, knowledge-base, additions and family files)
+# input layer (spec, knowledge-base, additions and family files)
 # ---------------------------------------------------------------------------
 
 class ParseError(ValueError):
@@ -220,11 +220,6 @@ class Tape:
 # ---------------------------------------------------------------------------
 # the four primitive operations
 # ---------------------------------------------------------------------------
-
-def belief_range(sigma: BeliefString) -> frozenset[int]:
-    """Axioms occurring in ``sigma``; the gap marker never counts."""
-    return sigma.range()
-
 
 def contraction(sigma: BeliefString, k: int) -> BeliefString:
     """Initial segment of length ``k``.

@@ -116,11 +116,6 @@ def load_system(path) -> SystemSpec:
     return parse_system(read_input(path))
 
 
-def save_system(spec: SystemSpec, path) -> None:
-    with open(path, "w") as fp:
-        fp.write(render_system(spec))
-
-
 # ---------------------------------------------------------------------------
 # variant discipline
 # ---------------------------------------------------------------------------

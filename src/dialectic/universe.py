@@ -1,10 +1,10 @@
 """Budgeted program registry backing the opponent machinery.
 
 A *program* here is a partial function on naturals: it may answer, or it
-may fail to answer within the evaluation budget ("fuel").  Three carriers
-are supported -- a python callable, a finite lookup table, and a script in
-a deliberately tiny expression language -- all wrapped behind the same
-call interface so the rest of the package never cares which one it got.
+may fail to answer within the evaluation budget ("fuel").  Two carriers
+are supported -- a python callable and a script in a deliberately tiny
+expression language -- both wrapped behind the same call interface so the
+rest of the package never cares which one it got.
 
 The one law every carrier obeys: convergence is monotone in fuel.  If a
 call answers at budget f, it answers identically at every budget above f.
@@ -270,10 +270,9 @@ def compile_sexpr(node) -> Optional[tuple[Callable[..., int], int, int]]:
 class FueledFunction:
     """A partial function on naturals with budgeted evaluation.
 
-    kind is "closure" (payload: python callable returning int or None),
-    "table" (payload: dict from argument tuples to ints; missing keys
-    diverge), or "sexpr" (payload: parsed AST).  Closure and table calls
-    cost one unit of fuel; script calls cost one unit per visited node.
+    kind is "closure" (payload: python callable returning int or None)
+    or "sexpr" (payload: parsed AST).  Closure calls cost one unit of
+    fuel; script calls cost one unit per visited node.
     """
 
     kind: str
@@ -287,7 +286,7 @@ class FueledFunction:
     _fast_arity = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("closure", "table", "sexpr"):
+        if self.kind not in ("closure", "sexpr"):
             raise ProgramError("unknown program kind %r" % self.kind)
         if self.kind == "sexpr":
             compiled = compile_sexpr(self.payload)
@@ -305,8 +304,6 @@ class FueledFunction:
             return None
         elif self.kind == "closure":
             value = self.payload(*args)
-        elif self.kind == "table":
-            value = self.payload.get(tuple(args))
         else:
             env = {"n": args[0], "t": args[0]}
             if len(args) > 1:
@@ -333,15 +330,6 @@ def script(text: str, name: str = "") -> FueledFunction:
 
 def closure(fn: Callable[..., Optional[int]], name: str = "") -> FueledFunction:
     return FueledFunction("closure", fn, name=name)
-
-
-def lookup_table(mapping: dict, name: str = "") -> FueledFunction:
-    fixed = {}
-    for key, value in mapping.items():
-        if not isinstance(key, tuple):
-            key = (key,)
-        fixed[key] = value
-    return FueledFunction("table", fixed, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,22 @@ def test_validate_output_golden(capsys, spec_file, tmp_path):
            for f in failing])
 
 
+@pytest.mark.parametrize("text,bound,message", [
+    # 31 sets, but a billion stages each
+    ("at 999999999 : a0 |- BOT\n", "4",
+     "error: 31 sets at each of 1000000000 stages make 31000000000 "
+     "evaluations; the limit is 5000000\n"),
+    ("at 0 : a0 |- BOT\n", "100",
+     "error: bound 100 would enumerate 4254727 sets; the limit is 200000\n"),
+], ids=["stages", "sets"])
+def test_validate_refuses_oversized_work(capsys, tmp_path, text, bound,
+                                         message):
+    path = tmp_path / "big.spec"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path), "--bound", bound)
+    assert (code, out, err) == (1, "", message)
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -281,6 +297,30 @@ def test_input_is_utf8_whatever_the_locale(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("validation passed")
+
+
+@pytest.mark.parametrize("text,code,line", [
+    ("item k0\nitem k\u00f6\nconflict k0 k\u00f6\n", 0,
+     "removed: k\u00f6\n"),
+    ("item k0\nrule k\u00f6 -> k0\n", 2,
+     "parse error: line 2: unknown item 'k\u00f6'\n"),
+], ids=["stdout", "stderr"])
+def test_output_is_utf8_whatever_the_locale(tmp_path, text, code, line):
+    path = tmp_path / "accent.kb"
+    path.write_text(text, encoding="utf-8")
+    runs = []
+    for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0",
+                    "PYTHONCOERCECLOCALE": "0"},
+                   {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            sys.modules["dialectic.cli"].__file__)), **locale)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dialectic.cli", "repair", str(path)],
+            capture_output=True, env=env, timeout=60)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    assert line.encode() in runs[0][1] + runs[0][2]
 
 
 def test_deeply_nested_family_script_is_a_parse_error(tmp_path):

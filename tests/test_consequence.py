@@ -19,13 +19,11 @@ from dialectic.consequence import (
     from_horn,
     limit_closure,
     parse_rule_line,
-    parse_rule_table,
     revision_operator,
     rule,
     stream_revision_operator,
     validate_aco,
 )
-from dialectic.strings import ParseError
 
 
 def table(*rules):
@@ -121,6 +119,26 @@ def test_validate_scope_error():
     t = table(rule(0, {9}, BOT))
     with pytest.raises(ValidationScopeError):
         validate_aco(t, bound=8)
+
+
+def test_validation_size_limits_are_exact(monkeypatch):
+    # the set count the check computes is the count validate_aco enumerates
+    for bound, width in ((-1, 4), (3, 0), (4, 2), (4, 4), (3, 9), (16, 4)):
+        monkeypatch.undo()
+        sets = validate_aco(RuleTable(), bound, width).checked_sets
+        monkeypatch.setattr(consequence, "MAX_VALIDATION_SETS", sets)
+        consequence.check_validation_size(bound, width, 0)
+        monkeypatch.setattr(consequence, "MAX_VALIDATION_SETS", sets - 1)
+        with pytest.raises(ValidationScopeError):
+            consequence.check_validation_size(bound, width, 0)
+    monkeypatch.undo()
+    # 3214 sets at bound 16; stages 0..42 make 43 evaluations of each
+    monkeypatch.setattr(consequence, "MAX_VALIDATION_STEPS", 3214 * 43)
+    consequence.check_validation_size(16, 4, 42)
+    with pytest.raises(ValidationScopeError):
+        consequence.check_validation_size(16, 4, 43)
+    with pytest.raises(ValidationScopeError):
+        validate_aco(table(rule(43, {0}, BOT)), 16)
 
 
 def _all_pairs_validate(t, bound, width=4):
@@ -383,17 +401,6 @@ def test_parse_rule_line():
     assert r2.conclusion == CE
     r3 = parse_rule_line("at 1 : a2 |- a7")
     assert r3.conclusion == 7
-
-
-def test_parse_rule_table_skips_blank_and_comments():
-    text = "# header\n\nat 0 : a0 |- CE\n  # tail\nat 1 : a1 a2 |- BOT\n"
-    t = parse_rule_table(text)
-    assert len(t) == 2
-    t = parse_rule_table("at 0 : a0 |- CE   # trailing note\n")
-    assert t == RuleTable([Rule(0, frozenset({0}), CE)])
-    with pytest.raises(ParseError) as err:
-        parse_rule_table(text + "at x : a0 |- BOT\n")
-    assert err.value.line_no == 6
 
 
 def test_rule_render_round_trip():

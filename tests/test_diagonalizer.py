@@ -5,10 +5,11 @@ import hashlib
 
 import pytest
 
-from dialectic.consequence import BOT, CE
+from dialectic.consequence import BOT, CE, Rule
 from dialectic.diagonalizer import (
-    ClaimFreshnessError, Diagonalizer, audit_ce_discipline, audit_hands_off,
-    diagonalize, run_all_audits,
+    ClaimFreshnessError, Diagonalizer, audit_ce_discipline, audit_e_sets,
+    audit_finite_injury, audit_freshness, audit_hands_off, diagonalize,
+    run_all_audits,
 )
 from dialectic.opponents import PartialPSystem, default_family
 from dialectic.universe import ProgramUniverse, closure, script
@@ -18,6 +19,11 @@ def _solo(g, h, r, name="solo"):
     u = ProgramUniverse()
     return PartialPSystem(u, u.register(g), u.register(h), u.register(r),
                           name=name)
+
+
+def _of_kind(rep, kind):
+    """The events of one kind, without their kind."""
+    return [e[1:] for e in rep.events if e[0] == kind]
 
 
 def _masked(t, x):
@@ -65,14 +71,20 @@ def test_lone_opponent_full_chain():
         {"stage": 42, "strategy": 0, "label": "S6", "rho": (0, 1, 2, 4)},
         {"stage": 60, "strategy": 0, "label": "S8"},
     )
-    assert rep.activation_log == (
-        {"stage": 1, "strategy": 0, "N": 3, "S": frozenset({0, 1, 2}),
-         "cut": 0},
-    )
-    assert rep.z_history == (
-        (1, 0, frozenset()), (8, 0, frozenset({3})),
-        (42, 0, frozenset({3, 4})), (60, 0, frozenset({3, 5})),
-    )
+    # (stage, strategy, N, S, cut); the entry also empties Z
+    assert _of_kind(rep, "activate") == [(1, 0, 3, frozenset({0, 1, 2}), 0)]
+    assert _of_kind(rep, "claim") == [
+        (8, 0, frozenset({3})), (42, 0, frozenset({3, 4})),
+        (60, 0, frozenset({3, 5})),
+    ]
+    assert [e[:4] for e in rep.events] == [
+        ("activate", 1, 0, 3), ("act", 7, 0, "S2"),
+        ("rule", 8, 0, "S4"), ("claim", 8, 0, frozenset({3})),
+        ("act", 8, 0, "S4"), ("rule", 42, 0, "S6"),
+        ("claim", 42, 0, frozenset({3, 4})), ("act", 42, 0, "S6"),
+        ("rule", 60, 0, "S8"), ("claim", 60, 0, frozenset({3, 5})),
+        ("act", 60, 0, "S8"),
+    ]
     # the replacement holds the activation pair plus the idle chain
     items = dict(rep.replacement_items)
     assert items[3] == 5 and items[4] == 5 and items[0] == 1
@@ -108,13 +120,10 @@ def test_lone_opponent_decoy_first():
         {"stage": 8, "strategy": 0, "label": "S6", "rho": (1, 0, 2, 5)},
         {"stage": 30, "strategy": 0, "label": "S8"},
     )
-    assert rep.activation_log == (
-        {"stage": 1, "strategy": 0, "N": 3, "S": frozenset({0, 1, 2}),
-         "cut": 0},
-    )
-    assert rep.z_history == (
-        (1, 0, frozenset()), (8, 0, frozenset({5})), (30, 0, frozenset({4})),
-    )
+    assert _of_kind(rep, "activate") == [(1, 0, 3, frozenset({0, 1, 2}), 0)]
+    assert _of_kind(rep, "claim") == [
+        (8, 0, frozenset({5})), (30, 0, frozenset({4})),
+    ]
     assert rep.verdict_lines() == ["opponent 0: S8done witness=a4"]
     home, away = rep.gamma.belief_estimate, rep.thetas[0].belief_estimate
     assert 5 in home and 4 not in home
@@ -186,16 +195,17 @@ def test_family_outcomes():
 
 def test_family_rules_and_cases():
     rep = _family_report()
-    labels = [(m["strategy"], m["label"]) for m in rep.rule_meta]
+    labels = [(i, label) for _, i, label, _ in _of_kind(rep, "rule")]
     assert labels == [(0, "S4"), (0, "S6"), (0, "S8"),
                       (1, "S4"), (2, "S4"), (3, "S6")]
     concls = [r.conclusion for r in rep.rules]
     # opponent 1 hits the contradiction branch, opponent 2 the marker branch
     assert concls == [CE, BOT, BOT, BOT, CE, BOT]
     assert [len(r.premises) for r in rep.rules] == [4, 5, 4, 82, 162, 243]
-    # the rules are read off rule_meta, so an edited report stays consistent
-    assert dataclasses.replace(rep, rule_meta=rep.rule_meta[:2]).rules == \
-        rep.rules[:2]
+    # the rules are read off the events, so an edited report stays consistent
+    second = [k for k, e in enumerate(rep.events) if e[0] == "rule"][1]
+    cut = dataclasses.replace(rep, events=rep.events[:second + 1])
+    assert cut.rules == rep.rules[:2]
 
 
 def test_family_injuries_are_finite_and_downward():
@@ -204,15 +214,15 @@ def test_family_injuries_are_finite_and_downward():
     assert all(hurt > by for _, hurt, by in rep.injuries)
     # every re-entry picks a strictly larger fresh block
     per = {}
-    for entry in rep.activation_log:
-        per.setdefault(entry["strategy"], []).append(entry["N"])
+    for _, i, N, _, _ in _of_kind(rep, "activate"):
+        per.setdefault(i, []).append(N)
     assert len(per[1]) > 1
     for ns in per.values():
         assert ns == sorted(ns) and len(set(ns)) == len(ns)
     # and the last activation of an injured strategy postdates the abuse
     last_hit = max(stage for stage, hurt, _ in rep.injuries if hurt == 1)
-    last_entry = max(e["stage"] for e in rep.activation_log
-                    if e["strategy"] == 1)
+    last_entry = max(stage for stage, i, *_ in _of_kind(rep, "activate")
+                     if i == 1)
     assert last_entry > last_hit
 
 
@@ -226,11 +236,35 @@ def test_audits_catch_tampering():
     # a doctored excision set breaks the hands-off claim below later blocks
     bad_zs = (frozenset({3}),) + rep.Zs[1:]
     assert audit_hands_off(dataclasses.replace(rep, Zs=bad_zs)) != []
-    # a doctored support set breaks the marker-rule discipline
-    metas = [dict(m) for m in rep.rule_meta]
-    metas[0]["S"] = frozenset(metas[0]["S"] | {9})
-    assert audit_ce_discipline(
-        dataclasses.replace(rep, rule_meta=tuple(metas))) != []
+    # a marker rule whose premises are not the kept set plus the anchor
+    k = next(k for k, e in enumerate(rep.events)
+             if e[0] == "rule" and e[4].conclusion == CE)
+    r = rep.events[k][4]
+    assert audit_ce_discipline(_doctored(
+        rep, k, rep.events[k][:4] + (Rule(r.stage, r.premises | {9}, CE),)))
+    # an entry on a block at (not only below) an axiom already mentioned
+    k = next(k for k, e in enumerate(rep.events)
+             if e[0] == "activate" and e[5] > 0)
+    kind, stage, i, _, S, cut = rep.events[k]
+    stale = max(rep.mentions[:cut])
+    assert audit_freshness(_doctored(rep, k, (kind, stage, i, stale, S, cut)))
+    # a throw-back of R0, which no strategy outranks
+    k = next(k for k, e in enumerate(rep.events) if e[0] == "injure")
+    extra = ("injure", rep.events[k][1], 0, 0)
+    assert audit_finite_injury(dataclasses.replace(
+        rep, events=rep.events[:k] + (extra,) + rep.events[k:]))
+    # an escape set frozen with an axiom no higher claim holds
+    k = next(k for k, e in enumerate(rep.events)
+             if e[0] == "act" and e[5].get("E") is not None)
+    *head, fields = rep.events[k]
+    assert audit_e_sets(_doctored(
+        rep, k, (*head, {**fields, "E": fields["E"] | {9}})))
+
+
+def _doctored(rep, k, event):
+    """The report with its k-th event replaced."""
+    return dataclasses.replace(
+        rep, events=rep.events[:k] + (event,) + rep.events[k + 1:])
 
 
 def test_witnesses_stable_across_horizons():

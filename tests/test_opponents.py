@@ -15,7 +15,7 @@ from dialectic.opponents import (
 from dialectic.randomgen import random_qsystem
 from dialectic.universe import (
     MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, _Diverge,
-    closure, compile_sexpr, eval_sexpr, lookup_table, parse_sexpr, script,
+    closure, compile_sexpr, eval_sexpr, parse_sexpr, script,
 )
 
 
@@ -238,10 +238,6 @@ def test_closure_and_table_kinds():
     c = closure(lambda n: n * n)
     assert c.call((6,), 1) == 36
     assert c.call((6,), 0) is None
-    t = lookup_table({(2,): 9, 5: 1})
-    assert t.call((2,), 1) == 9
-    assert t.call((5,), 1) == 1
-    assert t.call((3,), 99) is None
     bad = closure(lambda n: -1, name="neg")
     with pytest.raises(ProgramError):
         bad.call((0,), 10)

@@ -11,7 +11,6 @@ from dialectic.strings import (
     ParseError,
     Tape,
     axiom_from_str,
-    belief_range,
     contraction,
     excision,
     expansion,
@@ -28,15 +27,15 @@ def bs(*toks):
 
 
 def test_range_ignores_gaps():
-    assert belief_range(bs(0, GAP, 2)) == {0, 2}
+    assert bs(0, GAP, 2).range() == {0, 2}
 
 
 def test_range_counts_duplicates_once():
-    assert belief_range(bs(1, 1, GAP)) == {1}
+    assert bs(1, 1, GAP).range() == {1}
 
 
 def test_range_empty():
-    assert belief_range(BeliefString()) == frozenset()
+    assert BeliefString().range() == frozenset()
 
 
 def test_contraction_prefix():
@@ -139,7 +138,7 @@ def test_serialize_parse_identity(toks):
 def test_contraction_range_shrinks(toks):
     s = BeliefString(toks)
     for k in range(len(s)):
-        assert belief_range(contraction(s, k)) <= belief_range(s)
+        assert contraction(s, k).range() <= s.range()
 
 
 @given(tokens)

@@ -12,7 +12,6 @@ from dialectic.systemspec import (
     load_system,
     parse_system,
     render_system,
-    save_system,
 )
 
 SAMPLE = """\
@@ -80,7 +79,7 @@ def test_comments_may_follow_a_directive():
 def test_save_and_load(tmp_path):
     spec = parse_system(SAMPLE)
     path = tmp_path / "system.dsys"
-    save_system(spec, path)
+    path.write_text(render_system(spec), encoding="utf-8")
     again = load_system(path)
     assert render_system(again) == render_system(spec)
 
@@ -116,6 +115,12 @@ def test_bad_rule_line_carries_line_number():
     with pytest.raises(SpecParseError) as info:
         parse_system("# ok\nat one : a0 |- BOT\n")
     assert info.value.line_no == 2
+    # blank and indented comment lines count; a rule may carry a comment
+    text = "# header\n\nat 0 : a0 |- CE  # note\n  # tail\nat 1 : a1 |- BOT\n"
+    assert len(parse_system(text).table) == 2
+    with pytest.raises(SpecParseError) as info:
+        parse_system(text + "at x : a0 |- BOT\n")
+    assert info.value.line_no == 6
 
 
 def test_replace_line_errors():
