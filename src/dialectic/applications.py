@@ -115,9 +115,6 @@ class RepairResult:
     inconsistent_input: bool = False  # the injected set alone yields ⊥
 
 
-RevisionResult = RepairResult
-
-
 # ---------------------------------------------------------------------------
 # compilation
 # ---------------------------------------------------------------------------
@@ -233,7 +230,7 @@ def _runnable(table: RuleTable) -> RuleTable:
 
 
 def revise(kb: KnowledgeBase, addition: Additions, horizon: int,
-           window: Optional[int] = None) -> RevisionResult:
+           window: Optional[int] = None) -> RepairResult:
     """Accept one externally given item and rerun the base.
 
     The new item is held true: its rules survive with the item erased
@@ -247,18 +244,18 @@ def revise(kb: KnowledgeBase, addition: Additions, horizon: int,
     n, _, table = _ranked_table(kb, addition)
     revised = revision_operator(table, range(n), n)
     if _nullary_markers(revised):
-        return RevisionResult(
+        return RepairResult(
             kept=frozenset(kb.items), removed=frozenset(),
             stability=None, trace=None, partial=False, mode="d",
             rejected=True)
     system = QSystem(_runnable(revised), ReplacementMap())
     kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
-    return RevisionResult(kept, removed, rep, tr, partial, "d",
-                          accepted=tuple(addition.items))
+    return RepairResult(kept, removed, rep, tr, partial, "d",
+                        accepted=tuple(addition.items))
 
 
 def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
-                  window: Optional[int] = None) -> RevisionResult:
+                  window: Optional[int] = None) -> RepairResult:
     """Accept a finite arrival sequence of externally given items.
 
     Item i becomes available at stage i: every rewritten rule's stage is
@@ -273,9 +270,9 @@ def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
     flagged = bool(_nullary_markers(revised))
     system = QSystem(_runnable(revised), ReplacementMap())
     kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
-    return RevisionResult(kept, removed, rep, tr, partial, "d",
-                          accepted=tuple(additions.items),
-                          inconsistent_input=flagged)
+    return RepairResult(kept, removed, rep, tr, partial, "d",
+                        accepted=tuple(additions.items),
+                        inconsistent_input=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +282,6 @@ def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
 #   rule <name> ... -> <name>      definite rule over declared items
 #   conflict <name> ...            a set that cannot jointly stand
 #   replace <name> -> <name>       hint for q-mode repair
-
-KBParseError = ParseError
 
 
 def _parse_lines(text: str, names: dict[str, int], next_id: int,

@@ -127,34 +127,30 @@ def _pair_legacy(system) -> LegacySystem:
     )
 
 
-def _diff_one(seed: int, horizon: int, clause_order) -> tuple[bool, str]:
+def _diff_one(seed: int, horizon: int) -> tuple[bool, str]:
     """Both translation directions on seeded random systems."""
     rng = Random(seed)
     qsys = random_qsystem(rng)
-    back = stream_alignment("backward", qsys=qsys, horizon=horizon,
-                            clause_order=clause_order)
+    back = stream_alignment("backward", qsys=qsys, horizon=horizon)
     legacy = random_legacy(rng)
-    fwd = stream_alignment("forward", legacy=legacy, horizon=horizon,
-                           clause_order=clause_order)
+    fwd = stream_alignment("forward", legacy=legacy, horizon=horizon)
     ok = back.ok and fwd.ok
     text = "seed %d: %s | %s" % (seed, back.render(), fwd.render())
     return ok, text
 
 
 def cmd_diff(args) -> int:
-    clause_order = args.clause_order
     if args.fuzz:
         results = []
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             workers = min(args.jobs, args.fuzz)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(_diff_one, args.seed + i, args.horizon,
-                                    clause_order)
+                futs = [pool.submit(_diff_one, args.seed + i, args.horizon)
                         for i in range(args.fuzz)]
                 results = [f.result() for f in futs]
         else:
-            results = [_diff_one(args.seed + i, args.horizon, clause_order)
+            results = [_diff_one(args.seed + i, args.horizon)
                        for i in range(args.fuzz)]
         bad = [text for ok, text in results if not ok]
         for text in bad[:10]:
@@ -168,12 +164,10 @@ def cmd_diff(args) -> int:
     spec = load_system(args.spec)
     check_variant(spec)
     system = spec.build()
-    back = stream_alignment("backward", qsys=system, horizon=args.horizon,
-                            clause_order=clause_order)
+    back = stream_alignment("backward", qsys=system, horizon=args.horizon)
     print(back.render())
     fwd = stream_alignment("forward", legacy=_pair_legacy(system),
-                           horizon=args.horizon,
-                           clause_order=clause_order)
+                           horizon=args.horizon)
     print(fwd.render())
     return 0 if back.ok and fwd.ok else 1
 
@@ -223,14 +217,6 @@ def cmd_revise(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected comma-separated integers, got %r" % text) from None
-
-
 def _natural(text: str, least: int = 0, most: int | None = None) -> int:
     try:
         value = int(text)
@@ -252,9 +238,9 @@ def _jobs(text: str) -> int:
     return _natural(text, most=MAX_JOBS)
 
 
-def _add_horizon_window(sub, horizon=DEFAULT_HORIZON) -> None:
-    sub.add_argument("--horizon", type=_natural, default=horizon,
-                     help="stages to run (default %d)" % horizon)
+def _add_horizon_window(sub) -> None:
+    sub.add_argument("--horizon", type=_natural, default=DEFAULT_HORIZON,
+                     help="stages to run (default %d)" % DEFAULT_HORIZON)
     sub.add_argument("--window", type=_natural, default=None,
                      help="quiet tail needed for stability (default %d, or"
                      " the horizon when that is shorter)" % DEFAULT_WINDOW)
@@ -290,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed for --fuzz")
     p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel workers for --fuzz (at most %d)" % MAX_JOBS)
-    p.add_argument("--clause-order", type=_int_list, default="1,2,3",
-                   help="stack clause priority (diagnostic; default 1,2,3)")
     p.set_defaults(func=cmd_diff)
 
     p = subs.add_parser("diagonalize",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .strings import AxiomId, axiom_from_str, natural_from_str
 
@@ -159,6 +159,8 @@ class ValidationScopeError(ValueError):
 # stages 0..top it evaluates each of them at
 MAX_VALIDATION_SETS = 200_000
 MAX_VALIDATION_STEPS = 5_000_000
+# the most rules from_horn's saturation may hold
+MAX_SATURATED_RULES = 20_000
 
 
 def check_validation_size(bound: int, width: int, top_stage: int) -> None:
@@ -273,7 +275,6 @@ def from_horn(
     items: Sequence[AxiomId],
     horn_rules: Iterable[tuple[Iterable[AxiomId], AxiomId]],
     conflicts: Iterable[Iterable[AxiomId]],
-    saturation_cap: int = 20000,
 ) -> RuleTable:
     """Compile definite rules plus conflict sets into a staged table.
 
@@ -324,8 +325,9 @@ def from_horn(
                     continue
                 if note(newp, c2, s1 + s2):
                     changed = True
-        if len(best) > saturation_cap:
-            raise TableError("saturation exceeded cap of %d rules" % saturation_cap)
+        if len(best) > MAX_SATURATED_RULES:
+            raise TableError("saturation exceeded cap of %d rules"
+                             % MAX_SATURATED_RULES)
 
     rules = [Rule(stage, prem, concl)
              for (prem, concl), stage in sorted(

@@ -247,7 +247,6 @@ class Diagonalizer:
         elif tuple(th.sigma[:len(strat.rho)]) != strat.rho:
             return False
         strat.rho_code = pi_encode(strat.rho)
-        th.pin_code(strat.rho_code)
         self._add_rule(s, strat.S | {strat.a_I, strat.a_J}, BOT,
                        strat, "S6")
         self._set_z(strat, frozenset({strat.a_I} if strat.skip

@@ -25,9 +25,6 @@ from .consequence import BOT, CE, Rule, RuleTable, evaluate
 from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace
 from .strings import GAP, Tape
 
-DEFAULT_CLAUSES = (1, 2, 3)
-
-
 class UndefinedPositionError(RuntimeError):
     """A revision clause selected position zero, which has no neighbour."""
 
@@ -240,29 +237,20 @@ def serialize_state(state: LegacyState) -> str:
 # the three-clause recursion
 # ---------------------------------------------------------------------------
 
-def _select_clause(z_c: Optional[int], z_ce: Optional[int],
-                   clause_order: Sequence[int]) -> tuple[int, Optional[int]]:
+def _select_clause(z_c: Optional[int],
+                   z_ce: Optional[int]) -> tuple[int, Optional[int]]:
     """Which clause fires, and at which position.
 
     The operator is monotone along positions, so the least marked level
-    decides everything except a tie where both markers sit at the same
-    level; there the listed order of clauses 2 and 3 breaks the tie (the
-    published order lets the inconsistency win).
+    decides; where both markers sit at the same level the inconsistency
+    wins (clause 2), as in the published recursion and the string engine.
+    Both stack engines look it up at call time, so a test can patch it.
     """
     if z_c is None and z_ce is None:
         return 1, None
-    if z_c is None:
-        return 3, z_ce
-    if z_ce is None or z_c < z_ce:
+    if z_ce is None or (z_c is not None and z_c <= z_ce):
         return 2, z_c
-    if z_ce < z_c:
-        return 3, z_ce
-    for cl in clause_order:
-        if cl == 2:
-            return 2, z_c
-        if cl == 3:
-            return 3, z_ce
-    raise ValueError("clause order must mention clauses 2 and 3")
+    return 3, z_ce
 
 
 def _provisional(system: LegacySystem, stacks, h: int, s: int) -> frozenset[int]:
@@ -281,7 +269,6 @@ def legacy_step(
     state: LegacyState,
     s: int,
     compute_A: bool = True,
-    clause_order: Sequence[int] = DEFAULT_CLAUSES,
 ) -> LegacyState:
     """One stage of the stack recursion: the stage-s state to stage s+1."""
     m = state.p
@@ -293,7 +280,7 @@ def legacy_step(
             tips.add(state.stacks[z][-1])
     z_c = next((z for z in range(m + 1) if system.c in chis[z]), None)
     z_ce = next((z for z in range(m + 1) if system.c_minus in chis[z]), None)
-    clause, z = _select_clause(z_c, z_ce, clause_order)
+    clause, z = _select_clause(z_c, z_ce)
 
     if clause == 1:
         stacks = state.stacks + ((system.f(m + 1),),)
@@ -323,12 +310,11 @@ def legacy_run(
     system: LegacySystem,
     horizon: int,
     compute_A: bool = True,
-    clause_order: Sequence[int] = DEFAULT_CLAUSES,
 ) -> list[LegacyState]:
     """States 0..horizon of the recursion (horizon+1 entries)."""
     states = [initial_state(system, compute_A)]
     for s in range(horizon):
-        states.append(legacy_step(system, states[-1], s, compute_A, clause_order))
+        states.append(legacy_step(system, states[-1], s, compute_A))
     return states
 
 
@@ -359,10 +345,8 @@ class FastLegacyEngine:
     so snapshots share them.  Provisional belief sets are not computed.
     """
 
-    def __init__(self, system: LegacySystem,
-                 clause_order: Sequence[int] = DEFAULT_CLAUSES) -> None:
+    def __init__(self, system: LegacySystem) -> None:
         self.system = system
-        self.order = tuple(clause_order)
         pairs = system.approximation.marker_pairs(system.c, system.c_minus)
         self._c_pairs = [(st, prem) for st, is_c, prem in pairs if is_c]
         self._ce_pairs = [(st, prem) for st, is_c, prem in pairs if not is_c]
@@ -394,8 +378,7 @@ class FastLegacyEngine:
         s = self.stage
         m = len(self.stacks) - 1
         clause, z = _select_clause(self._least(self._c_pairs, s, m),
-                                   self._least(self._ce_pairs, s, m),
-                                   self.order)
+                                   self._least(self._ce_pairs, s, m))
         if clause == 1:
             v = self.system.f(m + 1)
             self.stacks.append((v,))
@@ -481,14 +464,11 @@ class FastLegacyEngine:
         return LegacyState(stacks=tuple(self.stacks), h=self.h, A=None)
 
 
-def fast_legacy_run(
-    system: LegacySystem,
-    horizon: int,
-    clause_order: Sequence[int] = DEFAULT_CLAUSES,
-) -> list[LegacyState]:
-    """Same states as legacy_run with compute_A=False, computed event-first."""
-    eng = FastLegacyEngine(system, clause_order)
-    states = [LegacyState(stacks=((system.f(0),),), h=0, A=None)]
+def fast_legacy_run(system: LegacySystem, horizon: int) -> list[LegacyState]:
+    """Same states as legacy_run with compute_A=False, stepped one stage at
+    a time on the pair-driven engine."""
+    eng = FastLegacyEngine(system)
+    states = [initial_state(system, compute_A=False)]
     for _ in range(horizon):
         eng.step()
         states.append(eng.snapshot())
@@ -644,7 +624,6 @@ def stream_alignment(
     qsys: Optional[QSystem] = None,
     legacy: Optional[LegacySystem] = None,
     horizon: int = 100,
-    clause_order: Sequence[int] = DEFAULT_CLAUSES,
 ) -> AlignmentReport:
     """Advance both engines event to event and compare what they touched.
 
@@ -670,7 +649,7 @@ def stream_alignment(
         raise ValueError("direction must be 'forward' or 'backward'")
 
     eng = RunEngine(qsys)
-    fast = FastLegacyEngine(legacy, clause_order)
+    fast = FastLegacyEngine(legacy)
     for _ in range(off_stage):
         fast.step()
     image = f if f is not None else (lambda v: v + off_idx)

@@ -30,7 +30,8 @@ __all__ = [
     "pi_encode", "pi_decode", "decode_index",
     "Progress", "Diverged", "PartialPSystem",
     "r_iterate", "p_system_from_table",
-    "FamilyParseError", "parse_family", "load_family", "default_family",
+    "MAX_AXIOM", "AxiomLimitError",
+    "parse_family", "load_family", "default_family",
 ]
 
 
@@ -101,6 +102,19 @@ class Diverged(NamedTuple):
     component: str  # "g", "H", or "r"
 
 
+# Axiom v is bit v+1 of an opponent's set code, an int copied on every
+# stage: a2**24 makes a 2 MB code, a10**12 one of 125 GB.
+MAX_AXIOM = 2 ** 24
+
+
+class AxiomLimitError(ValueError):
+    """An opponent's g or r named an axiom above MAX_AXIOM."""
+
+    def __init__(self, opponent: str, part: str, value: int) -> None:
+        super().__init__("opponent %s: %s gave a%d, above the limit a%d"
+                         % (opponent, part, value, MAX_AXIOM))
+
+
 # ---------------------------------------------------------------------------
 # the opponent proper
 # ---------------------------------------------------------------------------
@@ -145,7 +159,6 @@ class PartialPSystem:
         # per-code operator accumulators for the literal-union mode:
         # code -> [next unvisited t, or-accumulated value]
         self._h_acc: dict[int, list[int]] = {}
-        self._h_pinned: set[int] = set()
 
     # -- component access ---------------------------------------------------
 
@@ -156,6 +169,8 @@ class PartialPSystem:
             if v is None:
                 self.diverge_counts["g"] += 1
                 return None
+            if v > MAX_AXIOM:
+                raise AxiomLimitError(self.name, "g", v)
             self._g_pos.setdefault(v, len(self._g_vals))
             self._g_vals.append(v)
         return self._g_vals[j]
@@ -171,6 +186,8 @@ class PartialPSystem:
         if v is None:
             self.diverge_counts["r"] += 1
             return None
+        if v > MAX_AXIOM:
+            raise AxiomLimitError(self.name, "r", v)
         self._r_memo[x] = v
         return v
 
@@ -188,8 +205,6 @@ class PartialPSystem:
         if acc is None:
             acc = [0, 0]
             self._h_acc[code] = acc
-            if len(self._h_acc) > 96:
-                self._trim_accumulators()
         while acc[0] <= cap:
             v = self.h.call((acc[0], code), fuel)
             if v is None:
@@ -197,17 +212,6 @@ class PartialPSystem:
             acc[1] |= v
             acc[0] += 1
         return acc[1]
-
-    def pin_code(self, code: int) -> None:
-        """Keep the accumulator for this code across cache trims."""
-        self._h_pinned.add(code)
-
-    def _trim_accumulators(self) -> None:
-        for key in list(self._h_acc):
-            if key not in self._h_pinned:
-                del self._h_acc[key]
-                if len(self._h_acc) <= 48:
-                    break
 
     def ce_upto(self, code: int, cap: int, fuel: int) -> Optional[bool]:
         v = self.h_value_upto(code, cap, fuel)
@@ -375,9 +379,6 @@ def p_system_from_table(table: RuleTable, replacement: ReplacementMap,
 # family files
 # ---------------------------------------------------------------------------
 
-FamilyParseError = ParseError
-
-
 def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
     """Read a family file: program definitions, then opponent rosters.
 
@@ -407,8 +408,7 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
                     ast = parse_sexpr(script_text.strip())
                 except Exception as exc:
                     raise ValueError("bad script: %s" % exc) from None
-                universe.register(FueledFunction("sexpr", ast, name=prog_name,
-                                                 source=script_text.strip()))
+                universe.register(FueledFunction("sexpr", ast, name=prog_name))
             elif head == "opponent":
                 opp_name, colon, spec = rest.partition(":")
                 opp_name = opp_name.strip()

@@ -136,9 +136,6 @@ class BeliefString:
         return self._toks
 
 
-EMPTY = BeliefString()
-
-
 class Tape:
     """A mutable token list with the first position of each watched value.
 

@@ -28,8 +28,6 @@ from .strings import (
 
 VARIANTS = ("d", "p", "q")
 
-SpecParseError = ParseError
-
 
 class VariantError(ValueError):
     """A declared variant tag conflicts with the rules actually present."""

@@ -278,7 +278,6 @@ class FueledFunction:
     kind: str
     payload: object
     name: str = ""
-    source: str = ""
     # call() runs the compiled script when the fuel is at least _fast_fuel
     # and the call has at least _fast_arity arguments
     _fast = None
@@ -325,7 +324,7 @@ class FueledFunction:
 
 
 def script(text: str, name: str = "") -> FueledFunction:
-    return FueledFunction("sexpr", parse_sexpr(text), name=name, source=text)
+    return FueledFunction("sexpr", parse_sexpr(text), name=name)
 
 
 def closure(fn: Callable[..., Optional[int]], name: str = "") -> FueledFunction:
@@ -367,6 +366,3 @@ class ProgramUniverse:
         if name not in self._by_name:
             raise KeyError("no program named %r" % name)
         return self._by_name[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._by_name)

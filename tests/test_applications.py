@@ -6,11 +6,12 @@ from importlib import resources
 import pytest
 
 from dialectic.applications import (
-    Additions, KBParseError, KnowledgeBase, load_kb, parse_additions,
-    parse_kb, render_result, repair, revise, revise_stream,
+    Additions, KnowledgeBase, parse_additions, parse_kb, render_result,
+    repair, revise, revise_stream,
 )
 from dialectic.consequence import BOT, from_horn, limit_closure
 from dialectic.engine import EXCISION, REPLACEMENT
+from dialectic.strings import ParseError
 
 
 def _kb4():
@@ -255,7 +256,7 @@ def test_parse_kb_errors_carry_line_numbers():
         ("item a\nitem b\nreplace a b", 3),
     ]
     for text, line in cases:
-        with pytest.raises(KBParseError) as err:
+        with pytest.raises(ParseError) as err:
             parse_kb(text)
         assert err.value.line_no == line
 
@@ -265,9 +266,9 @@ def test_parse_additions_sees_base_labels():
     add = parse_additions("item b\nconflict b k1\n", kb)
     assert add.items == (4,)
     assert add.conflicts == (frozenset({1, 4}),)
-    with pytest.raises(KBParseError):
+    with pytest.raises(ParseError):
         parse_additions("item b\nreplace k2 -> k3\n", kb)
-    with pytest.raises(KBParseError):
+    with pytest.raises(ParseError):
         parse_additions("item k0\n", kb)   # shadows a base item
 
 

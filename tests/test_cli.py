@@ -18,7 +18,9 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dialectic.legacy
 from dialectic.cli import _jobs, main
+from dialectic.opponents import MAX_AXIOM
 from dialectic.universe import MAX_SEXPR_DEPTH
 
 # ---------------------------------------------------------------------------
@@ -34,8 +36,8 @@ replace a3 -> a5
 """
 
 # one BOT rule and one CE rule enabled simultaneously at the same least
-# position: the only shape where the stack side's listed clause priority
-# can disagree with the string side's fixed marker precedence
+# position: the only shape where a stack engine that broke the tie the other
+# way would disagree with the string side's marker precedence
 TIE_SPEC = """\
 variant q
 axioms 6
@@ -458,14 +460,21 @@ def test_diff_spec_agrees_both_directions(capsys, spec_file):
                    "alignment ok (forward, 301 stages)\n")
 
 
-def test_diff_clause_order_mutation_is_caught(capsys, tmp_path):
+def test_diff_clause_order_mutation_is_caught(capsys, tmp_path, monkeypatch):
     path = tmp_path / "tie.spec"
     path.write_text(TIE_SPEC, encoding="utf-8")
     code, out, err = run_cli(capsys, "diff", str(path), "--horizon", "200")
     assert code == 0
 
-    code, out, err = run_cli(capsys, "diff", str(path), "--horizon", "200",
-                             "--clause-order", "1,3,2")
+    select = dialectic.legacy._select_clause
+
+    def revise_on_tie(z_c, z_ce):
+        if z_c is not None and z_c == z_ce:
+            return 3, z_ce
+        return select(z_c, z_ce)
+
+    monkeypatch.setattr(dialectic.legacy, "_select_clause", revise_on_tie)
+    code, out, err = run_cli(capsys, "diff", str(path), "--horizon", "200")
     assert code == 1
     assert "alignment MISMATCH (backward) at stage 5, position 3" in out
     assert "alignment MISMATCH (forward) at stage 5, position 3" in out
@@ -528,13 +537,14 @@ def test_fuzz_pool_is_no_larger_than_the_fuzz_count(capsys, monkeypatch):
     assert _InlinePool.sizes == [3]
 
 
-def test_diff_bad_clause_order_exits_2(capsys, spec_file):
+def test_diff_clause_order_flag_is_gone(capsys, spec_file):
     with pytest.raises(SystemExit) as exc:
-        main(["diff", spec_file, "--clause-order", "x"])
+        main(["diff", spec_file, "--clause-order", "1,3,2"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--clause-order" in err and "'x'" in err
-    assert "invalid literal" not in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("\ndialectic: error: unrecognized arguments:"
+                        " --clause-order 1,3,2\n")
 
 
 def test_diff_without_input_exits_2(capsys):
@@ -584,6 +594,18 @@ def test_diagonalize_stdout_and_explicit_family(capsys):
     assert code == 0
     assert out.startswith("diagonalization report\n")
     assert "opponent 0: S8done witness=a4" in out
+
+
+def test_diagonalize_refuses_an_axiom_over_the_limit(capsys, tmp_path):
+    path = tmp_path / "big.family"
+    path.write_text("prog big = %d\nprog echo = x\nprog bump = (+ n 1)\n"
+                    "opponent o : g=big h=echo r=bump\n" % (MAX_AXIOM + 1),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagonalize", str(path),
+                             "--horizon", "5")
+    assert (code, out) == (1, "")
+    assert err == ("error: opponent o: g gave a%d, above the limit a%d\n"
+                   % (MAX_AXIOM + 1, MAX_AXIOM))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from dialectic.consequence import CE, RuleTable, rule
 from dialectic.engine import ReplacementMap, RunEngine, QSystem, estimate_beliefs
 from dialectic.opponents import (
-    Diverged, FamilyParseError, PartialPSystem, Progress, decode_index,
-    default_family, p_system_from_table, parse_family, pi_decode, pi_encode,
-    r_iterate,
+    MAX_AXIOM, AxiomLimitError, Diverged, PartialPSystem, Progress,
+    decode_index, default_family, p_system_from_table, parse_family,
+    pi_decode, pi_encode, r_iterate,
 )
 from dialectic.randomgen import random_qsystem
+from dialectic.strings import ParseError
 from dialectic.universe import (
     MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, _Diverge,
     closure, compile_sexpr, eval_sexpr, parse_sexpr, script,
@@ -358,15 +359,34 @@ def test_masked_operator_run_timeline():
 
 
 def test_monotone_shortcut_matches_full_scan():
+    # over 300 stages the literal-union side keeps an accumulator for each
+    # of nearly 300 queried codes
     a = _mk(closure(lambda n: n), closure(_masked), closure(lambda x: x + 1),
             monotone_h=True)
     b = _mk(closure(lambda n: n), closure(_masked), closure(lambda x: x + 1),
             monotone_h=False)
-    for s in range(1, 81):
+    for s in range(1, 301):
         a.step(s)
         b.step(s)
         assert a.sigma == b.sigma
-    assert a.stability_report(80, 20) == b.stability_report(80, 20)
+        if s == 80:
+            assert a.stability_report(80, 20) == b.stability_report(80, 20)
+    assert a.stability_report(300, 50) == b.stability_report(300, 50)
+
+
+def test_axiom_limit_is_checked_where_values_resolve():
+    # caching a value allocates nothing; only a set code holding it would
+    huge = _mk(closure(lambda n: 10 ** 12), closure(lambda t, x: x),
+               closure(lambda x: 10 ** 12))
+    with pytest.raises(AxiomLimitError, match="g gave a1000000000000"):
+        huge.g_value(0, 5)
+    with pytest.raises(AxiomLimitError, match="r gave a1000000000000"):
+        huge.r_value(3, 5)
+    top = _mk(closure(lambda n: MAX_AXIOM), closure(lambda t, x: x),
+              closure(lambda x: MAX_AXIOM))
+    assert top.g_value(0, 5) == MAX_AXIOM
+    assert top.r_value(3, 5) == MAX_AXIOM
+    assert issubclass(AxiomLimitError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +519,6 @@ def test_family_parse_errors():
         ("prog p = n\nopponent a : m=1\nopponent a : m=1", 3),
     ]
     for text, line in cases:
-        with pytest.raises(FamilyParseError) as err:
+        with pytest.raises(ParseError) as err:
             parse_family(text)
         assert err.value.line_no == line

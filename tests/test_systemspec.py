@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from dialectic.consequence import BOT, CE
+from dialectic.consequence import BOT
 from dialectic.engine import ReplacementCycleError, run
+from dialectic.strings import ParseError
 from dialectic.systemspec import (
-    SpecParseError,
     SystemSpec,
     VariantError,
     check_variant,
@@ -89,46 +89,46 @@ def test_save_and_load(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_unknown_directive_reports_the_line():
-    with pytest.raises(SpecParseError) as info:
+    with pytest.raises(ParseError) as info:
         parse_system("variant d\n\nfrobnicate a0\n")
     assert info.value.line_no == 3
     assert "frobnicate" in str(info.value)
 
 
 def test_duplicate_directives_rejected():
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("variant d\nvariant p\n")
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("axioms 2\naxioms 3\n")
 
 
 def test_bad_variant_and_axioms_values():
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("variant x\n")
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("axioms -1\n")
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("axioms many\n")
 
 
 def test_bad_rule_line_carries_line_number():
-    with pytest.raises(SpecParseError) as info:
+    with pytest.raises(ParseError) as info:
         parse_system("# ok\nat one : a0 |- BOT\n")
     assert info.value.line_no == 2
     # blank and indented comment lines count; a rule may carry a comment
     text = "# header\n\nat 0 : a0 |- CE  # note\n  # tail\nat 1 : a1 |- BOT\n"
     assert len(parse_system(text).table) == 2
-    with pytest.raises(SpecParseError) as info:
+    with pytest.raises(ParseError) as info:
         parse_system(text + "at x : a0 |- BOT\n")
     assert info.value.line_no == 6
 
 
 def test_replace_line_errors():
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("replace a0 a1\n")
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("replace a0 -> b1\n")
-    with pytest.raises(SpecParseError):
+    with pytest.raises(ParseError):
         parse_system("replace a0 -> a1\nreplace a0 -> a2\n")
 
 
@@ -152,7 +152,7 @@ LONG = "7" * 5000   # more digits than int() converts
         "axioms-sup2", "axioms-underscore", "axioms-long", "stage-arabic3",
         "stage-plus", "premise-fullwidth", "conclusion-sup2", "stage-long"])
 def test_numbers_are_ascii_digits_only(line):
-    with pytest.raises(SpecParseError) as info:
+    with pytest.raises(ParseError) as info:
         parse_system("variant q\n" + line + "\n")
     assert info.value.line_no == 2
     assert str(info.value).startswith("line 2: ")
