@@ -22,10 +22,14 @@ mentioned before; an entry also empties Z), ``act`` (label, timeline
 detail, a dict of fields), ``claim`` (the new Z), ``rule`` (label, rule)
 and ``injure`` (the index of the injuring strategy).  Mentioned axioms
 are one flat list of their own: the idle branch adds two every stage.
+
+diagonalize moves from event to event (Diagonalizer.advance_to); the
+stage-by-stage run_to is its reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,8 +40,9 @@ from .opponents import PartialPSystem, pi_encode, r_iterate
 
 __all__ = [
     "ClaimFreshnessError", "Strategy", "Diagonalizer", "DiagonalizationReport",
-    "diagonalize", "audit_freshness", "audit_finite_injury", "audit_hands_off",
-    "audit_e_sets", "audit_ce_discipline", "audit_replay", "run_all_audits",
+    "diagonalize", "report_of", "audit_freshness", "audit_finite_injury",
+    "audit_hands_off", "audit_e_sets", "audit_ce_discipline", "audit_replay",
+    "run_all_audits",
 ]
 
 
@@ -81,6 +86,7 @@ class Strategy:
         self.n = 0            # last enumeration position of the claimed block
         self.tau: list[int] = []
         self._s5_version = -1
+        self.parked = False   # PO2wait: a test failed and changed nothing
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +94,8 @@ class Strategy:
 # ---------------------------------------------------------------------------
 
 class Diagonalizer:
-    """Drives the home run, the opponents, and the strategies in lockstep.
+    """Drives the home run, the opponents, and the strategies, stage by
+    stage (run_to) or from event to event (advance_to).
 
     Stage s does, in order: one strategy act (the highest-ranked whose
     watched condition holds), else the idle work (re-entry of the
@@ -108,6 +115,7 @@ class Diagonalizer:
         self.events: list[tuple] = []   # see the module docstring
         self._r_next = 0
         self.stage = 0
+        self.bulk_stretches = self.bulk_stages = 0
 
     def _fuel(self, s: int) -> int:
         """Budget for opponent programs at stage s (capped if asked)."""
@@ -164,13 +172,17 @@ class Diagonalizer:
         strat.status = S2WAIT
         self.events.append(("activate", stage, strat.index, N, strat.S, cut))
 
-    def _extend_replacement(self, stage: int) -> None:
+    def _extend_replacement(self, stage: int, stages: int = 1) -> None:
+        """One fresh entry a_k -> a_k+1 per stage, k rising from _r_next."""
         k = self._r_next
-        while self.replacement.defined(k):
+        for _ in range(stages):
+            while self.replacement.defined(k):
+                k += 1
+            self.replacement.define(k, k + 1)
+            self.mentions += (k, k + 1)
             k += 1
-        self.replacement.define(k, k + 1)
-        self._mention((k, k + 1))
-        self._r_next = k + 1
+        self.mention_max = max(self.mention_max, k)
+        self._r_next = k
 
     # -- one move per waiting status ----------------------------------------
     #
@@ -288,6 +300,95 @@ class Diagonalizer:
                 strat.theta.step(self._fuel(s))
             self.stage = s
 
+    # -- the event form -----------------------------------------------------
+
+    def advance_to(self, horizon: int) -> None:
+        """run_to(horizon), moving from event to event.
+
+        An event stage runs run_to's body.  Between events no move can act
+        and no strategy is deactivated, so each stage defines one
+        replacement entry, the home run expands and every opponent extends
+        its string or stalls: each layer takes the stretch in bulk.  If
+        this run's fuel never saturates some opponent, all stages are
+        events.
+        """
+        if any(st.theta.saturation > self._fuel(horizon)
+               for st in self.strategies):
+            return self.run_to(horizon)
+        while self.stage < horizon:
+            s, end = self.stage, self._quiet_until(horizon)
+            if end > s:
+                self._extend_replacement(s + 1, end - s)
+                self.engine.advance_to(end)
+                for strat in self.strategies:
+                    strat.theta.advance_to(end)
+                self.stage = end
+                self.bulk_stretches += 1
+                self.bulk_stages += end - s
+                continue
+            # a PO2wait test that failed and changed nothing fails again
+            po2 = [(st, _po2_state(st)) for st in self.strategies
+                   if st.status == PO2WAIT]
+            self.run_to(s + 1)
+            for strat, before in po2:
+                strat.parked = (strat.status == PO2WAIT
+                                and _po2_state(strat) == before)
+
+    def _quiet_until(self, horizon: int) -> int:
+        """The last stage up to which the stages after this one are quiet.
+
+        An opponent reads its enumeration ahead up to the bound it is
+        given, so the opponents are asked about ever longer stretches."""
+        s = self.stage + 1
+        end = min([horizon] + [self._earliest_act(st, s) - 1
+                               for st in self.strategies])
+        if end < s:
+            return s - 1
+        end = self.engine.next_event(end)
+        stops = [[v for v in range(st.N, st.N + 3)
+                  if st.theta.enum_position(v) is None]
+                 if st.status == S2WAIT else () for st in self.strategies]
+        reach = 64
+        while True:
+            cap = quiet = min(end, s + reach)
+            for strat, values in zip(self.strategies, stops):
+                quiet = strat.theta.next_event(quiet, self._fuel(s), values)
+            if quiet < cap or cap == end:
+                return quiet
+            reach *= 4
+
+    def _earliest_act(self, strat: Strategy, s: int):
+        """The first stage from s at which strat's move may act or count a
+        stall, while each opponent only extends its string or stalls, and
+        stops before enumerating a value that an S2wait block lacks and
+        before a watched value arrives."""
+        th, status = strat.theta, strat.status
+        if status == S2WAIT:
+            pos = [th.enum_position(v) for v in range(strat.N, strat.N + 3)]
+            if None in pos:
+                return math.inf
+            return s + max(0, max(pos) + 1 - len(th.sigma))
+        if status == S5WAIT and not strat.skip:   # σ[:|ρ|] moves by a cut
+            ready = (len(th.sigma) < len(strat.rho)
+                     or tuple(th.sigma[:len(strat.rho)]) == strat.rho)
+        elif status == S5WAIT:   # the move's first test watches a_I, a_J
+            if not {strat.a_I, strat.a_J} <= th.tape.watched:
+                return s
+            fo = [th.tape.first.get(v) for v in (strat.a_I, strat.a_J)]
+            ready = None not in fo and fo[0] < fo[1]
+        elif status == S7WAIT and self._fuel(s) >= th.saturation:
+            return th.first_mark(s, strat.rho_code)
+        else:
+            parked = status == PO2WAIT and strat.parked
+            return math.inf if parked or status == S8DONE else s
+        # the move tests again only once σ has changed
+        return s if ready and th.version != strat._s5_version else math.inf
+
+
+def _po2_state(strat: Strategy) -> tuple:
+    th = strat.theta
+    return len(strat.tau), len(th._r_memo), th.diverge_counts["r"]
+
 
 # ---------------------------------------------------------------------------
 # the report
@@ -393,7 +494,13 @@ def diagonalize(opponents, horizon: int, window: int = 100,
                 fuel_cap: int = None) -> DiagonalizationReport:
     """Run the whole construction and assemble its report."""
     diag = Diagonalizer(opponents, fuel_cap=fuel_cap)
-    diag.run_to(horizon)
+    diag.advance_to(horizon)
+    return report_of(diag, window)
+
+
+def report_of(diag: Diagonalizer, window: int) -> DiagonalizationReport:
+    """The report on diag's run so far: its stage is the horizon."""
+    horizon = diag.stage
     gamma = estimate_beliefs(diag.engine.trace(), window)
     thetas = tuple(st.theta.stability_report(horizon, window)
                    for st in diag.strategies)

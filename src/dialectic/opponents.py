@@ -11,20 +11,30 @@ component only delays the run, while a truly divergent one freezes it.
 Sets of axioms (and the counterexample marker) travel through programs as
 single naturals under a fixed bit-coding, and a whole opponent can be
 named by one integer relative to a program registry.
+
+step takes one stage and is the reference.  Beside it, an opponent whose
+operator script is masked (see universe.masked_form) and whose
+enumeration is compiled has an event form: once the fuel saturates both,
+no marker is derived until h's next t boundary or until an appended
+value hits the mask, so next_event finds where the quiet stretch ends
+and advance_to appends the enumeration over it in bulk.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import NamedTuple, Optional
 
-from .consequence import CE, RuleTable, evaluate
+from .consequence import CE, RuleTable
 from .engine import (DisturbanceStamps, QSystem, ReplacementMap,
                      StabilityReport, variant_flags)
 from .strings import (
     ParseError, Tape, natural_from_str, numbered_lines, read_input,
 )
 from .systemspec import VariantError
-from .universe import FueledFunction, ProgramUniverse, closure, parse_sexpr
+from .universe import (FueledFunction, ProgramUniverse, _Diverge, closure,
+                       parse_sexpr)
 
 __all__ = [
     "pi_encode", "pi_decode", "decode_index",
@@ -153,12 +163,23 @@ class PartialPSystem:
         # enumeration cache: g resolved on an initial segment of positions
         self._g_vals: list[int] = []
         self._g_pos: dict[int, int] = {}  # value -> least enumeration index
+        self._g_ahead: list[int] = []     # g past _g_vals, read by next_event
         self._r_memo: dict[int, int] = {}
         self._code = 0                    # bit code of set(sigma)
         self._stamps = DisturbanceStamps()
         # per-code operator accumulators for the literal-union mode:
         # code -> [next unvisited t, or-accumulated value]
         self._h_acc: dict[int, list[int]] = {}
+        # the event form needs a masked h, a g compiled for one argument
+        # and the monotone mode; it counts per stretch
+        g, h = self.g, self.h
+        self.saturation = math.inf
+        if monotone_h and h.masked and g.fast and g.arity == 1:
+            self.saturation = max(g.saturation, h.saturation)
+            M = h.masked[0]   # the axioms whose bits lie in h's mask:
+            self._mask_values = {b - 1 for b in range(1, M.bit_length())
+                                 if M >> b & 1}
+        self.bulk_stretches = self.bulk_stages = 0
 
     # -- component access ---------------------------------------------------
 
@@ -173,6 +194,7 @@ class PartialPSystem:
                 raise AxiomLimitError(self.name, "g", v)
             self._g_pos.setdefault(v, len(self._g_vals))
             self._g_vals.append(v)
+            del self._g_ahead[:1]
         return self._g_vals[j]
 
     def enum_position(self, value: int) -> Optional[int]:
@@ -296,6 +318,72 @@ class PartialPSystem:
         # which is exactly what the caller saw the marker on
         return None
 
+    # -- the event form -----------------------------------------------------
+
+    def first_mark(self, t: int, code: int):
+        """With saturated fuel, the first stage from t at which h may mark
+        code: t, h's next t boundary after it, or math.inf."""
+        M, bounds = self.h.masked
+        if self.h.fast(t, code & M) & 1:
+            return t
+        i = bisect_right(bounds, t)
+        return bounds[i] if i < len(bounds) else math.inf
+
+    def next_event(self, horizon: int, fuel: int, stops=()) -> int:
+        """The first stage up to horizon that step must take, given the
+        fuel of the steps; advance_to takes the stages before it in bulk.
+
+        Each bulk stage appends the next enumerated value, or counts a g
+        stall if g stalls already, until h may mark the string.  Appending
+        stops before a g stall and before a value that hits h's mask,
+        arrives watched, is in stops or is no admissible axiom (step
+        raises there).
+        """
+        t = self.stage
+        if self.frozen or fuel < self.saturation:
+            return t
+        end = min(horizon, self.first_mark(t, self._code))
+        L, vals, ahead = len(self.sigma), self._g_vals, self._g_ahead
+        seg = vals[L:L + end - t]
+        want = end - t - len(seg)
+        try:
+            ahead.extend(map(self.g.fast, range(len(vals) + len(ahead),
+                                                len(vals) + want)))
+        except _Diverge:   # ahead keeps the values before the stall
+            if not seg and not ahead:
+                return end
+        seg += ahead[:want]
+        bad = self._mask_values.union(stops, self.tape.watched.difference(
+            self.tape.first))
+        k = min([len(seg)] + [seg.index(v) for v in bad.intersection(seg)])
+        if seg and not 0 <= min(seg) <= max(seg) <= MAX_AXIOM:
+            k = min(k, next(j for j, v in enumerate(seg)
+                            if not 0 <= v <= MAX_AXIOM))
+        return t + k
+
+    def advance_to(self, stage: int) -> None:
+        """Take the run to stage in bulk, at most to the last next_event."""
+        n = stage - self.stage
+        if n <= 0:
+            return
+        self.bulk_stretches += 1
+        self.bulk_stages += n
+        self.stage = stage
+        L, vals, ahead = len(self.sigma), self._g_vals, self._g_ahead
+        if L == len(vals) and not ahead:   # g stalls at every stage
+            self.diverge_counts["g"] += n
+            return
+        fresh = ahead[:max(0, L + n - len(vals))]
+        del ahead[:len(fresh)]
+        for j, v in enumerate(fresh, len(vals)):
+            self._g_pos.setdefault(v, j)
+        vals.extend(fresh)
+        new = vals[L:L + n]
+        self._stamps.grow(L, n, stage - n + 1)
+        self.tape.extend(new)
+        self._code |= _bits(new)
+        self.version += n
+
     # -- stability ----------------------------------------------------------
 
     def stability_report(self, horizon: int, window: int) -> StabilityReport:
@@ -304,6 +392,15 @@ class PartialPSystem:
     def __repr__(self) -> str:
         return "<PartialPSystem %s stage=%d |sigma|=%d>" % (
             self.name, self.stage, len(self.sigma))
+
+
+def _bits(values: list[int]) -> int:
+    """pi_encode(values), in time linear in len(values) and their span."""
+    low = min(values)
+    digits = bytearray(b"0") * (max(values) - low + 1)
+    for v in values:
+        digits[v - low] = 49   # "1"
+    return int(digits[::-1], 2) << low + 1
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +444,10 @@ def p_system_from_table(table: RuleTable, replacement: ReplacementMap,
     """Wrap a counterexample-only rule table as an opponent.
 
     The enumeration is the identity, the operator evaluates the table on
-    the decoded argument, and the replacement defers to the given map
-    (stalling where the map is undefined).  Staged evaluation only grows
-    with the stage, so the monotone shortcut is sound here.
+    the argument's bits (a rule fires at stage t when its stage is at most
+    t and the argument holds its premises), and the replacement defers to
+    the given map (stalling where the map is undefined).  Staged evaluation
+    only grows with the stage, so the monotone shortcut is sound here.
     """
     _, p_ok = variant_flags(QSystem(table, ReplacementMap()))
     if not p_ok:
@@ -358,12 +456,15 @@ def p_system_from_table(table: RuleTable, replacement: ReplacementMap,
     if universe is None:
         universe = ProgramUniverse()
 
+    rules = [(r.stage, pi_encode(r.premises), pi_encode([r.conclusion]))
+             for r in table]
+
     def op(t: int, x: int) -> int:
-        F = pi_decode(x)
-        if CE in F:
-            F = F - {CE}
-        out = evaluate(table, t, F)
-        return pi_encode(out)
+        out = x & ~1
+        for stage, premises, conclusion in rules:
+            if stage <= t and x & premises == premises:
+                out |= conclusion
+        return out
 
     def rep(x: int) -> Optional[int]:
         return replacement.get(x)

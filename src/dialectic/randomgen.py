@@ -118,3 +118,31 @@ def random_legacy(
         c=MARKER_C,
         c_minus=MARKER_CE,
     )
+
+
+def random_family(rng: Random) -> str:
+    """A family file of 2-4 scripted opponents in the bundled family's shape.
+
+    Each h marks a prefix holding mask M1 from stage T1 or mask M2 from
+    stage T2 (each mask 2-4 distinct bits among bits 1-8, so axioms a0-a7;
+    T1 < 80, T2 < 120), each r adds k in [1, 12), and each g is the
+    identity or, one time in four, counts down within blocks of 100.
+    """
+    lines = ["prog ident = n",
+             "prog gdesc = (+ (* (div n 100) 100) (- 99 (mod n 100)))"]
+    for i in range(rng.randint(2, 4)):
+        m1, m2 = _mask(rng), _mask(rng)
+        t1, t2 = rng.randrange(80), rng.randrange(120)
+        k = rng.randrange(1, 12)
+        g = "gdesc" if rng.random() < 0.25 else "ident"
+        lines += [
+            "prog h%d = (if (and (ge t %d) (eq (band x %d) %d)) (bor x 1) "
+            "(if (and (ge t %d) (eq (band x %d) %d)) (bor x 1) x))"
+            % (i, t1, m1, m1, t2, m2, m2),
+            "prog r%d = (+ n %d)" % (i, k),
+            "opponent o%d : g=%s h=h%d r=r%d" % (i, g, i, i)]
+    return "\n".join(lines) + "\n"
+
+
+def _mask(rng: Random) -> int:
+    return sum(1 << b for b in rng.sample(range(1, 9), rng.randint(2, 4)))

@@ -246,20 +246,70 @@ def _py_source(node, seen: list) -> str:
                                        for a in node[1:]))
 
 
-def compile_sexpr(node) -> Optional[tuple[Callable[..., int], int, int]]:
-    """Compile a script AST into (function, node count, arity).
+def compile_sexpr(node) -> Optional[tuple[Callable[..., int], int, int, bool]]:
+    """Compile a script AST into (function, node count, arity, natural).
 
     The function takes n, or n and x, and raises _Diverge where eval_sexpr
-    diverges; the arity is 2 if the script names x, else 1.  None if the
+    diverges; the arity is 2 if the script names x, else 1.  natural says
+    that every answer is a natural: the script has no ``-`` and no negative
+    literal, and every other operation keeps naturals natural.  None if the
     AST is malformed or Python's compiler refuses it.
     """
     seen: list = []
     try:
         body = _py_source(node, seen)
-        fn = eval("lambda n, x=0: " + body, dict(_PY_HELPERS))
+        fn = eval("lambda n, x=0, *_: " + body, dict(_PY_HELPERS))
     except (ValueError, SyntaxError, RecursionError, MemoryError):
         return None
-    return fn, len(seen), 2 if "x" in seen else 1
+    natural = not any(type(v) is int and v < 0 or type(v) is tuple
+                      and v[0] == "-" for v in seen)
+    return fn, len(seen), 2 if "x" in seen else 1, natural
+
+
+# A *masked* script of (t, x) reads x only as (band x K), answers x or
+# (bor x K), and compares t only with literals, every K and literal a
+# natural.  It never diverges and its answers include x.  For an x without
+# bit 0, its bit 0 depends only on x & M, M the OR of the band masks, and
+# on where t lies among its literals: it can change only at t = K or K+1.
+
+def masked_form(node) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(M, sorted t boundaries) for a masked script, else None."""
+    mask, bounds = 0, set()
+
+    def with_x(a, op):   # K of (op x K) or (op K x), K a natural; else None
+        if type(a) is tuple and a[0] == op and "x" in a[1:]:
+            k = a[1] if a[2] == "x" else a[2]
+            return k if type(k) is int and k >= 0 else None
+        return None
+
+    def test(c):
+        nonlocal mask
+        if type(c) is not tuple or c[0] not in ("and", "or", "not", "eq",
+                                                 "lt", "le", "ge", "gt"):
+            return False
+        if c[0] in ("and", "or", "not"):
+            return all(map(test, c[1:]))
+        a, b = c[1:]
+        if a in ("t", "n") or b in ("t", "n"):
+            k = b if a in ("t", "n") else a
+            if type(k) is not int or k < 0:
+                return False
+            bounds.update((k, k + 1))
+            return True
+        for v in (a, b):
+            k = with_x(v, "band")
+            if k is not None:
+                mask |= k
+            elif type(v) is not int or v < 0:
+                return False
+        return True
+
+    def result(r):
+        if type(r) is tuple and r[0] == "if":
+            return test(r[1]) and result(r[2]) and result(r[3])
+        return r == "x" or with_x(r, "bor") is not None
+
+    return (mask, tuple(sorted(bounds))) if result(node) else None
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +323,20 @@ class FueledFunction:
     kind is "closure" (payload: python callable returning int or None)
     or "sexpr" (payload: parsed AST).  Closure calls cost one unit of
     fuel; script calls cost one unit per visited node.
+
+    A compiled script keeps compile_sexpr's function, node count (its
+    *saturation*: from that fuel on, no answer depends on the fuel), arity
+    and natural flag, and its masked_form, if it has one.
     """
 
     kind: str
     payload: object
     name: str = ""
-    # call() runs the compiled script when the fuel is at least _fast_fuel
-    # and the call has at least _fast_arity arguments
-    _fast = None
-    _fast_fuel = math.inf
-    _fast_arity = 0
+    fast = None
+    saturation = math.inf
+    arity = 0
+    natural = False
+    masked = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("closure", "sexpr"):
@@ -290,15 +344,18 @@ class FueledFunction:
         if self.kind == "sexpr":
             compiled = compile_sexpr(self.payload)
             if compiled is not None:
-                self._fast, self._fast_fuel, self._fast_arity = compiled
+                self.fast, self.saturation, self.arity, self.natural = compiled
+                self.masked = masked_form(self.payload)
 
     def call(self, args: tuple[int, ...], fuel: int) -> Optional[int]:
         """Evaluate on args; None means no answer within this budget."""
-        if fuel >= self._fast_fuel and len(args) >= self._fast_arity:
+        if fuel >= self.saturation and len(args) >= self.arity:
             try:
-                value = self._fast(*args[:2])
+                value = self.fast(*args)
             except _Diverge:
                 return None
+            if self.natural:
+                return value
         elif fuel < 1:
             return None
         elif self.kind == "closure":

@@ -2,16 +2,23 @@
 
 import dataclasses
 import hashlib
+import random
+from importlib import resources
 
 import pytest
 
-from dialectic.consequence import BOT, CE, Rule
+from dialectic.consequence import BOT, CE, Rule, RuleTable
 from dialectic.diagonalizer import (
     ClaimFreshnessError, Diagonalizer, audit_ce_discipline, audit_e_sets,
     audit_finite_injury, audit_freshness, audit_hands_off, diagonalize,
-    run_all_audits,
+    report_of, run_all_audits,
 )
-from dialectic.opponents import PartialPSystem, default_family
+from dialectic.engine import ReplacementMap
+from dialectic.opponents import (
+    MAX_AXIOM, AxiomLimitError, PartialPSystem, default_family,
+    p_system_from_table, parse_family,
+)
+from dialectic.randomgen import random_family
 from dialectic.universe import ProgramUniverse, closure, script
 
 
@@ -300,3 +307,127 @@ def test_claim_on_mapped_axiom_is_a_typed_error():
     with pytest.raises(ClaimFreshnessError) as info:
         dz.run_to(5)
     assert (info.value.stage, info.value.axiom) == (1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the event form against run_to, its oracle
+# ---------------------------------------------------------------------------
+
+def _reports(make, horizons, drive, fuel_cap=None):
+    """The report at each horizon of one run, driven there by drive."""
+    diag = Diagonalizer(make(), fuel_cap=fuel_cap)
+    out = []
+    for h in horizons:
+        drive(diag, h)
+        out.append(report_of(diag, min(100, h)))
+    return out, diag
+
+
+def _same_runs(make, horizons, fuel_cap=None):
+    """Check advance_to against run_to; return the event-form Diagonalizer."""
+    mine, diag = _reports(make, horizons, Diagonalizer.advance_to, fuel_cap)
+    oracle, _ = _reports(make, horizons, Diagonalizer.run_to, fuel_cap)
+    for h, a, b in zip(horizons, mine, oracle):
+        assert a.events == b.events, h
+        assert a.mentions == b.mentions, h
+        assert a.replacement_items == b.replacement_items, h
+        assert a == b, h
+        assert a.render() == b.render(), h
+    return diag
+
+
+@pytest.mark.parametrize("fuel_cap", [None, 10, 30])
+def test_event_form_matches_run_to_on_the_bundled_family(fuel_cap):
+    _same_runs(lambda: default_family()[1], (0, 1, 2, 27, 100, 3000, 10_000),
+               fuel_cap)
+
+
+def test_event_form_matches_run_to_on_random_families():
+    hands_off = []
+    for seed in range(60):
+        text = random_family(random.Random(seed))
+        diag = _same_runs(lambda: parse_family(text)[1], (600,))
+        if audit_hands_off(report_of(diag, 100)):
+            hands_off.append(seed)
+    # an abandoned entry's removal that no live claim records fails
+    # audit_hands_off on these seeds, in both forms alike
+    assert hands_off == [5, 47, 59]
+
+
+_BUNDLED = (resources.files("dialectic") / "data" / "default.family"
+            ).read_text(encoding="utf-8")
+
+
+def _expensive(depth):
+    """n + 1, written with 2^depth copies: its fuel grows with them."""
+    return "(+ n 1)" if depth == 0 else "(+ %s (* 0 %s))" % (
+        _expensive(depth - 1), _expensive(depth - 1))
+
+
+@pytest.mark.parametrize("roster", [
+    ["caseA : g=ident h=hA r=bump1"],
+    # at stage 41 h1 replaces a3 by a13, cutting σ below the predicted
+    # ρ = (a0, a1, a2, a13, a4), and the next stage appends a4 outside
+    # h1's mask: S6 acts at stage 43
+    ["caseC : g=ident h=h1 r=bump10"],
+    ["tailfirst : g=gdesc h=echo r=bump1"],
+    ["stuck : g=ident h=echo r=identr"],
+    # r needs fuel 772 below a8, so R1's PO2wait test stalls on a3 and a5
+    # (R0's claim) from stage 63 and acts at stage 769
+    ["caseA : g=ident h=hA r=bump1", "slow : g=ident h=echo r=slow"],
+])
+def test_event_form_matches_run_to_on_small_rosters(roster):
+    head = _BUNDLED[:_BUNDLED.index("\nopponent ") + 1]
+    text = head + "prog slow = (if (lt n 8) %s (+ n 1))\n" % _expensive(7)
+    text += "prog h1 = (if (and (ge t 40) (eq (band x 30) 30)) (bor x 1) x)\n"
+    text += "".join("opponent %s\n" % line for line in roster)
+    _same_runs(lambda: parse_family(text)[1], (25, 60, 1500))
+
+
+def test_event_form_falls_back_for_unanalysed_opponents():
+    full_scan = _BUNDLED.replace("h=hB r=bump2", "h=hB r=bump2 scan=full")
+    assert full_scan != _BUNDLED
+    diag = _same_runs(lambda: parse_family(full_scan)[1], (100, 400))
+    assert diag.bulk_stages == 0
+
+    def with_table():
+        table = RuleTable([Rule(30, frozenset({1, 2}), CE),
+                           Rule(90, frozenset({0, 4}), CE)])
+        return parse_family(_BUNDLED)[1][:3] + [p_system_from_table(
+            table, ReplacementMap(default_fn=lambda k: k + 1), name="tab")]
+    diag = _same_runs(with_table, (100, 400))
+    assert diag.bulk_stages == 0
+
+
+def test_event_form_engages_on_the_bundled_family():
+    # counted per stretch: a silent per-stage fall-back would show here
+    _, opps = default_family()
+    diag = Diagonalizer(opps)
+    diag.advance_to(10_000)
+    assert diag.bulk_stages >= 9_500
+    assert diag.bulk_stretches <= 50
+    for th in opps:
+        assert th.bulk_stages >= 9_500
+        assert th.bulk_stretches <= diag.bulk_stretches
+
+
+def test_axiom_limit_raises_at_the_same_stage_in_both_forms():
+    # g crosses the limit at position 201, inside the stretch after hA's
+    # last t boundary at stage 61
+    head = _BUNDLED[:_BUNDLED.index("\nopponent ") + 1]
+    text = head + ("prog big = (+ n %d)\nopponent big : g=big h=hA r=bump1\n"
+                   % (MAX_AXIOM - 200))
+    seen, bulk = [], []
+    for drive in (Diagonalizer.advance_to, Diagonalizer.run_to):
+        diag = Diagonalizer(parse_family(text)[1])
+        with pytest.raises(AxiomLimitError) as info:
+            drive(diag, 1000)
+        seen.append((str(info.value), diag.stage,
+                     [(st.theta.stage, len(st.theta.sigma))
+                      for st in diag.strategies]))
+        bulk.append(diag.bulk_stages)
+    assert seen[0] == seen[1]
+    assert bulk[0] > 0 and bulk[1] == 0   # the bulk path stopped before it
+    assert seen[0][0] == ("opponent big: g gave a%d, above the limit a%d"
+                          % (MAX_AXIOM + 1, MAX_AXIOM))
+    assert 200 < seen[0][1] < 300

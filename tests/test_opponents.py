@@ -1,5 +1,6 @@
 """Set coding, fueled programs, and opponent runs."""
 
+import math
 import random
 
 import pytest
@@ -387,6 +388,96 @@ def test_axiom_limit_is_checked_where_values_resolve():
     assert top.g_value(0, 5) == MAX_AXIOM
     assert top.r_value(3, 5) == MAX_AXIOM
     assert issubclass(AxiomLimitError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the event form against step, its oracle
+# ---------------------------------------------------------------------------
+
+def test_masked_form_of_scripts():
+    _, opps = default_family()
+    hA, echo = opps[0].h, opps[3].h
+    assert hA.masked == (30 | 46, (40, 41, 60, 61))
+    assert echo.masked == (0, ())
+    assert opps[0].g.masked is None           # x never read: not an operator
+    for text in ("(bor x -1)", "(if (ge t -5) x x)", "(if (eq t t) x x)",
+                 "(if (eq (band x (+ 1 1)) 2) x x)", "(+ x 1)", "(band x 3)",
+                 "(if (ge (+ t 1) 5) x (bor x 1))"):
+        assert script(text).masked is None, text
+    assert script("(if (not (lt (band 7 x) (band x 9))) (bor 1 x) x)"
+                  ).masked == (15, ())
+    assert script("(if (or (gt t 3) (le n 9)) x (bor x 2))").masked == (
+        0, (3, 4, 9, 10))
+
+
+@st.composite
+def _masked_scripts(draw):
+    """Two marker conditions of the bundled hA shape, any t comparison."""
+    conds = []
+    for _ in range(2):
+        bits = draw(st.sets(st.integers(1, 8), min_size=1, max_size=4))
+        m = sum(1 << b for b in bits)
+        conds.append("(and (%s t %d) (eq (band x %d) %d))" % (
+            draw(st.sampled_from(("ge", "gt", "lt", "le", "eq"))),
+            draw(st.integers(0, 150)), m, m))
+    return "(if %s (bor x 1) (if %s (bor x 1) x))" % tuple(conds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(h=_masked_scripts(),
+       g=st.sampled_from(["n", "(+ (* (div n 7) 7) (- 6 (mod n 7)))",
+                          "(+ n 3)", "(diverge)", "(if (lt n 45) n (diverge))",
+                          "(if (eq (mod n 9) 4) (diverge) n)"]),
+       k=st.integers(1, 11), cap=st.sampled_from([None, 10, 30]),
+       seed=st.integers(0, 2 ** 16))
+def test_advance_to_matches_step(h, g, k, cap, seed):
+    rng = random.Random(seed)
+    a, b = (_mk(script(g), script(h), script("(+ n %d)" % k))
+            for _ in range(2))
+    horizon = 300
+    while a.stage < horizon:
+        fuel = a.stage + 1 if cap is None else min(a.stage + 1, cap)
+        if rng.random() < 0.1:                 # asked about mid-run
+            v = rng.randrange(60)
+            assert a.first_occurrence(v) == b.first_occurrence(v)
+        stops = rng.sample(range(60), 2) if rng.random() < 0.3 else ()
+        end = a.next_event(horizon, fuel, stops)
+        if end == a.stage:
+            assert a.step(fuel) == b.step(fuel)
+            continue
+        assert a.saturation <= fuel < math.inf
+        target = rng.randint(a.stage + 1, end)   # a stretch may stop early
+        L, first, M = len(a.sigma), dict(a.tape.first), a.h.masked[0]
+        masked = a._code & M
+        a.advance_to(target)
+        # inside a stretch the marker's inputs and the watched values'
+        # first occurrences stay put, and no value in stops arrives
+        assert a._code & M == masked and a.tape.first == first
+        assert not set(a.sigma[L:]) & set(stops)
+        while b.stage < target:
+            b.step(b.stage + 1 if cap is None else min(b.stage + 1, cap))
+        assert _run_state(a) == _run_state(b)
+    assert _run_state(a) == _run_state(b)
+    assert a.stability_report(horizon, 50) == b.stability_report(horizon, 50)
+
+
+def _run_state(th):
+    return (th.stage, th.sigma, th._stamps.stamps, th._code, th.version,
+            th.diverge_counts, th._g_vals, th._g_pos, th.tape.first,
+            th.frozen, th.invalid_reason)
+
+
+def test_opponent_event_form_engages():
+    _, opps = default_family()
+    for th in opps:
+        while th.stage < 2000:
+            end = th.next_event(2000, 100)
+            if end == th.stage:
+                th.step(100)
+            else:
+                th.advance_to(end)
+        assert th.bulk_stages >= 1900 and th.bulk_stretches <= 10, th.name
+    assert opps[5].diverge_counts["g"] == 2000      # stuck-enum, in bulk
 
 
 # ---------------------------------------------------------------------------
