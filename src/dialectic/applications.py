@@ -169,7 +169,8 @@ def _finish(kb: KnowledgeBase, system: QSystem, horizon: int, window: int):
     tr = run(system, horizon)
     rep = estimate_beliefs(tr, window)
     n = len(kb.items)
-    kept = frozenset(kb.items[r] for r in rep.belief_estimate if r < n)
+    believed = rep.belief_estimate
+    kept = frozenset(kb.items[r] for r in range(n) if r in believed)
     removed = frozenset(kb.items) - kept
     partial = not is_clean_window(system, rep)
     return kept, removed, rep, tr, partial

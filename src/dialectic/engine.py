@@ -582,7 +582,9 @@ def write_trace(trace: RunTrace, path) -> None:
     """One tab-separated line per stage, then ``final`` and the last string."""
     lines = []
     for start, end, rec in trace._stretches():
-        lines.extend(map("%d\texpand".__mod__, range(start, end)))
+        if start < end:
+            lines.append("\texpand\n".join(map(str, range(start, end)))
+                         + "\texpand")
         if rec is None:
             continue
         if rec.kind == EXCISION:

@@ -438,8 +438,8 @@ class FastLegacyEngine:
                 self.step()
                 continue
             p = len(self.stacks) - 1
-            values = [f(i) for i in range(p + 1, p + 1 + t - self.stage)]
-            self.stacks.extend((v,) for v in values)
+            values = list(map(f, range(p + 1, p + 1 + t - self.stage)))
+            self.stacks.extend(zip(values))
             first = self.tape.first
             # a listing that repeats a code lists it before f_inv says:
             # keep the growth only up to that position
@@ -652,7 +652,6 @@ def stream_alignment(
     fast = FastLegacyEngine(legacy)
     for _ in range(off_stage):
         fast.step()
-    image = f if f is not None else (lambda v: v + off_idx)
 
     def compare_from(lo: int, s: int) -> Optional[AlignmentReport]:
         sigma = eng.sigma
@@ -660,8 +659,11 @@ def stream_alignment(
             return AlignmentReport(False, direction, s, s, None,
                                    "length %d vs %d" % (len(sigma), fast.p - off_idx))
         lo = max(lo, 0)
-        if ([v if v == GAP else image(v) for v in sigma[lo:]]
-                == fast.tape.tokens[lo + off_idx:len(sigma) + off_idx]):
+        if f is None:
+            image = [v if v == GAP else v + off_idx for v in sigma[lo:]]
+        else:
+            image = [v if v == GAP else f(v) for v in sigma[lo:]]
+        if image == fast.tape.tokens[lo + off_idx:len(sigma) + off_idx]:
             return None
         for n in range(lo, len(sigma)):
             tip = fast.rho(n + off_idx)

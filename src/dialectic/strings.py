@@ -119,7 +119,10 @@ class BeliefString:
 
     def serialize(self) -> str:
         """Space-separated token text, e.g. ``'a0 * a2'``; empty string for ⟨⟩."""
-        return " ".join(token_to_str(t) for t in self._toks)
+        if not self._toks:
+            return ""
+        # tokens are natural numbers or GAP, so "a-1" can only be a gap
+        return ("a" + " a".join(map(str, self._toks))).replace("a%d" % GAP, "*")
 
     @classmethod
     def parse(cls, text: str) -> "BeliefString":

@@ -77,6 +77,41 @@ def test_inclusion_and_monotony_exhaustive_small():
                 assert evaluate(t, 3, F) <= evaluate(t, 3, G)
 
 
+def _copying_evaluate(t, n, F):
+    """``evaluate`` as it was written first, kept as the oracle: it copies
+    F into a new set on every call."""
+    fset = frozenset(F)
+    out = set(fset)
+    for r in t:
+        if r.stage <= n and r.premises <= fset:
+            out.add(r.conclusion)
+    return frozenset(out)
+
+
+def test_evaluate_matches_copying_oracle_on_random_tables():
+    rnd = Random(77)
+    fired = quiet = 0
+    for _ in range(300):
+        bound = rnd.randint(0, 6)
+        t = _random_table(rnd, bound)
+        for _ in range(6):
+            n = rnd.randint(0, 5)
+            F = rnd.sample(range(bound + 2), rnd.randint(0, bound + 2))
+            want = _copying_evaluate(t, n, F)
+            for given in (set(F), list(F), frozenset(F)):
+                got = evaluate(t, n, given)
+                assert type(got) is frozenset
+                assert got == want, (t.rules, n, F)
+            # a frozenset is returned as it is when no rule fires
+            frozen = frozenset(F)
+            if any(r.stage <= n and r.premises <= frozen for r in t):
+                fired += 1
+            else:
+                quiet += 1
+                assert evaluate(t, n, frozen) is frozen
+    assert fired > 300 and quiet > 300
+
+
 # ---------------------------------------------------------------------------
 # empty-set derivations are rejected at load time
 # ---------------------------------------------------------------------------
@@ -261,6 +296,100 @@ def test_validate_set_monotony_failures_match_oracle(monkeypatch):
                for f in rep.failures[:11])
     assert rep.failures[11] == "set monotony fails for F=[0, 1] G=[0, 1, 3]"
     assert rep.failures[19] == "set monotony fails for F=[0, 4] G=[0, 3, 4]"
+
+
+def _sample(bound, width):
+    return [frozenset(c) for k in range(width + 1)
+            for c in itertools.combinations(range(bound + 1), k)]
+
+
+def test_validate_evaluates_every_sampled_set_at_every_stage(monkeypatch):
+    # no stage is skipped: a validator that looked only at the rule stages
+    # would miss an operator such as _non_monotone, whose CE comes at stage
+    # 1 and goes at stage 2 whatever the table
+    calls = set()
+
+    def recording(t, n, F):
+        calls.add((n, frozenset(F)))
+        return evaluate(t, n, F)
+
+    monkeypatch.setattr(consequence, "evaluate", recording)
+    spec_table = table(rule(8, {0, 1, 2, 3}, CE), rule(42, {0, 1, 2, 4, 5}, BOT))
+    for t, bound, width in ((spec_table, 6, 3), (table(rule(3, {1}, 2)), 3, 2),
+                            (table(rule(0, {1}, BOT)), 4, 4), (RuleTable(), 2, 2)):
+        calls.clear()
+        sets = _sample(bound, width)
+        assert validate_aco(t, bound, width).checked_sets == len(sets)
+        assert {(n, F) for F in sets for n in range(t.max_stage() + 1)} <= calls
+
+
+def _lawless(rnd, bound, width, top):
+    """A seeded random operator: the table's own evaluation, with a few
+    (n, F) gaining or losing a marker or an axiom.  Half of the edits fall
+    on the top stage, where they can break monotony in F and iteration."""
+    edits = {}
+    sets = _sample(bound, width)
+    for _ in range(rnd.randint(0, 6)):
+        n = top if rnd.random() < 0.5 else rnd.randint(0, top)
+        sym = rnd.choice([BOT, CE, rnd.randint(0, bound)])
+        edits[n, rnd.choice(sets)] = (rnd.random() < 0.5, sym)
+
+    def op(t, n, F):
+        out = set(evaluate(t, n, F))
+        gain, sym = edits.get((n, frozenset(F)), (None, None))
+        if gain is True:
+            out.add(sym)
+        elif gain is False:
+            out.discard(sym)
+        return frozenset(out)
+    return op
+
+
+def _loses_bot_at(hole):
+    """⊥ from every set holding a0 but ``hole``: each subset of ``hole``
+    holding a0 fails against it, two or more axioms apart too."""
+    def op(t, n, F):
+        F = frozenset(F)
+        out = evaluate(t, n, F)
+        return out | {BOT} if 0 in F and F != hole else out
+    return op
+
+
+def test_validate_matches_all_pairs_oracle_on_lawless_operators(monkeypatch):
+    rnd = Random(4041)
+    kinds = {"inclusion": 0, "stage monotony": 0, "set monotony": 0,
+             "iteration": 0}
+    passed = 0
+    for _ in range(300):
+        bound = rnd.randint(0, 5)
+        width = rnd.choice([1, 2, 3, 4, bound + 1])
+        t = _random_table(rnd, bound)
+        monkeypatch.setattr(consequence, "evaluate",
+                            _lawless(rnd, bound, width, t.max_stage()))
+        rep = _assert_same_reports(t, bound, width)
+        passed += rep.ok
+        for kind in kinds:
+            kinds[kind] += any(f.startswith(kind) for f in rep.failures)
+    assert passed > 50 and min(kinds.values()) > 20, (passed, kinds)
+    # the lost ⊥ at a set two axioms above {a0} is reported against {a0}
+    two_apart = 0
+    for _ in range(40):
+        bound = rnd.randint(2, 5)
+        width = rnd.randint(3, bound + 1)
+        hole = frozenset([0, *rnd.sample(range(1, bound + 1),
+                                         rnd.randint(2, width - 1))])
+        monkeypatch.setattr(consequence, "evaluate", _loses_bot_at(hole))
+        rep = _assert_same_reports(_random_table(rnd, bound), bound, width)
+        message = "set monotony fails for F=[0] G=%s" % sorted(hole)
+        two_apart += message in rep.failures
+    assert two_apart > 10
+    monkeypatch.setattr(consequence, "evaluate", _loses_bot_at({0, 1, 2}))
+    rep = _assert_same_reports(RuleTable(), 3, 3)
+    assert rep.failures == [
+        "set monotony fails for F=[0] G=[0, 1, 2]",
+        "set monotony fails for F=[0, 1] G=[0, 1, 2]",
+        "set monotony fails for F=[0, 2] G=[0, 1, 2]",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from dialectic.engine import (
     ReplacementCycleError,
     ReplacementMap,
     RunEngine,
+    RunTrace,
+    StepRecord,
     classify_variant,
     estimate_beliefs,
     is_clean_window,
@@ -35,7 +37,7 @@ from dialectic.engine import (
     variant_flags,
     write_trace,
 )
-from dialectic.strings import GAP, BeliefString
+from dialectic.strings import GAP, BeliefString, token_to_str
 
 
 def qsys(rules=(), repl=(), default_fn=None):
@@ -509,3 +511,55 @@ def test_trace_format_replacement_line(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[3] == "3\treplace\tk=1\told=a0\tnew=a2"
     assert lines[4] == "final\ta2"
+
+
+def _line_per_stage_write_trace(trace, path):
+    """The trace writer as it was written first, kept as the oracle: one
+    formatted line per stage and one token_to_str call per final token."""
+    lines = []
+    for start, end, rec in trace._stretches():
+        lines.extend(map("%d\texpand".__mod__, range(start, end)))
+        if rec is None:
+            continue
+        if rec.kind == EXCISION:
+            lines.append("%d\texcise\tk=%d\told=%s"
+                         % (rec.stage, rec.k, token_to_str(rec.old)))
+        else:
+            lines.append("%d\treplace\tk=%d\told=%s\tnew=%s"
+                         % (rec.stage, rec.k, token_to_str(rec.old),
+                            token_to_str(rec.new)))
+    final = " ".join(token_to_str(t) for t in trace.final_sigma)
+    lines.append("final\t%s" % final)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_trace_writer_matches_line_per_stage_writer(tmp_path):
+    rng = random.Random(515)
+    traces = [run(_random_system(rng), rng.choice([0, 1, 2, 9, 40, 200]))
+              for _ in range(150)]
+    # hand-built: events at stages 0 and 1 and back to back, a final
+    # string of gaps and large indices, and an empty final string
+    traces += [
+        RunTrace([StepRecord(0, EXCISION, 1, 0, None),
+                  StepRecord(1, REPLACEMENT, 1, 7, 12),
+                  StepRecord(2, EXCISION, 1, 12, None),
+                  StepRecord(6, REPLACEMENT, 3, 2, 10**6)],
+                 9, bs(GAP, 10, GAP, GAP, 10**6, 0)),
+        RunTrace([], 0, bs()),
+        RunTrace([], 3, bs()),
+        RunTrace([], 1, bs(GAP)),
+    ]
+    kinds = set()
+    for i, trace in enumerate(traces):
+        kinds.update(rec.kind for rec in trace.event_records)
+        new, old = tmp_path / ("new%d" % i), tmp_path / ("old%d" % i)
+        write_trace(trace, new)
+        _line_per_stage_write_trace(trace, old)
+        assert new.read_bytes() == old.read_bytes(), i
+    assert kinds == {EXCISION, REPLACEMENT}
+    assert any(GAP in t.final_sigma.tokens for t in traces[:150])
+    assert any(t.horizon == 0 and not t.final_sigma for t in traces[:150])
+    for toks in ((), (GAP,), (0,), (GAP, GAP), (5, GAP, 1, 10, 100, GAP),
+                 tuple(rng.choice([GAP, *range(12)]) for _ in range(500))):
+        assert bs(*toks).serialize() == " ".join(map(token_to_str, toks))
