@@ -237,11 +237,18 @@ def validate_aco(table: RuleTable, bound: int, width: int = 4) -> ValidationRepo
     links_hold = all(closures[F] <= closures[F.union((a,))]
                      for F in subsets if len(F) < width
                      for a in universe if a not in F)
-    stages = range(top_stage + 1)
+    below_top = range(top_stage)
     for F in subsets:
         checked += 1
-        outs = [evaluate(table, n, F) for n in stages]
-        if not (all(map(F.issubset, outs)) and all(map(le, outs, outs[1:]))):
+        full = closures[F]
+        outs = [evaluate(table, n, F) for n in below_top]
+        outs.append(full)
+        # inclusion and stage monotony as one chain F ⊆ out_0 ⊆ … ⊆ out_top;
+        # evaluate returns F itself when no rule fires, and list.count
+        # matches that by identity
+        out0 = outs[0]
+        if not (F.issubset(out0) and (outs.count(out0) == len(outs)
+                                       or all(map(le, outs, outs[1:])))):
             prev: frozenset[int] | None = None
             for n, out in enumerate(outs):
                 if not F <= out:
@@ -250,7 +257,6 @@ def validate_aco(table: RuleTable, bound: int, width: int = 4) -> ValidationRepo
                     failures.append("stage monotony fails at n=%d F=%s"
                                     % (n, sorted(F)))
                 prev = out
-        full = closures[F]
         if not links_hold:
             # adding the extras in size-then-lexicographic order visits the
             # supersets in the sample's own order

@@ -470,10 +470,11 @@ class DisturbanceStamps:
     reached, vacated positions included.
     """
 
-    __slots__ = ("stamps",)
+    __slots__ = ("stamps", "top")
 
     def __init__(self) -> None:
         self.stamps: list[int] = []
+        self.top = 0        # no stamp, past or present, exceeds it
 
     def update(self, cut: int, old_len: int, stage: int) -> None:
         """Positions cut..old_len-1 were dropped and one token appended at cut."""
@@ -484,6 +485,9 @@ class DisturbanceStamps:
             stamps[cut] = stage
         else:
             stamps.append(0)
+            return
+        if stage > self.top:
+            self.top = stage
 
     def grow(self, pos: int, n: int, stage: int) -> None:
         """n tokens appended at pos.. on the consecutive stages from
@@ -491,6 +495,8 @@ class DisturbanceStamps:
         stamps = self.stamps
         m = min(n, len(stamps) - pos)
         stamps[pos:pos + m] = range(stage, stage + m)
+        if m > 0 and stage + m - 1 > self.top:
+            self.top = stage + m - 1
         stamps.extend([0] * (n - m))
 
     def report(self, tokens: list[int], horizon: int, window: int) -> StabilityReport:
@@ -505,8 +511,8 @@ class DisturbanceStamps:
             raise ValueError("window must satisfy 0 <= window <= horizon")
         threshold = horizon - window
         stamps = self.stamps
-        suspects = tuple(compress(range(len(stamps)),
-                                  map(gt, stamps, repeat(threshold))))
+        suspects = () if self.top <= threshold else tuple(
+            compress(range(len(stamps)), map(gt, stamps, repeat(threshold))))
         prefix = min(len(tokens), suspects[0]) if suspects else len(tokens)
         estimate = frozenset(tokens[:prefix])
         if GAP in estimate:
@@ -583,8 +589,8 @@ def write_trace(trace: RunTrace, path) -> None:
     lines = []
     for start, end, rec in trace._stretches():
         if start < end:
-            lines.append("\texpand\n".join(map(str, range(start, end)))
-                         + "\texpand")
+            lines.append(("%d\texpand\n" * (end - start)
+                          % tuple(range(start, end)))[:-1])
         if rec is None:
             continue
         if rec.kind == EXCISION:

@@ -88,9 +88,11 @@ class BeliefString:
 
     def __init__(self, tokens: Iterable[int] = ()) -> None:
         toks = tuple(tokens)
-        for t in toks:
-            if t < 0 and t != GAP:
-                raise OperationError("invalid token value %d" % t)
+        if toks and min(toks) < GAP:
+            # name the first bad token, as a per-token check would
+            for t in toks:
+                if t < GAP:
+                    raise OperationError("invalid token value %d" % t)
         object.__setattr__(self, "_toks", toks)
 
     # -- sequence protocol --------------------------------------------------
@@ -119,10 +121,9 @@ class BeliefString:
 
     def serialize(self) -> str:
         """Space-separated token text, e.g. ``'a0 * a2'``; empty string for ⟨⟩."""
-        if not self._toks:
-            return ""
+        toks = self._toks
         # tokens are natural numbers or GAP, so "a-1" can only be a gap
-        return ("a" + " a".join(map(str, self._toks))).replace("a%d" % GAP, "*")
+        return ("a%d " * len(toks) % toks)[:-1].replace("a%d" % GAP, "*")
 
     @classmethod
     def parse(cls, text: str) -> "BeliefString":

@@ -8,6 +8,7 @@ to pin down byte-level determinism of the emitted files.
 import argparse
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -119,6 +120,29 @@ def test_validate_output_golden(capsys, spec_file, tmp_path):
         ["validation FAILED (bound=4, width=4, sets=31)\n"]
         + ["iteration fails for F=%s: closure of closure differs\n" % f
            for f in failing])
+
+
+def test_spec_run_bytes_are_pinned(capsys, spec_file, tmp_path):
+    # the benchmark's spec-run item: validate at bound 16, then a 10^5-stage
+    # run with a 2 MB trace; stdout and the trace file, byte for byte
+    code, out, err = run_cli(capsys, "validate", spec_file, "--bound", "16")
+    assert (code, err) == (0, "")
+    assert out == ("validation passed (bound=16, width=4, sets=3214)\n"
+                   "iteration law certified structurally "
+                   "(no axiom-producing rules)\n")
+    trace = tmp_path / "trace.txt"
+    code, out, err = run_cli(capsys, "run", spec_file, "--horizon", "100000",
+                             "--window", "100", "--trace", str(trace))
+    assert (code, err) == (0, "")
+    assert out == ("variant: q\nhorizon: 100000\nwindow: 100\n"
+                   "stable prefix: 99962\n"
+                   "beliefs (99960): a0 a1 a2 %s ...\n"
+                   "loop suspects: none\n"
+                   % " ".join("a%d" % i for i in range(5, 22)))
+    body = trace.read_bytes()
+    assert len(body) == 1_977_549
+    assert hashlib.sha256(body).hexdigest() == (
+        "ac9db614e0cb86514a2903a01d71f46fd4e77dec70048b9b828e649aa61db7e9")
 
 
 @pytest.mark.parametrize("text,bound,message", [

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
@@ -306,11 +307,12 @@ def _sample(bound, width):
 def test_validate_evaluates_every_sampled_set_at_every_stage(monkeypatch):
     # no stage is skipped: a validator that looked only at the rule stages
     # would miss an operator such as _non_monotone, whose CE comes at stage
-    # 1 and goes at stage 2 whatever the table
-    calls = set()
+    # 1 and goes at stage 2 whatever the table; and none is done twice: the
+    # top-stage evaluation is the set's closure
+    calls = Counter()
 
     def recording(t, n, F):
-        calls.add((n, frozenset(F)))
+        calls[n, frozenset(F)] += 1
         return evaluate(t, n, F)
 
     monkeypatch.setattr(consequence, "evaluate", recording)
@@ -320,7 +322,57 @@ def test_validate_evaluates_every_sampled_set_at_every_stage(monkeypatch):
         calls.clear()
         sets = _sample(bound, width)
         assert validate_aco(t, bound, width).checked_sets == len(sets)
-        assert {(n, F) for F in sets for n in range(t.max_stage() + 1)} <= calls
+        pairs = [(n, F) for F in sets for n in range(t.max_stage() + 1)]
+        assert [calls[pair] for pair in pairs] == [1] * len(pairs)
+
+
+def _edited_chain(edit):
+    """The table's own evaluation, so a set that no rule fires on is
+    returned as itself, with ``edit(n, F, out)`` applied on top."""
+    def op(t, n, F):
+        return edit(n, frozenset(F), evaluate(t, n, F))
+    return op
+
+
+def test_validate_chain_gate_matches_all_pairs_oracle(monkeypatch):
+    # inclusion and stage monotony are checked as one chain
+    # F ⊆ out_0 ⊆ … ⊆ out_top; its shortcut for a chain of equal entries
+    # must not hide a stage that breaks it, nor an out_0 that lacks part of F
+    never = table(rule(4, {0, 1, 2, 3, 4, 5}, CE))     # top 4; never fires
+    spec_table = table(rule(8, {0, 1, 2, 3}, CE), rule(42, {0, 1, 2, 4, 5}, BOT))
+    # one middle stage drops a2 from every F holding it
+    monkeypatch.setattr(consequence, "evaluate", _edited_chain(
+        lambda n, F, out: out - {2} if n == 2 else out))
+    rep = _assert_same_reports(never, 5, 3)
+    assert rep.failures[:3] == ["inclusion fails at n=2 F=[2]",
+                                "stage monotony fails at n=2 F=[2]",
+                                "inclusion fails at n=2 F=[0, 2]"]
+    _assert_same_reports(spec_table, 5, 4)
+    # out_0 lacks a1, and every later stage holds it: a monotone chain
+    monkeypatch.setattr(consequence, "evaluate", _edited_chain(
+        lambda n, F, out: out - {1} if n == 0 else out))
+    rep = _assert_same_reports(never, 5, 2)
+    assert rep.failures[:2] == ["inclusion fails at n=0 F=[1]",
+                                "inclusion fails at n=0 F=[0, 1]"]
+    _assert_same_reports(spec_table, 5, 4)
+    # a single stage: the chain is out_0 alone
+    rep = _assert_same_reports(table(rule(0, {5}, BOT)), 5, 2)
+    assert rep.failures[0] == "inclusion fails at n=0 F=[1]"
+    # every stage lacks a1: a chain of equal entries
+    monkeypatch.setattr(consequence, "evaluate", _edited_chain(
+        lambda n, F, out: out - {1}))
+    rep = _assert_same_reports(never, 5, 2)
+    assert rep.failures[:2] == ["inclusion fails at n=0 F=[1]",
+                                "inclusion fails at n=1 F=[1]"]
+    # a chain that changes but stays monotone passes
+    monkeypatch.setattr(consequence, "evaluate", _edited_chain(
+        lambda n, F, out: out | {CE} if n >= 1 else out))
+    assert _assert_same_reports(never, 5, 4).ok
+    assert _assert_same_reports(spec_table, 5, 4).ok
+    monkeypatch.setattr(consequence, "evaluate", _edited_chain(
+        lambda n, F, out: out | {BOT} | ({CE} if n >= 3 else set())
+        if n >= 2 and 0 in F else out))
+    assert _assert_same_reports(never, 5, 4).ok
 
 
 def _lawless(rnd, bound, width, top):

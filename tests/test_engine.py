@@ -28,6 +28,7 @@ from dialectic.engine import (
     ReplacementMap,
     RunEngine,
     RunTrace,
+    StabilityReport,
     StepRecord,
     classify_variant,
     estimate_beliefs,
@@ -292,6 +293,54 @@ def test_event_trace_view_edge_cases():
     _check_view_against_reference(churn, 20)
 
 
+def _scan_report(stamps, tokens, horizon, window):
+    """``DisturbanceStamps.report`` as it was written first, kept as the
+    oracle: the loop suspects come from a scan of every stamp."""
+    threshold = horizon - window
+    suspects = tuple(i for i, s in enumerate(stamps.stamps) if s > threshold)
+    prefix = min(len(tokens), suspects[0]) if suspects else len(tokens)
+    return StabilityReport(
+        horizon=horizon, window=window, final_tokens=tuple(tokens),
+        last_change=tuple(stamps.stamps), stable_prefix_length=prefix,
+        belief_estimate=frozenset(t for t in tokens[:prefix] if t != GAP),
+        loop_suspects=suspects)
+
+
+def test_stamp_report_matches_scan_oracle_around_top():
+    # random update/grow sequences, stages sometimes going backwards; the
+    # report skips its scan when the tracked top is at most the threshold
+    rng = random.Random(463)
+    skipped = scanned = 0
+    for _ in range(400):
+        stamps, length, stage = DisturbanceStamps(), 0, rng.randint(0, 5)
+        for _ in range(rng.randint(0, 25)):
+            stage = max(0, stage + rng.randint(-8, 12))
+            if length and rng.random() < 0.5:
+                cut = rng.randint(0, length)
+                stamps.update(cut, length, stage)
+                length = cut + 1
+            else:
+                n = rng.randint(0, 6)
+                stamps.grow(length, n, stage)
+                length += n
+                stage += max(n - 1, 0)
+        assert max(stamps.stamps, default=0) <= stamps.top
+        tokens = [rng.choice([GAP, *range(9)]) for _ in range(length)]
+        top = stamps.top
+        thresholds = {top - 2, top - 1, top, top + 1, top + 7,
+                      *stamps.stamps[:4]}
+        for threshold in sorted(t for t in thresholds if t >= 0):
+            for window in (0, 1, 30):
+                horizon = threshold + window
+                assert stamps.report(tokens, horizon, window) == _scan_report(
+                    stamps, tokens, horizon, window)
+                if threshold >= top:
+                    skipped += 1
+                else:
+                    scanned += 1
+    assert skipped > 1000 and scanned > 1000
+
+
 def _append_schedule_case(rng):
     """Drive a RunEngine with rules appended at its current stage; return
     the engine, the full rule list and how often a premise both sat in σ
@@ -549,6 +598,15 @@ def test_trace_writer_matches_line_per_stage_writer(tmp_path):
         RunTrace([], 0, bs()),
         RunTrace([], 3, bs()),
         RunTrace([], 1, bs(GAP)),
+        # quiet stretches of 10^4 stages and more, around one event
+        run(qsys([rule(3, {0}, BOT)]), 10**4 + 3),
+        RunTrace([StepRecord(12_345, EXCISION, 2, 1, None)], 30_000, bs()),
+        # gaps at both ends and a token of 10^9, as a hand-built string and
+        # as a run that replaces a0 by a1000000000, next to a rule whose
+        # premise a1000000001 never arrives
+        RunTrace([], 5, bs(GAP, 3, 10**9, 0, GAP)),
+        run(qsys([rule(2, {0}, CE), rule(4, {10**9 + 1}, BOT)],
+                 repl=[(0, 10**9)]), 50),
     ]
     kinds = set()
     for i, trace in enumerate(traces):
@@ -560,6 +618,9 @@ def test_trace_writer_matches_line_per_stage_writer(tmp_path):
     assert kinds == {EXCISION, REPLACEMENT}
     assert any(GAP in t.final_sigma.tokens for t in traces[:150])
     assert any(t.horizon == 0 and not t.final_sigma for t in traces[:150])
+    assert traces[-1].final_sigma.tokens[:2] == (10**9, 1)
     for toks in ((), (GAP,), (0,), (GAP, GAP), (5, GAP, 1, 10, 100, GAP),
-                 tuple(rng.choice([GAP, *range(12)]) for _ in range(500))):
+                 (GAP, 10**9, GAP), (10**9,),
+                 tuple(rng.choice([GAP, *range(12)]) for _ in range(500)),
+                 tuple(rng.randrange(GAP, 10**6) for _ in range(10**5))):
         assert bs(*toks).serialize() == " ".join(map(token_to_str, toks))

@@ -26,6 +26,16 @@ def bs(*toks):
     return BeliefString(toks)
 
 
+def test_invalid_token_is_named_first_in_order():
+    # the one min() test finds a bad token; the message names the first one
+    with pytest.raises(OperationError, match=r"^invalid token value -5$"):
+        bs(3, GAP, -5, 0, -9)
+    with pytest.raises(OperationError, match=r"^invalid token value -2$"):
+        bs(-2)
+    assert bs(GAP, 0, GAP, 10**9).tokens == (GAP, 0, GAP, 10**9)
+    assert BeliefString().tokens == ()
+
+
 def test_range_ignores_gaps():
     assert bs(0, GAP, 2).range() == {0, 2}
 
