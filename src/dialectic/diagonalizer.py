@@ -660,21 +660,22 @@ def audit_replay(report: DiagonalizationReport) -> list[str]:
     problems = []
     repl = ReplacementMap(report.replacement_items)
     rules = report.rules
+
+    def estimate(k):   # the beliefs of the home run with the first k rules
+        return estimate_beliefs(
+            run(QSystem(RuleTable(rules[:k]), repl), report.horizon),
+            report.window).belief_estimate
+
+    before = estimate(0)
     for k, (r, cut, _) in enumerate(_claimed_rules(report.events)):
-        with_rule = RuleTable(rules[:k + 1])
-        without = RuleTable(rules[:k])
-        est_a = estimate_beliefs(
-            run(QSystem(with_rule, repl), report.horizon),
-            report.window).belief_estimate
-        est_b = estimate_beliefs(
-            run(QSystem(without, repl), report.horizon),
-            report.window).belief_estimate
-        low_a = frozenset(v for v in est_a if v < cut)
-        low_b = frozenset(v for v in est_b if v < cut)
+        after = estimate(k + 1)
+        low_a = frozenset(v for v in after if v < cut)
+        low_b = frozenset(v for v in before if v < cut)
         if low_a != low_b:
             problems.append(
                 "rule %d (stage %d) moved beliefs below a%d: %s"
                 % (k, r.stage, cut, sorted(low_a ^ low_b)))
+        before = after
     return problems
 
 

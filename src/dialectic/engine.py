@@ -453,8 +453,6 @@ def run(system: QSystem, horizon: int) -> RunTrace:
 class StabilityReport:
     horizon: int
     window: int
-    final_tokens: tuple[int, ...]
-    last_change: tuple[int, ...]          # indexed by position, max extent ever
     stable_prefix_length: int
     belief_estimate: frozenset[int]
     loop_suspects: tuple[int, ...]
@@ -520,8 +518,6 @@ class DisturbanceStamps:
         return StabilityReport(
             horizon=horizon,
             window=window,
-            final_tokens=tuple(tokens),
-            last_change=tuple(stamps),
             stable_prefix_length=prefix,
             belief_estimate=estimate,
             loop_suspects=suspects,
@@ -547,7 +543,7 @@ def estimate_beliefs(trace: RunTrace, window: int) -> StabilityReport:
     tokens = trace.final_sigma.tokens
     if tuple(sigma) != tokens:
         raise ValueError("trace records do not reproduce the recorded final string")
-    del sigma  # the report shares the trace's tuple instead
+    del sigma  # freed before the report builds its estimate
     return stamps.report(tokens, trace.horizon, window)
 
 

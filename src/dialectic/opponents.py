@@ -160,9 +160,10 @@ class PartialPSystem:
         self.frozen = False
         self.r_cycle_found = False
         self.diverge_counts = {"g": 0, "H": 0, "r": 0}
-        # enumeration cache: g resolved on an initial segment of positions
-        self._g_vals: list[int] = []
-        self._g_pos: dict[int, int] = {}  # value -> least enumeration index
+        # enumeration cache: g resolved on an initial segment of positions,
+        # a tape that watches the values asked about (enum_position)
+        self._enum = Tape()
+        self._g_vals = self._enum.tokens
         self._g_ahead: list[int] = []     # g past _g_vals, read by next_event
         self._r_memo: dict[int, int] = {}
         self._code = 0                    # bit code of set(sigma)
@@ -192,14 +193,15 @@ class PartialPSystem:
                 return None
             if v > MAX_AXIOM:
                 raise AxiomLimitError(self.name, "g", v)
-            self._g_pos.setdefault(v, len(self._g_vals))
-            self._g_vals.append(v)
+            self._enum.push(v)
             del self._g_ahead[:1]
         return self._g_vals[j]
 
     def enum_position(self, value: int) -> Optional[int]:
-        """Least resolved enumeration index of value, if seen so far."""
-        return self._g_pos.get(value)
+        """Least resolved enumeration index of value, if seen so far;
+        watched from the first ask."""
+        self._enum.watch(value)
+        return self._enum.first.get(value)
 
     def r_value(self, x: int, fuel: int) -> Optional[int]:
         if x in self._r_memo:
@@ -375,9 +377,7 @@ class PartialPSystem:
             return
         fresh = ahead[:max(0, L + n - len(vals))]
         del ahead[:len(fresh)]
-        for j, v in enumerate(fresh, len(vals)):
-            self._g_pos.setdefault(v, j)
-        vals.extend(fresh)
+        self._enum.extend(fresh)
         new = vals[L:L + n]
         self._stamps.grow(L, n, stage - n + 1)
         self.tape.extend(new)

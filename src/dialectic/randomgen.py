@@ -25,23 +25,13 @@ def random_rules(
     max_rules: int = 8,
     pool: int = 12,
     max_stage: int = 40,
-    conclusions: str = "markers",
 ) -> list[Rule]:
-    """Rules with premises drawn from the pool [0, pool).
-
-    ``conclusions`` is "markers" (only ⊥ and ce) or "mixed" (axioms too).
-    """
+    """Rules with premises drawn from the pool [0, pool), concluding ⊥ or ce."""
     rules = []
     for _ in range(rng.randrange(max_rules + 1)):
         width = rng.randrange(1, 4)
         prem = frozenset(rng.sample(range(pool), width))
-        roll = rng.random()
-        if conclusions == "mixed" and roll < 0.4:
-            concl = rng.randrange(pool)
-        elif roll < 0.7:
-            concl = BOT
-        else:
-            concl = CE
+        concl = BOT if rng.random() < 0.7 else CE
         rules.append(Rule(rng.randrange(max_stage), prem, concl))
     return rules
 
@@ -51,14 +41,13 @@ def random_qsystem(
     max_rules: int = 8,
     pool: int = 12,
     max_stage: int = 40,
-    conclusions: str = "markers",
 ) -> QSystem:
     """Finitely presented system whose replacement covers the premise pool.
 
     Images lie in [pool, 2*pool), above every premise, so the map is
     acyclic and no replaced value ever needs replacing again.
     """
-    table = RuleTable(random_rules(rng, max_rules, pool, max_stage, conclusions))
+    table = RuleTable(random_rules(rng, max_rules, pool, max_stage))
     entries = [(i, pool + rng.randrange(pool)) for i in range(pool)]
     return QSystem(table, ReplacementMap(entries))
 

@@ -6,8 +6,9 @@ finite sequence whose entries are either axiom indices (``a0, a1, ...``) or
 axioms are permitted; positions are 0-based.  The four primitive mutations
 used by the run recursion (contraction, expansion, replacement, excision)
 live here as pure functions; :class:`Tape` is the mutable string that the
-run engine, the stack runner and the opponents keep incrementally.  The
-input layer that every file parser reads through is here too.
+run engine, the stack runner and the opponents keep incrementally, and the
+list an opponent's enumeration grows into.  The input layer that every
+file parser reads through is here too.
 """
 from __future__ import annotations
 
@@ -146,7 +147,9 @@ class Tape:
     The run engine's string, the stack runner's tips ρ(0..p) and an
     opponent's string all change by appending and by cutting back, and
     their consumers only ask where a value first occurs and whether it
-    occurs at all: a cut at c keeps v exactly when ``first[v] < c``.
+    occurs at all: a cut at c keeps v exactly when ``first[v] < c``.  An
+    opponent's enumeration is a tape that is never cut, asked where a
+    value was first enumerated.
     ``first`` holds the watched values that are present; ``push``,
     ``extend``, ``extend_listing`` and ``cut`` report the watched values
     that arrived or left, so a caller can keep counts over them.

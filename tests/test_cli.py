@@ -10,6 +10,7 @@ import concurrent.futures
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -256,6 +257,64 @@ def test_trace_files_are_byte_identical(capsys, spec_file, tmp_path):
                              "--window", "20", "--trace", str(path))
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# each command of argv[1] (a JSON list) through main in one process; prints
+# the exit code, stdout and stderr of each as JSON
+_COMMANDS_SCRIPT = """\
+import contextlib, io, json, sys
+from dialectic.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_outputs_agree_across_hash_seeds_and_optimization(spec_file,
+                                                          sample_kb, tmp_path):
+    # set order follows PYTHONHASHSEED for strings, and -O strips asserts:
+    # neither may show in an exit code, a printed byte or a written file
+    adds = tmp_path / "adds.kb"
+    adds.write_text(ADD_OK, encoding="utf-8")
+    commands = [
+        ["validate", spec_file],
+        ["run", spec_file, "--horizon", "2000", "--trace", "run.txt"],
+        ["diff", spec_file, "--horizon", "300"],
+        ["diff", "--fuzz", "3", "--horizon", "1000"],
+        ["diagonalize", "--horizon", "10000", "--window", "100",
+         "--report", "diag.txt"],
+        ["repair", sample_kb, "--mode", "q", "--trace", "repair.txt"],
+        ["revise", sample_kb, str(adds), "--trace", "revise.txt"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(sys.modules["dialectic.cli"].__file__)))
+    procs = []
+    try:
+        for name, seed, flags in (("a", "1", []), ("b", "987", ["-O"])):
+            (tmp_path / name).mkdir()
+            procs.append(subprocess.Popen(
+                [sys.executable, *flags, "-c", _COMMANDS_SCRIPT,
+                 json.dumps(commands)], cwd=tmp_path / name,
+                env=dict(env, PYTHONHASHSEED=seed),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        runs = []
+        for name, proc in zip("ab", procs):
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (0, b"")
+            runs.append((json.loads(out), {
+                p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}))
+    finally:
+        for proc in procs:
+            proc.kill()   # a no-op once it has exited
+    assert runs[0] == runs[1]
+    results, files = runs[0]
+    assert [code for code, _, _ in results] == [0] * len(commands)
+    assert sorted(files) == ["diag.txt", "repair.txt", "revise.txt",
+                             "run.txt"]
 
 
 # ---------------------------------------------------------------------------

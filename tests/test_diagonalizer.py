@@ -7,11 +7,12 @@ from importlib import resources
 
 import pytest
 
+from dialectic import diagonalizer
 from dialectic.consequence import BOT, CE, Rule, RuleTable
 from dialectic.diagonalizer import (
     ClaimFreshnessError, Diagonalizer, audit_ce_discipline, audit_e_sets,
-    audit_finite_injury, audit_freshness, audit_hands_off, diagonalize,
-    report_of, run_all_audits,
+    audit_finite_injury, audit_freshness, audit_hands_off, audit_replay,
+    diagonalize, report_of, run_all_audits,
 )
 from dialectic.engine import ReplacementMap
 from dialectic.opponents import (
@@ -238,7 +239,7 @@ def test_family_audits_pass():
     assert all(v == [] for v in run_all_audits(rep).values())
 
 
-def test_audits_catch_tampering():
+def test_audits_catch_tampering(monkeypatch):
     rep = _family_report()
     # a doctored excision set breaks the hands-off claim below later blocks
     bad_zs = (frozenset({3}),) + rep.Zs[1:]
@@ -266,6 +267,17 @@ def test_audits_catch_tampering():
     *head, fields = rep.events[k]
     assert audit_e_sets(_doctored(
         rep, k, (*head, {**fields, "E": fields["E"] | {9}})))
+    # a rule that excises a0, below its strategy's block; the replay runs
+    # each of the K + 1 rule prefixes once
+    k = next(k for k, e in enumerate(rep.events) if e[0] == "rule")
+    bad = _doctored(rep, k, rep.events[k][:4] + (Rule(1, {0}, BOT),))
+    runs = []
+    real_run = diagonalizer.run
+    monkeypatch.setattr(diagonalizer, "run",
+                        lambda *a: runs.append(a) or real_run(*a))
+    assert audit_replay(bad) == [
+        "rule 0 (stage 1) moved beliefs below a3: [0]"]
+    assert len(runs) == len(rep.rules) + 1
 
 
 def _doctored(rep, k, event):

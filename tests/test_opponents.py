@@ -373,6 +373,7 @@ def test_monotone_shortcut_matches_full_scan():
         if s == 80:
             assert a.stability_report(80, 20) == b.stability_report(80, 20)
     assert a.stability_report(300, 50) == b.stability_report(300, 50)
+    assert a._stamps.stamps == b._stamps.stamps
 
 
 def test_axiom_limit_is_checked_where_values_resolve():
@@ -427,7 +428,7 @@ def _masked_scripts(draw):
 @given(h=_masked_scripts(),
        g=st.sampled_from(["n", "(+ (* (div n 7) 7) (- 6 (mod n 7)))",
                           "(+ n 3)", "(diverge)", "(if (lt n 45) n (diverge))",
-                          "(if (eq (mod n 9) 4) (diverge) n)"]),
+                          "(if (eq (mod n 9) 4) (diverge) n)", "(div n 2)"]),
        k=st.integers(1, 11), cap=st.sampled_from([None, 10, 30]),
        seed=st.integers(0, 2 ** 16))
 def test_advance_to_matches_step(h, g, k, cap, seed):
@@ -440,6 +441,12 @@ def test_advance_to_matches_step(h, g, k, cap, seed):
         if rng.random() < 0.1:                 # asked about mid-run
             v = rng.randrange(60)
             assert a.first_occurrence(v) == b.first_occurrence(v)
+        if a.stage == 0 or rng.random() < 0.1:
+            # before or after its enumeration; (div n 2) enumerates each
+            # value twice in a row, mostly inside one stretch
+            v = rng.randrange(60)
+            want = a._g_vals.index(v) if v in a._g_vals else None
+            assert a.enum_position(v) == b.enum_position(v) == want
         stops = rng.sample(range(60), 2) if rng.random() < 0.3 else ()
         end = a.next_event(horizon, fuel, stops)
         if end == a.stage:
@@ -463,7 +470,7 @@ def test_advance_to_matches_step(h, g, k, cap, seed):
 
 def _run_state(th):
     return (th.stage, th.sigma, th._stamps.stamps, th._code, th.version,
-            th.diverge_counts, th._g_vals, th._g_pos, th.tape.first,
+            th.diverge_counts, th._g_vals, th._enum.first, th.tape.first,
             th.frozen, th.invalid_reason)
 
 
@@ -527,10 +534,11 @@ def test_table_backed_matches_engine():
             th.step(s)
             eng.step_once()
             assert th.sigma == eng.sigma, "diverged at stage %d seed %d" % (s, seed)
-        mine = th.stability_report(150, 30)
-        ref = estimate_beliefs(eng.trace(), 30)
-        assert mine.belief_estimate == ref.belief_estimate
-        assert mine.last_change == ref.last_change
+        # the loop suspects at every threshold fix every nonzero stamp
+        trace = eng.trace()
+        for window in range(151):
+            assert th.stability_report(150, window) == estimate_beliefs(
+                trace, window), (seed, window)
 
 
 def test_table_backed_code_and_first_occurrence_track_sigma():
