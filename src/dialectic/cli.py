@@ -38,7 +38,7 @@ from .legacy import (
 from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
 from .randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
-from .strings import ParseError, token_to_str
+from .strings import ParseError, natural_from_str, token_to_str
 from .systemspec import VariantError, check_variant, load_system
 
 DEFAULT_HORIZON = 10000
@@ -219,7 +219,7 @@ def cmd_revise(args) -> int:
 
 def _natural(text: str, least: int = 0, most: int | None = None) -> int:
     try:
-        value = int(text)
+        value = natural_from_str(text, "")
     except ValueError:
         value = least - 1
     if value < least or (most is not None and value > most):

@@ -86,7 +86,7 @@ class Strategy:
         self.n = 0            # last enumeration position of the claimed block
         self.tau: list[int] = []
         self._s5_version = -1
-        self.parked = False   # PO2wait: a test failed and changed nothing
+        self.parked = False   # PO2wait: the test met a cycle; it fails for good
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ class Diagonalizer:
         strat.status = S2WAIT
         self.events.append(("activate", stage, strat.index, N, strat.S, cut))
 
-    def _extend_replacement(self, stage: int, stages: int = 1) -> None:
+    def _extend_replacement(self, stages: int = 1) -> None:
         """One fresh entry a_k -> a_k+1 per stage, k rising from _r_next."""
         k = self._r_next
         for _ in range(stages):
@@ -218,13 +218,19 @@ class Diagonalizer:
         return True
 
     def _order_predicted(self, strat: Strategy, s: int) -> bool:
-        """PO2wait: every replacement-iterate below n is known; S4 predicts."""
+        """PO2wait: every replacement-iterate below n is known; S4 predicts.
+
+        An iteration that fails without an r stall has met a cycle.  The r
+        values on it never change, so it fails alike at every later stage:
+        the strategy is parked."""
         th = strat.theta
         tau = strat.tau
         while len(tau) < strat.n:
+            stalls = th.diverge_counts["r"]
             res = r_iterate(th, th.g_value(len(tau), self._fuel(s)), strat.E,
                             self._fuel(s))
             if res is None:
+                strat.parked = stalls == th.diverge_counts["r"]
                 return False
             tau.append(res[0])
         N = strat.N
@@ -294,7 +300,7 @@ class Diagonalizer:
                     break
             else:
                 self._activate_next(s)
-                self._extend_replacement(s)
+                self._extend_replacement()
             self.engine.step_once()
             for strat in self.strategies:
                 strat.theta.step(self._fuel(s))
@@ -318,7 +324,7 @@ class Diagonalizer:
         while self.stage < horizon:
             s, end = self.stage, self._quiet_until(horizon)
             if end > s:
-                self._extend_replacement(s + 1, end - s)
+                self._extend_replacement(end - s)
                 self.engine.advance_to(end)
                 for strat in self.strategies:
                     strat.theta.advance_to(end)
@@ -326,13 +332,7 @@ class Diagonalizer:
                 self.bulk_stretches += 1
                 self.bulk_stages += end - s
                 continue
-            # a PO2wait test that failed and changed nothing fails again
-            po2 = [(st, _po2_state(st)) for st in self.strategies
-                   if st.status == PO2WAIT]
             self.run_to(s + 1)
-            for strat, before in po2:
-                strat.parked = (strat.status == PO2WAIT
-                                and _po2_state(strat) == before)
 
     def _quiet_until(self, horizon: int) -> int:
         """The last stage up to which the stages after this one are quiet.
@@ -371,10 +371,8 @@ class Diagonalizer:
         if status == S5WAIT and not strat.skip:   # σ[:|ρ|] moves by a cut
             ready = (len(th.sigma) < len(strat.rho)
                      or tuple(th.sigma[:len(strat.rho)]) == strat.rho)
-        elif status == S5WAIT:   # the move's first test watches a_I, a_J
-            if not {strat.a_I, strat.a_J} <= th.tape.watched:
-                return s
-            fo = [th.tape.first.get(v) for v in (strat.a_I, strat.a_J)]
+        elif status == S5WAIT:
+            fo = [th.first_occurrence(v) for v in (strat.a_I, strat.a_J)]
             ready = None not in fo and fo[0] < fo[1]
         elif status == S7WAIT and self._fuel(s) >= th.saturation:
             return th.first_mark(s, strat.rho_code)
@@ -383,11 +381,6 @@ class Diagonalizer:
             return math.inf if parked or status == S8DONE else s
         # the move tests again only once σ has changed
         return s if ready and th.version != strat._s5_version else math.inf
-
-
-def _po2_state(strat: Strategy) -> tuple:
-    th = strat.theta
-    return len(strat.tau), len(th._r_memo), th.diverge_counts["r"]
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,13 @@ class ReplacementMap:
         allow_pair: Optional[tuple[int, int]] = None,
     ) -> None:
         self._map: dict[int, int] = {}
-        self._explicit: set[int] = set()
         self._default = default_fn
         self._allow = frozenset(allow_pair) if allow_pair else frozenset()
         items = entries.items() if isinstance(entries, dict) else entries
         for i, j in items:
             self.define(i, j)
 
-    def _insert(self, i: int, j: int) -> None:
+    def define(self, i: int, j: int) -> None:
         if i < 0 or j < 0:
             raise ReplacementCycleError("replacement entries must be axioms")
         if i == j:
@@ -100,10 +99,6 @@ class ReplacementMap:
                 v = nxt
         self._map[i] = j
 
-    def define(self, i: int, j: int) -> None:
-        self._insert(i, j)
-        self._explicit.add(i)
-
     def get(self, i: int) -> Optional[int]:
         if i in self._map:
             return self._map[i]
@@ -115,7 +110,7 @@ class ReplacementMap:
             if v in self._map:
                 break
             j = self._default(v)
-            self._insert(v, j)
+            self.define(v, j)
             v = j
         return self._map[i]
 
@@ -126,17 +121,17 @@ class ReplacementMap:
     def has_default(self) -> bool:
         return self._default is not None
 
+    # Without a default_fn, _map holds exactly the explicit entries; the
+    # three readers below are only asked about such maps.
+
     def explicit_items(self) -> list[tuple[int, int]]:
-        return sorted((i, self._map[i]) for i in self._explicit)
+        return sorted(self._map.items())
 
     def max_index(self) -> int:
-        m = -1
-        for i in self._explicit:
-            m = max(m, i, self._map[i])
-        return m
+        return max(map(max, self._map.items()), default=-1)
 
     def __repr__(self) -> str:
-        return "ReplacementMap(%d explicit)" % len(self._explicit)
+        return "ReplacementMap(%d explicit)" % len(self._map)
 
 
 @dataclass

@@ -13,8 +13,11 @@ call answers at budget f, it answers identically at every budget above f.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from .strings import natural_from_str
 
 
 class ProgramError(ValueError):
@@ -72,23 +75,7 @@ _KNOWN_OPS = (set(_ARITH) | {"div", "mod", "shl", "shr",
 
 
 def tokenize_sexpr(text: str) -> list[str]:
-    out = []
-    buf = []
-    for ch in text:
-        if ch in "()":
-            if buf:
-                out.append("".join(buf))
-                buf = []
-            out.append(ch)
-        elif ch.isspace():
-            if buf:
-                out.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        out.append("".join(buf))
-    return out
+    return re.findall(r"[()]|[^()\s]+", text)
 
 
 def parse_sexpr(text: str):
@@ -127,10 +114,13 @@ def parse_sexpr(text: str):
             raise ProgramError("unbalanced ')'")
         if tok in ("n", "t", "x"):
             return tok
+        negative = tok[:1] == "-"
         try:
-            return int(tok)
-        except ValueError:
-            raise ProgramError("unknown token %r" % tok) from None
+            value = natural_from_str(tok[1:] if negative else tok,
+                                     "unknown token %r" % tok)
+        except ValueError as exc:
+            raise ProgramError(str(exc)) from None
+        return -value if negative else value
 
     node = parse_one(0)
     if pos != len(tokens):
@@ -246,13 +236,11 @@ def _py_source(node, seen: list) -> str:
                                        for a in node[1:]))
 
 
-def compile_sexpr(node) -> Optional[tuple[Callable[..., int], int, int, bool]]:
-    """Compile a script AST into (function, node count, arity, natural).
+def compile_sexpr(node) -> Optional[tuple[Callable[..., int], int, int]]:
+    """Compile a script AST into (function, node count, arity).
 
     The function takes n, or n and x, and raises _Diverge where eval_sexpr
-    diverges; the arity is 2 if the script names x, else 1.  natural says
-    that every answer is a natural: the script has no ``-`` and no negative
-    literal, and every other operation keeps naturals natural.  None if the
+    diverges; the arity is 2 if the script names x, else 1.  None if the
     AST is malformed or Python's compiler refuses it.
     """
     seen: list = []
@@ -261,9 +249,7 @@ def compile_sexpr(node) -> Optional[tuple[Callable[..., int], int, int, bool]]:
         fn = eval("lambda n, x=0, *_: " + body, dict(_PY_HELPERS))
     except (ValueError, SyntaxError, RecursionError, MemoryError):
         return None
-    natural = not any(type(v) is int and v < 0 or type(v) is tuple
-                      and v[0] == "-" for v in seen)
-    return fn, len(seen), 2 if "x" in seen else 1, natural
+    return fn, len(seen), 2 if "x" in seen else 1
 
 
 # A *masked* script of (t, x) reads x only as (band x K), answers x or
@@ -325,8 +311,9 @@ class FueledFunction:
     fuel; script calls cost one unit per visited node.
 
     A compiled script keeps compile_sexpr's function, node count (its
-    *saturation*: from that fuel on, no answer depends on the fuel), arity
-    and natural flag, and its masked_form, if it has one.
+    *saturation*: from that fuel on, no answer depends on the fuel) and
+    arity, and its masked_form, if it has one.  Every answer, compiled or
+    not, is checked to be a natural.
     """
 
     kind: str
@@ -335,7 +322,6 @@ class FueledFunction:
     fast = None
     saturation = math.inf
     arity = 0
-    natural = False
     masked = None
 
     def __post_init__(self) -> None:
@@ -344,7 +330,7 @@ class FueledFunction:
         if self.kind == "sexpr":
             compiled = compile_sexpr(self.payload)
             if compiled is not None:
-                self.fast, self.saturation, self.arity, self.natural = compiled
+                self.fast, self.saturation, self.arity = compiled
                 self.masked = masked_form(self.payload)
 
     def call(self, args: tuple[int, ...], fuel: int) -> Optional[int]:
@@ -354,8 +340,6 @@ class FueledFunction:
                 value = self.fast(*args)
             except _Diverge:
                 return None
-            if self.natural:
-                return value
         elif fuel < 1:
             return None
         elif self.kind == "closure":

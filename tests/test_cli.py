@@ -351,6 +351,7 @@ def test_readme_spec_runs_like_its_comment_free_copy(capsys, tmp_path,
 
 
 LONG = "9" * 5000   # more digits than int() converts
+BAD_NUMERALS = ["-1", "+1", "1_0", "٣", "²", "１", LONG]
 
 
 @pytest.mark.parametrize("text", [
@@ -465,6 +466,34 @@ def test_negative_counts_are_usage_errors(capsys, spec_file, argv, flag):
     assert out == ""
     what = "a positive integer" if flag == "--fuel-cap" else "a natural number"
     assert "argument %s: expected %s" % (flag, what) in err
+
+
+@pytest.mark.parametrize("text", BAD_NUMERALS + [" 7", "7 "],
+                         ids=lambda t: ascii(t)[:12])
+def test_flags_follow_the_files_digits_rule(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["diagonalize", "--horizon", text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    *usage, line = err.splitlines()
+    assert usage[0].startswith("usage: ") and "error" not in "".join(usage)
+    assert line == ("dialectic diagonalize: error: argument --horizon: "
+                    "expected a natural number, got %r" % text)
+
+
+# a script may name a negative literal, so "-1" is readable there
+@pytest.mark.parametrize("text", [t for t in BAD_NUMERALS if t != "-1"]
+                         + ["-+1", "--1", "-٣"], ids=lambda t: ascii(t)[:12])
+def test_script_literals_follow_the_files_digits_rule(capsys, tmp_path, text):
+    path = tmp_path / "literal.family"
+    path.write_text("prog g = (+ n %s)\nprog h = x\nprog r = (+ n 1)\n"
+                    "opponent o : g=g h=h r=r\n" % text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagonalize", str(path),
+                             "--horizon", "5")
+    assert (code, out) == (2, "")
+    assert err == ("parse error: line 1: bad script: unknown token %r\n"
+                   % text)
 
 
 def test_negative_seed_is_still_accepted(capsys):
@@ -751,7 +780,7 @@ def test_revise_kb_parse_error_exits_2(capsys, sample_kb, tmp_path):
 # small stages only: `validate` walks every stage up to the largest, so a
 # readable stage in the millions would only measure that walk
 GOOD_NUMBERS = st.sampled_from(["0", "1", "2", "3", "6", "12"])
-BAD_NUMBERS = st.sampled_from(["-1", "+1", "1_0", "٣", "²", "１", LONG])
+BAD_NUMBERS = st.sampled_from(BAD_NUMERALS)
 GOOD_SCRIPTS = st.sampled_from(["n", "x", "(+ n 1)", "(diverge)",
                                 "(if (ge t 2) x n)"])
 BAD_SCRIPTS = st.sampled_from(["(wat n)", "(+ n %s)" % LONG, "(", "(+ n ٣)",

@@ -89,6 +89,18 @@ def test_replacement_map_whitelisted_two_cycle():
     assert m.get(0) == 1 and m.get(1) == 0
 
 
+def test_replacement_map_items_and_max_index():
+    # the largest value is the image of a smaller source
+    m = ReplacementMap({5: 6, 0: 100})
+    assert m.explicit_items() == [(0, 100), (5, 6)]
+    assert m.max_index() == 100
+    m.define(200, 3)
+    assert m.max_index() == 200
+    assert m.explicit_items() == [(0, 100), (5, 6), (200, 3)]
+    assert ReplacementMap().max_index() == -1
+    assert ReplacementMap().explicit_items() == []
+
+
 # ---------------------------------------------------------------------------
 # step(): the four canonical situations
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +19,7 @@ from dialectic.randomgen import random_qsystem
 from dialectic.strings import ParseError
 from dialectic.universe import (
     MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, _Diverge,
-    closure, compile_sexpr, eval_sexpr, parse_sexpr, script,
+    closure, compile_sexpr, eval_sexpr, parse_sexpr, script, tokenize_sexpr,
 )
 
 
@@ -79,9 +81,48 @@ def test_decode_index_round_trip():
 
 def test_script_parse_errors():
     for bad in ("", "(+ n", "(+ n 1))", "(frobnicate n 1)", "(+ n 1 2)",
-                "(not)", "y", "(if n 1)"):
+                "(not)", "y", "(if n 1)", "(+ n +7)", "(+ n --1)", "(- n -)"):
         with pytest.raises(ProgramError):
             parse_sexpr(bad)
+
+
+def _tokenize_by_chars(text):
+    """The character loop tokenize_sexpr replaced: the oracle."""
+    out = []
+    buf = []
+    for ch in text:
+        if ch in "()":
+            if buf:
+                out.append("".join(buf))
+                buf = []
+            out.append(ch)
+        elif ch.isspace():
+            if buf:
+                out.append("".join(buf))
+                buf = []
+        else:
+            buf.append(ch)
+    if buf:
+        out.append("".join(buf))
+    return out
+
+
+# every character that str.isspace accepts, and three look-alikes that
+# are not whitespace (zero-width space, BOM, an Arabic-Indic digit)
+_SCRIPT_CHARS = ("()n-7x+\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                 + "".join(map(chr, range(0x2000, 0x200b)))
+                 + "\u2028\u2029\u202f\u205f\u3000\u200b\ufeff\u0663")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.text(alphabet=st.sampled_from(_SCRIPT_CHARS) | st.characters()))
+def test_tokenize_matches_the_character_loop(text):
+    assert tokenize_sexpr(text) == _tokenize_by_chars(text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 def test_script_nesting_is_capped():
@@ -198,6 +239,7 @@ def test_script_values():
     assert g.call((1,), 100) is None
     two = script("(bor (band x 6) (bxor n n))")
     assert two.call((9, 7), 100) == 6
+    assert script("(+ n -07)").call((9,), 100) == 2   # ASCII digits, a sign
 
 
 def test_script_partial_operations_diverge():
