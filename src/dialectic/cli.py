@@ -45,6 +45,7 @@ DEFAULT_HORIZON = 10000
 DEFAULT_WINDOW = 100
 DEFAULT_BOUND = 8
 MAX_JOBS = 64
+MAX_ECHO = 40   # characters of a rejected flag value that an error quotes
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,6 @@ def _diff_one(seed: int, horizon: int) -> tuple[bool, str]:
 
 def cmd_diff(args) -> int:
     if args.fuzz:
-        results = []
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             workers = min(args.jobs, args.fuzz)
@@ -226,8 +226,21 @@ def _natural(text: str, least: int = 0, most: int | None = None) -> int:
         what = "a positive integer" if least else "a natural number"
         if most is not None:
             what += " at most %d" % most
-        raise argparse.ArgumentTypeError("expected %s, got %r" % (what, text))
+        raise _flag_error("expected %s, got" % what, text)
     return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _flag_error("invalid int value:", text) from None
+
+
+def _flag_error(msg: str, text: str) -> argparse.ArgumentTypeError:
+    """msg and the rejected value, quoted to at most MAX_ECHO characters."""
+    more = "... (%d characters)" % len(text) if len(text) > MAX_ECHO else ""
+    return argparse.ArgumentTypeError("%s %r%s" % (msg, text[:MAX_ECHO], more))
 
 
 def _positive(text: str) -> int:
@@ -273,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_horizon_window(p)
     p.add_argument("--fuzz", type=_natural, default=0,
                    help="check this many random seeded systems instead")
-    p.add_argument("--seed", type=int, default=0, help="base seed for --fuzz")
+    p.add_argument("--seed", type=_integer, default=0,
+                   help="base seed for --fuzz")
     p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel workers for --fuzz (at most %d)" % MAX_JOBS)
     p.set_defaults(func=cmd_diff)

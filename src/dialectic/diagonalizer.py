@@ -21,7 +21,17 @@ audits: ``activate`` (block N, kept set S, and cut, the number of axioms
 mentioned before; an entry also empties Z), ``act`` (label, timeline
 detail, a dict of fields), ``claim`` (the new Z), ``rule`` (label, rule)
 and ``injure`` (the index of the injuring strategy).  Mentioned axioms
-are one flat list of their own: the idle branch adds two every stage.
+are one flat list of their own.
+
+Every stage without an act gives the home system one idle replacement
+entry a_k -> a_k+1 on the least key not yet defined, so that its
+replacement is total in the limit.  Each claim N -> N+2 lies above that
+chain when it is made, so the chain is arithmetic and is not stored: after
+i idle stages its keys are [0, k) minus the claims, where k is i plus the
+number of claims below k.  The home run only ever replaces a claimed
+anchor (a marker rule's least prefix ends at its anchor N), so the home
+map holds only the claims.  The chain mentions axioms up to k; an entry
+mentions k before it claims its block.
 
 diagonalize moves from event to event (Diagonalizer.advance_to); the
 stage-by-stage run_to is its reference.
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Optional
 
 from .consequence import BOT, CE, Rule, RuleTable
@@ -99,9 +110,9 @@ class Diagonalizer:
 
     Stage s does, in order: one strategy act (the highest-ranked whose
     watched condition holds), else the idle work (re-entry of the
-    highest-ranked thrown-back strategy, then one fresh replacement
-    entry); then one home-run step; then one budgeted step of every
-    opponent with fuel s.
+    highest-ranked thrown-back strategy; the stage's idle replacement
+    entry is counted, not stored); then one home-run step; then one
+    budgeted step of every opponent with fuel s.
     """
 
     def __init__(self, opponents, fuel_cap: int = None) -> None:
@@ -111,9 +122,7 @@ class Diagonalizer:
         self.fuel_cap = fuel_cap
         self.strategies = [Strategy(i, th) for i, th in enumerate(opponents)]
         self.mentions: list[int] = []
-        self.mention_max = 0
         self.events: list[tuple] = []   # see the module docstring
-        self._r_next = 0
         self.stage = 0
         self.bulk_stretches = self.bulk_stages = 0
 
@@ -122,12 +131,6 @@ class Diagonalizer:
         return s if self.fuel_cap is None else min(s, self.fuel_cap)
 
     # -- bookkeeping --------------------------------------------------------
-
-    def _mention(self, values) -> None:
-        for v in values:
-            self.mentions.append(v)
-            if v > self.mention_max:
-                self.mention_max = v
 
     def _set_z(self, strat: Strategy, z: frozenset, stage: int) -> None:
         strat.Z = z
@@ -138,7 +141,7 @@ class Diagonalizer:
         r = Rule(stage, premises, conclusion)
         self.engine.append_rule(r)
         self.events.append(("rule", stage, strat.index, label, r))
-        self._mention(premises)
+        self.mentions += premises
 
     def _log_act(self, stage: int, strat: Strategy, label: str, detail: str,
                  **fields) -> None:
@@ -150,39 +153,28 @@ class Diagonalizer:
                 self.events.append(("injure", stage, strat.index, index))
                 strat.status = DEACTIVATED
 
-    # -- the idle branch ----------------------------------------------------
-
-    def _activate_next(self, stage: int) -> None:
-        for strat in self.strategies:
-            if strat.status == DEACTIVATED:
-                self._enter(strat, stage)
-                return
+    # -- entries ------------------------------------------------------------
 
     def _enter(self, strat: Strategy, stage: int) -> None:
+        # the idle chain's end k: one key per idle stage so far, skipping
+        # the claims below it (explicit_items is ascending)
+        k = self.stage - sum(e[0] == "act" for e in self.events)
+        for claim, _ in self.replacement.explicit_items():
+            k += claim < k
+        if k > max(self.mentions, default=0):   # the chain mentions up to k
+            self.mentions.append(k)
         cut = len(self.mentions)
-        N = 3 + self.mention_max
+        N = 3 + max(self.mentions, default=0)
         strat.reset_for_entry()
         strat.N = N
         strat.S = frozenset(range(N)) - frozenset().union(
             *(st.Z for st in self.strategies[:strat.index]))
-        if self.replacement.defined(N):
+        if self.replacement.get(N) is not None:
             raise ClaimFreshnessError(stage, N)
         self.replacement.define(N, N + 2)
-        self._mention((N, N + 1, N + 2))
+        self.mentions += (N, N + 1, N + 2)
         strat.status = S2WAIT
         self.events.append(("activate", stage, strat.index, N, strat.S, cut))
-
-    def _extend_replacement(self, stages: int = 1) -> None:
-        """One fresh entry a_k -> a_k+1 per stage, k rising from _r_next."""
-        k = self._r_next
-        for _ in range(stages):
-            while self.replacement.defined(k):
-                k += 1
-            self.replacement.define(k, k + 1)
-            self.mentions += (k, k + 1)
-            k += 1
-        self.mention_max = max(self.mention_max, k)
-        self._r_next = k
 
     # -- one move per waiting status ----------------------------------------
     #
@@ -203,7 +195,7 @@ class Diagonalizer:
         if th.r_value(g_l, self._fuel(s)) is None:
             return False
         strat.n = n
-        self._mention((max(th.sigma), n))
+        self.mentions += (max(th.sigma), n)
         if g_l == N:
             strat.E = frozenset({N}).union(
                 *(st.Z for st in self.strategies[:strat.index]))
@@ -234,7 +226,7 @@ class Diagonalizer:
                 return False
             tau.append(res[0])
         N = strat.N
-        self._mention(tau)
+        self.mentions += tau
         idx = next(i for i, v in enumerate(tau) if v in (N + 1, N + 2))
         rho = strat.rho = tuple(tau[:idx + 1])
         if rho[-1] == N + 1:
@@ -261,7 +253,7 @@ class Diagonalizer:
             if fo_i is None or fo_j is None or fo_i >= fo_j:
                 return False
             strat.rho = tuple(th.sigma[:fo_i + 1])
-            self._mention(strat.rho)
+            self.mentions += strat.rho
         elif tuple(th.sigma[:len(strat.rho)]) != strat.rho:
             return False
         strat.rho_code = pi_encode(strat.rho)
@@ -298,9 +290,11 @@ class Diagonalizer:
                 if move is not None and move(self, strat, s):
                     self._deactivate_below(strat.index, s)
                     break
-            else:
-                self._activate_next(s)
-                self._extend_replacement()
+            else:   # idle: the highest-ranked thrown-back strategy enters
+                for strat in self.strategies:
+                    if strat.status == DEACTIVATED:
+                        self._enter(strat, s)
+                        break
             self.engine.step_once()
             for strat in self.strategies:
                 strat.theta.step(self._fuel(s))
@@ -312,11 +306,10 @@ class Diagonalizer:
         """run_to(horizon), moving from event to event.
 
         An event stage runs run_to's body.  Between events no move can act
-        and no strategy is deactivated, so each stage defines one
-        replacement entry, the home run expands and every opponent extends
-        its string or stalls: each layer takes the stretch in bulk.  If
-        this run's fuel never saturates some opponent, all stages are
-        events.
+        and no strategy enters or is deactivated, so each stage is idle,
+        the home run expands and every opponent extends its string or
+        stalls: each layer takes the stretch in bulk.  If this run's fuel
+        never saturates some opponent, all stages are events.
         """
         if any(st.theta.saturation > self._fuel(horizon)
                for st in self.strategies):
@@ -324,7 +317,6 @@ class Diagonalizer:
         while self.stage < horizon:
             s, end = self.stage, self._quiet_until(horizon)
             if end > s:
-                self._extend_replacement(end - s)
                 self.engine.advance_to(end)
                 for strat in self.strategies:
                     strat.theta.advance_to(end)
@@ -402,7 +394,7 @@ class DiagonalizationReport:
     witnesses: tuple[Optional[int], ...]
     gamma: StabilityReport
     thetas: tuple[StabilityReport, ...]
-    replacement_items: tuple[tuple[int, int], ...]
+    claims: tuple[tuple[int, int], ...]   # the home map, ascending
     mentions: tuple[int, ...]
     events: tuple[tuple, ...]
     notes: tuple[str, ...]
@@ -435,6 +427,20 @@ class DiagonalizationReport:
         return tuple({"stage": e[1], "strategy": e[2], "label": e[3], **e[5]}
                      for e in self.events if e[0] == "act")
 
+    @property
+    def idle(self) -> int:
+        """The stages without an act: each defined one idle entry."""
+        return self.horizon - sum(e[0] == "act" for e in self.events)
+
+    def replacement_items(self, limit: int) -> list[tuple[int, int]]:
+        """The first `limit` entries of the home replacement: the claims
+        and, on the least keys no claim holds, one a_k -> a_k+1 per idle
+        stage."""
+        claimed = dict(self.claims)
+        chain = (k for k in count() if k not in claimed)
+        idle = [(k, k + 1) for k in islice(chain, min(self.idle, limit))]
+        return sorted([*self.claims, *idle])[:limit]
+
     def witness_token(self, i: int) -> str:
         w = self.witnesses[i]
         return "-" if w is None else "a%d" % w
@@ -456,10 +462,9 @@ class DiagonalizationReport:
         for idx, (_, _, i, _, rule) in enumerate(rules):
             out.append("%d\tR%d\t%s" % (idx, i, rule.render()))
         out.append("[replacement]")
-        shown = self.replacement_items[:64]
-        for i, j in shown:
-            out.append("a%d -> a%d" % (i, j))
-        rest = len(self.replacement_items) - len(shown)
+        shown = self.replacement_items(64)
+        out.extend("a%d -> a%d" % pair for pair in shown)
+        rest = self.idle + len(self.claims) - len(shown)
         if rest > 0:
             out.append("... %d more entries" % rest)
         out.append("[injuries]")
@@ -533,7 +538,7 @@ def report_of(diag: Diagonalizer, window: int) -> DiagonalizationReport:
         witnesses=tuple(witnesses),
         gamma=gamma,
         thetas=thetas,
-        replacement_items=tuple(diag.replacement.explicit_items()),
+        claims=tuple(diag.replacement.explicit_items()),
         mentions=tuple(diag.mentions),
         events=tuple(diag.events),
         notes=tuple(notes),
@@ -651,7 +656,7 @@ def audit_ce_discipline(report: DiagonalizationReport) -> list[str]:
 def audit_replay(report: DiagonalizationReport) -> list[str]:
     """Each appended rule only moves beliefs at or above its block."""
     problems = []
-    repl = ReplacementMap(report.replacement_items)
+    repl = ReplacementMap(report.claims)
     rules = report.rules
 
     def estimate(k):   # the beliefs of the home run with the first k rules

@@ -114,9 +114,6 @@ class ReplacementMap:
             v = j
         return self._map[i]
 
-    def defined(self, i: int) -> bool:
-        return i in self._map or self._default is not None
-
     @property
     def has_default(self) -> bool:
         return self._default is not None

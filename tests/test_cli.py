@@ -478,8 +478,33 @@ def test_flags_follow_the_files_digits_rule(capsys, text):
     assert out == ""
     *usage, line = err.splitlines()
     assert usage[0].startswith("usage: ") and "error" not in "".join(usage)
+    # a long value is quoted by its first 40 characters and its length
+    got = ("'%s'... (5000 characters)" % ("9" * 40) if text == LONG
+           else repr(text))
     assert line == ("dialectic diagonalize: error: argument --horizon: "
-                    "expected a natural number, got %r" % text)
+                    "expected a natural number, got %s" % got)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "x.spec", "--horizon"], ["run", "x.spec", "--window"],
+    ["validate", "x.spec", "--bound"], ["diff", "--fuzz"], ["diff", "--seed"],
+    ["diff", "--jobs"], ["diagonalize", "--fuel-cap"],
+], ids=lambda argv: argv[-1])
+def test_flag_errors_quote_a_bounded_prefix(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [LONG])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.encode()) <= 400
+    assert err.endswith(" '%s'... (5000 characters)\n" % ("9" * 40))
+
+
+def test_seed_errors_read_as_before(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "--seed", "1.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "dialectic diff: error: argument --seed: invalid int value: '1.5'")
 
 
 # a script may name a negative literal, so "-1" is readable there

@@ -93,9 +93,9 @@ def test_lone_opponent_full_chain():
         ("rule", 60, 0, "S8"), ("claim", 60, 0, frozenset({3, 5})),
         ("act", 60, 0, "S8"),
     ]
-    # the replacement holds the activation pair plus the idle chain
-    items = dict(rep.replacement_items)
-    assert items[3] == 5 and items[4] == 5 and items[0] == 1
+    # the home map holds the one claim; 196 idle stages fill the other keys
+    assert (rep.claims, rep.idle) == (((3, 5),), 196)
+    assert rep.replacement_items(5) == [(0, 1), (1, 2), (2, 3), (3, 5), (4, 5)]
     # both limits discard the excised values and keep the witness split
     home, away = rep.gamma.belief_estimate, rep.thetas[0].belief_estimate
     assert 4 in home and 3 not in home and 5 not in home
@@ -342,7 +342,7 @@ def _same_runs(make, horizons, fuel_cap=None):
     for h, a, b in zip(horizons, mine, oracle):
         assert a.events == b.events, h
         assert a.mentions == b.mentions, h
-        assert a.replacement_items == b.replacement_items, h
+        assert (a.claims, a.idle) == (b.claims, b.idle), h
         assert a == b, h
         assert a.render() == b.render(), h
     return diag
@@ -443,3 +443,117 @@ def test_axiom_limit_raises_at_the_same_stage_in_both_forms():
     assert seen[0][0] == ("opponent big: g gave a%d, above the limit a%d"
                           % (MAX_AXIOM + 1, MAX_AXIOM))
     assert 200 < seen[0][1] < 300
+
+
+# ---------------------------------------------------------------------------
+# the idle chain: counted, not stored
+# ---------------------------------------------------------------------------
+
+def _extend_replacement(repl, k):
+    """One stage of the idle branch's former loop: a fresh entry a_k -> a_k+1
+    on the least key from k that is not yet defined; returns the next k."""
+    while repl.get(k) is not None:
+        k += 1
+    repl.define(k, k + 1)
+    return k + 1
+
+
+def _stored_chain(rep, hand=()):
+    """The home map as the idle branch once stored it, replayed from the
+    events, and the chain's end before each entry."""
+    repl = ReplacementMap(hand)
+    acts = {e[1] for e in rep.events if e[0] == "act"}
+    entries = {e[1]: e[3] for e in rep.events if e[0] == "activate"}
+    k, ends = 0, []
+    for s in range(1, rep.horizon + 1):
+        if s in entries:
+            ends.append(k)
+            repl.define(entries[s], entries[s] + 2)
+        if s not in acts:
+            k = _extend_replacement(repl, k)
+    return repl.explicit_items(), ends
+
+
+def _check_idle_chain(rep, hand=()):
+    items, ends = _stored_chain(rep, hand)
+    assert len(items) == rep.idle + len(rep.claims)
+    assert rep.replacement_items(len(items) + 1) == items
+    lines = rep.render().splitlines()
+    section = lines[lines.index("[replacement]") + 1:lines.index("[injuries]")]
+    shown = ["a%d -> a%d" % pair for pair in items[:64]]
+    if len(items) > 64:
+        shown.append("... %d more entries" % (len(items) - 64))
+    assert section == shown
+    # an entry's block lies above the chain, whose mentions reach its end
+    activations = [e for e in rep.events if e[0] == "activate"]
+    assert len(activations) == len(ends)
+    for (_, _, _, N, _, cut), end in zip(activations, ends):
+        ceiling = max(rep.mentions[:cut], default=0)
+        assert N == 3 + ceiling and ceiling >= end
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 27, 63, 64, 65, 100, 3000])
+def test_idle_chain_matches_its_stored_form(horizon):
+    window = min(100, horizon)
+    _check_idle_chain(diagonalize(default_family()[1], horizon, window))
+    for seed in range(20):
+        opps = parse_family(random_family(random.Random(seed)))[1]
+        _check_idle_chain(diagonalize(opps, horizon, window))
+
+
+def test_idle_chain_skips_a_hand_defined_entry():
+    th = _solo(closure(lambda n: n), closure(_masked),
+               closure(lambda x: x + 1))
+    hand = [(1, 9), (40, 45)]
+    dz = Diagonalizer([th])
+    for i, j in hand:
+        dz.replacement.define(i, j)
+    dz.advance_to(200)
+    rep = report_of(dz, 50)
+    assert rep.claims == ((1, 9), (3, 5), (40, 45))
+    assert rep.replacement_items(4) == [(0, 1), (1, 9), (2, 3), (3, 5)]
+    _check_idle_chain(rep, hand)
+
+
+def _replaced_only_claims(diag):
+    anchors = {e[3] for e in diag.events if e[0] == "activate"}
+    reps = [r.old for r in diag.engine.event_records if r.kind == "REP"]
+    assert set(reps) <= anchors
+    return len(reps)
+
+
+def test_the_home_run_replaces_only_claimed_anchors():
+    # a marker rule's least prefix ends at its anchor N, so the home map
+    # needs only the claims
+    seen = 0
+    for cap in (None, 10, 30):
+        diag = Diagonalizer(default_family()[1], fuel_cap=cap)
+        diag.advance_to(10_000)
+        seen += _replaced_only_claims(diag)
+    table = RuleTable([Rule(30, frozenset({1, 2}), CE),
+                       Rule(90, frozenset({0, 4}), CE)])
+    diag = Diagonalizer(default_family()[1] + [p_system_from_table(
+        table, ReplacementMap(default_fn=lambda k: k + 1), name="tab")])
+    diag.advance_to(20_000)
+    seen += _replaced_only_claims(diag)
+    for seed in range(60):
+        text = random_family(random.Random(seed))
+        diag = Diagonalizer(parse_family(text)[1])
+        diag.advance_to(3000)
+        seen += _replaced_only_claims(diag)
+    assert seen > 0
+
+
+def test_idle_stages_keep_no_state():
+    diag = Diagonalizer(default_family()[1])
+    assert not hasattr(diag, "_r_next")
+    assert not hasattr(diag, "_extend_replacement")
+    diag.advance_to(10_000)
+    entries = [e[3] for e in diag.events if e[0] == "activate"]
+    assert diag.replacement.explicit_items() == sorted(
+        (N, N + 2) for N in entries)
+    # the next 10^4 stages are one bulk stretch without an event
+    mentions, stretches = list(diag.mentions), diag.bulk_stretches
+    diag.advance_to(20_000)
+    assert diag.bulk_stretches == stretches + 1
+    assert diag.mentions == mentions
