@@ -25,7 +25,7 @@ from .engine import (
     QSystem, ReplacementMap, RunTrace, StabilityReport, estimate_beliefs,
     is_clean_window, run,
 )
-from .strings import ParseError, numbered_lines, read_input
+from .strings import ParseError, numbered_lines, quoted, read_input
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,8 @@ def _ranked_table(kb: KnowledgeBase, adds: Optional[Additions] = None):
     if adds is not None:
         for i, item in enumerate(adds.items):
             if item in rank:
-                raise ValueError("added item %r is already in the base"
-                                 % kb.label(item))
+                raise ValueError("added item %s is already in the base"
+                                 % quoted(kb.label(item)))
             rank[item] = n + i
         add_rules = adds.horn_rules
         add_conflicts = adds.conflicts
@@ -168,9 +168,8 @@ def _window_default(kb: KnowledgeBase, horizon: int,
 def _finish(kb: KnowledgeBase, system: QSystem, horizon: int, window: int):
     tr = run(system, horizon)
     rep = estimate_beliefs(tr, window)
-    n = len(kb.items)
-    believed = rep.belief_estimate
-    kept = frozenset(kb.items[r] for r in range(n) if r in believed)
+    kept = frozenset(item for r, item in enumerate(kb.items)
+                     if r in rep.belief_estimate)
     removed = frozenset(kb.items) - kept
     partial = not is_clean_window(system, rep)
     return kept, removed, rep, tr, partial
@@ -294,7 +293,7 @@ def _parse_lines(text: str, names: dict[str, int], next_id: int,
 
     def resolve(token: str) -> int:
         if token not in names:
-            raise ValueError("unknown item %r" % token)
+            raise ValueError("unknown item %s" % quoted(token))
         return names[token]
 
     for line_no, line in numbered_lines(text):
@@ -305,7 +304,7 @@ def _parse_lines(text: str, names: dict[str, int], next_id: int,
                     raise ValueError("item takes exactly one name")
                 name = rest[0]
                 if name in names:
-                    raise ValueError("duplicate item %r" % name)
+                    raise ValueError("duplicate item %s" % quoted(name))
                 names[name] = next_id
                 labels[next_id] = name
                 next_id += 1
@@ -329,7 +328,7 @@ def _parse_lines(text: str, names: dict[str, int], next_id: int,
                     raise ValueError("replace takes 'old -> new'")
                 replacements[resolve(rest[0])] = resolve(rest[2])
             else:
-                raise ValueError("unknown declaration %r" % verb)
+                raise ValueError("unknown declaration %s" % quoted(verb))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
     return list(labels), labels, rules, conflicts, replacements

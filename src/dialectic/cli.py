@@ -38,14 +38,13 @@ from .legacy import (
 from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
 from .randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
-from .strings import ParseError, natural_from_str, token_to_str
+from .strings import ParseError, natural_from_str, quoted, token_to_str
 from .systemspec import VariantError, check_variant, load_system
 
 DEFAULT_HORIZON = 10000
 DEFAULT_WINDOW = 100
 DEFAULT_BOUND = 8
 MAX_JOBS = 64
-MAX_ECHO = 40   # characters of a rejected flag value that an error quotes
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,7 @@ def _integer(text: str) -> int:
 
 def _flag_error(msg: str, text: str) -> argparse.ArgumentTypeError:
     """msg and the rejected value, quoted to at most MAX_ECHO characters."""
-    more = "... (%d characters)" % len(text) if len(text) > MAX_ECHO else ""
-    return argparse.ArgumentTypeError("%s %r%s" % (msg, text[:MAX_ECHO], more))
+    return argparse.ArgumentTypeError("%s %s" % (msg, quoted(text)))
 
 
 def _positive(text: str) -> int:

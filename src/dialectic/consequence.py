@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Iterable, Sequence
 
-from .strings import AxiomId, axiom_from_str, natural_from_str
+from .strings import AxiomId, axiom_from_str, natural_from_str, quoted
 
 # Conclusion sentinels.  Axioms are their own (non-negative) codes.
 BOT: int = -2   # inconsistency marker
@@ -37,7 +37,7 @@ def symbol_from_str(text: str) -> int:
         return BOT
     if text == "CE":
         return CE
-    return axiom_from_str(text, "malformed conclusion symbol %r" % (text,))
+    return axiom_from_str(text, "malformed conclusion symbol %s" % quoted(text))
 
 
 class TableError(ValueError):
@@ -427,8 +427,8 @@ def parse_rule_line(text: str) -> Rule:
     stage_part, tail = rest.split(":", 1)
     prem_part, concl_part = tail.split("|-", 1)
     stage_part = stage_part.strip()
-    stage = natural_from_str(stage_part, "bad stage %r" % stage_part)
-    premises = [axiom_from_str(tok, "bad premise token %r" % tok)
+    stage = natural_from_str(stage_part, "bad stage %s" % quoted(stage_part))
+    premises = [axiom_from_str(tok, "bad premise token %s" % quoted(tok))
                 for tok in prem_part.split()]
     conclusion = symbol_from_str(concl_part.strip())
     return Rule(stage, frozenset(premises), conclusion)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -166,12 +166,22 @@ class RunTrace:
     order); every other stage below ``horizon`` expands σ with a_len.
     ``records`` is a lazy per-stage view, and ``iter_sigmas`` and
     :func:`write_trace` walk the events and the quiet stretches between
-    them, so a stored run costs memory in proportion to its events.
+    them.  The final string is ``prefix``, σ right after the last event
+    (empty when there is none), followed by ``listing`` listing tokens
+    a_L, a_L+1, ... (L = len(prefix)), one per stage since;
+    ``final_sigma`` builds it on demand.  So a stored run costs memory in
+    proportion to its events.
     """
 
     event_records: list[StepRecord]
     horizon: int
-    final_sigma: BeliefString
+    prefix: BeliefString
+    listing: int = 0
+
+    @property
+    def final_sigma(self) -> BeliefString:
+        toks = self.prefix.tokens
+        return BeliefString(toks + tuple(range(len(toks), len(toks) + self.listing)))
 
     @property
     def records(self) -> "StageRecords":
@@ -285,17 +295,17 @@ class RunEngine:
     """Stateful run driver whose cost follows the events, not the stages.
 
     σ lives on a :class:`Tape` that watches every axiom some event rule
-    mentions; per rule the engine counts the absent premises.  Quiescent
-    stretches (no rule can fire) are appended in bulk, and only the events
-    are recorded.  Rules may be appended while the run is underway (the
-    diagonalizer does), provided their stage is not in the past; a premise
-    new to the engine is then found in σ once.
+    mentions; per rule the engine counts the absent premises.  Expansions
+    add to the tape's listing count, quiescent stretches (no rule can
+    fire) in bulk, so σ stores only the tokens up to its last cut; only
+    the events are recorded.  Rules may be appended while the run is
+    underway (the diagonalizer does), provided their stage is not in the
+    past; a premise new to the engine is then found in σ once.
     """
 
     def __init__(self, system: QSystem) -> None:
         self.system = system
         self.tape = Tape()
-        self.sigma = self.tape.tokens
         self.stage = 0
         self.event_records: list[StepRecord] = []
         self._rules: list[_RuleState] = []
@@ -361,9 +371,8 @@ class RunEngine:
             rec = self._fire(s)
             self.event_records.append(rec)
         else:
-            val = len(self.sigma)
-            if self.tape.push(val):
-                self._flip(val, -1)
+            for ax in self.tape.extend_listing(1):
+                self._flip(ax, -1)
             rec = StepRecord(s, EXPANSION, None, None, None)
         self.stage = s + 1
         return rec
@@ -375,7 +384,7 @@ class RunEngine:
         k, is_ce = min((tape.cover(rules[rid].premises),
                         rules[rid].conclusion == CE) for rid in self._satisfied)
         kind = REPLACEMENT if is_ce else EXCISION
-        old = self.sigma[k - 1]
+        old = tape.tokens[k - 1] if k <= len(tape.tokens) else k - 1
         if old == GAP:
             raise GapSkipError(s, k - 1)
         new: Optional[int] = None
@@ -397,7 +406,8 @@ class RunEngine:
         if self._satisfied:
             return self.stage
         best = horizon
-        L, s_now, first = len(self.sigma), self.stage, self.tape.first
+        tape, s_now = self.tape, self.stage
+        L, first = len(tape.tokens) + tape.listing, tape.first
         for st in self._rules:
             worst = max(st.stage, s_now + 1)
             for p in st.premises:
@@ -421,11 +431,16 @@ class RunEngine:
 
     # -- views --------------------------------------------------------------
 
-    def belief_string(self) -> BeliefString:
-        return BeliefString(self.sigma)
+    @property
+    def sigma(self) -> list[int]:
+        """σ as a list, stored from now on (see :meth:`Tape.store`)."""
+        return self.tape.store()
 
     def trace(self) -> RunTrace:
-        return RunTrace(list(self.event_records), self.stage, self.belief_string())
+        events, tape = self.event_records, self.tape
+        k = events[-1].k if events else 0   # σ's length after the last event
+        return RunTrace(list(events), self.stage, BeliefString(tape.tokens[:k]),
+                        len(tape.tokens) + tape.listing - k)
 
 
 def run(system: QSystem, horizon: int) -> RunTrace:
@@ -456,8 +471,9 @@ class DisturbanceStamps:
     Vacating a position and refilling one that was occupied before are
     disturbances, stamped with the stage at which they happen.  A frontier
     append (a position occupied for the first time) stamps 0, so uneventful
-    growth is stable.  The stamps span the furthest extent the string ever
-    reached, vacated positions included.
+    growth is stable.  The stamps span the furthest position ever vacated;
+    every position past them stamps 0 and is not stored, so a quiet
+    stretch at the frontier costs nothing.
     """
 
     __slots__ = ("stamps", "top")
@@ -469,13 +485,11 @@ class DisturbanceStamps:
     def update(self, cut: int, old_len: int, stage: int) -> None:
         """Positions cut..old_len-1 were dropped and one token appended at cut."""
         stamps = self.stamps
-        if cut < old_len:
-            stamps[cut:old_len] = [stage] * (old_len - cut)
-        elif cut < len(stamps):
-            stamps[cut] = stage
-        else:
-            stamps.append(0)
-            return
+        if cut >= old_len and cut >= len(stamps):
+            return   # a first fill: its stamp 0 is not stored
+        end = max(old_len, cut + 1)   # the vacated positions and the refill
+        stamps.extend([0] * (cut - len(stamps)))
+        stamps[cut:end] = [stage] * (end - cut)
         if stage > self.top:
             self.top = stage
 
@@ -487,15 +501,17 @@ class DisturbanceStamps:
         stamps[pos:pos + m] = range(stage, stage + m)
         if m > 0 and stage + m - 1 > self.top:
             self.top = stage + m - 1
-        stamps.extend([0] * (n - m))
 
-    def report(self, tokens: list[int], horizon: int, window: int) -> StabilityReport:
-        """Window-based limiting-belief estimate for the string ``tokens``.
+    def report(self, tokens: list[int], horizon: int, window: int,
+               listing: int = 0) -> StabilityReport:
+        """Window-based limiting-belief estimate for the string ``tokens``
+        followed by ``listing`` listing tokens a_L, a_L+1, ...
 
         A position is stable when it was last disturbed no later than
         horizon − window; the belief estimate is the axiom range of the
         longest stable prefix, and positions disturbed inside the final
-        window are flagged as loop suspects.
+        window are flagged as loop suspects.  Positions past the stamps
+        were never disturbed.
         """
         if window < 0 or window > horizon:
             raise ValueError("window must satisfy 0 <= window <= horizon")
@@ -503,10 +519,11 @@ class DisturbanceStamps:
         stamps = self.stamps
         suspects = () if self.top <= threshold else tuple(
             compress(range(len(stamps)), map(gt, stamps, repeat(threshold))))
-        prefix = min(len(tokens), suspects[0]) if suspects else len(tokens)
-        estimate = frozenset(tokens[:prefix])
-        if GAP in estimate:
-            estimate -= {GAP}
+        # the first suspect, if there is one, ends the stable prefix
+        prefix = min(suspects[:1] + (len(tokens) + listing,))
+        head = tokens[:prefix]   # gaps go before the estimate is built
+        head = [t for t in head if t != GAP] if GAP in head else head
+        estimate = frozenset(chain(head, range(len(tokens), prefix)))
         return StabilityReport(
             horizon=horizon,
             window=window,
@@ -521,22 +538,23 @@ def estimate_beliefs(trace: RunTrace, window: int) -> StabilityReport:
 
     The events and the quiet stretches between them are replayed into a
     fresh string and its disturbance stamps (see :class:`DisturbanceStamps`),
-    independently of the engine that wrote them.  This is a heuristic: a
-    slow stabilizer can be flagged even when the true run is loopless.
+    independently of the engine that wrote them; the final quiet stretch
+    stays a count, as in the trace.  The replay must give the trace's
+    prefix and count.  This is a heuristic: a slow stabilizer can be
+    flagged even when the true run is loopless.
     """
     sigma: list[int] = []
     stamps = DisturbanceStamps()
     for start, end, rec in trace._stretches():
         stamps.grow(len(sigma), end - start, start + 1)
+        if rec is None:
+            break
         sigma.extend(range(len(sigma), len(sigma) + end - start))
-        if rec is not None:
-            stamps.update(rec.k - 1, len(sigma), rec.stage + 1)
-            _apply_record(sigma, rec)
-    tokens = trace.final_sigma.tokens
-    if tuple(sigma) != tokens:
+        stamps.update(rec.k - 1, len(sigma), rec.stage + 1)
+        _apply_record(sigma, rec)
+    if tuple(sigma) != trace.prefix.tokens or end - start != trace.listing:
         raise ValueError("trace records do not reproduce the recorded final string")
-    del sigma  # freed before the report builds its estimate
-    return stamps.report(tokens, trace.horizon, window)
+    return stamps.report(trace.prefix.tokens, trace.horizon, window, trace.listing)
 
 
 def is_clean_window(system: QSystem, report: StabilityReport) -> bool:

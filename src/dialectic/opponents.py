@@ -30,7 +30,7 @@ from .consequence import CE, RuleTable
 from .engine import (DisturbanceStamps, QSystem, ReplacementMap,
                      StabilityReport, variant_flags)
 from .strings import (
-    ParseError, Tape, natural_from_str, numbered_lines, read_input,
+    ParseError, Tape, natural_from_str, numbered_lines, quoted, read_input,
 )
 from .systemspec import VariantError
 from .universe import (FueledFunction, ProgramUniverse, _Diverge, closure,
@@ -516,12 +516,12 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
                 if not colon or not opp_name:
                     raise ValueError("expected 'opponent <name> : ...'")
                 if opp_name in names:
-                    raise ValueError("duplicate opponent %r" % opp_name)
+                    raise ValueError("duplicate opponent %s" % quoted(opp_name))
                 fields = {}
                 for part in spec.split():
                     key, eq, value = part.partition("=")
                     if not eq or key in fields:
-                        raise ValueError("bad field %r" % part)
+                        raise ValueError("bad field %s" % quoted(part))
                     fields[key] = value
                 monotone = True
                 if fields.pop("scan", None) == "full":
@@ -530,7 +530,7 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
                     if set(fields) != {"m"}:
                         raise ValueError("m= excludes g=/h=/r=")
                     m = natural_from_str(fields["m"],
-                                         "bad field %r" % ("m=" + fields["m"]))
+                                         "bad field %s" % quoted("m=" + fields["m"]))
                     trio = decode_index(m)
                     if max(trio) >= len(universe):
                         raise ValueError(
@@ -552,7 +552,7 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
                                                 name=opp_name,
                                                 monotone_h=monotone))
             else:
-                raise ValueError("unknown declaration %r" % head)
+                raise ValueError("unknown declaration %s" % quoted(head))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
     return universe, opponents

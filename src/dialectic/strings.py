@@ -20,6 +20,8 @@ AxiomId = int
 # Token value standing in for the gap marker.
 GAP: int = -1
 
+MAX_ECHO = 40   # characters of a rejected token or flag value an error quotes
+
 
 class OperationError(ValueError):
     """A primitive string operation was applied outside its precondition."""
@@ -53,6 +55,13 @@ def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+def quoted(text: str) -> str:
+    """text quoted as %r does, cut to MAX_ECHO characters and then
+    followed by its length."""
+    more = "... (%d characters)" % len(text) if len(text) > MAX_ECHO else ""
+    return "%r%s" % (text[:MAX_ECHO], more)
+
+
 def natural_from_str(text: str, error: str) -> int:
     """The value of a numeral of ASCII digits, else ValueError(error): signs,
     ``_``, other scripts' digits and numerals too long for ``int`` fail."""
@@ -77,7 +86,7 @@ def token_from_str(text: str) -> int:
     if text == "*":
         return GAP
     try:
-        return axiom_from_str(text, "malformed token %r" % (text,))
+        return axiom_from_str(text, "malformed token %s" % quoted(text))
     except ValueError as exc:
         raise OperationError(*exc.args) from None
 
@@ -150,17 +159,30 @@ class Tape:
     occurs at all: a cut at c keeps v exactly when ``first[v] < c``.  An
     opponent's enumeration is a tape that is never cut, asked where a
     value was first enumerated.
+    The string is ``tokens`` followed by a count, ``listing``, of listing
+    tokens a_L, a_L+1, ... (a_p at position p): ``extend_listing`` only
+    adds to the count, a cut into it stores the tokens up to the cut, and
+    ``store`` hands a reader the whole list.  So the home run's quiet
+    stretches cost no memory.
     ``first`` holds the watched values that are present; ``push``,
     ``extend``, ``extend_listing`` and ``cut`` report the watched values
     that arrived or left, so a caller can keep counts over them.
     """
 
-    __slots__ = ("tokens", "first", "watched")
+    __slots__ = ("tokens", "listing", "first", "watched")
 
     def __init__(self) -> None:
         self.tokens: list[int] = []
+        self.listing = 0
         self.first: dict[int, int] = {}
         self.watched: set[int] = set()
+
+    def store(self) -> list[int]:
+        """The whole string as ``tokens``; the count is stored from now on."""
+        tokens = self.tokens
+        tokens.extend(range(len(tokens), len(tokens) + self.listing))
+        self.listing = 0
+        return tokens
 
     def watch(self, v: int) -> None:
         """Find v once (if it is new to the tape) and track it from now on."""
@@ -168,10 +190,12 @@ class Tape:
             self.watched.add(v)
             if v in self.tokens:
                 self.first[v] = self.tokens.index(v)
+            elif 0 <= v - len(self.tokens) < self.listing:
+                self.first[v] = v
 
     def push(self, v: int) -> bool:
         """Append v; True when v is watched and was absent."""
-        tokens = self.tokens
+        tokens = self.store() if self.listing else self.tokens
         tokens.append(v)
         if v in self.watched and v not in self.first:
             self.first[v] = len(tokens) - 1
@@ -180,7 +204,7 @@ class Tape:
 
     def extend(self, values: list[int]) -> list[int]:
         """Append values; return the watched values that arrived."""
-        tokens, first = self.tokens, self.first
+        tokens, first = self.store() if self.listing else self.tokens, self.first
         L = len(tokens)
         tokens.extend(values)
         arrived = [v for v in self.watched.intersection(values) if v not in first]
@@ -189,23 +213,28 @@ class Tape:
         return arrived
 
     def extend_listing(self, n: int) -> list[int]:
-        """Append a_L .. a_{L+n-1}, where L is the length; return the
-        watched values that arrived."""
-        tokens, first, watched = self.tokens, self.first, self.watched
-        L = len(tokens)
-        tokens.extend(range(L, L + n))
-        arrived = [v for v in watched if L <= v < L + n and v not in first]
+        """Append a_L .. a_{L+n-1}, where L is the length, as a count;
+        return the watched values that arrived."""
+        L = len(self.tokens) + self.listing
+        self.listing += n
+        first, new, watched = self.first, range(L, L + n), self.watched
+        if n < len(watched):
+            watched = watched.intersection(new)
+        arrived = [v for v in watched if v in new and v not in first]
         for v in arrived:
             first[v] = v
         return arrived
 
     def cut(self, pos: int) -> list[int]:
-        """Drop positions pos..; return the watched values that left."""
-        tokens, first = self.tokens, self.first
-        left = [v for v in set(tokens[pos:]) if first.get(v, -1) >= pos]
+        """Drop positions pos.. (at most the length); return the watched
+        values that left.  Tokens are stored up to the cut."""
+        first, tokens = self.first, self.tokens
+        left = [v for v, i in first.items() if i >= pos]
         for v in left:
             del first[v]
         del tokens[pos:]
+        tokens.extend(range(len(tokens), pos))
+        self.listing = 0
         return left
 
     def cover(self, values: Iterable[int]) -> Optional[int]:

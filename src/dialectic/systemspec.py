@@ -23,7 +23,7 @@ from typing import Optional
 from .consequence import Rule, RuleTable, parse_rule_line
 from .engine import QSystem, ReplacementMap, variant_flags
 from .strings import (
-    ParseError, axiom_from_str, natural_from_str, numbered_lines, read_input,
+    ParseError, axiom_from_str, natural_from_str, numbered_lines, quoted, read_input,
 )
 
 VARIANTS = ("d", "p", "q")
@@ -81,13 +81,13 @@ def parse_system(text: str) -> SystemSpec:
             elif word == "replace":
                 if "->" not in body:
                     raise ValueError("replace line needs 'a<i> -> a<j>'")
-                i, j = (axiom_from_str(tok, "bad axiom token %r" % tok)
+                i, j = (axiom_from_str(tok, "bad axiom token %s" % quoted(tok))
                         for tok in map(str.strip, body.split("->", 1)))
                 if i in repl:
                     raise ValueError("duplicate replacement for a%d" % i)
                 repl[i] = j
             else:
-                raise ValueError("unknown directive %r" % word)
+                raise ValueError("unknown directive %s" % quoted(word))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
     return SystemSpec(RuleTable(rules), tuple(sorted(repl.items())), variant, axioms)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .strings import natural_from_str
+from .strings import natural_from_str, quoted
 
 
 class ProgramError(ValueError):
@@ -102,7 +102,7 @@ def parse_sexpr(text: str):
             if head in "()":
                 raise ProgramError("operator name expected after '('")
             if head not in _KNOWN_OPS:
-                raise ProgramError("unknown operator %r" % head)
+                raise ProgramError("unknown operator %s" % quoted(head))
             args = []
             while pos < len(tokens) and tokens[pos] != ")":
                 args.append(parse_one(depth + 1))
@@ -117,7 +117,7 @@ def parse_sexpr(text: str):
         negative = tok[:1] == "-"
         try:
             value = natural_from_str(tok[1:] if negative else tok,
-                                     "unknown token %r" % tok)
+                                     "unknown token %s" % quoted(tok))
         except ValueError as exc:
             raise ProgramError(str(exc)) from None
         return -value if negative else value
@@ -393,7 +393,7 @@ class ProgramUniverse:
         self._programs.append(fn)
         if fn.name:
             if fn.name in self._by_name:
-                raise ProgramError("duplicate program name %r" % fn.name)
+                raise ProgramError("duplicate program name %s" % quoted(fn.name))
             self._by_name[fn.name] = index
         return index
 
@@ -405,5 +405,5 @@ class ProgramUniverse:
 
     def index_of(self, name: str) -> int:
         if name not in self._by_name:
-            raise KeyError("no program named %r" % name)
+            raise KeyError("no program named %s" % quoted(name))
         return self._by_name[name]

@@ -517,8 +517,33 @@ def test_script_literals_follow_the_files_digits_rule(capsys, tmp_path, text):
     code, out, err = run_cli(capsys, "diagonalize", str(path),
                              "--horizon", "5")
     assert (code, out) == (2, "")
-    assert err == ("parse error: line 1: bad script: unknown token %r\n"
-                   % text)
+    shown = ("'%s'... (5000 characters)" % ("9" * 40) if text == LONG
+             else repr(text))
+    assert err == ("parse error: line 1: bad script: unknown token %s\n"
+                   % shown)
+
+
+@pytest.mark.parametrize("command, name, text, line", [
+    ("run", "x.spec", "replace a%s -> a5\n" % LONG,
+     "bad axiom token 'a%s'... (5001 characters)" % ("9" * 39)),
+    ("run", "x.spec", "at 3 : x%s |- BOT\n" % LONG,
+     "bad premise token 'x%s'... (5001 characters)" % ("9" * 39)),
+    ("run", "x.spec", "%s 3\n" % LONG,
+     "unknown directive '%s'... (5000 characters)" % ("9" * 40)),
+    ("repair", "x.kb", "item a\nrule %s -> a\n" % ("x" * 5000),
+     "unknown item '%s'... (5000 characters)" % ("x" * 40)),
+    ("repair", "x.kb", "%s a\n" % ("x" * 5000),
+     "unknown declaration '%s'... (5000 characters)" % ("x" * 40)),
+    ("diagonalize", "x.family", "opponent o : %s\n" % LONG,
+     "bad field '%s'... (5000 characters)" % ("9" * 40)),
+], ids=["replace", "premise", "directive", "kb-item", "kb-verb", "field"])
+def test_file_errors_quote_a_bounded_prefix(capsys, tmp_path, command, name,
+                                            text, line):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "") and len(err.encode()) <= 300
+    assert err.endswith(": %s\n" % line) and err.count("\n") == 1
 
 
 def test_negative_seed_is_still_accepted(capsys):

@@ -405,9 +405,122 @@ def test_engine_stepwise_equals_bulk():
     for _ in range(40):
         eng.step_once()
     bulk = run(system, 40)
-    assert eng.belief_string() == bulk.final_sigma
+    assert eng.trace().final_sigma == bulk.final_sigma
     assert eng.event_records == bulk.event_records
     assert eng.trace().records == bulk.records
+
+
+BIG = 10**6   # premises from here on arrive only as replacement images
+
+
+def _big_premises(rng, n_ax):
+    prem = set(rng.sample(range(n_ax), rng.randint(0, min(3, n_ax))))
+    if not prem or rng.random() < 0.25:
+        prem.add(BIG + rng.randrange(n_ax))
+    return frozenset(prem)
+
+
+def _count_case(seed, read_sigma):
+    """Drive a RunEngine through a random schedule of single stages, bulk
+    stretches and rules appended mid-run, next to the reference ``step``,
+    and compare σ, ``tape.first`` and the events after every move and the
+    stability estimate at every window at the end.  σ is read from the
+    tape's stored tokens and its listing count, and through ``eng.sigma``
+    (which stores the count) only when ``read_sigma``.  The stamps are kept
+    as first written, one stored stamp for every position the string ever
+    reached, and read by ``_scan_report``.  Returns how often a
+    cut fell inside the count, an appended premise lay in it and an event
+    removed a value of at least BIG."""
+    rng = random.Random(seed)
+    n_ax = rng.randint(1, 8)
+    rules = [rule(rng.randint(0, 12), _big_premises(rng, n_ax),
+                  rng.choice([BOT, CE])) for _ in range(rng.randint(0, 6))]
+    eng = RunEngine(qsys(rules, default_fn=lambda k: BIG + k if k < BIG
+                         else k + 1))
+    tape, horizon = eng.tape, rng.randint(0, 80)
+    ref, ref_records, stamps = BeliefString(), [], DisturbanceStamps()
+    explicit = stamps.stamps
+    cuts_in_count = premises_in_count = 0
+    while eng.stage < horizon:
+        stored = len(tape.tokens)
+        if rng.random() < 0.5:
+            rec = eng.step_once()
+            cuts_in_count += rec.kind != EXPANSION and rec.k - 1 > stored
+        else:
+            eng.advance_to(min(horizon, eng.stage + rng.randint(1, 15)))
+        for s in range(len(ref_records), eng.stage):   # one record a stage
+            old_len = len(ref)
+            ref, ev = step(eng.system, ref, s)
+            cut = old_len if ev.k is None else ev.k - 1
+            if cut < old_len:
+                explicit[cut:old_len] = [s + 1] * (old_len - cut)
+            elif cut < len(explicit):
+                explicit[cut] = s + 1
+            else:
+                explicit.append(0)
+            ref_records.append(ev)
+        L = len(tape.tokens)
+        if read_sigma and rng.random() < 0.5:
+            assert eng.sigma == list(ref) and tape.listing == 0
+        assert tape.tokens + list(range(L, L + tape.listing)) == list(ref)
+        assert tape.first == {v: ref.tokens.index(v) for v in tape.watched
+                              if v in ref.tokens}
+        assert eng.event_records == [e for e in ref_records
+                                     if e.kind != EXPANSION]
+        if eng.stage < horizon and rng.random() < 0.4:
+            prem = set(_big_premises(rng, n_ax))
+            if tape.listing:
+                prem.add(rng.randrange(L, L + tape.listing))
+                premises_in_count += 1
+            eng.append_rule(rule(eng.stage + rng.randint(0, 3),
+                                 frozenset(prem), rng.choice([BOT, CE])))
+    trace = eng.trace()
+    assert trace.final_sigma == ref
+    for window in range(horizon + 1):
+        assert estimate_beliefs(trace, window) == _scan_report(
+            stamps, list(ref), horizon, window)
+    return (cuts_in_count, premises_in_count,
+            sum(1 for e in ref_records if e.old is not None and e.old >= BIG))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**30), st.booleans())
+def test_listing_count_matches_reference_property(seed, read_sigma):
+    _count_case(seed, read_sigma)
+
+
+def test_listing_count_corpus_reaches_cuts_and_premises_in_the_count():
+    # the property's paths, exercised on a fixed corpus: cuts that land
+    # inside the count, appended premises found in it, and σ read between
+    # stretches as stream_alignment does
+    totals = [sum(t) for t in zip(*(_count_case(seed, seed % 2 == 0)
+                                    for seed in range(120)))]
+    assert totals[0] > 10 and totals[1] > 100 and totals[2] > 10, totals
+
+
+def test_doctored_trace_prefix_or_count_raises():
+    tr = run(qsys([rule(2, {0}, BOT), rule(5, {1}, CE)], repl=[(1, 9)]), 30)
+    toks, n = tr.prefix.tokens, tr.listing
+    assert (toks, n) == ((GAP, 9), 24)
+    assert estimate_beliefs(RunTrace(tr.event_records, 30, bs(*toks), n),
+                            5) == estimate_beliefs(tr, 5)
+    # a prefix or a count off by one, a wrong token, and the right string
+    # with a prefix that reaches past the last event
+    for prefix, listing in [(toks[:-1], n), (toks + (2,), n), (toks, n + 1),
+                            (toks, n - 1), ((GAP, 8), n), (toks + (2,), n - 1),
+                            (tr.final_sigma.tokens, 0)]:
+        doctored = RunTrace(tr.event_records, 30, bs(*prefix), listing)
+        with pytest.raises(ValueError, match="do not reproduce"):
+            estimate_beliefs(doctored, 5)
+
+
+def test_quiet_run_of_a_million_stages_stores_no_token():
+    eng = RunEngine(qsys())
+    eng.advance_to(10**6)
+    assert len(eng.tape.tokens) == 0 and eng.tape.listing == 10**6
+    rep = estimate_beliefs(eng.trace(), 100)
+    assert rep.stable_prefix_length == 10**6 and rep.loop_suspects == ()
+    assert len(rep.belief_estimate) == 10**6
 
 
 # ---------------------------------------------------------------------------

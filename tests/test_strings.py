@@ -172,6 +172,7 @@ tape_ops = st.lists(st.one_of(
     st.tuples(st.just("extend_values"),
               st.lists(st.one_of(st.just(GAP), st.integers(0, 12)), max_size=6)),
     st.tuples(st.just("cut"), st.integers(0, 20)),
+    st.tuples(st.just("store"), st.just(None)),
 ), max_size=40)
 
 
@@ -207,13 +208,18 @@ def test_tape_matches_list_model(ops):
             arrived = set(tape.extend(arg))
             model.extend(arg)
             left = set()
-        else:
+        elif op == "cut":
             pos = arg % (len(model) + 1)
             left = set(tape.cut(pos))
             del model[pos:]
             arrived = set()
+        else:
+            assert tape.store() is tape.tokens and tape.listing == 0
+            arrived = left = set()
         after = _model_first(model, watched)
-        assert tape.tokens == model
+        # the stored tokens, then the listing count
+        L = len(tape.tokens)
+        assert tape.tokens + list(range(L, L + tape.listing)) == model
         assert tape.first == after
         if op != "watch":
             assert arrived == after.keys() - before.keys()
