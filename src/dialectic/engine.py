@@ -431,11 +431,6 @@ class RunEngine:
 
     # -- views --------------------------------------------------------------
 
-    @property
-    def sigma(self) -> list[int]:
-        """σ as a list, stored from now on (see :meth:`Tape.store`)."""
-        return self.tape.store()
-
     def trace(self) -> RunTrace:
         events, tape = self.event_records, self.tape
         k = events[-1].k if events else 0   # σ's length after the last event

@@ -341,8 +341,10 @@ class FastLegacyEngine:
     asks merely: which pairs have all premises among the current tips, and
     how deep is the shallowest prefix containing them?  Everything else is
     frontier growth.  The tips ρ(0..p) live on a :class:`Tape` that watches
-    the pair premises, with GAP for an empty stack; the stacks are tuples,
-    so snapshots share them.  Provisional belief sets are not computed.
+    the pair premises, with GAP for an empty stack.  Most stacks are the
+    singleton of their tip; ``_revised`` holds the others, the cleared and
+    revised positions below the last cut, so a stack is stored once.
+    Provisional belief sets are not computed.
     """
 
     def __init__(self, system: LegacySystem) -> None:
@@ -355,9 +357,10 @@ class FastLegacyEngine:
         for _, _, prem in pairs:
             for code in prem:
                 self.tape.watch(code)
-        v0 = system.f(0)
-        self.stacks: list[tuple[int, ...]] = [(v0,)]
-        self.tape.push(v0)
+        self.tape.push(system.f(0))
+        # a key is set just after the cut that drops every key at or above
+        # it, so the keys ascend in insertion order
+        self._revised: dict[int, tuple[int, ...]] = {}
         self.stage = 0
         self.h = 0
 
@@ -375,30 +378,30 @@ class FastLegacyEngine:
 
     def step(self) -> tuple[int, Optional[int]]:
         """Advance one stage; return the clause applied and its position."""
-        s = self.stage
-        m = len(self.stacks) - 1
+        s, tape = self.stage, self.tape
+        m = len(tape.tokens) - 1
         clause, z = _select_clause(self._least(self._c_pairs, s, m),
                                    self._least(self._ce_pairs, s, m))
         if clause == 1:
-            v = self.system.f(m + 1)
-            self.stacks.append((v,))
-            self.tape.push(v)
+            tape.push(self.system.f(m + 1))
             self.h = m + 1
         else:
             if z == 0:
                 raise UndefinedPositionError(s + 1, clause)
-            below = self.stacks[z - 1]
+            tip, revised = tape.tokens[z - 1], self._revised
             if clause == 2:
                 below = ()
-            elif not below:
+            elif tip == GAP:
                 raise EmptyNeighbourError(s + 1, z)
             else:
-                below += (self.system.f_minus(below[-1]),)
-            top = (self.system.f(z),)
-            self.stacks[z - 1:] = (below, top)
-            self.tape.cut(z - 1)
-            self.tape.push(below[-1] if below else GAP)
-            self.tape.push(top[0])
+                below = (revised.get(z - 1, (tip,))
+                         + (self.system.f_minus(tip),))
+            while revised and next(reversed(revised)) >= z - 1:
+                revised.popitem()
+            revised[z - 1] = below
+            tape.cut(z - 1)
+            tape.push(below[-1] if below else GAP)
+            tape.push(self.system.f(z))
             self.h = z - 1
         self.stage = s + 1
         return clause, z
@@ -410,7 +413,7 @@ class FastLegacyEngine:
         f(p+1), f(p+2), ..., so an absent premise y arrives at f_inv(y) if
         f(f_inv(y)) = y; at or below p it cannot return without an event,
         and a premise f_inv does not carry back bounds nothing."""
-        s, p, first = self.stage, len(self.stacks) - 1, self.tape.first
+        s, p, first = self.stage, self.p, self.tape.first
         f, f_inv = self.system.f, self.system.f_inv
         best = horizon
         for stage, prem in self._pairs:
@@ -430,38 +433,36 @@ class FastLegacyEngine:
 
     def advance_to(self, horizon: int) -> None:
         """Run to stage ``horizon``: step() where next_event allows an
-        event, and append the clause-1 stacks f(p+1..) in bulk between."""
-        f, f_inv = self.system.f, self.system.f_inv
+        event, and append the clause-1 tips f(p+1..) in bulk between."""
+        f, f_inv, tape = self.system.f, self.system.f_inv, self.tape
         while self.stage < horizon:
             t = self.next_event(horizon)
             if t == self.stage:
                 self.step()
                 continue
-            p = len(self.stacks) - 1
+            p = self.p
             values = list(map(f, range(p + 1, p + 1 + t - self.stage)))
-            self.stacks.extend(zip(values))
-            first = self.tape.first
+            first = tape.first
             # a listing that repeats a code lists it before f_inv says:
             # keep the growth only up to that position
-            early = [first[y] + 1 for y in self.tape.extend(values)
+            early = [first[y] + 1 for y in tape.extend(values)
                      if f_inv(y) != first[y] and f(f_inv(y)) == y]
             if early:
-                del self.stacks[min(early):]
-                self.tape.cut(min(early))
-            self.h = len(self.stacks) - 1
+                tape.cut(min(early))
+            self.h = self.p
             self.stage += self.h - p
 
     @property
     def p(self) -> int:
-        return len(self.stacks) - 1
+        return len(self.tape.tokens) - 1
 
     def rho(self, x: int) -> Optional[int]:
-        if 0 <= x < len(self.stacks) and self.stacks[x]:
-            return self.stacks[x][-1]
-        return None
+        tokens = self.tape.tokens
+        return tokens[x] if 0 <= x < len(tokens) and tokens[x] != GAP else None
 
     def snapshot(self) -> LegacyState:
-        return LegacyState(stacks=tuple(self.stacks), h=self.h, A=None)
+        stacks = (self._revised.get(x, (v,)) for x, v in enumerate(self.tape.tokens))
+        return LegacyState(stacks=tuple(stacks), h=self.h, A=None)
 
 
 def fast_legacy_run(system: LegacySystem, horizon: int) -> list[LegacyState]:
@@ -625,15 +626,16 @@ def stream_alignment(
     legacy: Optional[LegacySystem] = None,
     horizon: int = 100,
 ) -> AlignmentReport:
-    """Advance both engines event to event and compare what they touched.
+    """Advance both engines event to event and compare what they did.
 
     Supply the string system for the backward direction (the stack side is
     derived) or the pair-backed stack system for the forward direction (the
     string side is derived).  Both engines skip to the earlier of their
-    next possible events, the positions appended on the way are compared
-    once, and at an event both take one stage and the positions it
-    rewrote are compared; a full sweep of the final stage guards the
-    bookkeeping.
+    next possible events, appending the listing over aligned indices, or
+    take one stage together.  The lengths, which also tell the kinds and
+    positions of the stage apart, are compared after each advance, and the
+    one rewritten entry after an event.  Every position is compared at stage
+    0, at the horizon and where those checks fail, as in check_alignment.
     """
     if direction == "backward":
         if qsys is None:
@@ -653,41 +655,40 @@ def stream_alignment(
     for _ in range(off_stage):
         fast.step()
 
-    def compare_from(lo: int, s: int) -> Optional[AlignmentReport]:
-        sigma = eng.sigma
+    def compare(s: int) -> Optional[AlignmentReport]:
+        sigma = eng.trace().final_sigma
         if len(sigma) != fast.p - off_idx:
             return AlignmentReport(False, direction, s, s, None,
                                    "length %d vs %d" % (len(sigma), fast.p - off_idx))
-        lo = max(lo, 0)
         if f is None:
-            image = [v if v == GAP else v + off_idx for v in sigma[lo:]]
+            image = [v if v == GAP else v + off_idx for v in sigma]
         else:
-            image = [v if v == GAP else f(v) for v in sigma[lo:]]
-        if image == fast.tape.tokens[lo + off_idx:len(sigma) + off_idx]:
+            image = [v if v == GAP else f(v) for v in sigma]
+        if image == fast.tape.tokens[off_idx:len(sigma) + off_idx]:
             return None
-        for n in range(lo, len(sigma)):
+        for n, v in enumerate(sigma):
             tip = fast.rho(n + off_idx)
-            if not _entry_matches(sigma[n], tip, f, off_idx):
+            if not _entry_matches(v, tip, f, off_idx):
                 return AlignmentReport(False, direction, s, s, n,
-                                       _entry_detail(sigma[n], tip))
+                                       _entry_detail(v, tip))
         return None
 
-    bad = compare_from(0, 0)
+    bad = compare(0)
     while bad is None and eng.stage < horizon:
-        s = eng.stage
         t = min(eng.next_event(horizon),
                 fast.next_event(horizon + off_stage) - off_stage)
-        if t > s:
-            lo = len(eng.sigma)
+        if t > eng.stage:
             eng.advance_to(t)
             fast.advance_to(t + off_stage)
-            bad = compare_from(lo, t)
-            continue
-        rec = eng.step_once()
-        clause, z = fast.step()
-        lo_eng = len(eng.sigma) - 1 if rec.kind == EXPANSION else rec.k - 1
-        lo_leg = fast.p - 1 - off_idx if clause == 1 else z - 1 - off_idx
-        bad = compare_from(min(lo_eng, lo_leg), s + 1)
+            same = True
+        else:
+            rec, _ = eng.step_once(), fast.step()
+            t += 1
+            # an event rewrote the entry just below the stack side's frontier
+            same = rec.kind == EXPANSION or _entry_matches(
+                GAP if rec.new is None else rec.new, fast.rho(fast.p - 1), f, off_idx)
+        if not same or len(eng.tape.tokens) + eng.tape.listing != fast.p - off_idx:
+            bad = compare(t)
     if bad is None:
-        bad = compare_from(0, horizon)
+        bad = compare(horizon)
     return bad if bad is not None else AlignmentReport(True, direction, horizon + 1)

@@ -162,8 +162,8 @@ class Tape:
     The string is ``tokens`` followed by a count, ``listing``, of listing
     tokens a_L, a_L+1, ... (a_p at position p): ``extend_listing`` only
     adds to the count, a cut into it stores the tokens up to the cut, and
-    ``store`` hands a reader the whole list.  So the home run's quiet
-    stretches cost no memory.
+    ``push`` and ``extend`` store a pending count first.  So the home run's
+    quiet stretches cost no memory.
     ``first`` holds the watched values that are present; ``push``,
     ``extend``, ``extend_listing`` and ``cut`` report the watched values
     that arrived or left, so a caller can keep counts over them.

@@ -161,7 +161,7 @@ def test_engine_gap_skip_error_on_hand_built_state():
     # then position 0 overwritten by a gap behind the engine's back
     eng = RunEngine(qsys([rule(5, {0}, BOT)]))
     eng.advance_to(3)
-    eng.sigma[0] = GAP
+    eng.tape.store()[0] = GAP
     with pytest.raises(GapSkipError) as exc:
         eng.advance_to(6)
     assert exc.value.stage == 5 and exc.value.position == 0
@@ -353,6 +353,12 @@ def test_stamp_report_matches_scan_oracle_around_top():
     assert skipped > 1000 and scanned > 1000
 
 
+def _tape_sigma(tape):
+    """σ read off a tape as its stored tokens followed by its count."""
+    L = len(tape.tokens)
+    return tape.tokens + list(range(L, L + tape.listing))
+
+
 def _append_schedule_case(rng):
     """Drive a RunEngine with rules appended at its current stage; return
     the engine, the full rule list and how often a premise both sat in σ
@@ -368,13 +374,14 @@ def _append_schedule_case(rng):
         else:
             eng.advance_to(min(horizon, eng.stage + rng.randint(1, 15)))
         if eng.stage < horizon and rng.random() < 0.4:
-            held = [v for v in eng.sigma if v != GAP]
+            sigma = _tape_sigma(eng.tape)
+            held = [v for v in sigma if v != GAP]
             prem = set(rng.sample(held, min(len(held), rng.randint(0, 2))))
-            prem.add(len(eng.sigma) + rng.randint(0, 6))  # an axiom not yet in σ
+            prem.add(len(sigma) + rng.randint(0, 6))  # an axiom not yet in σ
             if rng.random() < 0.3:
                 prem.add(rng.randint(0, 12))
             recounted += sum(1 for p in prem
-                             if p in eng.sigma and p not in eng.tape.watched)
+                             if p in sigma and p not in eng.tape.watched)
             r = rule(eng.stage + rng.randint(0, 3), frozenset(prem),
                      rng.choice([BOT, CE]))
             eng.append_rule(r)
@@ -425,12 +432,12 @@ def _count_case(seed, read_sigma):
     stretches and rules appended mid-run, next to the reference ``step``,
     and compare σ, ``tape.first`` and the events after every move and the
     stability estimate at every window at the end.  σ is read from the
-    tape's stored tokens and its listing count, and through ``eng.sigma``
-    (which stores the count) only when ``read_sigma``.  The stamps are kept
-    as first written, one stored stamp for every position the string ever
-    reached, and read by ``_scan_report``.  Returns how often a
-    cut fell inside the count, an appended premise lay in it and an event
-    removed a value of at least BIG."""
+    tape's stored tokens and its listing count, and through
+    ``tape.store()`` (which stores the count) only when ``read_sigma``.
+    The stamps are kept as first written, one stored stamp for every
+    position the string ever reached, and read by ``_scan_report``.
+    Returns how often a cut fell inside the count, an appended premise lay
+    in it and an event removed a value of at least BIG."""
     rng = random.Random(seed)
     n_ax = rng.randint(1, 8)
     rules = [rule(rng.randint(0, 12), _big_premises(rng, n_ax),
@@ -459,10 +466,10 @@ def _count_case(seed, read_sigma):
             else:
                 explicit.append(0)
             ref_records.append(ev)
-        L = len(tape.tokens)
         if read_sigma and rng.random() < 0.5:
-            assert eng.sigma == list(ref) and tape.listing == 0
-        assert tape.tokens + list(range(L, L + tape.listing)) == list(ref)
+            assert tape.store() == list(ref) and tape.listing == 0
+        L = len(tape.tokens)
+        assert _tape_sigma(tape) == list(ref)
         assert tape.first == {v: ref.tokens.index(v) for v in tape.watched
                               if v in ref.tokens}
         assert eng.event_records == [e for e in ref_records
@@ -651,7 +658,7 @@ rep = estimate_beliefs(trace, 10)
 print(rep.stable_prefix_length, sorted(rep.belief_estimate), rep.loop_suspects)
 eng = RunEngine(QSystem(RuleTable([rule(5, {0}, BOT)]), ReplacementMap()))
 eng.advance_to(3)
-eng.sigma[0] = GAP
+eng.tape.store()[0] = GAP
 try:
     eng.advance_to(6)
 except GapSkipError as exc:

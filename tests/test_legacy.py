@@ -38,6 +38,7 @@ from dialectic.legacy import (
     stream_alignment,
 )
 from dialectic.randomgen import random_legacy, random_qsystem
+from dialectic.strings import GAP
 
 
 def qsys(rules=(), repl=()):
@@ -125,7 +126,7 @@ def test_fast_revision_on_empty_neighbour_is_a_typed_error():
     eng = FastLegacyEngine(id_legacy([(1, 101, (1,))]))
     eng.step()
     eng.step()
-    eng.stacks[1] = []
+    eng.tape.tokens[1] = GAP
     with pytest.raises(EmptyNeighbourError) as info:
         eng.step()
     assert (info.value.stage, info.value.position) == (3, 2)
@@ -368,6 +369,44 @@ def test_corrupted_clause_order_is_caught():
     assert (rep.mismatch_stage, rep.mismatch_position) == (2, 0)
 
 
+@pytest.mark.parametrize("other, stage, detail", [
+    # a3 revised to a6, not a5: same kind and position, another image
+    (qsys([rule(0, {3}, CE)], [(2, 6), (3, 6)]), 5, "a5 vs tip 8"),
+    # a2 revised a stage early: the string expands, the stacks revise
+    (qsys([rule(0, {2}, CE)], [(2, 6), (3, 5)]), 4, "length 4 vs 3"),
+    # a0 revised to a5 as a3 is: same kind, stage and image, 3 positions down
+    (qsys([rule(4, {0}, CE)], [(0, 5), (3, 5)]), 5, "length 4 vs 1"),
+], ids=["image", "kind", "position"])
+def test_stack_side_disagreement_is_named_at_its_stage(monkeypatch, other,
+                                                       stage, detail):
+    # the stack side runs the translation of another system
+    system = qsys([rule(0, {3}, CE)], [(2, 6), (3, 5)])
+    states = fast_legacy_run(backward_translate(other), 45)
+    monkeypatch.setattr(dialectic.legacy, "backward_translate",
+                        lambda _: backward_translate(other))
+    bad = stream_alignment("backward", qsys=system, horizon=40)
+    assert bad.render() == check_alignment(run(system, 40), states,
+                                           "backward").render()
+    assert (bad.mismatch_stage, bad.detail) == (stage, detail)
+
+
+def test_a_short_quiet_stretch_is_named_where_it_ends(monkeypatch):
+    # the stack side's first bulk stretch (to string stage 4) loses its
+    # frontier stack; the event that follows would name stage 5
+    advance = FastLegacyEngine.advance_to
+
+    def short_once(self, horizon):
+        advance(self, horizon)
+        monkeypatch.setattr(FastLegacyEngine, "advance_to", advance)
+        self.tape.cut(self.p)
+
+    monkeypatch.setattr(FastLegacyEngine, "advance_to", short_once)
+    bad = stream_alignment("backward", qsys=qsys([rule(0, {3}, CE)], [(3, 5)]),
+                           horizon=40)
+    assert (bad.mismatch_stage, bad.mismatch_position, bad.detail) == (
+        4, None, "length 4 vs 3")
+
+
 def test_alignment_empty_systems_long():
     assert stream_alignment("backward", qsys=qsys(), horizon=100).ok
     assert stream_alignment("forward", legacy=id_legacy(), horizon=100).ok
@@ -392,7 +431,8 @@ def per_stage_alignment(direction, qsys=None, legacy=None, horizon=100):
         fast.step()
 
     def compare_from(lo, s):
-        sigma = eng.sigma
+        L = len(eng.tape.tokens)
+        sigma = eng.tape.tokens + list(range(L, L + eng.tape.listing))
         if len(sigma) != fast.p - off_idx:
             return AlignmentReport(False, direction, s, s, None, "length %d vs %d"
                                    % (len(sigma), fast.p - off_idx))
@@ -409,7 +449,8 @@ def per_stage_alignment(direction, qsys=None, legacy=None, horizon=100):
     for s in range(horizon):
         rec = eng.step_once()
         clause, z = fast.step()
-        lo_eng = len(eng.sigma) - 1 if rec.kind == EXPANSION else rec.k - 1
+        length = len(eng.tape.tokens) + eng.tape.listing
+        lo_eng = length - 1 if rec.kind == EXPANSION else rec.k - 1
         lo_leg = fast.p - 1 - off_idx if clause == 1 else z - 1 - off_idx
         bad = compare_from(min(lo_eng, lo_leg), s + 1)
         if bad is not None:
@@ -466,7 +507,7 @@ def _run_engine(legacy, horizon, bulk):
                 eng.step()
     except (UndefinedPositionError, EmptyNeighbourError) as exc:
         return type(exc).__name__, str(exc)
-    return eng.stacks, eng.h, eng.stage, eng.tape.first, eng.tape.tokens
+    return eng.snapshot(), eng.stage, eng.tape.first, eng.tape.tokens
 
 
 @settings(max_examples=150, deadline=None)
