@@ -38,7 +38,7 @@ from .legacy import (
 from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
 from .randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
-from .strings import ParseError, natural_from_str, quoted, token_to_str
+from .strings import ParseError, identity, natural_from_str, quoted, token_to_str
 from .systemspec import VariantError, check_variant, load_system
 
 DEFAULT_HORIZON = 10000
@@ -119,8 +119,8 @@ def _pair_legacy(system) -> LegacySystem:
 
     return LegacySystem(
         approximation=PairApproximation(entries),
-        f=lambda i: i,
-        f_inv=lambda i: i,
+        f=identity,
+        f_inv=identity,
         f_minus=f_minus,
         c=MARKER_C,
         c_minus=MARKER_CE,

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .consequence import BOT, CE, Rule, RuleTable, evaluate
 from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace
-from .strings import GAP, Tape
+from .strings import GAP, Tape, identity
 
 class UndefinedPositionError(RuntimeError):
     """A revision clause selected position zero, which has no neighbour."""
@@ -340,11 +340,15 @@ class FastLegacyEngine:
     Only the marker pairs can change the course of a run, so each stage
     asks merely: which pairs have all premises among the current tips, and
     how deep is the shallowest prefix containing them?  Everything else is
-    frontier growth.  The tips ρ(0..p) live on a :class:`Tape` that watches
-    the pair premises, with GAP for an empty stack.  Most stacks are the
-    singleton of their tip; ``_revised`` holds the others, the cleared and
-    revised positions below the last cut, so a stack is stored once.
-    Provisional belief sets are not computed.
+    frontier growth.  The tips ρ(0..p) live on a :class:`Tape` over the
+    argument listing f that watches the pair premises, with GAP for an
+    empty stack.  The tape stores the tips only below the last clause-2 or
+    clause-3 stage; past them they are a count of listing tips f(L),
+    f(L+1), ..., since such a stage at z leaves the positions from z on as
+    listing again.  Most stacks are the singleton of their tip;
+    ``_revised`` holds the others, the cleared and revised positions below
+    the last cut, so a stack is stored once.  Provisional belief sets are
+    not computed.
     """
 
     def __init__(self, system: LegacySystem) -> None:
@@ -353,11 +357,11 @@ class FastLegacyEngine:
         self._c_pairs = [(st, prem) for st, is_c, prem in pairs if is_c]
         self._ce_pairs = [(st, prem) for st, is_c, prem in pairs if not is_c]
         self._pairs = self._c_pairs + self._ce_pairs
-        self.tape = Tape()
+        self.tape = Tape(system.f)
         for _, _, prem in pairs:
             for code in prem:
                 self.tape.watch(code)
-        self.tape.push(system.f(0))
+        self.tape.extend_listing(1)
         # a key is set just after the cut that drops every key at or above
         # it, so the keys ascend in insertion order
         self._revised: dict[int, tuple[int, ...]] = {}
@@ -378,17 +382,15 @@ class FastLegacyEngine:
 
     def step(self) -> tuple[int, Optional[int]]:
         """Advance one stage; return the clause applied and its position."""
-        s, tape = self.stage, self.tape
-        m = len(tape.tokens) - 1
+        s, tape, m = self.stage, self.tape, self.p
         clause, z = _select_clause(self._least(self._c_pairs, s, m),
                                    self._least(self._ce_pairs, s, m))
         if clause == 1:
-            tape.push(self.system.f(m + 1))
             self.h = m + 1
         else:
             if z == 0:
                 raise UndefinedPositionError(s + 1, clause)
-            tip, revised = tape.tokens[z - 1], self._revised
+            tip, revised = tape.at(z - 1), self._revised
             if clause == 2:
                 below = ()
             elif tip == GAP:
@@ -401,8 +403,8 @@ class FastLegacyEngine:
             revised[z - 1] = below
             tape.cut(z - 1)
             tape.push(below[-1] if below else GAP)
-            tape.push(self.system.f(z))
             self.h = z - 1
+        tape.extend_listing(1)
         self.stage = s + 1
         return clause, z
 
@@ -433,19 +435,18 @@ class FastLegacyEngine:
 
     def advance_to(self, horizon: int) -> None:
         """Run to stage ``horizon``: step() where next_event allows an
-        event, and append the clause-1 tips f(p+1..) in bulk between."""
+        event, and add the clause-1 tips f(p+1..) to the count between."""
         f, f_inv, tape = self.system.f, self.system.f_inv, self.tape
+        first = tape.first
         while self.stage < horizon:
             t = self.next_event(horizon)
             if t == self.stage:
                 self.step()
                 continue
             p = self.p
-            values = list(map(f, range(p + 1, p + 1 + t - self.stage)))
-            first = tape.first
             # a listing that repeats a code lists it before f_inv says:
             # keep the growth only up to that position
-            early = [first[y] + 1 for y in tape.extend(values)
+            early = [first[y] + 1 for y in tape.extend_listing(t - self.stage)
                      if f_inv(y) != first[y] and f(f_inv(y)) == y]
             if early:
                 tape.cut(min(early))
@@ -454,15 +455,16 @@ class FastLegacyEngine:
 
     @property
     def p(self) -> int:
-        return len(self.tape.tokens) - 1
+        return len(self.tape) - 1
 
     def rho(self, x: int) -> Optional[int]:
-        tokens = self.tape.tokens
-        return tokens[x] if 0 <= x < len(tokens) and tokens[x] != GAP else None
+        tip = self.tape.at(x) if 0 <= x <= self.p else GAP
+        return None if tip == GAP else tip
 
     def snapshot(self) -> LegacyState:
-        stacks = (self._revised.get(x, (v,)) for x, v in enumerate(self.tape.tokens))
-        return LegacyState(stacks=tuple(stacks), h=self.h, A=None)
+        tips = enumerate(self.tape.head(self.p + 1))
+        return LegacyState(stacks=tuple(self._revised.get(x, (v,)) for x, v in tips),
+                           h=self.h, A=None)
 
 
 def fast_legacy_run(system: LegacySystem, horizon: int) -> list[LegacyState]:
@@ -536,8 +538,8 @@ def backward_translate(qsys: QSystem) -> LegacySystem:
 
     return LegacySystem(
         approximation=TableBackedApproximation(qsys.table, repl),
-        f=lambda i: i,
-        f_inv=lambda i: i,
+        f=identity,
+        f_inv=identity,
         f_minus=f_minus,
         c=0,
         c_minus=1,
@@ -634,8 +636,11 @@ def stream_alignment(
     next possible events, appending the listing over aligned indices, or
     take one stage together.  The lengths, which also tell the kinds and
     positions of the stage apart, are compared after each advance, and the
-    one rewritten entry after an event.  Every position is compared at stage
-    0, at the horizon and where those checks fail, as in check_alignment.
+    one rewritten entry after an event.  At stage 0, at the horizon and
+    where those checks fail, every position that either engine stores is
+    compared, as in check_alignment; past both stored prefixes each engine
+    holds a count of listing entries over aligned indices, so equal lengths
+    settle the rest.
     """
     if direction == "backward":
         if qsys is None:
@@ -656,22 +661,20 @@ def stream_alignment(
         fast.step()
 
     def compare(s: int) -> Optional[AlignmentReport]:
-        sigma = eng.trace().final_sigma
-        if len(sigma) != fast.p - off_idx:
-            return AlignmentReport(False, direction, s, s, None,
-                                   "length %d vs %d" % (len(sigma), fast.p - off_idx))
-        if f is None:
-            image = [v if v == GAP else v + off_idx for v in sigma]
-        else:
-            image = [v if v == GAP else f(v) for v in sigma]
-        if image == fast.tape.tokens[off_idx:len(sigma) + off_idx]:
+        if len(eng.tape) != fast.p - off_idx:
+            return AlignmentReport(False, direction, s, s, None, "length %d vs %d"
+                                   % (len(eng.tape), fast.p - off_idx))
+        # past what either side stores, both list a_n over aligned indices:
+        # a_n as tip n+2 under the translator's identity listing, or as f(n)
+        k = max(len(eng.tape.tokens), len(fast.tape.tokens) - off_idx)
+        sigma = eng.tape.head(k)
+        image = [v if v == GAP else v + off_idx if f is None else f(v) for v in sigma]
+        tips = fast.tape.head(k + off_idx)[off_idx:]
+        if image == tips:
             return None
-        for n, v in enumerate(sigma):
-            tip = fast.rho(n + off_idx)
-            if not _entry_matches(v, tip, f, off_idx):
-                return AlignmentReport(False, direction, s, s, n,
-                                       _entry_detail(v, tip))
-        return None
+        n = next(n for n, (v, tip) in enumerate(zip(image, tips)) if v != tip)
+        return AlignmentReport(False, direction, s, s, n,
+                               _entry_detail(sigma[n], fast.rho(n + off_idx)))
 
     bad = compare(0)
     while bad is None and eng.stage < horizon:
@@ -687,7 +690,7 @@ def stream_alignment(
             # an event rewrote the entry just below the stack side's frontier
             same = rec.kind == EXPANSION or _entry_matches(
                 GAP if rec.new is None else rec.new, fast.rho(fast.p - 1), f, off_idx)
-        if not same or len(eng.tape.tokens) + eng.tape.listing != fast.p - off_idx:
+        if not same or len(eng.tape) != fast.p - off_idx:
             bad = compare(t)
     if bad is None:
         bad = compare(horizon)

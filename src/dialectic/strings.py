@@ -12,7 +12,8 @@ file parser reads through is here too.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from operator import indexOf
+from typing import Callable, Iterable, Iterator, Optional
 
 # Axioms are identified by their index in the canonical listing a0, a1, ...
 AxiomId = int
@@ -76,6 +77,11 @@ def natural_from_str(text: str, error: str) -> int:
 def axiom_from_str(text: str, error: str) -> int:
     """The index i of an axiom token ``a<i>``, else ValueError(error)."""
     return natural_from_str(text[1:] if text[:1] == "a" else "", error)
+
+
+def identity(i: int) -> int:
+    """The canonical listing a0, a1, ...: position i lists a_i."""
+    return i
 
 
 def token_to_str(tok: int) -> str:
@@ -160,37 +166,58 @@ class Tape:
     opponent's enumeration is a tape that is never cut, asked where a
     value was first enumerated.
     The string is ``tokens`` followed by a count, ``listing``, of listing
-    tokens a_L, a_L+1, ... (a_p at position p): ``extend_listing`` only
-    adds to the count, a cut into it stores the tokens up to the cut, and
-    ``push`` and ``extend`` store a pending count first.  So the home run's
+    tokens f(L), f(L+1), ... (f(p) at position p), where f is the listing
+    function the tape was made with, by default :func:`identity` (a_L,
+    a_L+1, ..., which the tape lists and searches without calling it):
+    ``extend_listing`` only adds to the count, a cut into it shortens it,
+    and ``push`` and ``extend`` store a pending count first.  So a run's
     quiet stretches cost no memory.
     ``first`` holds the watched values that are present; ``push``,
     ``extend``, ``extend_listing`` and ``cut`` report the watched values
     that arrived or left, so a caller can keep counts over them.
     """
 
-    __slots__ = ("tokens", "listing", "first", "watched")
+    __slots__ = ("tokens", "listing", "first", "watched", "f")
 
-    def __init__(self) -> None:
+    def __init__(self, f: Callable[[int], int] = identity) -> None:
         self.tokens: list[int] = []
         self.listing = 0
         self.first: dict[int, int] = {}
         self.watched: set[int] = set()
+        self.f = f
+
+    def __len__(self) -> int:
+        return len(self.tokens) + self.listing
+
+    def _listed(self, lo: int, hi: int) -> Iterable[int]:
+        """The listing's tokens for positions lo .. hi-1."""
+        return range(lo, hi) if self.f is identity else map(self.f, range(lo, hi))
+
+    def at(self, i: int) -> int:
+        """The token at position i, which is below the length."""
+        return self.tokens[i] if i < len(self.tokens) else self.f(i)
+
+    def head(self, k: int) -> list[int]:
+        """The first k tokens (k at most the length), without storing the
+        count."""
+        return self.tokens[:k] + list(self._listed(len(self.tokens), k))
 
     def store(self) -> list[int]:
         """The whole string as ``tokens``; the count is stored from now on."""
         tokens = self.tokens
-        tokens.extend(range(len(tokens), len(tokens) + self.listing))
+        tokens.extend(self._listed(len(tokens), len(tokens) + self.listing))
         self.listing = 0
         return tokens
 
     def watch(self, v: int) -> None:
-        """Find v once (if it is new to the tape) and track it from now on."""
+        """Find v once (if it is new to the tape) and track it from now on;
+        a count over a listing function is stored first."""
         if v not in self.watched:
             self.watched.add(v)
-            if v in self.tokens:
-                self.first[v] = self.tokens.index(v)
-            elif 0 <= v - len(self.tokens) < self.listing:
+            tokens = self.tokens if self.f is identity else self.store()
+            if v in tokens:
+                self.first[v] = tokens.index(v)
+            elif 0 <= v - len(tokens) < self.listing:
                 self.first[v] = v
 
     def push(self, v: int) -> bool:
@@ -213,28 +240,33 @@ class Tape:
         return arrived
 
     def extend_listing(self, n: int) -> list[int]:
-        """Append a_L .. a_{L+n-1}, where L is the length, as a count;
-        return the watched values that arrived."""
+        """Append the listing's next n tokens as a count; return the watched
+        values that arrived."""
         L = len(self.tokens) + self.listing
         self.listing += n
-        first, new, watched = self.first, range(L, L + n), self.watched
-        if n < len(watched):
-            watched = watched.intersection(new)
-        arrived = [v for v in watched if v in new and v not in first]
+        first, new, f = self.first, range(L, L + n), self.f
+        if f is identity:
+            watched = self.watched
+            if n < len(watched):
+                watched = watched.intersection(new)
+            arrived = [v for v in watched if v in new and v not in first]
+        else:
+            # one pass over f finds the arrivals, and one pass per arrival,
+            # stopping at its first position, places it; nothing is stored
+            arrived = [v for v in self.watched.intersection(map(f, new)) if v not in first]
         for v in arrived:
-            first[v] = v
+            first[v] = v if f is identity else L + indexOf(map(f, new), v)
         return arrived
 
     def cut(self, pos: int) -> list[int]:
         """Drop positions pos.. (at most the length); return the watched
-        values that left.  Tokens are stored up to the cut."""
+        values that left.  A cut into the count shortens it."""
         first, tokens = self.first, self.tokens
         left = [v for v, i in first.items() if i >= pos]
         for v in left:
             del first[v]
         del tokens[pos:]
-        tokens.extend(range(len(tokens), pos))
-        self.listing = 0
+        self.listing = pos - len(tokens)
         return left
 
     def cover(self, values: Iterable[int]) -> Optional[int]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import sys
 from itertools import combinations
 from random import Random
 from unittest import mock
@@ -38,7 +40,7 @@ from dialectic.legacy import (
     stream_alignment,
 )
 from dialectic.randomgen import random_legacy, random_qsystem
-from dialectic.strings import GAP
+from dialectic.strings import GAP, Tape, identity
 
 
 def qsys(rules=(), repl=()):
@@ -122,11 +124,12 @@ def test_revision_on_empty_neighbour_is_a_typed_error():
 
 def test_fast_revision_on_empty_neighbour_is_a_typed_error():
     # the counterexample pair fires on tip 1 at position 1, i.e. at z = 2;
-    # stack 1 is then emptied behind the engine's back
+    # stack 1, a listing tip in the tape's count, is then stored and
+    # emptied behind the engine's back
     eng = FastLegacyEngine(id_legacy([(1, 101, (1,))]))
     eng.step()
     eng.step()
-    eng.tape.tokens[1] = GAP
+    eng.tape.store()[1] = GAP
     with pytest.raises(EmptyNeighbourError) as info:
         eng.step()
     assert (info.value.stage, info.value.position) == (3, 2)
@@ -497,6 +500,19 @@ def _listing_variant(legacy, kind):
                         legacy.f_inv, legacy.f_minus, legacy.c, legacy.c_minus)
 
 
+def _kind_legacy(rng, kind):
+    """A stack system of one of the listing kinds the engine must follow."""
+    if kind == "backward":
+        return backward_translate(random_qsystem(rng))
+    if kind == "spec":
+        return _pair_legacy(random_qsystem(rng))
+    legacy = random_legacy(rng)
+    return legacy if kind == "pairs" else _listing_variant(legacy, kind)
+
+
+LISTING_KINDS = ["pairs", "backward", "spec", "no-inverse", "repeats"]
+
+
 def _run_engine(legacy, horizon, bulk):
     eng = FastLegacyEngine(legacy)
     try:
@@ -507,29 +523,106 @@ def _run_engine(legacy, horizon, bulk):
                 eng.step()
     except (UndefinedPositionError, EmptyNeighbourError) as exc:
         return type(exc).__name__, str(exc)
-    return eng.snapshot(), eng.stage, eng.tape.first, eng.tape.tokens
+    # the tips as stored tokens followed by the listing's count
+    tape = eng.tape
+    tips = tape.tokens + [legacy.f(x) for x in range(len(tape.tokens), eng.p + 1)]
+    return eng.snapshot(), eng.stage, tape.first, tips
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), horizon=st.integers(0, 300),
-       kind=st.sampled_from(["pairs", "backward", "spec", "no-inverse",
-                             "repeats"]),
-       swapped=st.booleans())
+       kind=st.sampled_from(LISTING_KINDS), swapped=st.booleans())
 def test_advance_to_matches_stepping(seed, horizon, kind, swapped):
-    rng = Random(seed)
-    if kind == "backward":
-        legacy = backward_translate(random_qsystem(rng))
-    elif kind == "spec":
-        legacy = _pair_legacy(random_qsystem(rng))
-    else:
-        legacy = random_legacy(rng)
-        if kind != "pairs":
-            legacy = _listing_variant(legacy, kind)
+    legacy = _kind_legacy(Random(seed), kind)
     # patched in the body: a function-scoped fixture trips hypothesis's
     # health check
     with tie_rule(swapped):
         assert (_run_engine(legacy, horizon, bulk=True)
                 == _run_engine(legacy, horizon, bulk=False))
+
+
+def _stack_count_case(seed, kind):
+    """Drive a FastLegacyEngine through a random schedule of bulk advances
+    and single steps, and compare after every move its snapshot with
+    legacy_run's state at that stage, and ``tape.first`` with a
+    first-occurrence scan of the snapshot's tips.  A typed error must be
+    the oracle's, at the oracle's stage.  Returns how often a cut fell
+    inside the tape's count at a clause-2 or clause-3 stage, and how often
+    a bulk advance was cut early on a repeated watched code."""
+    rng = Random(seed)
+    legacy = _kind_legacy(rng, kind)
+    horizon = rng.randint(0, 120)
+    try:
+        states, error = legacy_run(legacy, horizon, compute_A=False), None
+    except (UndefinedPositionError, EmptyNeighbourError) as exc:
+        states = legacy_run(legacy, exc.stage - 1, compute_A=False)
+        error = "%s: %s" % (type(exc).__name__, exc)
+    cuts, real_cut = {"in_count": 0, "early": 0}, Tape.cut
+
+    def counting_cut(tape, pos):
+        if sys._getframe(1).f_code.co_name == "step":
+            cuts["in_count"] += pos > len(tape.tokens)
+        else:
+            cuts["early"] += 1
+        return real_cut(tape, pos)
+
+    eng = FastLegacyEngine(legacy)
+    with mock.patch.object(Tape, "cut", counting_cut):
+        while eng.stage < horizon:
+            try:
+                if rng.random() < 0.5:
+                    eng.step()
+                else:
+                    eng.advance_to(min(horizon, eng.stage + rng.randint(1, 40)))
+            except (UndefinedPositionError, EmptyNeighbourError) as exc:
+                assert "%s: %s" % (type(exc).__name__, exc) == error
+                assert eng.stage == len(states) - 1
+                return cuts["in_count"], cuts["early"]
+            state = eng.snapshot()
+            assert state == states[eng.stage]
+            tips = [st[-1] if st else GAP for st in state.stacks]
+            assert eng.tape.first == {v: tips.index(v) for v in eng.tape.watched
+                                      if v in tips}
+    assert error is None
+    return cuts["in_count"], cuts["early"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**30), st.sampled_from(LISTING_KINDS))
+def test_stack_count_matches_legacy_run_property(seed, kind):
+    _stack_count_case(seed, kind)
+
+
+def test_stack_count_corpus_reaches_cuts_in_the_count_and_early_cuts():
+    # the property's paths, exercised on a fixed corpus: cuts that land
+    # inside the count on every kind of listing, and bulk advances cut
+    # short where a repeating listing brings a watched code back before
+    # f_inv says (the only kind that can)
+    totals = {kind: [sum(t) for t in zip(*(_stack_count_case(seed, kind)
+                                           for seed in range(30)))]
+              for kind in LISTING_KINDS}
+    assert all(in_count > 40 for in_count, _ in totals.values()), totals
+    assert totals["repeats"][1] > 150, totals
+
+
+@pytest.mark.parametrize("listing", [identity, lambda i: i],
+                         ids=["identity", "lambda"])
+def test_quiet_stack_run_of_a_million_stages_stores_no_tip(listing):
+    # the tape lists `identity` without calling it, and finds the arrivals
+    # of any other listing with one pass over it
+    def legacy(pairs=()):
+        return dataclasses.replace(id_legacy(pairs), f=listing, f_inv=listing)
+
+    eng = FastLegacyEngine(legacy())
+    eng.advance_to(10**6)
+    assert (eng.p, eng.tape.tokens, eng.tape.listing) == (10**6, [], 10**6 + 1)
+    # a pair whose premise left for good: the tape stores only what the
+    # clearing stage wrote, the empty stack 0
+    eng = FastLegacyEngine(legacy([(1, 100, {0}), (4, 101, {0, 5})]))
+    eng.advance_to(10**6 + 1)
+    assert (eng.p, eng.tape.tokens, eng.tape.listing) == (10**6, [GAP], 10**6)
+    assert [eng.rho(x) for x in range(3)] == [None, 1, 2]
+    assert eng.tape.first == {5: 5}
 
 
 def test_next_event_bounds_from_the_listing():

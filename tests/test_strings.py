@@ -186,10 +186,12 @@ def _model_cover(model, values):
     return 1 + max((model.index(v) for v in values), default=-1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(tape_ops)
-def test_tape_matches_list_model(ops):
-    tape, model, watched = Tape(), [], set()
+def _check_tape_ops(ops, f):
+    """Apply ops to a tape over the listing f (None for the tape's
+    default, the identity) and to a plain list, and compare them after
+    every op."""
+    tape, model, watched = Tape() if f is None else Tape(f), [], set()
+    listing = f or (lambda i: i)
     for op, arg in ops:
         before = _model_first(model, watched)
         if op == "watch":
@@ -202,7 +204,7 @@ def test_tape_matches_list_model(ops):
             left = set()
         elif op == "extend":
             arrived = set(tape.extend_listing(arg))
-            model.extend(range(len(model), len(model) + arg))
+            model.extend(map(listing, range(len(model), len(model) + arg)))
             left = set()
         elif op == "extend_values":
             arrived = set(tape.extend(arg))
@@ -219,7 +221,9 @@ def test_tape_matches_list_model(ops):
         after = _model_first(model, watched)
         # the stored tokens, then the listing count
         L = len(tape.tokens)
-        assert tape.tokens + list(range(L, L + tape.listing)) == model
+        assert tape.tokens + [listing(i) for i in range(L, len(tape))] == model
+        assert [tape.at(i) for i in range(len(model))] == model
+        assert tape.head(len(model) // 2) == model[:len(model) // 2]
         assert tape.first == after
         if op != "watch":
             assert arrived == after.keys() - before.keys()
@@ -227,6 +231,19 @@ def test_tape_matches_list_model(ops):
         ordered = sorted(watched)
         for values in [ordered, ordered[::2], ordered[-1:], []]:
             assert tape.cover(values) == _model_cover(model, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tape_ops)
+def test_tape_matches_list_model(ops):
+    _check_tape_ops(ops, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tape_ops)
+def test_tape_over_a_listing_function_matches_list_model(ops):
+    # a listing that repeats the watched values 0..12 every 13 positions
+    _check_tape_ops(ops, lambda i: (5 * i + 3) % 13)
 
 
 def test_tape_reports_first_positions_only():
