@@ -189,13 +189,13 @@ class Diagonalizer:
         if None in pos:
             return False
         l, m, n = sorted(pos)
-        if len(th.sigma) <= n:
+        if len(th.tape) <= n:
             return False
         g_l = th.g_value(l, self._fuel(s))
         if th.r_value(g_l, self._fuel(s)) is None:
             return False
         strat.n = n
-        self.mentions += (max(th.sigma), n)
+        self.mentions += (th.top(), n)
         if g_l == N:
             strat.E = frozenset({N}).union(
                 *(st.Z for st in self.strategies[:strat.index]))
@@ -252,9 +252,9 @@ class Diagonalizer:
             fo_j = th.first_occurrence(strat.a_J)
             if fo_i is None or fo_j is None or fo_i >= fo_j:
                 return False
-            strat.rho = tuple(th.sigma[:fo_i + 1])
+            strat.rho = tuple(th.tape.head(fo_i + 1))
             self.mentions += strat.rho
-        elif tuple(th.sigma[:len(strat.rho)]) != strat.rho:
+        elif not _shows(th, strat.rho):
             return False
         strat.rho_code = pi_encode(strat.rho)
         self._add_rule(s, strat.S | {strat.a_I, strat.a_J}, BOT,
@@ -359,10 +359,9 @@ class Diagonalizer:
             pos = [th.enum_position(v) for v in range(strat.N, strat.N + 3)]
             if None in pos:
                 return math.inf
-            return s + max(0, max(pos) + 1 - len(th.sigma))
+            return s + max(0, max(pos) + 1 - len(th.tape))
         if status == S5WAIT and not strat.skip:   # σ[:|ρ|] moves by a cut
-            ready = (len(th.sigma) < len(strat.rho)
-                     or tuple(th.sigma[:len(strat.rho)]) == strat.rho)
+            ready = len(th.tape) < len(strat.rho) or _shows(th, strat.rho)
         elif status == S5WAIT:
             fo = [th.first_occurrence(v) for v in (strat.a_I, strat.a_J)]
             ready = None not in fo and fo[0] < fo[1]
@@ -373,6 +372,11 @@ class Diagonalizer:
             return math.inf if parked or status == S8DONE else s
         # the move tests again only once σ has changed
         return s if ready and th.version != strat._s5_version else math.inf
+
+
+def _shows(th: PartialPSystem, rho: tuple) -> bool:
+    """Whether the opponent's σ starts with rho."""
+    return len(th.tape) >= len(rho) and tuple(th.tape.head(len(rho))) == rho
 
 
 # ---------------------------------------------------------------------------

@@ -461,20 +461,27 @@ class FastLegacyEngine:
         tip = self.tape.at(x) if 0 <= x <= self.p else GAP
         return None if tip == GAP else tip
 
-    def snapshot(self) -> LegacyState:
-        tips = enumerate(self.tape.head(self.p + 1))
+    def snapshot(self, tips: Optional[list[int]] = None) -> LegacyState:
+        """The state; tips, if given, are ρ(0..p), listed by the caller."""
+        tips = enumerate(self.tape.head(self.p + 1) if tips is None else tips)
         return LegacyState(stacks=tuple(self._revised.get(x, (v,)) for x, v in tips),
                            h=self.h, A=None)
 
 
 def fast_legacy_run(system: LegacySystem, horizon: int) -> list[LegacyState]:
     """Same states as legacy_run with compute_A=False, stepped one stage at
-    a time on the pair-driven engine."""
+    a time on the pair-driven engine.  The tips are kept from stage to
+    stage, so f lists each position once: a clause-2 or clause-3 stage at
+    z rewrites the tips from z-1 on."""
     eng = FastLegacyEngine(system)
     states = [initial_state(system, compute_A=False)]
+    tips: list[int] = []
     for _ in range(horizon):
-        eng.step()
-        states.append(eng.snapshot())
+        clause, z = eng.step()
+        if clause != 1:
+            del tips[z - 1:]
+        tips += map(eng.tape.at, range(len(tips), eng.p + 1))
+        states.append(eng.snapshot(tips))
     return states
 
 

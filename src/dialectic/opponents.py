@@ -17,7 +17,9 @@ operator script is masked (see universe.masked_form) and whose
 enumeration is compiled has an event form: once the fuel saturates both,
 no marker is derived until h's next t boundary or until an appended
 value hits the mask, so next_event finds where the quiet stretch ends
-and advance_to appends the enumeration over it in bulk.
+and advance_to appends the enumeration over it in bulk.  An enumeration
+script that is the identity (universe.is_identity) is not evaluated
+there at all: its values are their positions.
 """
 
 from __future__ import annotations
@@ -140,7 +142,12 @@ class PartialPSystem:
 
     The string, the disturbance stamps and the stability estimate follow
     the same conventions as the run engine, so the two sides of a
-    diagonalization argument can be compared like for like.
+    diagonalization argument can be compared like for like.  σ is a
+    :class:`Tape`: an appended a_p at position p joins its count, so σ
+    stores only the tokens up to its last cut when g is the identity.
+    The enumeration g(0), g(1), ... resolved so far is a tape too; an
+    identity script with saturated fuel resolves it as a count, without
+    calling g, and any other g stores each value it gives.
     """
 
     def __init__(self, universe: ProgramUniverse, i0: int, i1: int, i2: int,
@@ -153,8 +160,7 @@ class PartialPSystem:
         self.name = name or "opponent(%d,%d,%d)" % (i0, i1, i2)
         self.monotone_h = monotone_h
         self.stage = 0
-        self.tape = Tape()                # watches the values asked about
-        self.sigma = self.tape.tokens
+        self.tape = Tape()                # σ; watches the values asked about
         self.version = 0
         self.invalid_reason: Optional[str] = None
         self.frozen = False
@@ -163,8 +169,7 @@ class PartialPSystem:
         # enumeration cache: g resolved on an initial segment of positions,
         # a tape that watches the values asked about (enum_position)
         self._enum = Tape()
-        self._g_vals = self._enum.tokens
-        self._g_ahead: list[int] = []     # g past _g_vals, read by next_event
+        self._g_ahead: list[int] = []     # g past _enum, read by next_event
         self._r_memo: dict[int, int] = {}
         self._code = 0                    # bit code of set(sigma)
         self._stamps = DisturbanceStamps()
@@ -180,22 +185,28 @@ class PartialPSystem:
             M = h.masked[0]   # the axioms whose bits lie in h's mask:
             self._mask_values = {b - 1 for b in range(1, M.bit_length())
                                  if M >> b & 1}
-        self.bulk_stretches = self.bulk_stages = 0
+        # g's evaluations in next_event, added once per call
+        self.bulk_stretches = self.bulk_stages = self.g_evals = 0
 
     # -- component access ---------------------------------------------------
 
     def g_value(self, j: int, fuel: int) -> Optional[int]:
         """The j-th enumerated axiom, resolving the prefix as needed."""
-        while len(self._g_vals) <= j:
-            v = self.g.call((len(self._g_vals),), fuel)
+        enum = self._enum
+        if self.g.identity and fuel >= self.g.saturation and len(enum) <= j:
+            enum.extend_listing(min(j, MAX_AXIOM) + 1 - len(enum))
+            if j > MAX_AXIOM:
+                raise AxiomLimitError(self.name, "g", len(enum))
+        while len(enum) <= j:
+            v = self.g.call((len(enum),), fuel)
             if v is None:
                 self.diverge_counts["g"] += 1
                 return None
             if v > MAX_AXIOM:
                 raise AxiomLimitError(self.name, "g", v)
-            self._enum.push(v)
+            enum.push(v)
             del self._g_ahead[:1]
-        return self._g_vals[j]
+        return enum.at(j)
 
     def enum_position(self, value: int) -> Optional[int]:
         """Least resolved enumeration index of value, if seen so far;
@@ -248,12 +259,16 @@ class PartialPSystem:
     def _rewrite(self, cut: int, val: int, stage: int) -> None:
         """Drop positions cut.. of σ and append val, keeping the set code
         and the disturbance stamps in step.  Cuts are rare, so the set code
-        is rebuilt on a cut."""
-        self._stamps.update(cut, len(self.sigma), stage)
-        if cut < len(self.sigma):
-            self.tape.cut(cut)
-            self._code = pi_encode(self.sigma)
-        self.tape.push(val)
+        is rebuilt on a cut; a_cut joins σ's count."""
+        tape = self.tape
+        self._stamps.update(cut, len(tape), stage)
+        if cut < len(tape):
+            tape.cut(cut)
+            self._code = pi_encode(tape.tokens) | _span(len(tape.tokens), cut)
+        if val == cut:
+            tape.extend_listing(1)
+        else:
+            tape.push(val)
         self._code |= 1 << (val + 1)
         self.version += 1
 
@@ -273,10 +288,10 @@ class PartialPSystem:
         freezes; a run whose operator fails the inclusion law is flagged
         but carries on mechanically.
         """
-        s = self.stage
+        s, tape = self.stage, self.tape
         self.stage = s + 1
         if self.frozen:
-            return Progress(len(self.sigma), False)
+            return Progress(len(tape), False)
         full = self.h_value_upto(self._code, s, fuel)
         if full is None:
             self.diverge_counts["H"] += 1
@@ -293,29 +308,29 @@ class PartialPSystem:
                 self.invalid_reason = ("marker derived from the empty "
                                        "prefix at stage %d" % s)
                 self.frozen = True
-                return Progress(len(self.sigma), False)
-            old = self.sigma[k - 1]
+                return Progress(len(tape), False)
+            old = tape.at(k - 1)
             new = self.r_value(old, fuel)
             if new is None:
                 return Diverged("r")
             self._rewrite(k - 1, new, s + 1)
-            return Progress(len(self.sigma), True)
-        val = self.g_value(len(self.sigma), fuel)
+            return Progress(len(tape), True)
+        val = self.g_value(len(tape), fuel)
         if val is None:
             return Diverged("g")
-        self._rewrite(len(self.sigma), val, s + 1)
-        return Progress(len(self.sigma), True)
+        self._rewrite(len(tape), val, s + 1)
+        return Progress(len(tape), True)
 
     def _least_marked_prefix(self, s: int, fuel: int) -> Optional[int]:
-        code = 0
-        for k in range(len(self.sigma) + 1):
+        code, tape = 0, self.tape
+        for k in range(len(tape) + 1):
             flag = self.ce_upto(code, s, fuel)
             if flag is None:
                 return None
             if flag:
                 return k
-            if k < len(self.sigma):
-                code |= 1 << (self.sigma[k] + 1)
+            if k < len(tape):
+                code |= 1 << (tape.at(k) + 1)
         # unreachable: the final iteration queries the full-range code,
         # which is exactly what the caller saw the marker on
         return None
@@ -339,24 +354,30 @@ class PartialPSystem:
         stall if g stalls already, until h may mark the string.  Appending
         stops before a g stall and before a value that hits h's mask,
         arrives watched, is in stops or is no admissible axiom (step
-        raises there).
+        raises there).  An identity g appends a_L, a_L+1, ..., so the
+        first such value is found among the few that can stop it.
         """
         t = self.stage
         if self.frozen or fuel < self.saturation:
             return t
         end = min(horizon, self.first_mark(t, self._code))
-        L, vals, ahead = len(self.sigma), self._g_vals, self._g_ahead
+        tape, L = self.tape, len(self.tape)
+        bad = self._mask_values.union(stops, tape.watched.difference(tape.first))
+        if self.g.identity:
+            return min([end, t + MAX_AXIOM + 1 - L]
+                       + [t + v - L for v in bad if L <= v < L + end - t])
+        vals, ahead = self._enum.tokens, self._g_ahead
         seg = vals[L:L + end - t]
         want = end - t - len(seg)
+        lo = len(vals) + len(ahead)
         try:
-            ahead.extend(map(self.g.fast, range(len(vals) + len(ahead),
-                                                len(vals) + want)))
+            ahead.extend(map(self.g.fast, range(lo, len(vals) + want)))
         except _Diverge:   # ahead keeps the values before the stall
+            self.g_evals += 1
             if not seg and not ahead:
                 return end
+        self.g_evals += len(vals) + len(ahead) - lo
         seg += ahead[:want]
-        bad = self._mask_values.union(stops, self.tape.watched.difference(
-            self.tape.first))
         k = min([len(seg)] + [seg.index(v) for v in bad.intersection(seg)])
         if seg and not 0 <= min(seg) <= max(seg) <= MAX_AXIOM:
             k = min(k, next(j for j, v in enumerate(seg)
@@ -371,27 +392,39 @@ class PartialPSystem:
         self.bulk_stretches += 1
         self.bulk_stages += n
         self.stage = stage
-        L, vals, ahead = len(self.sigma), self._g_vals, self._g_ahead
-        if L == len(vals) and not ahead:   # g stalls at every stage
-            self.diverge_counts["g"] += n
-            return
-        fresh = ahead[:max(0, L + n - len(vals))]
-        del ahead[:len(fresh)]
-        self._enum.extend(fresh)
-        new = vals[L:L + n]
+        tape, enum = self.tape, self._enum
+        L = len(tape)
+        if self.g.identity:   # both tapes grow by a count
+            enum.extend_listing(max(0, L + n - len(enum)))
+            tape.extend_listing(n)
+            self._code |= _span(L, L + n)
+        else:
+            vals, ahead = enum.tokens, self._g_ahead
+            if L == len(vals) and not ahead:   # g stalls at every stage
+                self.diverge_counts["g"] += n
+                return
+            fresh = ahead[:max(0, L + n - len(vals))]
+            del ahead[:len(fresh)]
+            enum.extend(fresh)
+            new = vals[L:L + n]
+            tape.extend(new)
+            self._code |= _bits(new)
         self._stamps.grow(L, n, stage - n + 1)
-        self.tape.extend(new)
-        self._code |= _bits(new)
         self.version += n
 
     # -- stability ----------------------------------------------------------
 
     def stability_report(self, horizon: int, window: int) -> StabilityReport:
-        return self._stamps.report(self.sigma, horizon, window)
+        tape = self.tape
+        return self._stamps.report(tape.tokens, horizon, window, tape.listing)
+
+    def top(self) -> int:
+        """The largest axiom in σ, which is not empty, off the set code."""
+        return self._code.bit_length() - 2
 
     def __repr__(self) -> str:
         return "<PartialPSystem %s stage=%d |sigma|=%d>" % (
-            self.name, self.stage, len(self.sigma))
+            self.name, self.stage, len(self.tape))
 
 
 def _bits(values: list[int]) -> int:
@@ -401,6 +434,11 @@ def _bits(values: list[int]) -> int:
     for v in values:
         digits[v - low] = 49   # "1"
     return int(digits[::-1], 2) << low + 1
+
+
+def _span(lo: int, hi: int) -> int:
+    """pi_encode(range(lo, hi))."""
+    return (1 << hi + 1) - (1 << lo + 1)
 
 
 # ---------------------------------------------------------------------------

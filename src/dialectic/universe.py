@@ -298,6 +298,11 @@ def masked_form(node) -> Optional[tuple[int, tuple[int, ...]]]:
     return (mask, tuple(sorted(bounds))) if result(node) else None
 
 
+def is_identity(node) -> bool:
+    """Whether a script's body is its first argument, so it maps n to n."""
+    return node in ("n", "t")
+
+
 # ---------------------------------------------------------------------------
 # the common wrapper
 # ---------------------------------------------------------------------------
@@ -312,8 +317,8 @@ class FueledFunction:
 
     A compiled script keeps compile_sexpr's function, node count (its
     *saturation*: from that fuel on, no answer depends on the fuel) and
-    arity, and its masked_form, if it has one.  Every answer, compiled or
-    not, is checked to be a natural.
+    arity, its masked_form, if it has one, and whether it is_identity.
+    Every answer, compiled or not, is checked to be a natural.
     """
 
     kind: str
@@ -323,6 +328,7 @@ class FueledFunction:
     saturation = math.inf
     arity = 0
     masked = None
+    identity = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("closure", "sexpr"):
@@ -332,6 +338,7 @@ class FueledFunction:
             if compiled is not None:
                 self.fast, self.saturation, self.arity = compiled
                 self.masked = masked_form(self.payload)
+                self.identity = is_identity(self.payload)
 
     def call(self, args: tuple[int, ...], fuel: int) -> Optional[int]:
         """Evaluate on args; None means no answer within this budget."""

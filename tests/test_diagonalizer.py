@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 from importlib import resources
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from dialectic.opponents import (
     p_system_from_table, parse_family,
 )
 from dialectic.randomgen import random_family
+from dialectic.strings import Tape
 from dialectic.universe import ProgramUniverse, closure, script
 
 
@@ -311,6 +313,21 @@ def test_family_report_bytes_are_pinned():
         "94f7d9eaa7cfb77f6f55f4a05dcf33c5ecf0ffd16906f963796e1b91b869cdea")
 
 
+@pytest.mark.parametrize("horizon, fuel_cap, digest", [
+    # past every event: one long quiet stretch
+    (100_000, None,
+     "ab4ad49300a8fbe7e704c83cebd62c44d13a9d604fd6f6d1457d70e705c4f2d8"),
+    # the capped fuel never saturates hA: stage by stage throughout
+    (3000, 10,
+     "fc586f6fe34d43dfc1edd760430937b706bf3a99d63da46a3a8e3112fc6d3aba"),
+], ids=["long", "capped"])
+def test_family_report_bytes_are_pinned_long_and_capped(horizon, fuel_cap,
+                                                        digest):
+    _, opps = default_family()
+    text = diagonalize(opps, horizon, window=100, fuel_cap=fuel_cap).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_claim_on_mapped_axiom_is_a_typed_error():
     # the first strategy enters at stage 1 on N = 3; map a3 beforehand
     th = _solo(closure(lambda n: n), closure(_masked), closure(lambda x: x + 1))
@@ -423,6 +440,31 @@ def test_event_form_engages_on_the_bundled_family():
         assert th.bulk_stretches <= diag.bulk_stretches
 
 
+def test_identity_opponents_store_only_up_to_their_last_cut():
+    # σ is a count past its last cut, and an identity enumeration is only
+    # a count
+    _, opps = default_family()
+    last_cut, real_cut = {}, Tape.cut
+
+    def recording_cut(tape, pos):
+        last_cut[id(tape)] = pos
+        return real_cut(tape, pos)
+
+    with mock.patch.object(Tape, "cut", recording_cut):
+        Diagonalizer(opps).advance_to(10**5)
+    ident = [th for th in opps if th.g.identity]
+    assert [th.name for th in ident] == ["caseA", "caseB", "caseC", "stuck-rho"]
+    for th in ident:
+        cut = last_cut.get(id(th.tape))
+        assert len(th.tape.tokens) == (0 if cut is None else cut + 1), th.name
+        assert len(th.tape) > 99_900, th.name
+        assert th._enum.tokens == [] and len(th._enum) >= len(th.tape), th.name
+        assert th.g_evals == 0, th.name
+    assert [len(th.tape.tokens) for th in ident] == [5, 6, 5, 0]
+    # tailfirst's g is evaluated once per σ position at most
+    assert 0 < opps[3].g_evals <= len(opps[3].tape)
+
+
 def test_axiom_limit_raises_at_the_same_stage_in_both_forms():
     # g crosses the limit at position 201, inside the stretch after hA's
     # last t boundary at stage 61
@@ -435,7 +477,7 @@ def test_axiom_limit_raises_at_the_same_stage_in_both_forms():
         with pytest.raises(AxiomLimitError) as info:
             drive(diag, 1000)
         seen.append((str(info.value), diag.stage,
-                     [(st.theta.stage, len(st.theta.sigma))
+                     [(st.theta.stage, len(st.theta.tape))
                       for st in diag.strategies]))
         bulk.append(diag.bulk_stages)
     assert seen[0] == seen[1]

@@ -605,6 +605,33 @@ def test_stack_count_corpus_reaches_cuts_in_the_count_and_early_cuts():
     assert totals["repeats"][1] > 150, totals
 
 
+@pytest.mark.parametrize("kind", LISTING_KINDS)
+def test_fast_legacy_run_lists_each_position_once(kind):
+    # the wrapper keeps the tips between its per-stage snapshots, so f is
+    # called a few times per stage (at most 484 times in 150 stages here,
+    # the engine's arrival checks included), not once per position per
+    # stage (some 11,000 times)
+    horizon, stages = 150, 0
+    for seed in range(10):
+        legacy = _kind_legacy(Random(seed), kind)
+        calls = []
+        counted = dataclasses.replace(
+            legacy, f=lambda i, f=legacy.f: calls.append(i) or f(i))
+        try:
+            want, error = legacy_run(legacy, horizon, compute_A=False), None
+        except (UndefinedPositionError, EmptyNeighbourError) as exc:
+            want, error = None, str(exc)
+        try:
+            got = fast_legacy_run(counted, horizon)
+        except (UndefinedPositionError, EmptyNeighbourError) as exc:
+            assert str(exc) == error, (kind, seed)
+            continue
+        assert got == want, (kind, seed)
+        assert len(calls) <= 5 * horizon, (kind, seed, len(calls))
+        stages += horizon
+    assert stages >= 5 * horizon
+
+
 @pytest.mark.parametrize("listing", [identity, lambda i: i],
                          ids=["identity", "lambda"])
 def test_quiet_stack_run_of_a_million_stages_stores_no_tip(listing):

@@ -4,10 +4,12 @@ import math
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dialectic import opponents
 from dialectic.consequence import CE, RuleTable, rule
 from dialectic.engine import ReplacementMap, RunEngine, QSystem, estimate_beliefs
 from dialectic.opponents import (
@@ -16,7 +18,7 @@ from dialectic.opponents import (
     pi_decode, pi_encode, r_iterate,
 )
 from dialectic.randomgen import random_qsystem
-from dialectic.strings import ParseError
+from dialectic.strings import ParseError, Tape
 from dialectic.universe import (
     MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, _Diverge,
     closure, compile_sexpr, eval_sexpr, parse_sexpr, script, tokenize_sexpr,
@@ -309,13 +311,18 @@ def _mk(g, h, r, universe=None, **kw):
     return PartialPSystem(u, u.register(g), u.register(h), u.register(r), **kw)
 
 
+def _listed(tape):
+    """A tape's whole string: its stored tokens, then its count."""
+    return tape.head(len(tape))
+
+
 def test_pure_growth():
     th = _mk(closure(lambda n: n), closure(lambda t, x: x),
              closure(lambda x: x + 1))
     for s in range(1, 51):
         out = th.step(s)
         assert out == Progress(s, True)
-    assert th.sigma == list(range(50))
+    assert _listed(th.tape) == list(range(50))
     rep = th.stability_report(50, 10)
     assert rep.belief_estimate == frozenset(range(50))
     assert rep.loop_suspects == ()
@@ -326,7 +333,7 @@ def test_operator_stall_freezes_string():
              closure(lambda x: x + 1))
     for s in range(1, 20):
         assert th.step(s) == Diverged("H")
-    assert th.sigma == []
+    assert _listed(th.tape) == []
     assert th.stage == 19
     assert th.diverge_counts["H"] == 19
 
@@ -336,7 +343,7 @@ def test_enum_stall():
              closure(lambda x: x + 1))
     for s in range(1, 10):
         assert th.step(s) == Diverged("g")
-    assert th.sigma == []
+    assert _listed(th.tape) == []
 
 
 def test_replacement_stall():
@@ -347,7 +354,7 @@ def test_replacement_stall():
     assert th.step(1) == Progress(1, True)      # expansion while empty
     for s in range(2, 12):
         assert th.step(s) == Diverged("r")
-    assert th.sigma == [0]
+    assert _listed(th.tape) == [0]
 
 
 def test_marker_from_empty_prefix_is_invalid():
@@ -369,7 +376,7 @@ def test_inclusion_violation_recorded_not_fatal():
         th.step(s)
     assert not th.frozen
     assert "include its argument" in th.invalid_reason
-    assert len(th.sigma) == 5
+    assert len(th.tape) == 5
 
 
 # the two-threshold masked operator used across the diagonalizer tests:
@@ -387,12 +394,12 @@ def test_masked_operator_run_timeline():
     for s in range(1, 71):
         th.step(s)
         if s == 41:
-            assert th.sigma == [0, 1, 2, 4]
+            assert _listed(th.tape) == [0, 1, 2, 4]
         if s == 61:
-            assert th.sigma == [0, 1, 2, 5]
+            assert _listed(th.tape) == [0, 1, 2, 5]
         if s == 63:
-            assert th.sigma == [0, 1, 2, 5, 5]
-    assert th.sigma[:6] == [0, 1, 2, 5, 5, 5]
+            assert _listed(th.tape) == [0, 1, 2, 5, 5]
+    assert _listed(th.tape)[:6] == [0, 1, 2, 5, 5, 5]
     # run further and estimate: the third and fourth axioms never settle back
     for s in range(71, 201):
         th.step(s)
@@ -411,7 +418,7 @@ def test_monotone_shortcut_matches_full_scan():
     for s in range(1, 301):
         a.step(s)
         b.step(s)
-        assert a.sigma == b.sigma
+        assert _listed(a.tape) == _listed(b.tape)
         if s == 80:
             assert a.stability_report(80, 20) == b.stability_report(80, 20)
     assert a.stability_report(300, 50) == b.stability_report(300, 50)
@@ -487,7 +494,7 @@ def test_advance_to_matches_step(h, g, k, cap, seed):
             # before or after its enumeration; (div n 2) enumerates each
             # value twice in a row, mostly inside one stretch
             v = rng.randrange(60)
-            want = a._g_vals.index(v) if v in a._g_vals else None
+            want = _listed(a._enum).index(v) if v in _listed(a._enum) else None
             assert a.enum_position(v) == b.enum_position(v) == want
         stops = rng.sample(range(60), 2) if rng.random() < 0.3 else ()
         end = a.next_event(horizon, fuel, stops)
@@ -496,13 +503,13 @@ def test_advance_to_matches_step(h, g, k, cap, seed):
             continue
         assert a.saturation <= fuel < math.inf
         target = rng.randint(a.stage + 1, end)   # a stretch may stop early
-        L, first, M = len(a.sigma), dict(a.tape.first), a.h.masked[0]
+        L, first, M = len(a.tape), dict(a.tape.first), a.h.masked[0]
         masked = a._code & M
         a.advance_to(target)
         # inside a stretch the marker's inputs and the watched values'
         # first occurrences stay put, and no value in stops arrives
         assert a._code & M == masked and a.tape.first == first
-        assert not set(a.sigma[L:]) & set(stops)
+        assert not set(_listed(a.tape)[L:]) & set(stops)
         while b.stage < target:
             b.step(b.stage + 1 if cap is None else min(b.stage + 1, cap))
         assert _run_state(a) == _run_state(b)
@@ -511,8 +518,8 @@ def test_advance_to_matches_step(h, g, k, cap, seed):
 
 
 def _run_state(th):
-    return (th.stage, th.sigma, th._stamps.stamps, th._code, th.version,
-            th.diverge_counts, th._g_vals, th._enum.first, th.tape.first,
+    return (th.stage, _listed(th.tape), th._stamps.stamps, th._code, th.version,
+            th.diverge_counts, _listed(th._enum), th._enum.first, th.tape.first,
             th.frozen, th.invalid_reason)
 
 
@@ -527,6 +534,131 @@ def test_opponent_event_form_engages():
                 th.advance_to(end)
         assert th.bulk_stages >= 1900 and th.bulk_stretches <= 10, th.name
     assert opps[5].diverge_counts["g"] == 2000      # stuck-enum, in bulk
+
+
+# ---------------------------------------------------------------------------
+# an identity enumeration as a count, against a twin that stores it
+# ---------------------------------------------------------------------------
+
+def _random_masked_h(rng):
+    """Two marker conditions of the bundled hA shape, any t comparison."""
+    conds = []
+    for _ in range(2):
+        m = sum(1 << b for b in rng.sample(range(1, 9), rng.randint(1, 4)))
+        conds.append("(and (%s t %d) (eq (band x %d) %d))" % (
+            rng.choice(("ge", "gt", "lt", "le", "eq")), rng.randint(0, 150),
+            m, m))
+    return "(if %s (bor x 1) (if %s (bor x 1) x))" % tuple(conds)
+
+
+def _either(call):
+    """call's value, or the message of the AxiomLimitError it raises."""
+    try:
+        return call()
+    except AxiomLimitError as exc:
+        return str(exc)
+
+
+class _StoredTape(Tape):
+    """A tape that stores the listing tokens it is given: no count."""
+
+    def extend_listing(self, n):
+        return self.extend(list(range(len(self), len(self) + n)))
+
+
+def _identity_count_case(seed):
+    """Drive an opponent whose g is the script n through a random schedule
+    of bulk advances, single steps and asks, against a twin whose g is the
+    closure n -> n: it stores σ and every enumerated value, and only
+    steps.  The fuel is sometimes below saturation, and the axiom limit
+    sometimes low enough to be reached.  After every move both states must
+    agree, the set code and first occurrences must be σ's, and a bulk
+    advance must keep next_event's promises.  Returns what the schedule
+    reached."""
+    rng = random.Random(seed)
+    h, k = _random_masked_h(rng), rng.randrange(1, 12)
+    limit = rng.choice([MAX_AXIOM, MAX_AXIOM, rng.randint(60, 250)])
+    horizon = rng.randint(50, 400)
+    seen = dict.fromkeys(("in_count", "stalls", "beyond", "watched_in_count",
+                          "limit", "bulk"), 0)
+    with mock.patch.object(opponents, "MAX_AXIOM", limit):
+        a = _mk(script("n"), script(h), script("(+ n %d)" % k))
+        b = _mk(closure(lambda n: n), script(h), script("(+ n %d)" % k))
+        b.tape = _StoredTape()
+        assert a.g.identity and not b.g.identity
+        while a.stage < horizon:
+            fuel = rng.choice([a.stage + 1] * 4 + [0, 1, 5, 12])
+            roll, tape, L = rng.random(), a.tape, len(a.tape)
+            if roll < 0.1:      # watched from here on, often inside the count
+                v = rng.randint(max(0, L - 30), L + 30)
+                seen["watched_in_count"] += len(tape.tokens) <= v < L
+                assert a.first_occurrence(v) == b.first_occurrence(v)
+            elif roll < 0.2:    # g asked beyond σ
+                j = rng.randint(L, L + 30)
+                got = _either(lambda: a.g_value(j, fuel))
+                assert got == _either(lambda: b.g_value(j, fuel))
+                seen["beyond"] += got is not None
+                seen["stalls"] += got is None
+                seen["limit"] += type(got) is str
+            elif roll < 0.3:    # only the resolved prefix answers
+                v = rng.randint(max(0, L - 10), L + 60)
+                assert a.enum_position(v) == b.enum_position(v)
+            else:
+                stops = (rng.sample(range(max(0, L - 5), L + 40), 2)
+                         if roll < 0.5 else ())
+                end = a.next_event(horizon, fuel, stops)
+                if end == a.stage:
+                    T = len(tape.tokens)
+                    out = _either(lambda: a.step(fuel))
+                    assert out == _either(lambda: b.step(fuel))
+                    if type(out) is str:
+                        seen["limit"] += 1
+                        break
+                    seen["in_count"] += (out == Progress(len(tape), True)
+                                         and T < len(tape) - 1 < L)
+                else:
+                    target = end if rng.random() < 0.5 else rng.randint(
+                        a.stage + 1, end)
+                    first, M = dict(tape.first), a.h.masked[0]
+                    masked = a._code & M
+                    a.advance_to(target)
+                    seen["bulk"] += 1
+                    # inside a stretch the marker's inputs and the watched
+                    # values' first occurrences stay put, no value in stops
+                    # arrives and every value is an admissible axiom
+                    assert a._code & M == masked and tape.first == first
+                    assert not set(_listed(tape)[L:]) & set(stops)
+                    assert len(tape) <= limit + 1
+                    while b.stage < target:
+                        b.step(fuel)
+            assert _run_state(a) == _run_state(b), (seed, a.stage)
+            sigma = _listed(a.tape)
+            assert a._code == pi_encode(sigma) and a.tape.first == {
+                v: sigma.index(v) for v in a.tape.watched if v in sigma}
+        assert b.tape.listing == 0
+        window = min(50, a.stage)
+        assert (a.stability_report(a.stage, window)
+                == b.stability_report(b.stage, window))
+    return seen
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 30))
+def test_identity_enumeration_count_matches_stepping_twin(seed):
+    _identity_count_case(seed)
+
+
+def test_identity_count_corpus_reaches_every_path():
+    # the property's paths, exercised on a fixed corpus: seeds 0-39 make 44
+    # cuts strictly inside σ's count, 94 asks about a value inside it, 431
+    # g asks beyond σ, 21 g stalls below saturation, 7 axiom-limit errors
+    # and 576 bulk advances
+    cases = [_identity_count_case(seed) for seed in range(40)]
+    totals = {key: sum(case[key] for case in cases) for key in cases[0]}
+    assert totals["in_count"] > 30, totals
+    assert totals["watched_in_count"] > 60, totals
+    assert totals["beyond"] > 300 and totals["stalls"] > 10, totals
+    assert totals["limit"] > 3 and totals["bulk"] > 400, totals
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +707,8 @@ def test_table_backed_matches_engine():
         for s in range(1, 151):
             th.step(s)
             eng.step_once()
-            L = len(eng.tape.tokens)
-            sigma = eng.tape.tokens + list(range(L, L + eng.tape.listing))
-            assert th.sigma == sigma, "diverged at stage %d seed %d" % (s, seed)
+            assert _listed(th.tape) == _listed(eng.tape), (
+                "diverged at stage %d seed %d" % (s, seed))
         # the loop suspects at every threshold fix every nonzero stamp
         trace = eng.trace()
         for window in range(151):
@@ -599,15 +730,16 @@ def test_table_backed_code_and_first_occurrence_track_sigma():
                                  ReplacementMap(default_fn=lambda k: k + 1 + k % 3))
         asked = set()
         for s in range(1, 201):
-            before = len(th.sigma)
+            before = len(th.tape)
             outcome = th.step(s)
             cuts += (isinstance(outcome, Progress) and outcome.changed
-                     and len(th.sigma) <= before)
+                     and len(th.tape) <= before)
             if rng.random() < 0.2:
                 asked.add(rng.randint(0, 20))  # watched from mid-run on
-            assert th._code == pi_encode(th.sigma)
+            assert th._code == pi_encode(_listed(th.tape))
             for v in asked:
-                want = th.sigma.index(v) if v in th.sigma else None
+                sigma = _listed(th.tape)
+                want = sigma.index(v) if v in sigma else None
                 assert th.first_occurrence(v) == want, (seed, s, v)
     assert cuts > 500
 
