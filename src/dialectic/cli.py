@@ -17,6 +17,7 @@ output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import os
@@ -51,6 +52,19 @@ MAX_JOBS = 64
 # subcommands
 # ---------------------------------------------------------------------------
 
+class OutputError(Exception):
+    """An output file could not be written (exit 1, not an input error)."""
+
+
+@contextlib.contextmanager
+def _writing():
+    """Report an OSError raised inside as an :class:`OutputError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(exc) from exc
+
+
 def cmd_validate(args) -> int:
     spec = load_system(args.spec)
     check_variant(spec)
@@ -78,7 +92,8 @@ def cmd_run(args) -> int:
     print("loop suspects: %s"
           % (" ".join("p%d" % p for p in report.loop_suspects) or "none"))
     if args.trace:
-        write_trace(trace, args.trace)
+        with _writing():
+            write_trace(trace, args.trace)
     return 0
 
 
@@ -140,6 +155,9 @@ def _diff_one(seed: int, horizon: int) -> tuple[bool, str]:
 
 
 def cmd_diff(args) -> int:
+    if args.spec and args.fuzz:
+        print("diff takes a spec file or --fuzz, not both", file=sys.stderr)
+        return 2
     if args.fuzz:
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -180,7 +198,7 @@ def cmd_diagonalize(args) -> int:
                          fuel_cap=args.fuel_cap)
     text = report.render()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _writing(), open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
         for line in report.verdict_lines():
             print(line)
@@ -194,7 +212,8 @@ def cmd_repair(args) -> int:
     result = repair(kb, args.horizon, window=args.window, mode=args.mode)
     print(render_result(kb, result), end="")
     if args.trace:
-        write_trace(result.trace, args.trace)
+        with _writing():
+            write_trace(result.trace, args.trace)
     return 0
 
 
@@ -208,7 +227,8 @@ def cmd_revise(args) -> int:
                                window=args.window)
     print(render_result(kb, result, extra_labels=additions.labels), end="")
     if result.trace is not None and args.trace:
-        write_trace(result.trace, args.trace)
+        with _writing():
+            write_trace(result.trace, args.trace)
     return 0 if not result.rejected else 1
 
 
@@ -346,6 +366,9 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (AttributeError, OSError, ValueError):
             pass  # stdout is an in-process stream without a descriptor
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
+        return 1
+    except OutputError as exc:
         print("error: cannot write output: %s" % exc, file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:

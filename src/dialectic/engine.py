@@ -8,14 +8,13 @@ the same prefix).  Otherwise the string expands with the next axiom of the
 canonical listing.
 
 Two implementations are provided on purpose: :func:`step` is a direct,
-definition-shaped reference, while :class:`RunEngine` maintains incremental
-state (premise counts, first-occurrence positions, quiescence fast-forward)
+definition-shaped reference, while :class:`RunEngine` keeps incremental
+state (first-occurrence positions of the premises, quiescence fast-forward)
 so that long horizons stay cheap.  The test-suite replays one against the
 other.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import gt
@@ -280,27 +279,17 @@ def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, St
 # incremental engine
 # ---------------------------------------------------------------------------
 
-class _RuleState:
-    __slots__ = ("stage", "premises", "conclusion", "missing", "active")
-
-    def __init__(self, stage: int, premises: frozenset[int], conclusion: int) -> None:
-        self.stage = stage
-        self.premises = premises
-        self.conclusion = conclusion
-        self.missing = -1
-        self.active = False
-
-
 class RunEngine:
     """Stateful run driver whose cost follows the events, not the stages.
 
     σ lives on a :class:`Tape` that watches every axiom some event rule
-    mentions; per rule the engine counts the absent premises.  Expansions
-    add to the tape's listing count, quiescent stretches (no rule can
-    fire) in bulk, so σ stores only the tokens up to its last cut; only
-    the events are recorded.  Rules may be appended while the run is
-    underway (the diagonalizer does), provided their stage is not in the
-    past; a premise new to the engine is then found in σ once.
+    mentions, so a rule marks the least prefix ``tape.cover`` gives for
+    its premises once its stage has come, as in the stack engine.
+    Expansions add to the tape's listing count, quiescent stretches (no
+    rule can fire) in bulk, so σ stores only the tokens up to its last
+    cut; only the events are recorded.  Rules may be appended while the
+    run is underway (the diagonalizer does); a rule whose stage has passed
+    acts at once, and a premise new to the engine is found in σ once.
     """
 
     def __init__(self, system: QSystem) -> None:
@@ -308,113 +297,76 @@ class RunEngine:
         self.tape = Tape()
         self.stage = 0
         self.event_records: list[StepRecord] = []
-        self._rules: list[_RuleState] = []
-        self._by_ax: dict[int, list[int]] = {}
-        self._pending: list[tuple[int, int]] = []
-        self._satisfied: set[int] = set()
+        # (stage, premises highest first, is_ce) per event rule: the
+        # premise a cut removed or expansion has yet to reach is most often
+        # the highest (the diagonalizer's anchor N), and cover and
+        # next_event stop at the first absent premise
+        self._rules: list[tuple[int, tuple[int, ...], bool]] = []
         for r in system.table:
             self._admit(r)
-
-    # -- rule bookkeeping ---------------------------------------------------
 
     def _admit(self, r: Rule) -> None:
         if r.conclusion not in (BOT, CE):
             return  # axiom-producing rules never trigger events
         if not r.premises:
             raise ValueError("event rule with empty premises")
-        rid = len(self._rules)
-        st = _RuleState(r.stage, r.premises, r.conclusion)
-        self._rules.append(st)
-        for p in r.premises:
+        premises = tuple(sorted(r.premises, reverse=True))
+        for p in premises:
             self.tape.watch(p)
-            self._by_ax.setdefault(p, []).append(rid)
-        if r.stage <= self.stage:
-            self._activate(rid)
-        else:
-            heapq.heappush(self._pending, (r.stage, rid))
-
-    def _activate(self, rid: int) -> None:
-        st = self._rules[rid]
-        st.active = True
-        st.missing = sum(1 for p in st.premises if p not in self.tape.first)
-        if st.missing == 0:
-            self._satisfied.add(rid)
+        self._rules.append((r.stage, premises, r.conclusion == CE))
 
     def append_rule(self, r: Rule) -> None:
-        """Admit a rule mid-run; it participates from its stage onward."""
-        self.system.table.append(r)
+        """Admit a rule mid-run and add it to the system's table; it
+        participates from its stage onward, at once if that has passed."""
         self._admit(r)
-
-    def _activate_due(self) -> None:
-        while self._pending and self._pending[0][0] <= self.stage:
-            _, rid = heapq.heappop(self._pending)
-            self._activate(rid)
-
-    def _flip(self, ax: int, delta: int) -> None:
-        """Axiom ``ax`` entered (delta -1) or left (delta +1) σ."""
-        for rid in self._by_ax[ax]:
-            st = self._rules[rid]
-            if st.active:
-                st.missing += delta
-                if st.missing == 0:
-                    self._satisfied.add(rid)
-                else:
-                    self._satisfied.discard(rid)
+        self.system.table.append(r)
 
     # -- stages -------------------------------------------------------------
 
     def step_once(self) -> StepRecord:
         """Advance exactly one stage and return its record."""
-        s = self.stage
-        self._activate_due()
-        if self._satisfied:
-            rec = self._fire(s)
-            self.event_records.append(rec)
-        else:
-            for ax in self.tape.extend_listing(1):
-                self._flip(ax, -1)
+        s, cover = self.stage, self.tape.cover
+        # the least prefix any rule whose stage has come marks; at a tie ⊥
+        # (is_ce False) sorts first and wins over ce
+        least = min([(k, is_ce) for stage, premises, is_ce in self._rules
+                     if stage <= s and (k := cover(premises)) is not None],
+                    default=None)
+        if least is None:
+            self.tape.extend_listing(1)
             rec = StepRecord(s, EXPANSION, None, None, None)
+        else:
+            rec = self._fire(s, *least)
+            self.event_records.append(rec)
         self.stage = s + 1
         return rec
 
-    def _fire(self, s: int) -> StepRecord:
-        # the least prefix any satisfied rule marks; at a tie ⊥ (is_ce
-        # False) sorts first and wins over ce
-        tape, rules = self.tape, self._rules
-        k, is_ce = min((tape.cover(rules[rid].premises),
-                        rules[rid].conclusion == CE) for rid in self._satisfied)
-        kind = REPLACEMENT if is_ce else EXCISION
-        old = tape.tokens[k - 1] if k <= len(tape.tokens) else k - 1
+    def _fire(self, s: int, k: int, is_ce: bool) -> StepRecord:
+        tape = self.tape
+        old = tape.at(k - 1)
         if old == GAP:
             raise GapSkipError(s, k - 1)
         new: Optional[int] = None
-        if kind == REPLACEMENT:
+        if is_ce:
             new = self.system.replacement.get(old)
             if new is None:
                 raise MissingReplacementError(s, k - 1, old)
-        for ax in tape.cut(k - 1):
-            self._flip(ax, +1)
-        if tape.push(GAP if new is None else new):
-            self._flip(new, -1)
-        return StepRecord(s, kind, k, old, new)
+        tape.cut(k - 1)
+        tape.push(GAP if new is None else new)
+        return StepRecord(s, REPLACEMENT if is_ce else EXCISION, k, old, new)
 
     def next_event(self, horizon: int) -> int:
         """The current stage when a rule can fire now; otherwise the
         earliest stage (at most ``horizon``) at which one could fire
         during pure expansion."""
-        self._activate_due()
-        if self._satisfied:
-            return self.stage
-        best = horizon
-        tape, s_now = self.tape, self.stage
-        L, first = len(tape.tokens) + tape.listing, tape.first
-        for st in self._rules:
-            worst = max(st.stage, s_now + 1)
-            for p in st.premises:
+        best, s_now = horizon, self.stage
+        L, first = len(self.tape), self.tape.first
+        for stage, premises, _ in self._rules:
+            worst = max(stage, s_now)
+            for p in premises:
                 if p not in first:
                     if p < L:
                         break  # cannot re-enter without an event
-                    worst = max(worst, s_now + (p - L) + 1)
+                    worst = max(worst, s_now + p - L + 1)
             else:
                 best = min(best, worst)
         return best
@@ -425,8 +377,7 @@ class RunEngine:
             if target == self.stage:
                 self.step_once()
                 continue
-            for ax in self.tape.extend_listing(target - self.stage):
-                self._flip(ax, -1)
+            self.tape.extend_listing(target - self.stage)
             self.stage = target
 
     # -- views --------------------------------------------------------------

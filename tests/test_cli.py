@@ -715,6 +715,32 @@ def test_diff_without_input_exits_2(capsys):
     assert "spec file or --fuzz" in err
 
 
+def test_diff_with_spec_and_fuzz_exits_2(capsys, spec_file):
+    code, out, err = run_cli(capsys, "diff", spec_file, "--fuzz", "2")
+    assert (code, out) == (2, "")
+    assert err == "diff takes a spec file or --fuzz, not both\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "SPEC", "--horizon", "50"], "--trace"),
+    (["repair", "KB", "--mode", "q", "--horizon", "50"], "--trace"),
+    (["revise", "KB", "ADDS", "--horizon", "50"], "--trace"),
+    (["diagonalize", "--horizon", "50"], "--report"),
+])
+def test_unwritable_output_file_is_an_output_error(capsys, tmp_path, spec_file,
+                                                   sample_kb, argv, flag):
+    adds = tmp_path / "adds.kb"
+    adds.write_text(ADD_OK, encoding="utf-8")
+    argv = [{"SPEC": spec_file, "KB": sample_kb, "ADDS": str(adds)}.get(a, a)
+            for a in argv]
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, flag, str(missing))
+    assert code == 1
+    assert err == ("error: cannot write output: [Errno 2] No such file or"
+                   " directory: %r\n" % str(missing))
+    assert not missing.parent.exists()
+
+
 def test_diff_refuses_what_run_refuses_for_the_variant(capsys, tmp_path):
     path = tmp_path / "mistagged.spec"
     path.write_text("variant d\nat 2 : a0 |- CE\nreplace a0 -> a2\n",

@@ -406,6 +406,18 @@ def test_rules_appended_mid_run_match_full_table_run():
     assert recounted > 20  # the count-from-σ path was exercised
 
 
+def test_refused_rule_leaves_the_table_as_it_was():
+    system = qsys([rule(2, {0}, BOT)])
+    eng = RunEngine(system)
+    eng.advance_to(1)
+    with pytest.raises(ValueError, match="empty premises"):
+        eng.append_rule(rule(3, set(), BOT))
+    assert list(system.table) == [rule(2, {0}, BOT)]
+    QSystem(system.table, system.replacement)   # still a runnable table
+    eng.advance_to(6)
+    assert eng.event_records == run(system, 6).event_records
+
+
 def test_engine_stepwise_equals_bulk():
     system = qsys([rule(2, {0, 1}, BOT), rule(9, {3}, CE)], repl=[(3, 5)])
     eng = RunEngine(system)
@@ -436,8 +448,12 @@ def _count_case(seed, read_sigma):
     ``tape.store()`` (which stores the count) only when ``read_sigma``.
     The stamps are kept as first written, one stored stamp for every
     position the string ever reached, and read by ``_scan_report``.
+    Appended rules may have a stage that has already passed, and some are
+    shaped like the diagonalizer's S ∪ {N}: tens of premises held in σ
+    and one anchor N not yet reached.
     Returns how often a cut fell inside the count, an appended premise lay
-    in it and an event removed a value of at least BIG."""
+    in it, an event removed a value of at least BIG, and an event's prefix
+    covered a wide rule and a rule appended after its stage."""
     rng = random.Random(seed)
     n_ax = rng.randint(1, 8)
     rules = [rule(rng.randint(0, 12), _big_premises(rng, n_ax),
@@ -448,6 +464,8 @@ def _count_case(seed, read_sigma):
     ref, ref_records, stamps = BeliefString(), [], DisturbanceStamps()
     explicit = stamps.stamps
     cuts_in_count = premises_in_count = 0
+    wide, late = [], []    # appended S ∪ {N} rules; rules appended late
+    covers_wide = covers_late = 0
     while eng.stage < horizon:
         stored = len(tape.tokens)
         if rng.random() < 0.5:
@@ -456,8 +474,14 @@ def _count_case(seed, read_sigma):
         else:
             eng.advance_to(min(horizon, eng.stage + rng.randint(1, 15)))
         for s in range(len(ref_records), eng.stage):   # one record a stage
-            old_len = len(ref)
+            old_len, held = len(ref), ref.tokens
             ref, ev = step(eng.system, ref, s)
+            if ev.k is not None:
+                held = frozenset(held[:ev.k])
+                covers_wide += any(r.stage <= s and r.premises <= held
+                                   for r in wide)
+                covers_late += any(r.stage <= s and r.premises <= held
+                                   for r in late)
             cut = old_len if ev.k is None else ev.k - 1
             if cut < old_len:
                 explicit[cut:old_len] = [s + 1] * (old_len - cut)
@@ -475,19 +499,34 @@ def _count_case(seed, read_sigma):
         assert eng.event_records == [e for e in ref_records
                                      if e.kind != EXPANSION]
         if eng.stage < horizon and rng.random() < 0.4:
-            prem = set(_big_premises(rng, n_ax))
-            if tape.listing:
-                prem.add(rng.randrange(L, L + tape.listing))
-                premises_in_count += 1
-            eng.append_rule(rule(eng.stage + rng.randint(0, 3),
-                                 frozenset(prem), rng.choice([BOT, CE])))
+            held = [v for v in ref.tokens if v != GAP]
+            if len(held) >= 10 and rng.random() < 0.3:
+                # S ∪ {N}: S from σ's prefix, N at or just past its end
+                prem = set(held[:rng.randint(10, len(held))])
+                prem.add(len(ref) + rng.randint(0, 4))
+            else:
+                prem = set(_big_premises(rng, n_ax))
+                if tape.listing:
+                    prem.add(rng.randrange(L, L + tape.listing))
+                    premises_in_count += 1
+            if rng.random() < 0.3:
+                stage = rng.randint(0, eng.stage)   # already passed, or now
+            else:
+                stage = eng.stage + rng.randint(0, 3)
+            r = rule(stage, frozenset(prem), rng.choice([BOT, CE]))
+            eng.append_rule(r)
+            if len(prem) > 10:
+                wide.append(r)
+            if stage < eng.stage:
+                late.append(r)
     trace = eng.trace()
     assert trace.final_sigma == ref
     for window in range(horizon + 1):
         assert estimate_beliefs(trace, window) == _scan_report(
             stamps, list(ref), horizon, window)
     return (cuts_in_count, premises_in_count,
-            sum(1 for e in ref_records if e.old is not None and e.old >= BIG))
+            sum(1 for e in ref_records if e.old is not None and e.old >= BIG),
+            covers_wide, covers_late)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -498,11 +537,13 @@ def test_listing_count_matches_reference_property(seed, read_sigma):
 
 def test_listing_count_corpus_reaches_cuts_and_premises_in_the_count():
     # the property's paths, exercised on a fixed corpus: cuts that land
-    # inside the count, appended premises found in it, and σ read between
-    # stretches as stream_alignment does
+    # inside the count, appended premises found in it, σ read between
+    # stretches as stream_alignment does, and events at prefixes that cover
+    # a wide S ∪ {N} rule or a rule appended after its stage had passed
     totals = [sum(t) for t in zip(*(_count_case(seed, seed % 2 == 0)
                                     for seed in range(120)))]
     assert totals[0] > 10 and totals[1] > 100 and totals[2] > 10, totals
+    assert totals[3] > 40 and totals[4] > 25, totals
 
 
 def test_doctored_trace_prefix_or_count_raises():
