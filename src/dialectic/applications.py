@@ -168,8 +168,9 @@ def _window_default(kb: KnowledgeBase, horizon: int,
 def _finish(kb: KnowledgeBase, system: QSystem, horizon: int, window: int):
     tr = run(system, horizon)
     rep = estimate_beliefs(tr, window)
-    kept = frozenset(item for r, item in enumerate(kb.items)
-                     if r in rep.belief_estimate)
+    items = kb.items
+    kept = frozenset(map(items.__getitem__,
+                         rep.belief_estimate.below(len(items))))
     removed = frozenset(kb.items) - kept
     partial = not is_clean_window(system, rep)
     return kept, removed, rep, tr, partial

@@ -22,6 +22,7 @@ import functools
 import io
 import os
 import sys
+from itertools import islice
 from random import Random
 
 from .applications import (
@@ -80,8 +81,8 @@ def cmd_run(args) -> int:
     system = spec.build()
     trace = run(system, args.horizon)
     report = estimate_beliefs(trace, args.window)
-    beliefs = sorted(report.belief_estimate)
-    shown = " ".join(token_to_str(v) for v in beliefs[:20])
+    beliefs = report.belief_estimate
+    shown = " ".join(map(token_to_str, islice(beliefs, 20)))
     if len(beliefs) > 20:
         shown += " ..."
     print("variant: %s" % classify_variant(system))
@@ -155,10 +156,10 @@ def _diff_one(seed: int, horizon: int) -> tuple[bool, str]:
 
 
 def cmd_diff(args) -> int:
-    if args.spec and args.fuzz:
+    if args.spec and args.fuzz is not None:
         print("diff takes a spec file or --fuzz, not both", file=sys.stderr)
         return 2
-    if args.fuzz:
+    if args.fuzz is not None:
         if args.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
             workers = min(args.jobs, args.fuzz)
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare string and stack engines in lockstep")
     p.add_argument("spec", nargs="?")
     _add_horizon_window(p)
-    p.add_argument("--fuzz", type=_natural, default=0,
+    p.add_argument("--fuzz", type=_positive, default=None,
                    help="check this many random seeded systems instead")
     p.add_argument("--seed", type=_integer, default=0,
                    help="base seed for --fuzz")

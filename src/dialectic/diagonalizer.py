@@ -48,6 +48,7 @@ from .consequence import BOT, CE, Rule, RuleTable
 from .engine import (QSystem, ReplacementMap, RunEngine, StabilityReport,
                      estimate_beliefs, run)
 from .opponents import PartialPSystem, pi_encode, r_iterate
+from .strings import IntervalSet
 
 __all__ = [
     "ClaimFreshnessError", "Strategy", "Diagonalizer", "DiagonalizationReport",
@@ -485,11 +486,10 @@ class DiagonalizationReport:
         return "\n".join(out) + "\n"
 
 
-def _witness(diff: frozenset, floor: int) -> Optional[int]:
-    if not diff:
-        return None
-    high = [v for v in diff if v >= floor]
-    return min(high) if high else min(diff)
+def _witness(diff: IntervalSet, floor: int) -> Optional[int]:
+    """The least axiom of diff at or above floor, else its least, if any."""
+    w = diff.first_from(floor)
+    return diff.first_from(0) if w is None else w
 
 
 def diagonalize(opponents, horizon: int, window: int = 100,
@@ -617,12 +617,13 @@ def audit_hands_off(report: DiagonalizationReport) -> list[str]:
     for i, N in enumerate(report.Ns):
         if N < 0:
             continue
-        expected = frozenset(range(N)) - frozenset().union(*report.Zs[:i])
-        actual = frozenset(v for v in B if v < N)
+        removed = IntervalSet.of(frozenset().union(*report.Zs[:i])).below(N)
+        expected = IntervalSet.of((), 0, N) ^ removed
+        actual = B.below(N)
         if actual != expected:
             problems.append(
                 "below a%d the home beliefs differ from the claim at %s"
-                % (N, sorted(actual ^ expected)))
+                % (N, list(actual ^ expected)))
     return problems
 
 
@@ -671,12 +672,11 @@ def audit_replay(report: DiagonalizationReport) -> list[str]:
     before = estimate(0)
     for k, (r, cut, _) in enumerate(_claimed_rules(report.events)):
         after = estimate(k + 1)
-        low_a = frozenset(v for v in after if v < cut)
-        low_b = frozenset(v for v in before if v < cut)
+        low_a, low_b = after.below(cut), before.below(cut)
         if low_a != low_b:
             problems.append(
                 "rule %d (stage %d) moved beliefs below a%d: %s"
-                % (k, r.stage, cut, sorted(low_a ^ low_b)))
+                % (k, r.stage, cut, list(low_a ^ low_b)))
         before = after
     return problems
 

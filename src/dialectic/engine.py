@@ -16,13 +16,13 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .consequence import BOT, CE, Rule, RuleTable, check_no_empty_derivation, evaluate
-from .strings import (GAP, BeliefString, Tape, contraction, excision, expansion,
-                      replacement, token_to_str)
+from .strings import (GAP, BeliefString, IntervalSet, Tape, contraction, excision,
+                      expansion, replacement, token_to_str)
 
 EXPANSION = "EXP"
 EXCISION = "EXC"
@@ -404,10 +404,19 @@ def run(system: QSystem, horizon: int) -> RunTrace:
 
 @dataclass
 class StabilityReport:
+    """A window estimate of a run's limiting beliefs at ``horizon``.
+
+    ``belief_estimate`` is the axiom range of the longest stable prefix,
+    an :class:`IntervalSet`: the stable stored head's axioms plus the one
+    interval its listing tail a_L .. a_P−1 adds, so a report costs the
+    run's events, not its horizon.  ``loop_suspects`` are the positions
+    disturbed inside the final ``window`` stages.
+    """
+
     horizon: int
     window: int
     stable_prefix_length: int
-    belief_estimate: frozenset[int]
+    belief_estimate: IntervalSet
     loop_suspects: tuple[int, ...]
 
 
@@ -457,7 +466,9 @@ class DisturbanceStamps:
         horizon − window; the belief estimate is the axiom range of the
         longest stable prefix, and positions disturbed inside the final
         window are flagged as loop suspects.  Positions past the stamps
-        were never disturbed.
+        were never disturbed.  The estimate is read off the stable stored
+        head in one sort, its gaps dropped, and the listing's positions
+        L .. prefix-1 join it as one interval, so the count is never listed.
         """
         if window < 0 or window > horizon:
             raise ValueError("window must satisfy 0 <= window <= horizon")
@@ -467,9 +478,7 @@ class DisturbanceStamps:
             compress(range(len(stamps)), map(gt, stamps, repeat(threshold))))
         # the first suspect, if there is one, ends the stable prefix
         prefix = min(suspects[:1] + (len(tokens) + listing,))
-        head = tokens[:prefix]   # gaps go before the estimate is built
-        head = [t for t in head if t != GAP] if GAP in head else head
-        estimate = frozenset(chain(head, range(len(tokens), prefix)))
+        estimate = IntervalSet.of(tokens[:prefix], len(tokens), prefix)
         return StabilityReport(
             horizon=horizon,
             window=window,

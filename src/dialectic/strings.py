@@ -7,11 +7,15 @@ axioms are permitted; positions are 0-based.  The four primitive mutations
 used by the run recursion (contraction, expansion, replacement, excision)
 live here as pure functions; :class:`Tape` is the mutable string that the
 run engine, the stack runner and the opponents keep incrementally, and the
-list an opponent's enumeration grows into.  The input layer that every
-file parser reads through is here too.
+list an opponent's enumeration grows into; :class:`IntervalSet` is the set
+of axioms a belief estimate reads off such a string.  The input layer
+that every file parser reads through is here too.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Set
+from itertools import chain
 from operator import indexOf
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -280,6 +284,101 @@ class Tape:
             if i >= k:
                 k = i + 1
         return k
+
+
+class IntervalSet(Set):
+    """An immutable set of naturals held as sorted, disjoint, non-touching
+    half-open intervals [b0, b1), [b2, b3), ...; ``bounds`` is the flat,
+    strictly increasing tuple b0, b1, b2, ....
+
+    A belief estimate is a short stored head plus the interval the
+    listing keeps adding, so it costs the string's events, not its
+    length.  As a :class:`collections.abc.Set` it compares with ``set``
+    and ``frozenset`` as they compare with each other; membership,
+    length, in-order iteration, equality with another IntervalSet, ``^``,
+    :meth:`first_from` and :meth:`below` read the bounds alone.
+    """
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, bounds: Iterable[int] = ()) -> None:
+        self.bounds = tuple(bounds)
+
+    @classmethod
+    def of(cls, values: Iterable[int], lo: int = 0, hi: int = 0) -> "IntervalSet":
+        """The naturals among values (negatives such as GAP are dropped),
+        with [lo, hi) for 0 <= lo.  One sort of the distinct values; a
+        stretch of them is one run when its ends lie as far apart as its
+        positions, else it is halved, so few runs cost few steps."""
+        s = sorted(set(values))
+        bounds: list[int] = []
+        todo = [(bisect_left(s, 0), len(s))]
+        while todo:
+            i, j = todo.pop()
+            if i == j:
+                continue
+            a, b = s[i], s[j - 1]
+            if b - a == j - 1 - i:
+                if bounds and bounds[-1] == a:
+                    bounds[-1] = b + 1   # touches the run before it
+                else:
+                    bounds += (a, b + 1)
+            else:
+                m = (i + j) // 2
+                todo += ((m, j), (i, m))   # the left half comes off first
+        if lo < hi:
+            # an even count of bounds before lo (after hi) puts lo (hi) in
+            # a gap, where it bounds the union; otherwise a run absorbs it
+            i, j = bisect_left(bounds, lo), bisect_right(bounds, hi)
+            bounds[i:j] = (lo, hi)[i % 2:2 - j % 2]
+        return cls(bounds)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> "IntervalSet":
+        return cls.of(it)
+
+    def __contains__(self, v) -> bool:
+        return bisect_right(self.bounds, v) % 2 == 1
+
+    def __len__(self) -> int:
+        b = self.bounds
+        return sum(b[1::2]) - sum(b[::2])
+
+    def __iter__(self) -> Iterator[int]:
+        b = self.bounds
+        return chain.from_iterable(map(range, b[::2], b[1::2]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, IntervalSet):
+            return self.bounds == other.bounds
+        return Set.__eq__(self, other)
+
+    def __xor__(self, other):
+        if isinstance(other, IntervalSet):
+            # every bound toggles membership, and a bound both sets hold
+            # toggles it twice
+            return IntervalSet(sorted(set(self.bounds).symmetric_difference(
+                other.bounds)))
+        return Set.__xor__(self, other)
+
+    __rxor__ = __xor__
+
+    def first_from(self, v: int) -> Optional[int]:
+        """The least member at or above v, or None."""
+        b = self.bounds
+        i = bisect_right(b, v)
+        if i % 2:
+            return v
+        return b[i] if i < len(b) else None
+
+    def below(self, n: int) -> "IntervalSet":
+        """The members below n."""
+        b = self.bounds
+        i = bisect_left(b, n)
+        return IntervalSet(b[:i] + (n,) if i % 2 else b[:i])
+
+    def __repr__(self) -> str:
+        return "IntervalSet(%r)" % (self.bounds,)
 
 
 # ---------------------------------------------------------------------------

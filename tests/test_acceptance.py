@@ -492,6 +492,10 @@ def test_criterion_10_repair_oracle():
         if list(result.kept) != _greedy_keep(kb):
             problems.append((case, "kept set diverges from the oracle"))
             continue
+        rep = result.stability   # the estimate against its frozenset oracle
+        stable = result.trace.final_sigma[:rep.stable_prefix_length]
+        if rep.belief_estimate != frozenset(t for t in stable if t != GAP):
+            problems.append((case, "estimate differs from the frozenset"))
         table = from_horn(kb.items, kb.horn_rules, kb.conflicts)
         if BOT in limit_closure(table, frozenset(result.kept)):
             problems.append((case, "kept set still inconsistent"))

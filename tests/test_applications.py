@@ -11,7 +11,7 @@ from dialectic.applications import (
 )
 from dialectic.consequence import BOT, from_horn, limit_closure
 from dialectic.engine import EXCISION, REPLACEMENT
-from dialectic.strings import ParseError
+from dialectic.strings import GAP, ParseError
 
 
 def _kb4():
@@ -110,11 +110,24 @@ def _greedy_kept(kb):
     return frozenset(kept)
 
 
+def _check_estimate(kb, res):
+    """The estimate against the frozenset built from the final string's
+    stable prefix, and the kept items against one membership test each."""
+    rep = res.stability
+    stable = res.trace.final_sigma[:rep.stable_prefix_length]
+    oracle = frozenset(t for t in stable if t != GAP)
+    assert rep.belief_estimate == oracle and oracle == rep.belief_estimate
+    assert list(rep.belief_estimate) == sorted(oracle)
+    assert res.kept == frozenset(item for r, item in enumerate(kb.items)
+                                 if r in oracle)
+
+
 def test_repair_matches_greedy_oracle():
     for seed in range(200):
         kb = _random_kb(random.Random(seed))
         res = repair(kb, 200, window=20)
         assert res.kept == _greedy_kept(kb), "seed %d" % seed
+        _check_estimate(kb, res)
         # and the kept set really is conflict-free
         table = from_horn(range(len(kb.items)), kb.horn_rules, kb.conflicts)
         assert BOT not in limit_closure(table, res.kept)
@@ -179,6 +192,7 @@ def test_revise_keeps_a_subset_consistent_with_the_input():
         res = revise(kb, Additions((b,), (), confl), 150)
         assert res.kept <= frozenset(kb.items)
         if not res.rejected:
+            _check_estimate(kb, res)
             # rebuild the joint table over ranks and check ⊥ is not back
             rank = {item: pos for pos, item in enumerate(kb.items)}
             rank[b] = n

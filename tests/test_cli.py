@@ -22,7 +22,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dialectic.legacy
 from dialectic.cli import _jobs, main
+from dialectic.engine import estimate_beliefs, run
 from dialectic.opponents import MAX_AXIOM
+from dialectic.systemspec import load_system
 from dialectic.universe import MAX_SEXPR_DEPTH
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,28 @@ def test_spec_run_bytes_are_pinned(capsys, spec_file, tmp_path):
     assert len(body) == 1_977_549
     assert hashlib.sha256(body).hexdigest() == (
         "ac9db614e0cb86514a2903a01d71f46fd4e77dec70048b9b828e649aa61db7e9")
+
+
+ONE_RULE_SPEC = """\
+variant d
+axioms 4
+at 3 : a0 a1 |- BOT
+"""
+
+
+def test_million_stage_run_costs_its_events(capsys, tmp_path):
+    # the report's bytes at 10^6 stages, and an estimate held as the
+    # stored head's runs plus the listing's interval: a0, then a2 ..
+    path = tmp_path / "one.spec"
+    path.write_text(ONE_RULE_SPEC, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), "--horizon", "1000000")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4caf98cb990ec2848ee7ab3b73c089c9d23f50e10f495939a6a6a08e31d8ac13")
+    assert "beliefs (999997): a0 a2 a3 " in out
+    system = load_system(str(path)).build()
+    rep = estimate_beliefs(run(system, 10**6), 100)
+    assert rep.belief_estimate.bounds == (0, 1, 2, 999_998)
 
 
 @pytest.mark.parametrize("text,bound,message", [
@@ -464,7 +488,8 @@ def test_negative_counts_are_usage_errors(capsys, spec_file, argv, flag):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    what = "a positive integer" if flag == "--fuel-cap" else "a natural number"
+    what = ("a positive integer" if flag in ("--fuel-cap", "--fuzz")
+            else "a natural number")
     assert "argument %s: expected %s" % (flag, what) in err
 
 
@@ -719,6 +744,25 @@ def test_diff_with_spec_and_fuzz_exits_2(capsys, spec_file):
     code, out, err = run_cli(capsys, "diff", spec_file, "--fuzz", "2")
     assert (code, out) == (2, "")
     assert err == "diff takes a spec file or --fuzz, not both\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--fuzz", "0"],
+    ["diff", "SPEC", "--fuzz", "0"],
+    ["diff", "--fuzz", "0", "--jobs", "2"],
+])
+def test_fuzz_zero_is_a_usage_error(capsys, monkeypatch, spec_file, argv):
+    # refused while parsing, with or without a spec, before a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    _InlinePool.sizes.clear()
+    with pytest.raises(SystemExit) as exc:
+        main([spec_file if a == "SPEC" else a for a in argv])
+    assert exc.value.code == 2 and _InlinePool.sizes == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == ("dialectic diff: error: argument --fuzz: "
+                                    "expected a positive integer, got '0'")
 
 
 @pytest.mark.parametrize("argv, flag", [

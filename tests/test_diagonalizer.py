@@ -21,7 +21,7 @@ from dialectic.opponents import (
     p_system_from_table, parse_family,
 )
 from dialectic.randomgen import random_family
-from dialectic.strings import Tape
+from dialectic.strings import GAP, Tape
 from dialectic.universe import ProgramUniverse, closure, script
 
 
@@ -365,10 +365,51 @@ def _same_runs(make, horizons, fuel_cap=None):
     return diag
 
 
+def _frozen_estimate(tokens, listing, prefix):
+    """The estimate as a frozenset, the oracle: the axioms among the first
+    prefix positions of tokens followed by the listing a_L, a_L+1, ...."""
+    sigma = list(tokens) + list(range(len(tokens), len(tokens) + listing))
+    return frozenset(t for t in sigma[:prefix] if t != GAP)
+
+
+def _frozen_hands_off(report, B):
+    """audit_hands_off over frozensets, element by element."""
+    problems = []
+    for i, N in enumerate(report.Ns):
+        if N >= 0:
+            expected = frozenset(range(N)) - frozenset().union(*report.Zs[:i])
+            actual = frozenset(v for v in B if v < N)
+            if actual != expected:
+                problems.append(
+                    "below a%d the home beliefs differ from the claim at %s"
+                    % (N, sorted(actual ^ expected)))
+    return problems
+
+
+def _check_against_frozensets(diag, rep):
+    """Every estimate, witness and hands-off line of rep against the
+    frozensets built from the final strings."""
+    tr = diag.engine.trace()
+    sets = [_frozen_estimate(tr.prefix.tokens, tr.listing,
+                             rep.gamma.stable_prefix_length)]
+    sets += [_frozen_estimate(st.theta.tape.tokens, st.theta.tape.listing,
+                              th.stable_prefix_length)
+             for st, th in zip(diag.strategies, rep.thetas)]
+    for got, want in zip((rep.gamma,) + rep.thetas, sets):
+        assert got.belief_estimate == want and want == got.belief_estimate
+        assert list(got.belief_estimate) == sorted(want)
+    for st, theta, w in zip(diag.strategies, sets[1:], rep.witnesses):
+        diff, floor = sets[0] ^ theta, max(st.N, 0)
+        high = [v for v in diff if v >= floor]
+        assert w == min(high or diff, default=None)
+    assert audit_hands_off(rep) == _frozen_hands_off(rep, sets[0])
+
+
 @pytest.mark.parametrize("fuel_cap", [None, 10, 30])
 def test_event_form_matches_run_to_on_the_bundled_family(fuel_cap):
-    _same_runs(lambda: default_family()[1], (0, 1, 2, 27, 100, 3000, 10_000),
-               fuel_cap)
+    diag = _same_runs(lambda: default_family()[1],
+                      (0, 1, 2, 27, 100, 3000, 10_000), fuel_cap)
+    _check_against_frozensets(diag, report_of(diag, 100))
 
 
 def test_event_form_matches_run_to_on_random_families():
@@ -376,7 +417,9 @@ def test_event_form_matches_run_to_on_random_families():
     for seed in range(60):
         text = random_family(random.Random(seed))
         diag = _same_runs(lambda: parse_family(text)[1], (600,))
-        if audit_hands_off(report_of(diag, 100)):
+        rep = report_of(diag, 100)
+        _check_against_frozensets(diag, rep)
+        if audit_hands_off(rep):
             hands_off.append(seed)
     # an abandoned entry's removal that no live claim records fails
     # audit_hands_off on these seeds, in both forms alike

@@ -522,8 +522,10 @@ def _count_case(seed, read_sigma):
     trace = eng.trace()
     assert trace.final_sigma == ref
     for window in range(horizon + 1):
-        assert estimate_beliefs(trace, window) == _scan_report(
-            stamps, list(ref), horizon, window)
+        rep = estimate_beliefs(trace, window)
+        oracle = _scan_report(stamps, list(ref), horizon, window)
+        assert rep == oracle and oracle == rep
+        assert list(rep.belief_estimate) == sorted(oracle.belief_estimate)
     return (cuts_in_count, premises_in_count,
             sum(1 for e in ref_records if e.old is not None and e.old >= BIG),
             covers_wide, covers_late)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dialectic.strings import (
     GAP,
     BeliefString,
+    IntervalSet,
     OperationError,
     ParseError,
     Tape,
@@ -280,3 +281,83 @@ def test_tape_listing_keeps_an_earlier_first_position(extra):
     tape.push(2)
     assert sorted(tape.extend_listing(3)) == [1, 3]   # a1 a2 a3 after a2
     assert tape.first == {2: 0, 1: 1, 3: 3}
+
+
+# ---------------------------------------------------------------------------
+# IntervalSet against frozenset
+# ---------------------------------------------------------------------------
+
+# a stored head (gaps, repeats, values above the listing's interval), its
+# listing count and the stable prefix, which may end inside the head
+heads = st.lists(st.one_of(st.just(GAP), st.integers(0, 40)), max_size=14)
+estimates = st.tuples(heads, st.integers(0, 15), st.integers(0, 40)).map(
+    lambda t: (t[0], t[1], t[2] % (len(t[0]) + t[1] + 1)))
+
+
+def _estimate(head, listing, prefix):
+    """The report's estimate and its frozenset oracle: the stable head's
+    axioms plus the listing positions len(head) .. prefix-1."""
+    est = IntervalSet.of(head[:prefix], len(head), prefix)
+    oracle = frozenset(t for t in head[:prefix] if t != GAP)
+    return est, oracle | frozenset(range(len(head), prefix))
+
+
+def _check_against(est, oracle):
+    b = est.bounds
+    assert len(b) % 2 == 0 and all(x < y for x, y in zip(b, b[1:]))
+    for v in range(-2, 60):
+        assert (v in est) == (v in oracle)
+        assert est.first_from(v) == min((x for x in oracle if x >= v),
+                                        default=None)
+        below = est.below(max(v, 0))
+        assert below == frozenset(x for x in oracle if x < v)
+        assert below.bounds == IntervalSet.of(below).bounds
+    assert len(est) == len(oracle) and list(est) == sorted(oracle)
+    assert est == oracle and oracle == est and not est != oracle
+    assert est == IntervalSet.of(sorted(oracle)) and est != oracle | {99}
+    if oracle:
+        assert oracle - {min(oracle)} != est
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(estimates, estimates)
+def test_interval_set_matches_frozenset(a, b):
+    est_a, fa = _estimate(*a)
+    est_b, fb = _estimate(*b)
+    _check_against(est_a, fa)
+    x = est_a ^ est_b
+    assert isinstance(x, IntervalSet)
+    assert x.bounds == IntervalSet.of(fa ^ fb).bounds
+    _check_against(x, fa ^ fb)
+    assert (est_a ^ fb) == (fa ^ est_b) == fa ^ fb
+    assert (est_a == est_b) == (fa == fb)
+    for left, right in [(est_a, fb), (fa, est_b), (est_a, est_b)]:
+        assert (left <= right) == (fa <= fb) and (left < right) == (fa < fb)
+        assert (left >= right) == (fa >= fb) and (left > right) == (fa > fb)
+    assert fa.issubset(est_a) and est_a.isdisjoint(fb) == fa.isdisjoint(fb)
+    assert (est_a & fb) == fa & fb and (est_a | fb) == fa | fb
+    assert (est_a - fb) == fa - fb
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-3, 30), max_size=12), st.integers(0, 32),
+       st.integers(0, 32))
+def test_interval_set_of_values_and_any_interval(values, lo, hi):
+    # empty intervals (lo >= hi) add nothing; one that touches or overlaps
+    # the values' runs joins them
+    oracle = frozenset(v for v in values if v >= 0) | frozenset(range(lo, hi))
+    _check_against(IntervalSet.of(values, lo, hi), oracle)
+
+
+def test_interval_set_edges():
+    assert IntervalSet.of([]).bounds == () and len(IntervalSet()) == 0
+    assert IntervalSet.of([GAP, GAP]) == frozenset()
+    assert IntervalSet.of([3, 4], 5, 9).bounds == (3, 9)       # touching
+    assert IntervalSet.of([10, 2], 5, 10).bounds == (2, 3, 5, 11)
+    assert IntervalSet.of([6, 7], 5, 9).bounds == (5, 9)       # inside
+    assert IntervalSet.of([1], 4, 4).bounds == (1, 2)          # empty
+    est = IntervalSet.of([], 0, 10**6)
+    assert est.bounds == (0, 10**6) and len(est) == 10**6
+    assert 999_999 in est and 10**6 not in est
+    assert est.below(5).bounds == (0, 5) and est.first_from(10**6) is None
+    assert repr(IntervalSet.of([0, 2])) == "IntervalSet((0, 1, 2, 3))"
