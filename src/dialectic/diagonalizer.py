@@ -33,8 +33,8 @@ anchor (a marker rule's least prefix ends at its anchor N), so the home
 map holds only the claims.  The chain mentions axioms up to k; an entry
 mentions k before it claims its block.
 
-diagonalize moves from event to event (Diagonalizer.advance_to); the
-stage-by-stage run_to is its reference.
+diagonalize moves from event to event (Diagonalizer.advance_to, through
+engine.drive); the stage-by-stage run_to is its reference.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Optional
 
 from .consequence import BOT, CE, Rule, RuleTable
 from .engine import (QSystem, ReplacementMap, RunEngine, StabilityReport,
-                     estimate_beliefs, run)
+                     drive, estimate_beliefs, run)
 from .opponents import PartialPSystem, pi_encode, r_iterate
 from .strings import IntervalSet
 
@@ -124,8 +124,7 @@ class Diagonalizer:
         self.strategies = [Strategy(i, th) for i, th in enumerate(opponents)]
         self.mentions: list[int] = []
         self.events: list[tuple] = []   # see the module docstring
-        self.stage = 0
-        self.bulk_stretches = self.bulk_stages = 0
+        self.stage = self.bulk_stretches = self.bulk_stages = 0
 
     def _fuel(self, s: int) -> int:
         """Budget for opponent programs at stage s (capped if asked)."""
@@ -304,31 +303,24 @@ class Diagonalizer:
     # -- the event form -----------------------------------------------------
 
     def advance_to(self, horizon: int) -> None:
-        """run_to(horizon), moving from event to event.
-
-        An event stage runs run_to's body.  Between events no move can act
-        and no strategy enters or is deactivated, so each stage is idle,
-        the home run expands and every opponent extends its string or
-        stalls: each layer takes the stretch in bulk.  If this run's fuel
-        never saturates some opponent, all stages are events.
-        """
+        """run_to(horizon), from event to event.  If this run's fuel
+        never saturates some opponent, all stages are events."""
         if any(st.theta.saturation > self._fuel(horizon)
                for st in self.strategies):
             return self.run_to(horizon)
-        while self.stage < horizon:
-            s, end = self.stage, self._quiet_until(horizon)
-            if end > s:
-                self.engine.advance_to(end)
-                for strat in self.strategies:
-                    strat.theta.advance_to(end)
-                self.stage = end
-                self.bulk_stretches += 1
-                self.bulk_stages += end - s
-                continue
-            self.run_to(s + 1)
+        drive(self, horizon, lambda: self.run_to(self.stage + 1))
 
-    def _quiet_until(self, horizon: int) -> int:
-        """The last stage up to which the stages after this one are quiet.
+    def skip_to(self, end: int) -> None:
+        """Take the quiet stages up to end: each is idle (no move acts, no
+        strategy enters), so every layer takes the stretch in bulk."""
+        self.engine.skip_to(end)
+        for strat in self.strategies:
+            strat.theta.skip_to(end)
+        self.stage = end
+
+    def next_event(self, horizon: int) -> int:
+        """The last stage up to which the stages after this one are quiet:
+        this stage itself when the next one is an event.
 
         An opponent reads its enumeration ahead up to the bound it is
         given, so the opponents are asked about ever longer stretches."""

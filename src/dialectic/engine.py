@@ -9,9 +9,9 @@ canonical listing.
 
 Two implementations are provided on purpose: :func:`step` is a direct,
 definition-shaped reference, while :class:`RunEngine` keeps incremental
-state (first-occurrence positions of the premises, quiescence fast-forward)
-so that long horizons stay cheap.  The test-suite replays one against the
-other.
+state (first-occurrence positions of the premises) and skips the quiet
+stages between events in bulk (:func:`drive`), so that long horizons stay
+cheap.  The test-suite replays one against the other.
 """
 from __future__ import annotations
 
@@ -279,6 +279,21 @@ def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, St
 # incremental engine
 # ---------------------------------------------------------------------------
 
+def drive(runner, horizon: int, step: Callable[[], object]) -> None:
+    """Take ``runner`` to stage ``horizon``: ``step`` where its
+    ``next_event`` is the current stage, else ``skip_to`` that stage in
+    bulk (it may stop short), counted in ``bulk_stretches`` and
+    ``bulk_stages``.  Every run engine and the diagonalizer share it."""
+    while runner.stage < horizon:
+        t, s = runner.next_event(horizon), runner.stage
+        if t <= s:
+            step()
+            continue
+        runner.skip_to(t)
+        runner.bulk_stretches += 1
+        runner.bulk_stages += runner.stage - s
+
+
 class RunEngine:
     """Stateful run driver whose cost follows the events, not the stages.
 
@@ -295,7 +310,7 @@ class RunEngine:
     def __init__(self, system: QSystem) -> None:
         self.system = system
         self.tape = Tape()
-        self.stage = 0
+        self.stage = self.bulk_stretches = self.bulk_stages = 0
         self.event_records: list[StepRecord] = []
         # (stage, premises highest first, is_ce) per event rule: the
         # premise a cut removed or expansion has yet to reach is most often
@@ -371,14 +386,13 @@ class RunEngine:
                 best = min(best, worst)
         return best
 
+    def skip_to(self, t: int) -> None:
+        """Expand σ over the quiet stages up to t, as a listing count."""
+        self.tape.extend_listing(t - self.stage)
+        self.stage = t
+
     def advance_to(self, horizon: int) -> None:
-        while self.stage < horizon:
-            target = self.next_event(horizon)
-            if target == self.stage:
-                self.step_once()
-                continue
-            self.tape.extend_listing(target - self.stage)
-            self.stage = target
+        drive(self, horizon, self.step_once)
 
     # -- views --------------------------------------------------------------
 

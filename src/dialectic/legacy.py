@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .consequence import BOT, CE, Rule, RuleTable, evaluate
-from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace
+from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace, drive
 from .strings import GAP, Tape, identity
 
 class UndefinedPositionError(RuntimeError):
@@ -365,8 +365,7 @@ class FastLegacyEngine:
         # a key is set just after the cut that drops every key at or above
         # it, so the keys ascend in insertion order
         self._revised: dict[int, tuple[int, ...]] = {}
-        self.stage = 0
-        self.h = 0
+        self.stage = self.h = self.bulk_stretches = self.bulk_stages = 0
 
     def _least(self, pairs, s: int, m: int) -> Optional[int]:
         """Shallowest usable position for any active pair, None if none."""
@@ -433,25 +432,20 @@ class FastLegacyEngine:
                 best = min(best, max(stage, s + need))
         return best
 
-    def advance_to(self, horizon: int) -> None:
-        """Run to stage ``horizon``: step() where next_event allows an
-        event, and add the clause-1 tips f(p+1..) to the count between."""
-        f, f_inv, tape = self.system.f, self.system.f_inv, self.tape
+    def skip_to(self, t: int) -> None:
+        """Clause-1 growth to stage t: the tips f(p+1..) join the count.  It
+        stops short where a listing repeats a code before f_inv says."""
+        f, f_inv, tape, p = self.system.f, self.system.f_inv, self.tape, self.p
         first = tape.first
-        while self.stage < horizon:
-            t = self.next_event(horizon)
-            if t == self.stage:
-                self.step()
-                continue
-            p = self.p
-            # a listing that repeats a code lists it before f_inv says:
-            # keep the growth only up to that position
-            early = [first[y] + 1 for y in tape.extend_listing(t - self.stage)
-                     if f_inv(y) != first[y] and f(f_inv(y)) == y]
-            if early:
-                tape.cut(min(early))
-            self.h = self.p
-            self.stage += self.h - p
+        early = [first[y] + 1 for y in tape.extend_listing(t - self.stage)
+                 if f_inv(y) != first[y] and f(f_inv(y)) == y]
+        if early:
+            tape.cut(min(early))
+        self.h = self.p
+        self.stage += self.h - p
+
+    def advance_to(self, horizon: int) -> None:
+        drive(self, horizon, self.step)
 
     @property
     def p(self) -> int:
@@ -687,9 +681,9 @@ def stream_alignment(
     while bad is None and eng.stage < horizon:
         t = min(eng.next_event(horizon),
                 fast.next_event(horizon + off_stage) - off_stage)
-        if t > eng.stage:
-            eng.advance_to(t)
-            fast.advance_to(t + off_stage)
+        if t > eng.stage:   # neither engine has an event before t
+            eng.skip_to(t)
+            fast.skip_to(t + off_stage)
             same = True
         else:
             rec, _ = eng.step_once(), fast.step()

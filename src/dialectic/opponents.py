@@ -17,7 +17,7 @@ operator script is masked (see universe.masked_form) and whose
 enumeration is compiled has an event form: once the fuel saturates both,
 no marker is derived until h's next t boundary or until an appended
 value hits the mask, so next_event finds where the quiet stretch ends
-and advance_to appends the enumeration over it in bulk.  An enumeration
+and skip_to appends the enumeration over it in bulk.  An enumeration
 script that is the identity (universe.is_identity) is not evaluated
 there at all: its values are their positions.
 """
@@ -348,7 +348,7 @@ class PartialPSystem:
 
     def next_event(self, horizon: int, fuel: int, stops=()) -> int:
         """The first stage up to horizon that step must take, given the
-        fuel of the steps; advance_to takes the stages before it in bulk.
+        fuel of the steps; skip_to takes the stages before it in bulk.
 
         Each bulk stage appends the next enumerated value, or counts a g
         stall if g stalls already, until h may mark the string.  Appending
@@ -384,7 +384,7 @@ class PartialPSystem:
                             if not 0 <= v <= MAX_AXIOM))
         return t + k
 
-    def advance_to(self, stage: int) -> None:
+    def skip_to(self, stage: int) -> None:
         """Take the run to stage in bulk, at most to the last next_event."""
         n = stage - self.stage
         if n <= 0:

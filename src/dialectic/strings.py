@@ -176,9 +176,8 @@ class Tape:
     ``extend_listing`` only adds to the count, a cut into it shortens it,
     and ``push`` and ``extend`` store a pending count first.  So a run's
     quiet stretches cost no memory.
-    ``first`` holds the watched values that are present; ``push``,
-    ``extend``, ``extend_listing`` and ``cut`` report the watched values
-    that arrived or left, so a caller can keep counts over them.
+    ``first`` holds the watched values that are present;
+    ``extend_listing`` reports the watched values that arrived.
     """
 
     __slots__ = ("tokens", "listing", "first", "watched", "f")
@@ -224,24 +223,20 @@ class Tape:
             elif 0 <= v - len(tokens) < self.listing:
                 self.first[v] = v
 
-    def push(self, v: int) -> bool:
-        """Append v; True when v is watched and was absent."""
+    def push(self, v: int) -> None:
+        """Append v."""
         tokens = self.store() if self.listing else self.tokens
         tokens.append(v)
         if v in self.watched and v not in self.first:
             self.first[v] = len(tokens) - 1
-            return True
-        return False
 
-    def extend(self, values: list[int]) -> list[int]:
-        """Append values; return the watched values that arrived."""
+    def extend(self, values: list[int]) -> None:
+        """Append values."""
         tokens, first = self.store() if self.listing else self.tokens, self.first
         L = len(tokens)
         tokens.extend(values)
-        arrived = [v for v in self.watched.intersection(values) if v not in first]
-        for v in arrived:
+        for v in self.watched.intersection(values).difference(first):
             first[v] = L + values.index(v)
-        return arrived
 
     def extend_listing(self, n: int) -> list[int]:
         """Append the listing's next n tokens as a count; return the watched
@@ -262,16 +257,14 @@ class Tape:
             first[v] = v if f is identity else L + indexOf(map(f, new), v)
         return arrived
 
-    def cut(self, pos: int) -> list[int]:
-        """Drop positions pos.. (at most the length); return the watched
-        values that left.  A cut into the count shortens it."""
+    def cut(self, pos: int) -> None:
+        """Drop positions pos.. (at most the length).  A cut into the count
+        shortens it."""
         first, tokens = self.first, self.tokens
-        left = [v for v, i in first.items() if i >= pos]
-        for v in left:
+        for v in [v for v, i in first.items() if i >= pos]:
             del first[v]
         del tokens[pos:]
         self.listing = pos - len(tokens)
-        return left
 
     def cover(self, values: Iterable[int]) -> Optional[int]:
         """Length of the least prefix holding every value (all watched),

@@ -20,6 +20,7 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dialectic.cli
 import dialectic.legacy
 from dialectic.cli import _jobs, main
 from dialectic.engine import estimate_beliefs, run
@@ -47,6 +48,15 @@ variant q
 axioms 6
 at 4 : a0 a1 a2 a3 |- BOT
 at 4 : a0 a1 a2 a3 |- CE
+replace a3 -> a5
+"""
+
+# a rule that concludes an axiom: the stack side reads it as a plain pair
+AXIOM_SPEC = """\
+variant q
+at 3 : a0 |- a4
+at 8 : a0 a1 a2 a3 |- CE
+at 20 : a1 a4 |- BOT
 replace a3 -> a5
 """
 
@@ -647,6 +657,14 @@ def test_diff_spec_agrees_both_directions(capsys, spec_file):
                    "alignment ok (forward, 301 stages)\n")
 
 
+def test_diff_spec_with_a_rule_that_concludes_an_axiom(capsys, tmp_path):
+    path = tmp_path / "axiom.spec"
+    path.write_text(AXIOM_SPEC, encoding="utf-8")
+    assert run_cli(capsys, "diff", str(path), "--horizon", "2000") == (
+        0, "alignment ok (backward, 2001 stages)\n"
+           "alignment ok (forward, 2001 stages)\n", "")
+
+
 def test_diff_clause_order_mutation_is_caught(capsys, tmp_path, monkeypatch):
     path = tmp_path / "tie.spec"
     path.write_text(TIE_SPEC, encoding="utf-8")
@@ -672,6 +690,18 @@ def test_diff_fuzz_agrees(capsys):
                              "--horizon", "300")
     assert code == 0
     assert out == "fuzz: 5 of 5 seeds agree\n"
+
+
+def test_diff_fuzz_lists_the_first_ten_failing_seeds(capsys, monkeypatch):
+    # seeds 0-11 fail and 12-14 agree; one job, so no worker re-imports
+    # the real _diff_one
+    monkeypatch.setattr(dialectic.cli, "_diff_one", lambda seed, horizon: (
+        seed >= 12, "seed %d: fails at horizon %d" % (seed, horizon)))
+    code, out, err = run_cli(capsys, "diff", "--fuzz", "15", "--jobs", "1",
+                             "--horizon", "50")
+    assert (code, err) == (1, "")
+    assert out == "".join("seed %d: fails at horizon 50\n" % seed
+                          for seed in range(10)) + "fuzz: 3 of 15 seeds agree\n"
 
 
 def test_diff_fuzz_parallel_matches_serial(capsys):

@@ -456,6 +456,22 @@ def test_event_form_matches_run_to_on_small_rosters(roster):
     _same_runs(lambda: parse_family(text)[1], (25, 60, 1500))
 
 
+def test_event_form_matches_run_to_with_an_h_stall_in_the_prefix_search():
+    # from stage 5 on, stall's h marks σ but stalls on the empty prefix,
+    # as in test_opponents.py::test_stall_inside_the_least_marked_prefix_search
+    head = _BUNDLED[:_BUNDLED.index("\nopponent ") + 1]
+    text = head + (
+        "prog hs = (if (lt t 5) x (if (eq x 0) (diverge) (bor x 1)))\n"
+        "opponent caseA : g=ident h=hA r=bump1\n"
+        "opponent stall : g=ident h=hs r=bump1\n")
+    diag = _same_runs(lambda: parse_family(text)[1], (3, 40, 1000))
+    # stage s has fuel s, too little for hs before stage 5: σ keeps a0,
+    # and every later stage stalls on h
+    stall = diag.strategies[1].theta
+    assert (stall.diverge_counts, len(stall.tape)) == (
+        {"g": 0, "H": 999, "r": 0}, 1)
+
+
 def test_event_form_falls_back_for_unanalysed_opponents():
     full_scan = _BUNDLED.replace("h=hB r=bump2", "h=hB r=bump2 scan=full")
     assert full_scan != _BUNDLED
@@ -476,8 +492,7 @@ def test_event_form_engages_on_the_bundled_family():
     _, opps = default_family()
     diag = Diagonalizer(opps)
     diag.advance_to(10_000)
-    assert diag.bulk_stages >= 9_500
-    assert diag.bulk_stretches <= 50
+    assert (diag.bulk_stretches, diag.bulk_stages) == (10, 9_916)
     for th in opps:
         assert th.bulk_stages >= 9_500
         assert th.bulk_stretches <= diag.bulk_stretches

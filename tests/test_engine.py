@@ -568,6 +568,7 @@ def test_quiet_run_of_a_million_stages_stores_no_token():
     eng = RunEngine(qsys())
     eng.advance_to(10**6)
     assert len(eng.tape.tokens) == 0 and eng.tape.listing == 10**6
+    assert (eng.bulk_stretches, eng.bulk_stages) == (1, 10**6)
     rep = estimate_beliefs(eng.trace(), 100)
     assert rep.stable_prefix_length == 10**6 and rep.loop_suspects == ()
     assert len(rep.belief_estimate) == 10**6

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dialectic.legacy
-from dialectic.cli import _pair_legacy
+from dialectic.cli import _diff_one, _pair_legacy
 from dialectic.consequence import BOT, CE, Rule, RuleTable, evaluate, rule
 from dialectic.engine import EXPANSION, QSystem, ReplacementMap, RunEngine, run
 from dialectic.legacy import (
@@ -396,18 +396,32 @@ def test_stack_side_disagreement_is_named_at_its_stage(monkeypatch, other,
 def test_a_short_quiet_stretch_is_named_where_it_ends(monkeypatch):
     # the stack side's first bulk stretch (to string stage 4) loses its
     # frontier stack; the event that follows would name stage 5
-    advance = FastLegacyEngine.advance_to
+    skip = FastLegacyEngine.skip_to
 
-    def short_once(self, horizon):
-        advance(self, horizon)
-        monkeypatch.setattr(FastLegacyEngine, "advance_to", advance)
+    def short_once(self, t):
+        skip(self, t)
+        monkeypatch.setattr(FastLegacyEngine, "skip_to", skip)
         self.tape.cut(self.p)
 
-    monkeypatch.setattr(FastLegacyEngine, "advance_to", short_once)
+    monkeypatch.setattr(FastLegacyEngine, "skip_to", short_once)
     bad = stream_alignment("backward", qsys=qsys([rule(0, {3}, CE)], [(3, 5)]),
                            horizon=40)
     assert (bad.mismatch_stage, bad.mismatch_position, bad.detail) == (
         4, None, "length 4 vs 3")
+
+
+def test_lockstep_asks_each_engine_once_per_iteration(monkeypatch):
+    # a quiet stretch is skipped with what the lockstep loop already asked;
+    # re-entering an engine's own event loop asked again (5,371 asks each)
+    asks = {RunEngine: 0, FastLegacyEngine: 0}
+    for cls in asks:
+        def counted(self, horizon, ask=cls.next_event, cls=cls):
+            asks[cls] += 1
+            return ask(self, horizon)
+        monkeypatch.setattr(cls, "next_event", counted)
+    for seed in range(200):
+        _diff_one(seed, 1000)
+    assert list(asks.values()) == [3474, 3474]
 
 
 def test_alignment_empty_systems_long():
@@ -643,11 +657,14 @@ def test_quiet_stack_run_of_a_million_stages_stores_no_tip(listing):
     eng = FastLegacyEngine(legacy())
     eng.advance_to(10**6)
     assert (eng.p, eng.tape.tokens, eng.tape.listing) == (10**6, [], 10**6 + 1)
+    assert (eng.bulk_stretches, eng.bulk_stages) == (1, 10**6)
     # a pair whose premise left for good: the tape stores only what the
     # clearing stage wrote, the empty stack 0
     eng = FastLegacyEngine(legacy([(1, 100, {0}), (4, 101, {0, 5})]))
     eng.advance_to(10**6 + 1)
     assert (eng.p, eng.tape.tokens, eng.tape.listing) == (10**6, [GAP], 10**6)
+    # stage 0 in bulk, the clearing stage 1 stepped, the rest in bulk
+    assert (eng.bulk_stretches, eng.bulk_stages) == (2, 10**6)
     assert [eng.rho(x) for x in range(3)] == [None, 1, 2]
     assert eng.tape.first == {5: 5}
 

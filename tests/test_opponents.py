@@ -357,6 +357,22 @@ def test_replacement_stall():
     assert _listed(th.tape) == [0]
 
 
+# h marks every nonempty code from stage 5 on, and stalls on the empty one
+H_STALL = "(if (lt t 5) x (if (eq x 0) (diverge) (bor x 1)))"
+
+
+def test_stall_inside_the_least_marked_prefix_search():
+    # the search asks h about the empty prefix first, which stalls: the
+    # stage is an H stall and σ stays put
+    th = _mk(script("n"), script(H_STALL), script("(+ n 1)"))
+    for s in range(5):
+        assert th.step(100) == Progress(s + 1, True)
+    for s in range(5, 40):
+        assert th.step(100) == Diverged("H")
+        assert _listed(th.tape) == [0, 1, 2, 3, 4]
+        assert th.diverge_counts == {"g": 0, "H": s - 4, "r": 0}
+
+
 def test_marker_from_empty_prefix_is_invalid():
     th = _mk(closure(lambda n: n), closure(lambda t, x: 1),
              closure(lambda x: x + 1))
@@ -505,7 +521,7 @@ def test_advance_to_matches_step(h, g, k, cap, seed):
         target = rng.randint(a.stage + 1, end)   # a stretch may stop early
         L, first, M = len(a.tape), dict(a.tape.first), a.h.masked[0]
         masked = a._code & M
-        a.advance_to(target)
+        a.skip_to(target)
         # inside a stretch the marker's inputs and the watched values'
         # first occurrences stay put, and no value in stops arrives
         assert a._code & M == masked and a.tape.first == first
@@ -531,7 +547,7 @@ def test_opponent_event_form_engages():
             if end == th.stage:
                 th.step(100)
             else:
-                th.advance_to(end)
+                th.skip_to(end)
         assert th.bulk_stages >= 1900 and th.bulk_stretches <= 10, th.name
     assert opps[5].diverge_counts["g"] == 2000      # stuck-enum, in bulk
 
@@ -563,7 +579,7 @@ class _StoredTape(Tape):
     """A tape that stores the listing tokens it is given: no count."""
 
     def extend_listing(self, n):
-        return self.extend(list(range(len(self), len(self) + n)))
+        self.extend(list(range(len(self), len(self) + n)))
 
 
 def _identity_count_case(seed):
@@ -621,7 +637,7 @@ def _identity_count_case(seed):
                         a.stage + 1, end)
                     first, M = dict(tape.first), a.h.masked[0]
                     masked = a._code & M
-                    a.advance_to(target)
+                    a.skip_to(target)
                     seen["bulk"] += 1
                     # inside a stretch the marker's inputs and the watched
                     # values' first occurrences stay put, no value in stops
