@@ -35,7 +35,7 @@ from .engine import (
 )
 from .legacy import (
     AlignmentScopeError, LegacySystem, PairApproximation, TranslationError,
-    stream_alignment,
+    marker_swap, stream_alignment,
 )
 from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
@@ -99,33 +99,25 @@ def cmd_run(args) -> int:
 
 
 def _pair_legacy(system) -> LegacySystem:
-    """Read the spec's rules as an explicit pair set for the stack side.
+    """Read the spec's marker rules as an explicit pair set for the stack side.
 
-    Pairs enter at stage 1 at the earliest; the revision map follows the
-    spec's replacement entries and swaps the two marker codes.  The map
-    must be total (acyclicity probes walk revision chains), so codes the
-    spec never revises are parked on fresh spares above the marker range;
-    a run that genuinely revises such a code dies on the plain-table side
-    first, so the spares never reach a comparison.
+    Pairs enter at stage 1 at the earliest.  A rule that concludes an axiom
+    adds no pair: neither stack runner nor the string run that
+    forward_translate makes of the pairs reads one.  The revision map
+    swaps the marker codes and follows the spec's replacement entries
+    above them.  It must be total (acyclicity probes walk revision
+    chains), so codes the spec never revises are parked on fresh spares
+    above the marker range; a run that genuinely revises such a code dies
+    on the plain-table side first, so the spares never reach a comparison.
     """
-    entries = []
-    for r in system.table:
-        if r.conclusion == BOT:
-            x = MARKER_C
-        elif r.conclusion == CE:
-            x = MARKER_CE
-        else:
-            x = r.conclusion
-        entries.append((max(1, r.stage), x, r.premises))
+    marker = {BOT: MARKER_C, CE: MARKER_CE}
+    entries = [(max(1, r.stage), marker[r.conclusion], r.premises)
+               for r in system.table if r.conclusion in marker]
     repl = system.replacement
     spares: dict[int, int] = {}
     spare_base = max(MARKER_CE, repl.max_index()) + 1
 
-    def f_minus(code: int) -> int:
-        if code == MARKER_C:
-            return MARKER_CE
-        if code == MARKER_CE:
-            return MARKER_C
+    def revise(code: int) -> int:
         nxt = repl.get(code)
         if nxt is not None:
             return nxt
@@ -137,7 +129,7 @@ def _pair_legacy(system) -> LegacySystem:
         approximation=PairApproximation(entries),
         f=identity,
         f_inv=identity,
-        f_minus=f_minus,
+        f_minus=marker_swap(MARKER_C, MARKER_CE, revise),
         c=MARKER_C,
         c_minus=MARKER_CE,
     )

@@ -200,6 +200,14 @@ class LegacySystem:
     c_minus: int
 
 
+def marker_swap(c: int, c_minus: int,
+                revise: Callable[[int], int]) -> Callable[[int], int]:
+    """A revision map f_minus: the two marker codes swap, and every other
+    code goes through ``revise``."""
+    swap = {c: c_minus, c_minus: c}
+    return lambda code: swap[code] if code in swap else revise(code)
+
+
 @dataclass
 class LegacyState:
     """Stacks for positions 0..p; the frontier stack is never empty."""
@@ -353,12 +361,9 @@ class FastLegacyEngine:
 
     def __init__(self, system: LegacySystem) -> None:
         self.system = system
-        pairs = system.approximation.marker_pairs(system.c, system.c_minus)
-        self._c_pairs = [(st, prem) for st, is_c, prem in pairs if is_c]
-        self._ce_pairs = [(st, prem) for st, is_c, prem in pairs if not is_c]
-        self._pairs = self._c_pairs + self._ce_pairs
+        self._pairs = system.approximation.marker_pairs(system.c, system.c_minus)
         self.tape = Tape(system.f)
-        for _, _, prem in pairs:
+        for _, _, prem in self._pairs:
             for code in prem:
                 self.tape.watch(code)
         self.tape.extend_listing(1)
@@ -367,23 +372,21 @@ class FastLegacyEngine:
         self._revised: dict[int, tuple[int, ...]] = {}
         self.stage = self.h = self.bulk_stretches = self.bulk_stages = 0
 
-    def _least(self, pairs, s: int, m: int) -> Optional[int]:
-        """Shallowest usable position for any active pair, None if none."""
-        best, cover = None, self.tape.cover
-        for stage, prem in pairs:
-            if stage <= s:
-                z = cover(prem)
-                if z is not None and z <= m and (best is None or z < best):
-                    best = z
-        return best
-
     # -- stages ------------------------------------------------------------
 
     def step(self) -> tuple[int, Optional[int]]:
         """Advance one stage; return the clause applied and its position."""
         s, tape, m = self.stage, self.tape, self.p
-        clause, z = _select_clause(self._least(self._c_pairs, s, m),
-                                   self._least(self._ce_pairs, s, m))
+        # the shallowest usable position of a ce pair and of a c pair,
+        # m + 1 while there is none
+        least, cover = [m + 1, m + 1], tape.cover
+        for stage, is_c, prem in self._pairs:
+            if stage <= s:
+                z = cover(prem)
+                if z is not None and z < least[is_c]:
+                    least[is_c] = z
+        z_ce, z_c = (z if z <= m else None for z in least)
+        clause, z = _select_clause(z_c, z_ce)
         if clause == 1:
             self.h = m + 1
         else:
@@ -417,7 +420,7 @@ class FastLegacyEngine:
         s, p, first = self.stage, self.p, self.tape.first
         f, f_inv = self.system.f, self.system.f_inv
         best = horizon
-        for stage, prem in self._pairs:
+        for stage, _, prem in self._pairs:
             need = 0
             for y in prem:
                 q = first.get(y)
@@ -527,11 +530,7 @@ def backward_translate(qsys: QSystem) -> LegacySystem:
     """
     repl = qsys.replacement
 
-    def f_minus(y: int) -> int:
-        if y == 0:
-            return 1
-        if y == 1:
-            return 0
+    def revise(y: int) -> int:
         k = repl.get(y - 2)
         if k is None:
             raise KeyError("no revision defined for code %d" % y)
@@ -541,7 +540,7 @@ def backward_translate(qsys: QSystem) -> LegacySystem:
         approximation=TableBackedApproximation(qsys.table, repl),
         f=identity,
         f_inv=identity,
-        f_minus=f_minus,
+        f_minus=marker_swap(0, 1, revise),
         c=0,
         c_minus=1,
     )

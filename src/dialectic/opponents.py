@@ -561,9 +561,9 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
                     if not eq or key in fields:
                         raise ValueError("bad field %s" % quoted(part))
                     fields[key] = value
-                monotone = True
-                if fields.pop("scan", None) == "full":
-                    monotone = False
+                scan = fields.pop("scan", None)
+                if scan not in (None, "full"):
+                    raise ValueError("bad field %s" % quoted("scan=" + scan))
                 if "m" in fields:
                     if set(fields) != {"m"}:
                         raise ValueError("m= excludes g=/h=/r=")
@@ -588,7 +588,7 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
                 names.add(opp_name)
                 opponents.append(PartialPSystem(universe, i0, i1, i2,
                                                 name=opp_name,
-                                                monotone_h=monotone))
+                                                monotone_h=scan is None))
             else:
                 raise ValueError("unknown declaration %s" % quoted(head))
         except ValueError as exc:

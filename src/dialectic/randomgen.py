@@ -12,7 +12,7 @@ from random import Random
 
 from .consequence import BOT, CE, Rule, RuleTable
 from .engine import QSystem, ReplacementMap
-from .legacy import LegacySystem, PairApproximation
+from .legacy import LegacySystem, PairApproximation, marker_swap
 
 # marker codes for generated stack systems sit far above any code a run
 # of reasonable horizon can reach by frontier growth
@@ -76,13 +76,6 @@ def random_legacy(
     def f_inv(code: int) -> int:
         return inv.get(code, code)
 
-    def f_minus(code: int) -> int:
-        if code == MARKER_C:
-            return MARKER_CE
-        if code == MARKER_CE:
-            return MARKER_C
-        return code + 1 + (code % 3)
-
     entries = []
     if axiom_pairs:
         for code in range(pool):
@@ -103,7 +96,7 @@ def random_legacy(
         approximation=PairApproximation(entries),
         f=f,
         f_inv=f_inv,
-        f_minus=f_minus,
+        f_minus=marker_swap(MARKER_C, MARKER_CE, lambda code: code + 1 + code % 3),
         c=MARKER_C,
         c_minus=MARKER_CE,
     )

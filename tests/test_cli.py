@@ -581,6 +581,37 @@ def test_file_errors_quote_a_bounded_prefix(capsys, tmp_path, command, name,
     assert err.endswith(": %s\n" % line) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name, text, line", [
+    ("repair", "x.kb", "item a b\n", "line 1: item takes exactly one name"),
+    ("repair", "x.kb", "item a\nrule a b\n", "line 2: rule needs '->'"),
+    ("validate", "x.spec", "at 3 a0 |- BOT\n",
+     "line 1: rule line needs ': ... |- ...'"),
+    ("diagonalize", "x.family", "prog p n\n",
+     "line 1: expected 'prog <name> = <script>'"),
+    ("diagonalize", "x.family", "opponent a g=p\n",
+     "line 1: expected 'opponent <name> : ...'"),
+    ("diagonalize", "x.family", "prog p = n\nopponent a : m=2 g=p\n",
+     "line 2: m= excludes g=/h=/r="),
+    ("diagonalize", "x.family", "prog p = (\n",
+     "line 1: bad script: unterminated form"),
+    ("diagonalize", "x.family", "prog p = ( )\n",
+     "line 1: bad script: operator name expected after '('"),
+    ("diagonalize", "x.family", "prog p = )\n",
+     "line 1: bad script: unbalanced ')'"),
+    ("diagonalize", "x.family",
+     "prog p = n\nopponent a : g=p h=p r=p scan=ful\n",
+     "line 2: bad field 'scan=ful'"),
+], ids=["kb-item-names", "kb-rule-arrow", "spec-rule-colon", "family-prog",
+        "family-opponent", "family-m-excludes", "script-unterminated",
+        "script-operator", "script-unbalanced", "family-scan"])
+def test_file_format_errors_name_their_line(capsys, tmp_path, command, name,
+                                            text, line):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", "parse error: %s\n" % line)
+
+
 def test_negative_seed_is_still_accepted(capsys):
     code, out, err = run_cli(capsys, "diff", "--fuzz", "2", "--seed", "-3",
                              "--horizon", "50")

@@ -472,6 +472,25 @@ def test_event_form_matches_run_to_with_an_h_stall_in_the_prefix_search():
         {"g": 0, "H": 999, "r": 0}, 1)
 
 
+def test_an_r_stall_keeps_the_claim_waiting():
+    # r never answers, so S2 waits on r(g(l)) at every stage from the one
+    # at which the block's three values are enumerated
+    text = ("prog ident = n\nprog echo = x\nprog loop = (diverge)\n"
+            "opponent rstall : g=ident h=echo r=loop\n")
+    rep = report_of(_same_runs(lambda: parse_family(text)[1], (300,)), 100)
+    assert rep.verdict_lines() == ["opponent 0: S2wait witness=-"]
+    assert rep.notes == ("opponent 0: stalled steps g=0 H=0 r=294",)
+
+
+def test_an_operator_that_drops_its_argument_is_noted():
+    text = ("prog ident = n\nprog zero = 0\nprog bump1 = (+ n 1)\n"
+            "opponent z : g=ident h=zero r=bump1\n")
+    rep = report_of(_same_runs(lambda: parse_family(text)[1], (200,)), 100)
+    assert rep.verdict_lines() == ["opponent 0: S5wait witness=a3"]
+    assert rep.notes == ("opponent 0: operator output at stage 1 does not "
+                         "include its argument",)
+
+
 def test_event_form_falls_back_for_unanalysed_opponents():
     full_scan = _BUNDLED.replace("h=hB r=bump2", "h=hB r=bump2 scan=full")
     assert full_scan != _BUNDLED

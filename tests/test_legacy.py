@@ -35,11 +35,12 @@ from dialectic.legacy import (
     forward_translate,
     legacy_run,
     legacy_step,
+    marker_swap,
     audit_state,
     serialize_state,
     stream_alignment,
 )
-from dialectic.randomgen import random_legacy, random_qsystem
+from dialectic.randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
 from dialectic.strings import GAP, Tape, identity
 
 
@@ -66,16 +67,8 @@ def tie_rule(swapped):
 
 def id_legacy(pairs=(), c=100, cm=101):
     """Identity listing, markers at 100/101, revision bumps codes by one."""
-
-    def fm(y):
-        if y == c:
-            return cm
-        if y == cm:
-            return c
-        return y + 1
-
     return LegacySystem(PairApproximation(pairs), lambda i: i, lambda i: i,
-                        fm, c, cm)
+                        marker_swap(c, cm, lambda y: y + 1), c, cm)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +680,52 @@ def test_next_event_sees_a_code_that_left_for_good():
     assert eng.next_event(1000) == 1000
     eng.advance_to(1000)
     assert (eng.stage, eng.p, eng.h) == (1000, 999, 999)
+
+
+# ---------------------------------------------------------------------------
+# the marker swap
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c, c_minus", [(0, 1), (MARKER_C, MARKER_CE)])
+def test_marker_swap_swaps_the_markers_and_revises_the_rest(c, c_minus):
+    asked = []
+
+    def revise(code):
+        asked.append(code)
+        if code == 7:
+            raise KeyError("no revision defined for code 7")
+        return code + 10
+
+    f_minus = marker_swap(c, c_minus, revise)
+    assert (f_minus(c), f_minus(c_minus)) == (c_minus, c)
+    assert asked == []
+    others = [2, 3, 9, c_minus + 1]
+    assert [f_minus(v) for v in others] == [v + 10 for v in others]
+    assert asked == others
+    with pytest.raises(KeyError, match="code 7"):
+        f_minus(7)
+
+
+def test_every_stack_system_swaps_its_markers():
+    back = backward_translate(qsys(repl=[(3, 5)]))
+    assert [back.f_minus(y) for y in (0, 1, 5)] == [1, 0, 7]
+    with pytest.raises(KeyError, match="no revision defined for code 2"):
+        back.f_minus(2)
+    # unrevised codes are parked on spares above the markers, once each
+    spec = _pair_legacy(qsys(repl=[(3, 5)]))
+    assert [spec.f_minus(y) for y in (MARKER_C, MARKER_CE, 3, 9, 2, 9)] == [
+        MARKER_CE, MARKER_C, 5, MARKER_CE + 1, MARKER_CE + 2, MARKER_CE + 1]
+    rand = random_legacy(Random(0))
+    assert [rand.f_minus(y) for y in (MARKER_C, MARKER_CE, 4)] == [
+        MARKER_CE, MARKER_C, 6]
+
+
+def test_spec_pairs_come_from_marker_rules_only():
+    # the stack runners read marker pairs only, so an axiom's rule adds none
+    spec = _pair_legacy(qsys([rule(0, {0}, BOT), rule(3, {0}, 4),
+                              rule(8, {0, 1}, CE)]))
+    assert spec.approximation.pairs() == [
+        (1, MARKER_C, frozenset({0})), (8, MARKER_CE, frozenset({0, 1}))]
 
 
 # ---------------------------------------------------------------------------

@@ -813,3 +813,14 @@ def test_family_parse_errors():
         with pytest.raises(ParseError) as err:
             parse_family(text)
         assert err.value.line_no == line
+    # scan= takes only full, in both forms
+    for fields, bad in [("g=p h=p r=p scan=ful", "scan=ful"),
+                        ("g=p h=p r=p scan=", "scan="),
+                        ("m=1 scan=FULL", "scan=FULL")]:
+        with pytest.raises(ParseError) as err:
+            parse_family("prog p = n\nopponent a : " + fields)
+        assert (err.value.line_no, err.value.message) == (
+            2, "bad field '%s'" % bad)
+    for fields in ("g=p h=p r=p scan=full", "m=1 scan=full"):
+        (opp,) = parse_family("prog p = n\nopponent a : " + fields)[1]
+        assert not opp.monotone_h
