@@ -47,6 +47,7 @@ DEFAULT_HORIZON = 10000
 DEFAULT_WINDOW = 100
 DEFAULT_BOUND = 8
 MAX_JOBS = 64
+MAX_HORIZON = 10 ** 18   # a stage count fits an index-sized integer
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,7 @@ def _pair_legacy(system) -> LegacySystem:
         f_minus=marker_swap(MARKER_C, MARKER_CE, revise),
         c=MARKER_C,
         c_minus=MARKER_CE,
+        shape=(0, 1),
     )
 
 
@@ -262,9 +264,14 @@ def _jobs(text: str) -> int:
     return _natural(text, most=MAX_JOBS)
 
 
+def _horizon(text: str) -> int:
+    return _natural(text, most=MAX_HORIZON)
+
+
 def _add_horizon_window(sub) -> None:
-    sub.add_argument("--horizon", type=_natural, default=DEFAULT_HORIZON,
-                     help="stages to run (default %d)" % DEFAULT_HORIZON)
+    sub.add_argument("--horizon", type=_horizon, default=DEFAULT_HORIZON,
+                     help="stages to run (default %d, at most 10^18)"
+                     % DEFAULT_HORIZON)
     sub.add_argument("--window", type=_natural, default=None,
                      help="quiet tail needed for stability (default %d, or"
                      " the horizon when that is shorter)" % DEFAULT_WINDOW)

@@ -21,8 +21,8 @@ from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .consequence import BOT, CE, Rule, RuleTable, check_no_empty_derivation, evaluate
-from .strings import (GAP, BeliefString, IntervalSet, Tape, contraction, excision,
-                      expansion, replacement, token_to_str)
+from .strings import (GAP, IDENTITY, BeliefString, IntervalSet, Shape, Tape,
+                      contraction, excision, expansion, replacement, token_to_str)
 
 EXPANSION = "EXP"
 EXCISION = "EXC"
@@ -472,17 +472,20 @@ class DisturbanceStamps:
             self.top = stage + m - 1
 
     def report(self, tokens: list[int], horizon: int, window: int,
-               listing: int = 0) -> StabilityReport:
+               listing: int = 0, shape: Shape = IDENTITY) -> StabilityReport:
         """Window-based limiting-belief estimate for the string ``tokens``
-        followed by ``listing`` listing tokens a_L, a_L+1, ...
+        followed by ``listing`` listing tokens f(L), f(L+1), ..., f the
+        listing of ``shape`` (by default a_L, a_L+1, ...).
 
         A position is stable when it was last disturbed no later than
         horizon − window; the belief estimate is the axiom range of the
         longest stable prefix, and positions disturbed inside the final
         window are flagged as loop suspects.  Positions past the stamps
         were never disturbed.  The estimate is read off the stable stored
-        head in one sort, its gaps dropped, and the listing's positions
-        L .. prefix-1 join it as one interval, so the count is never listed.
+        head and the partial blocks at either end of the listing's
+        positions L .. prefix-1 in one sort, gaps dropped, and the whole
+        blocks between join it as one interval, so the count is never
+        listed.
         """
         if window < 0 or window > horizon:
             raise ValueError("window must satisfy 0 <= window <= horizon")
@@ -492,7 +495,9 @@ class DisturbanceStamps:
             compress(range(len(stamps)), map(gt, stamps, repeat(threshold))))
         # the first suspect, if there is one, ends the stable prefix
         prefix = min(suspects[:1] + (len(tokens) + listing,))
-        estimate = IntervalSet.of(tokens[:prefix], len(tokens), prefix)
+        values, a, b = shape.image(len(tokens), prefix)
+        head = tokens[:prefix]
+        estimate = IntervalSet.of([*head, *values] if values else head, a, b)
         return StabilityReport(
             horizon=horizon,
             window=window,

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .consequence import BOT, CE, Rule, RuleTable, evaluate
 from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace, drive
-from .strings import GAP, Tape, identity
+from .strings import GAP, Shape, Tape, identity
 
 class UndefinedPositionError(RuntimeError):
     """A revision clause selected position zero, which has no neighbour."""
@@ -188,8 +188,9 @@ class LegacySystem:
 
     ``approximation`` answers ``query(s, Y)``; ``f`` lists the arguments
     (f(i) is the i-th argument in consideration) with ``f_inv`` its inverse
-    on the inspected prefix; ``f_minus`` revises argument values; ``c``
-    flags an inconsistency and ``c_minus`` a counterexample.
+    on the inspected prefix, and ``shape``, if given, is f's
+    :class:`~dialectic.strings.Shape` (S, B); ``f_minus`` revises argument
+    values; ``c`` flags an inconsistency and ``c_minus`` a counterexample.
     """
 
     approximation: object
@@ -198,6 +199,7 @@ class LegacySystem:
     f_minus: Callable[[int], int]
     c: int
     c_minus: int
+    shape: Optional[tuple[int, int]] = None
 
 
 def marker_swap(c: int, c_minus: int,
@@ -206,6 +208,24 @@ def marker_swap(c: int, c_minus: int,
     code goes through ``revise``."""
     swap = {c: c_minus, c_minus: c}
     return lambda code: swap[code] if code in swap else revise(code)
+
+
+def listing(system: LegacySystem) -> tuple[Callable[[int], int],
+                                          Callable[[int], int]]:
+    """system's argument listing and the position that lists a code (-1
+    for none).  A declared shape is checked on [0, S) and on the first
+    block, and lists and places codes by arithmetic; without one, f lists
+    and f_inv places, where f agrees."""
+    if system.shape is not None:
+        shape = Shape(system.f, *system.shape)
+        return shape, shape.index
+    f, f_inv = system.f, system.f_inv
+
+    def index(code: int) -> int:
+        i = f_inv(code)
+        return i if i >= 0 and f(i) == code else -1
+
+    return f, index
 
 
 @dataclass
@@ -349,8 +369,9 @@ class FastLegacyEngine:
     asks merely: which pairs have all premises among the current tips, and
     how deep is the shallowest prefix containing them?  Everything else is
     frontier growth.  The tips ρ(0..p) live on a :class:`Tape` over the
-    argument listing f that watches the pair premises, with GAP for an
-    empty stack.  The tape stores the tips only below the last clause-2 or
+    system's :func:`listing`, by arithmetic when it declares a shape, that
+    watches the pair premises, with GAP for an empty stack.  The tape
+    stores the tips only below the last clause-2 or
     clause-3 stage; past them they are a count of listing tips f(L),
     f(L+1), ..., since such a stage at z leaves the positions from z on as
     listing again.  Most stacks are the singleton of their tip;
@@ -362,7 +383,8 @@ class FastLegacyEngine:
     def __init__(self, system: LegacySystem) -> None:
         self.system = system
         self._pairs = system.approximation.marker_pairs(system.c, system.c_minus)
-        self.tape = Tape(system.f)
+        f, self._index = listing(system)
+        self.tape = Tape(f)
         for _, _, prem in self._pairs:
             for code in prem:
                 self.tape.watch(code)
@@ -414,21 +436,18 @@ class FastLegacyEngine:
         """Lower bound (at most ``horizon``) on the next stage at which a
         marker pair can be usable (stage reached, every premise below the
         frontier p), assuming clause-1 growth until then.  Growth lists
-        f(p+1), f(p+2), ..., so an absent premise y arrives at f_inv(y) if
-        f(f_inv(y)) = y; at or below p it cannot return without an event,
-        and a premise f_inv does not carry back bounds nothing."""
-        s, p, first = self.stage, self.p, self.tape.first
-        f, f_inv = self.system.f, self.system.f_inv
+        f(p+1), f(p+2), ..., so an absent premise y arrives at the
+        position that lists it; at or below p it cannot return without an
+        event, and a premise no position lists bounds nothing."""
+        s, p, first, index = self.stage, self.p, self.tape.first, self._index
         best = horizon
         for stage, _, prem in self._pairs:
             need = 0
             for y in prem:
                 q = first.get(y)
                 if q is None:
-                    q = f_inv(y)
-                    if f(q) != y:
-                        q = -1
-                    elif q <= p:
+                    q = index(y)
+                    if 0 <= q <= p:
                         break  # cannot return without an event
                 need = max(need, q - p + 1)
             else:
@@ -437,11 +456,12 @@ class FastLegacyEngine:
 
     def skip_to(self, t: int) -> None:
         """Clause-1 growth to stage t: the tips f(p+1..) join the count.  It
-        stops short where a listing repeats a code before f_inv says."""
-        f, f_inv, tape, p = self.system.f, self.system.f_inv, self.tape, self.p
+        stops short where a listing without a shape repeats a code before
+        f_inv says."""
+        tape, p, index = self.tape, self.p, self._index
         first = tape.first
         early = [first[y] + 1 for y in tape.extend_listing(t - self.stage)
-                 if f_inv(y) != first[y] and f(f_inv(y)) == y]
+                 if index(y) not in (first[y], -1)]
         if early:
             tape.cut(min(early))
         self.h = self.p
@@ -498,9 +518,11 @@ def forward_translate(legacy: LegacySystem) -> QSystem:
     if not hasattr(legacy.approximation, "pairs"):
         raise TranslationError("forward translation needs an explicit pair set")
 
+    f, index = listing(legacy)
+
     def pull(code: int) -> int:
-        i = legacy.f_inv(code)
-        if legacy.f(i) != code:
+        i = index(code)
+        if i < 0:
             raise TranslationError("argument listing is not invertible at %d" % code)
         return i
 
@@ -514,7 +536,7 @@ def forward_translate(legacy: LegacySystem) -> QSystem:
             rules.append(Rule(stage, prem, CE))
 
     def revise(i: int) -> int:
-        return pull(legacy.f_minus(legacy.f(i)))
+        return pull(legacy.f_minus(f(i)))
 
     pair = (pull(legacy.c), pull(legacy.c_minus))
     repl = ReplacementMap(default_fn=revise, allow_pair=pair)
@@ -543,6 +565,7 @@ def backward_translate(qsys: QSystem) -> LegacySystem:
         f_minus=marker_swap(0, 1, revise),
         c=0,
         c_minus=1,
+        shape=(0, 1),
     )
 
 
@@ -651,12 +674,14 @@ def stream_alignment(
         if legacy is None:
             raise ValueError("forward streaming needs the stack system")
         qsys = forward_translate(legacy)
-        off_stage, off_idx, f = 0, 0, legacy.f
+        off_stage, off_idx = 0, 0
     else:
         raise ValueError("direction must be 'forward' or 'backward'")
 
     eng = RunEngine(qsys)
     fast = FastLegacyEngine(legacy)
+    if direction == "forward":
+        f = fast.tape.f   # the stack side's listing
     for _ in range(off_stage):
         fast.step()
 

@@ -18,8 +18,9 @@ enumeration is compiled has an event form: once the fuel saturates both,
 no marker is derived until h's next t boundary or until an appended
 value hits the mask, so next_event finds where the quiet stretch ends
 and skip_to appends the enumeration over it in bulk.  An enumeration
-script that is the identity (universe.is_identity) is not evaluated
-there at all: its values are their positions.
+script with a block shape (universe.block_shape) is not evaluated there
+at all: its values are read off the shape, and whole blocks of them are
+an interval.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .consequence import CE, RuleTable
 from .engine import (DisturbanceStamps, QSystem, ReplacementMap,
                      StabilityReport, variant_flags)
 from .strings import (
-    ParseError, Tape, natural_from_str, numbered_lines, quoted, read_input,
+    IDENTITY, ParseError, Shape, Tape, natural_from_str, numbered_lines, quoted,
+    read_input,
 )
 from .systemspec import VariantError
 from .universe import (FueledFunction, ProgramUniverse, _Diverge, closure,
@@ -143,11 +145,11 @@ class PartialPSystem:
     The string, the disturbance stamps and the stability estimate follow
     the same conventions as the run engine, so the two sides of a
     diagonalization argument can be compared like for like.  σ is a
-    :class:`Tape`: an appended a_p at position p joins its count, so σ
-    stores only the tokens up to its last cut when g is the identity.
-    The enumeration g(0), g(1), ... resolved so far is a tape too; an
-    identity script with saturated fuel resolves it as a count, without
-    calling g, and any other g stores each value it gives.
+    :class:`Tape` over g's shape, when g has one: an appended g(p) at
+    position p joins its count, so σ stores only the tokens up to its last
+    cut.  The enumeration g(0), g(1), ... resolved so far is a tape over
+    the shape too, which saturated fuel resolves as a count, without
+    calling g.  A g without a shape stores each value it gives.
     """
 
     def __init__(self, universe: ProgramUniverse, i0: int, i1: int, i2: int,
@@ -160,7 +162,11 @@ class PartialPSystem:
         self.name = name or "opponent(%d,%d,%d)" % (i0, i1, i2)
         self.monotone_h = monotone_h
         self.stage = 0
-        self.tape = Tape()                # σ; watches the values asked about
+        listing = self.g.shape or IDENTITY
+        # where a shaped g first gives no admissible axiom: step raises
+        # there, so neither tape below gets past it
+        self._g_over = listing.first_above(MAX_AXIOM)
+        self.tape = Tape(listing)         # σ; watches the values asked about
         self.version = 0
         self.invalid_reason: Optional[str] = None
         self.frozen = False
@@ -168,8 +174,8 @@ class PartialPSystem:
         self.diverge_counts = {"g": 0, "H": 0, "r": 0}
         # enumeration cache: g resolved on an initial segment of positions,
         # a tape that watches the values asked about (enum_position)
-        self._enum = Tape()
-        self._g_ahead: list[int] = []     # g past _enum, read by next_event
+        self._enum = Tape(listing)
+        self._g_ahead: list[int] = []     # a g without a shape past _enum
         self._r_memo: dict[int, int] = {}
         self._code = 0                    # bit code of set(sigma)
         self._stamps = DisturbanceStamps()
@@ -192,19 +198,20 @@ class PartialPSystem:
 
     def g_value(self, j: int, fuel: int) -> Optional[int]:
         """The j-th enumerated axiom, resolving the prefix as needed."""
-        enum = self._enum
-        if self.g.identity and fuel >= self.g.saturation and len(enum) <= j:
-            enum.extend_listing(min(j, MAX_AXIOM) + 1 - len(enum))
-            if j > MAX_AXIOM:
-                raise AxiomLimitError(self.name, "g", len(enum))
+        enum, g = self._enum, self.g
+        if g.shape and fuel >= g.saturation and len(enum) <= j:
+            over = self._g_over
+            enum.extend_listing(min(j + 1, over) - len(enum))
+            if over <= j:
+                raise AxiomLimitError(self.name, "g", g.shape(over))
         while len(enum) <= j:
-            v = self.g.call((len(enum),), fuel)
+            v = g.call((len(enum),), fuel)
             if v is None:
                 self.diverge_counts["g"] += 1
                 return None
             if v > MAX_AXIOM:
                 raise AxiomLimitError(self.name, "g", v)
-            enum.push(v)
+            enum.append(v)
             del self._g_ahead[:1]
         return enum.at(j)
 
@@ -259,16 +266,14 @@ class PartialPSystem:
     def _rewrite(self, cut: int, val: int, stage: int) -> None:
         """Drop positions cut.. of σ and append val, keeping the set code
         and the disturbance stamps in step.  Cuts are rare, so the set code
-        is rebuilt on a cut; a_cut joins σ's count."""
+        is rebuilt on a cut; a listed val joins σ's count."""
         tape = self.tape
         self._stamps.update(cut, len(tape), stage)
         if cut < len(tape):
             tape.cut(cut)
-            self._code = pi_encode(tape.tokens) | _span(len(tape.tokens), cut)
-        if val == cut:
-            tape.extend_listing(1)
-        else:
-            tape.push(val)
+            self._code = _bits(tape.tokens) | _listing_code(tape.shape,
+                                                            len(tape.tokens), cut)
+        tape.append(val)
         self._code |= 1 << (val + 1)
         self.version += 1
 
@@ -354,8 +359,9 @@ class PartialPSystem:
         stall if g stalls already, until h may mark the string.  Appending
         stops before a g stall and before a value that hits h's mask,
         arrives watched, is in stops or is no admissible axiom (step
-        raises there).  An identity g appends a_L, a_L+1, ..., so the
-        first such value is found among the few that can stop it.
+        raises there).  A g with a shape appends g(L), g(L+1), ..., so the
+        first such value is placed by the shape among the few that can stop
+        it.
         """
         t = self.stage
         if self.frozen or fuel < self.saturation:
@@ -363,10 +369,12 @@ class PartialPSystem:
         end = min(horizon, self.first_mark(t, self._code))
         tape, L = self.tape, len(self.tape)
         bad = self._mask_values.union(stops, tape.watched.difference(tape.first))
-        if self.g.identity:
-            return min([end, t + MAX_AXIOM + 1 - L]
-                       + [t + v - L for v in bad if L <= v < L + end - t])
-        vals, ahead = self._enum.tokens, self._g_ahead
+        shape = self.g.shape
+        if shape:
+            at = [p for p in map(shape.index, bad) if L <= p < L + end - t]
+            return min([end, t + self._g_over - L]
+                       + [t + p - L for p in at])
+        vals, ahead = self._enum.store(), self._g_ahead
         seg = vals[L:L + end - t]
         want = end - t - len(seg)
         lo = len(vals) + len(ahead)
@@ -394,12 +402,12 @@ class PartialPSystem:
         self.stage = stage
         tape, enum = self.tape, self._enum
         L = len(tape)
-        if self.g.identity:   # both tapes grow by a count
+        if self.g.shape:   # both tapes grow by a count
             enum.extend_listing(max(0, L + n - len(enum)))
             tape.extend_listing(n)
-            self._code |= _span(L, L + n)
+            self._code |= _listing_code(tape.shape, L, L + n)
         else:
-            vals, ahead = enum.tokens, self._g_ahead
+            vals, ahead = enum.store(), self._g_ahead
             if L == len(vals) and not ahead:   # g stalls at every stage
                 self.diverge_counts["g"] += n
                 return
@@ -416,7 +424,8 @@ class PartialPSystem:
 
     def stability_report(self, horizon: int, window: int) -> StabilityReport:
         tape = self.tape
-        return self._stamps.report(tape.tokens, horizon, window, tape.listing)
+        return self._stamps.report(tape.tokens, horizon, window, tape.listing,
+                                   tape.shape)
 
     def top(self) -> int:
         """The largest axiom in σ, which is not empty, off the set code."""
@@ -429,6 +438,8 @@ class PartialPSystem:
 
 def _bits(values: list[int]) -> int:
     """pi_encode(values), in time linear in len(values) and their span."""
+    if not values:
+        return 0
     low = min(values)
     digits = bytearray(b"0") * (max(values) - low + 1)
     for v in values:
@@ -439,6 +450,13 @@ def _bits(values: list[int]) -> int:
 def _span(lo: int, hi: int) -> int:
     """pi_encode(range(lo, hi))."""
     return (1 << hi + 1) - (1 << lo + 1)
+
+
+def _listing_code(shape: Shape, lo: int, hi: int) -> int:
+    """pi_encode of the values that shape lists at positions lo .. hi-1:
+    one span for the whole blocks, the bits of the partial ones."""
+    values, a, b = shape.image(lo, hi)
+    return _bits(values) | _span(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,11 @@ def random_legacy(
 ) -> LegacySystem:
     """Pair-backed stack system over a shuffled argument listing.
 
-    The listing permutes [0, pool) and is the identity beyond; pair
-    premises are codes below the pool.  With ``axiom_pairs`` the operator
-    also derives plain codes (including the pool's inclusion pairs), which
-    matters for belief sets but never for the course of a run.
+    The listing permutes [0, pool) and is the identity beyond, the shape
+    (pool, 1); pair premises are codes below the pool.  With
+    ``axiom_pairs`` the operator also derives plain codes (including the
+    pool's inclusion pairs), which matters for belief sets but never for
+    the course of a run.
     """
     perm = list(range(pool))
     rng.shuffle(perm)
@@ -99,6 +100,7 @@ def random_legacy(
         f_minus=marker_swap(MARKER_C, MARKER_CE, lambda code: code + 1 + code % 3),
         c=MARKER_C,
         c_minus=MARKER_CE,
+        shape=(pool, 1),
     )
 
 

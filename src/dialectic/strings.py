@@ -13,6 +13,7 @@ that every file parser reads through is here too.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from itertools import chain
@@ -160,6 +161,92 @@ class BeliefString:
         return self._toks
 
 
+class Shape:
+    """A listing f with a known shape (S, B): f permutes [0, S), and it
+    permutes every block [S + kB, S + (k+1)B) alike, as
+    f(S + kB + j) = S + kB + pi[j].  The identity is (0, 1).
+
+    Built from f, it checks f on [0, S) and on the first block, keeps those
+    values and reads every other one by arithmetic: called, a shape is f.
+    From ``fixed`` on (S when B = 1, else never) each position lists
+    itself.
+    ``index(v)`` is the position that lists v, ``first_above`` the first
+    position whose value exceeds a limit, and ``image`` splits a range of
+    positions into whole cells ([0, S) and the blocks), each listing its
+    own positions, and the parts of cells at either end.
+    """
+
+    __slots__ = ("S", "B", "head", "pi", "fixed", "_head_at", "_pi_at")
+
+    def __init__(self, f: Callable[[int], int], S: int, B: int) -> None:
+        head = [f(i) for i in range(S)]
+        pi = [f(S + j) - S for j in range(B)]
+        if B < 1 or sorted(head) != list(range(S)) or sorted(pi) != list(range(B)):
+            raise ValueError("the listing does not have the shape (%d, %d)" % (S, B))
+        self.S, self.B, self.head, self.pi = S, B, head, pi
+        self.fixed = S if B == 1 else math.inf
+        # the inverse permutations: where each value lies
+        self._head_at = sorted(range(S), key=head.__getitem__)
+        self._pi_at = sorted(range(B), key=pi.__getitem__)
+
+    def __call__(self, p: int) -> int:
+        if p >= self.fixed:
+            return p
+        S = self.S
+        if p < S:
+            return self.head[p]
+        j = (p - S) % self.B
+        return p - j + self.pi[j]
+
+    def index(self, v: int) -> int:
+        """The position that lists v; -1 for a negative v."""
+        if v >= self.fixed:
+            return v
+        S = self.S
+        if v < S:
+            return self._head_at[v] if v >= 0 else -1
+        j = (v - S) % self.B
+        return v - j + self._pi_at[j]
+
+    def _cell(self, p: int) -> int:
+        """The start of the cell that holds position p."""
+        return 0 if p < self.S else p - (p - self.S) % self.B
+
+    def values(self, lo: int, hi: int) -> Iterable[int]:
+        """The values at positions lo .. hi-1, a cell at a time."""
+        S, B = self.S, self.B
+        if lo >= self.fixed:
+            return range(lo, hi)
+        out = self.head[lo:hi]
+        for base in range(self._cell(max(lo, S)), hi, B):
+            out += [base + j for j in self.pi[max(lo - base, 0):hi - base]]
+        return out
+
+    def first_above(self, limit: int) -> int:
+        """The first position whose value exceeds limit, a natural.  Every
+        cell lists its own positions, so it lies in the cell that holds
+        limit + 1 or starts the next one."""
+        a = self._cell(limit + 1)
+        b = self.S if a < self.S else a + self.B
+        return next((p for p in range(a, b) if self(p) > limit), b)
+
+    def image(self, lo: int, hi: int) -> tuple[list[int], int, int]:
+        """(values, a, b): positions lo .. hi-1 list the interval [a, b),
+        their whole cells, and the values at the rest, which lie in the
+        cells at either end."""
+        if lo >= self.fixed:   # every cell is whole
+            return [], lo, max(lo, hi)
+        a, b = self._cell(lo), self._cell(hi)
+        if a < lo:   # the next cell's start
+            a = self.S if a < self.S else a + self.B
+        if a > b:    # inside one cell
+            return list(self.values(lo, hi)), lo, lo
+        return [*self.values(lo, a), *self.values(b, hi)], a, b
+
+
+IDENTITY = Shape(identity, 0, 1)
+
+
 class Tape:
     """A mutable token list with the first position of each watched value.
 
@@ -171,30 +258,33 @@ class Tape:
     value was first enumerated.
     The string is ``tokens`` followed by a count, ``listing``, of listing
     tokens f(L), f(L+1), ... (f(p) at position p), where f is the listing
-    function the tape was made with, by default :func:`identity` (a_L,
-    a_L+1, ..., which the tape lists and searches without calling it):
+    the tape was made with, by default the identity (a_L, a_L+1, ...):
     ``extend_listing`` only adds to the count, a cut into it shortens it,
     and ``push`` and ``extend`` store a pending count first.  So a run's
-    quiet stretches cost no memory.
+    quiet stretches cost no memory.  A listing that is a :class:`Shape`
+    (``shape``) is listed and searched by arithmetic, without calling f;
+    any other f is called over the count, and ``watch`` stores it.
     ``first`` holds the watched values that are present;
     ``extend_listing`` reports the watched values that arrived.
     """
 
-    __slots__ = ("tokens", "listing", "first", "watched", "f")
+    __slots__ = ("tokens", "listing", "first", "watched", "f", "shape")
 
-    def __init__(self, f: Callable[[int], int] = identity) -> None:
+    def __init__(self, f: Callable[[int], int] = IDENTITY) -> None:
         self.tokens: list[int] = []
         self.listing = 0
         self.first: dict[int, int] = {}
         self.watched: set[int] = set()
         self.f = f
+        self.shape: Optional[Shape] = f if isinstance(f, Shape) else None
 
     def __len__(self) -> int:
         return len(self.tokens) + self.listing
 
     def _listed(self, lo: int, hi: int) -> Iterable[int]:
         """The listing's tokens for positions lo .. hi-1."""
-        return range(lo, hi) if self.f is identity else map(self.f, range(lo, hi))
+        shape = self.shape
+        return shape.values(lo, hi) if shape else map(self.f, range(lo, hi))
 
     def at(self, i: int) -> int:
         """The token at position i, which is below the length."""
@@ -214,14 +304,17 @@ class Tape:
 
     def watch(self, v: int) -> None:
         """Find v once (if it is new to the tape) and track it from now on;
-        a count over a listing function is stored first."""
+        a count over a listing without a shape is stored first."""
         if v not in self.watched:
             self.watched.add(v)
-            tokens = self.tokens if self.f is identity else self.store()
+            shape = self.shape
+            tokens = self.tokens if shape else self.store()
             if v in tokens:
                 self.first[v] = tokens.index(v)
-            elif 0 <= v - len(tokens) < self.listing:
-                self.first[v] = v
+            elif shape:
+                p = v if v >= shape.fixed else shape.index(v)
+                if 0 <= p - len(tokens) < self.listing:
+                    self.first[v] = p
 
     def push(self, v: int) -> None:
         """Append v."""
@@ -229,6 +322,14 @@ class Tape:
         tokens.append(v)
         if v in self.watched and v not in self.first:
             self.first[v] = len(tokens) - 1
+
+    def append(self, v: int) -> None:
+        """Append v: to the count when the shape lists v next, else as
+        ``push`` does."""
+        if self.shape and v == self.shape(len(self)):
+            self.extend_listing(1)
+        else:
+            self.push(v)
 
     def extend(self, values: list[int]) -> None:
         """Append values."""
@@ -243,18 +344,28 @@ class Tape:
         values that arrived."""
         L = len(self.tokens) + self.listing
         self.listing += n
-        first, new, f = self.first, range(L, L + n), self.f
-        if f is identity:
-            watched = self.watched
+        first, new, shape = self.first, range(L, L + n), self.shape
+        if shape:
+            # a shape places each watched value, from ``fixed`` on at
+            # itself; a short stretch is listed
+            watched, index, plain = self.watched, shape.index, L >= shape.fixed
             if n < len(watched):
-                watched = watched.intersection(new)
-            arrived = [v for v in watched if v in new and v not in first]
+                watched = watched.intersection(new if plain else shape.values(L, L + n))
+            if plain:
+                arrived = [v for v in watched if v in new and v not in first]
+                for v in arrived:
+                    first[v] = v
+            else:
+                arrived = [v for v in watched if v not in first and index(v) in new]
+                for v in arrived:
+                    first[v] = index(v)
         else:
             # one pass over f finds the arrivals, and one pass per arrival,
             # stopping at its first position, places it; nothing is stored
+            f = self.f
             arrived = [v for v in self.watched.intersection(map(f, new)) if v not in first]
-        for v in arrived:
-            first[v] = v if f is identity else L + indexOf(map(f, new), v)
+            for v in arrived:
+                first[v] = L + indexOf(map(f, new), v)
         return arrived
 
     def cut(self, pos: int) -> None:

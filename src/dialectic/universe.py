@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .strings import natural_from_str, quoted
+from .strings import IDENTITY, Shape, natural_from_str, quoted
 
 
 class ProgramError(ValueError):
@@ -298,9 +298,44 @@ def masked_form(node) -> Optional[tuple[int, tuple[int, ...]]]:
     return (mask, tuple(sorted(bounds))) if result(node) else None
 
 
-def is_identity(node) -> bool:
-    """Whether a script's body is its first argument, so it maps n to n."""
-    return node in ("n", "t")
+# A *block* script of n permutes every block [kB, (k+1)B) alike: its body
+# is n (or t), the shape (0, 1), or (+ (* (div n B) B) E) with either
+# operand order, B a positive literal, in which E reads no x and reads n
+# only as (mod n B).  Then E sees the same j = n mod B in every block, so
+# the script's value is kB + E(j), and it is a permutation of each block
+# exactly when E is one of [0, B): E is evaluated once on [0, B) to know.
+
+MAX_BLOCK = 2 ** 16   # blocks longer than this are not evaluated
+
+
+def block_shape(node, fn: Optional[Callable[..., int]] = None) -> Optional[Shape]:
+    """The shape (0, B) of a block script, else None; fn is the script
+    compiled, if it is at hand."""
+    if node in ("n", "t"):
+        return IDENTITY
+
+    def split(a, op):   # the operands of (op a b), in either order
+        return (a[1:], a[2:0:-1]) if type(a) is tuple and a[0] == op else ()
+
+    for base, E in split(node, "+"):
+        for q, B in split(base, "*"):
+            if (type(B) is int and 0 < B <= MAX_BLOCK
+                    and q in (("div", "n", B), ("div", "t", B))
+                    and not _reads_n(E, B)):
+                try:
+                    return Shape(fn or compile_sexpr(node)[0], 0, B)
+                except (_Diverge, ValueError, TypeError):
+                    return None
+    return None
+
+
+def _reads_n(node, B: int) -> bool:
+    """Whether node reads x, or n or t other than as (mod n B)."""
+    if node in ("n", "t", "x"):
+        return True
+    if type(node) is not tuple or node in (("mod", "n", B), ("mod", "t", B)):
+        return False
+    return any(_reads_n(a, B) for a in node[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +352,7 @@ class FueledFunction:
 
     A compiled script keeps compile_sexpr's function, node count (its
     *saturation*: from that fuel on, no answer depends on the fuel) and
-    arity, its masked_form, if it has one, and whether it is_identity.
+    arity, its masked_form and its block_shape, if it has them.
     Every answer, compiled or not, is checked to be a natural.
     """
 
@@ -328,7 +363,7 @@ class FueledFunction:
     saturation = math.inf
     arity = 0
     masked = None
-    identity = False
+    shape = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("closure", "sexpr"):
@@ -338,7 +373,7 @@ class FueledFunction:
             if compiled is not None:
                 self.fast, self.saturation, self.arity = compiled
                 self.masked = masked_form(self.payload)
-                self.identity = is_identity(self.payload)
+                self.shape = block_shape(self.payload, self.fast)
 
     def call(self, args: tuple[int, ...], fuel: int) -> Optional[int]:
         """Evaluate on args; None means no answer within this budget."""

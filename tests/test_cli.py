@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dialectic.cli
 import dialectic.legacy
-from dialectic.cli import _jobs, main
+from dialectic.cli import MAX_HORIZON, _jobs, main
 from dialectic.engine import estimate_beliefs, run
 from dialectic.opponents import MAX_AXIOM
 from dialectic.systemspec import load_system
@@ -517,7 +517,46 @@ def test_flags_follow_the_files_digits_rule(capsys, text):
     got = ("'%s'... (5000 characters)" % ("9" * 40) if text == LONG
            else repr(text))
     assert line == ("dialectic diagonalize: error: argument --horizon: "
-                    "expected a natural number, got %s" % got)
+                    "expected a natural number at most %d, got %s"
+                    % (MAX_HORIZON, got))
+
+
+HORIZON_COMMANDS = [["run", "SPEC"], ["diff", "SPEC"], ["diagonalize"],
+                    ["repair", "KB"], ["revise", "KB", "ADD"]]
+
+
+@pytest.mark.parametrize("value", ["1000000000000000001", "99999999999999999999"])
+@pytest.mark.parametrize("argv", HORIZON_COMMANDS, ids=lambda argv: argv[0])
+def test_horizon_above_its_maximum_is_a_usage_error(capsys, spec_file, sample_kb,
+                                                    tmp_path, argv, value):
+    # a stage count past an index-sized integer crashed run and diff with
+    # an OverflowError traceback
+    add = tmp_path / "add.txt"
+    add.write_text(ADD_OK, encoding="utf-8")
+    files = {"SPEC": spec_file, "KB": sample_kb, "ADD": str(add)}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv] + ["--horizon", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    *usage, line = err.splitlines()
+    assert out == "" and usage[0].startswith("usage: ")
+    assert line == ("dialectic %s: error: argument --horizon: expected a "
+                    "natural number at most 1000000000000000000, got '%s'"
+                    % (argv[0], value))
+
+
+@pytest.mark.parametrize("argv", HORIZON_COMMANDS, ids=lambda argv: argv[0])
+def test_horizon_at_its_maximum_runs(capsys, spec_file, sample_kb, tmp_path,
+                                     argv):
+    add = tmp_path / "add.txt"
+    add.write_text(ADD_OK, encoding="utf-8")
+    files = {"SPEC": spec_file, "KB": sample_kb, "ADD": str(add)}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv],
+                             "--horizon", str(MAX_HORIZON))
+    if argv[0] == "diagonalize":   # an opponent's g leaves the axiom range
+        assert (code, out) == (1, "") and err.startswith("error: opponent ")
+    else:
+        assert (code, err) == (0, ""), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -887,6 +926,28 @@ def test_diagonalize_stdout_and_explicit_family(capsys):
     assert code == 0
     assert out.startswith("diagonalization report\n")
     assert "opponent 0: S8done witness=a4" in out
+
+
+@pytest.mark.parametrize("horizon, digest", [
+    (10 ** 6, "87ea0ba1af93f7be75a109732af3dd334bbe32831757d50e338fc147145f2500"),
+    (10 ** 7, "8177ff12731a852e635e0eca994da7c7660ece9f0c4c156fa14956807a824d66"),
+])
+def test_diagonalize_bytes_at_a_million_and_ten_million(capsys, horizon, digest):
+    # digests of stdout taken when tailfirst still stored its whole σ;
+    # its blocks of 1000 are now a count, so these cost their events
+    code, out, err = run_cli(capsys, "diagonalize", "--horizon", str(horizon))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_diagonalize_stops_at_the_first_listed_value_over_the_limit(capsys):
+    # tailfirst lists block 16777 from a16777999 down, so that is the
+    # first value past a16777216 in position order; found by arithmetic,
+    # without listing 2^24 positions
+    code, out, err = run_cli(capsys, "diagonalize", "--horizon", str(10 ** 18))
+    assert (code, out) == (1, "")
+    assert err == ("error: opponent tailfirst: g gave a16777999, above the "
+                   "limit a16777216\n")
 
 
 def test_diagonalize_refuses_an_axiom_over_the_limit(capsys, tmp_path):

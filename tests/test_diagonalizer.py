@@ -365,10 +365,12 @@ def _same_runs(make, horizons, fuel_cap=None):
     return diag
 
 
-def _frozen_estimate(tokens, listing, prefix):
+def _frozen_estimate(tokens, listing, prefix, f=None):
     """The estimate as a frozenset, the oracle: the axioms among the first
-    prefix positions of tokens followed by the listing a_L, a_L+1, ...."""
-    sigma = list(tokens) + list(range(len(tokens), len(tokens) + listing))
+    prefix positions of tokens followed by the listing f(L), f(L+1), ...,
+    by default a_L, a_L+1, ...."""
+    sigma = list(tokens) + list(map(f or (lambda p: p),
+                                    range(len(tokens), len(tokens) + listing)))
     return frozenset(t for t in sigma[:prefix] if t != GAP)
 
 
@@ -392,8 +394,10 @@ def _check_against_frozensets(diag, rep):
     tr = diag.engine.trace()
     sets = [_frozen_estimate(tr.prefix.tokens, tr.listing,
                              rep.gamma.stable_prefix_length)]
+    # an opponent's count lists its g, the script itself
     sets += [_frozen_estimate(st.theta.tape.tokens, st.theta.tape.listing,
-                              th.stable_prefix_length)
+                              th.stable_prefix_length,
+                              st.theta.g.shape and st.theta.g.fast)
              for st, th in zip(diag.strategies, rep.thetas)]
     for got, want in zip((rep.gamma,) + rep.thetas, sets):
         assert got.belief_estimate == want and want == got.belief_estimate
@@ -518,8 +522,8 @@ def test_event_form_engages_on_the_bundled_family():
 
 
 def test_identity_opponents_store_only_up_to_their_last_cut():
-    # σ is a count past its last cut, and an identity enumeration is only
-    # a count
+    # σ is a count past its last cut, and a shaped enumeration (the
+    # identity, and tailfirst's blocks of 1000) is only a count
     _, opps = default_family()
     last_cut, real_cut = {}, Tape.cut
 
@@ -529,17 +533,20 @@ def test_identity_opponents_store_only_up_to_their_last_cut():
 
     with mock.patch.object(Tape, "cut", recording_cut):
         Diagonalizer(opps).advance_to(10**5)
-    ident = [th for th in opps if th.g.identity]
-    assert [th.name for th in ident] == ["caseA", "caseB", "caseC", "stuck-rho"]
-    for th in ident:
+    shaped = [th for th in opps if th.g.shape]
+    assert [(th.name, th.g.shape.B) for th in shaped] == [
+        ("caseA", 1), ("caseB", 1), ("caseC", 1), ("tailfirst", 1000),
+        ("stuck-rho", 1)]
+    for th in shaped:
         cut = last_cut.get(id(th.tape))
         assert len(th.tape.tokens) == (0 if cut is None else cut + 1), th.name
         assert len(th.tape) > 99_900, th.name
         assert th._enum.tokens == [] and len(th._enum) >= len(th.tape), th.name
         assert th.g_evals == 0, th.name
-    assert [len(th.tape.tokens) for th in ident] == [5, 6, 5, 0]
-    # tailfirst's g is evaluated once per σ position at most
-    assert 0 < opps[3].g_evals <= len(opps[3].tape)
+    assert [len(th.tape.tokens) for th in shaped] == [5, 6, 5, 0, 0]
+    # tailfirst's g is evaluated at most once per 100 σ positions (it was
+    # once per position when its enumeration was stored)
+    assert opps[3].g_evals <= 0.01 * len(opps[3].tape)
 
 
 def test_axiom_limit_raises_at_the_same_stage_in_both_forms():

@@ -18,10 +18,11 @@ from dialectic.opponents import (
     pi_decode, pi_encode, r_iterate,
 )
 from dialectic.randomgen import random_qsystem
-from dialectic.strings import ParseError, Tape
+from dialectic.strings import IDENTITY, ParseError, Tape
 from dialectic.universe import (
-    MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse, _Diverge,
-    closure, compile_sexpr, eval_sexpr, parse_sexpr, script, tokenize_sexpr,
+    MAX_BLOCK, MAX_SEXPR_DEPTH, FueledFunction, ProgramError, ProgramUniverse,
+    _Diverge, block_shape, closure, compile_sexpr, eval_sexpr, parse_sexpr,
+    script, tokenize_sexpr,
 )
 
 
@@ -476,6 +477,71 @@ def test_masked_form_of_scripts():
         0, (3, 4, 9, 10))
 
 
+def test_block_shape_of_scripts():
+    assert block_shape(parse_sexpr("n")) is IDENTITY
+    assert block_shape(parse_sexpr("t")) is IDENTITY
+    gdesc = script("(+ (* (div n 1000) 1000) (- 999 (mod n 1000)))")
+    assert (gdesc.shape.S, gdesc.shape.B, gdesc.shape.pi[:3]) == (0, 1000, [999, 998, 997])
+    # either operand order, t for n, and a partial E that answers on [0, B)
+    for text in ("(+ (- 3 (mod n 4)) (* 4 (div t 4)))",
+                 "(+ (* (div n 4) 4) (if (lt (mod n 4) 4) (- 3 (mod t 4)) (diverge)))"):
+        assert script(text).shape.pi == [3, 2, 1, 0], text
+    for text in ("(+ n 1)", "(* n 2)", "(div n 2)", "x", "(diverge)",
+                 # E is no permutation of [0, 10)
+                 "(+ (* (div n 10) 10) (mod n 5))",
+                 # one block broken: E reads n outside (mod n 10)
+                 "(+ (* (div n 10) 10) (if (eq (div n 10) 3) 0 (mod n 10)))",
+                 "(+ (* (div n 10) 10) (- n (* (div n 10) 10)))",
+                 # mismatched or unusable block sizes, and E reading x
+                 "(+ (* (div n 10) 9) (mod n 10))",
+                 "(+ (* (div n 10) 10) (mod n 9))",
+                 "(+ (* (div n 0) 0) 0)", "(+ (* (div n -2) -2) (mod n -2))",
+                 "(+ (* (div n %d) %d) (mod n %d))" % ((MAX_BLOCK + 1,) * 3),
+                 "(+ (* (div n 4) 4) (mod x 4))",
+                 # E diverges inside the block
+                 "(+ (* (div n 4) 4) (if (lt (mod n 4) 3) (mod n 4) (diverge)))"):
+        assert script(text).shape is None, text
+    assert closure(lambda n: n).shape is None
+
+
+_BLOCK_E = {
+    "id": "{j}",
+    "rev": "(- {B1} {j})",
+    "rot": "(mod (+ {j} {c}) {B})",
+    "mul": "(mod (* {a} {j}) {B})",            # a permutation iff gcd(a, B) = 1
+    "flip": "(if (lt {j} {m}) (- {m1} {j}) {j})",   # reverses a prefix
+    "half": "(div {j} 2)",                      # no permutation for B > 1
+    "const": "{c}",
+    "block": "(if (eq (div n {B}) {c}) (- {B1} {j}) {j})",   # block c differs
+    "x": "(bxor {j} (band x 0))",              # reads x
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(B=st.integers(1, 40), kind=st.sampled_from(sorted(_BLOCK_E)),
+       c=st.integers(0, 60), a=st.integers(1, 12), swap=st.booleans(),
+       var=st.sampled_from("nt"),
+       blocks=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=4))
+def test_block_shape_agrees_with_its_script(B, kind, c, a, swap, var, blocks):
+    E = _BLOCK_E[kind].format(j="(mod %s %d)" % (var, B), B=B, B1=B - 1, c=c,
+                              a=a, m=c % B + 1, m1=c % B)
+    base = "(* (div n %d) %d)" % (B, B)
+    text = "(+ %s %s)" % ((E, base) if swap else (base, E))
+    shape, fast = block_shape(parse_sexpr(text)), script(text).fast
+    if kind in ("block", "x"):
+        assert shape is None   # refused whatever E does on block 0
+        return
+    permutes = sorted(fast(j) for j in range(B)) == list(range(B))
+    assert (shape is not None) == permutes
+    if shape is not None:
+        assert (shape.S, shape.B) == (0, B)
+        # the shape is g on every block, sampled far out as well
+        for k in blocks + [0, 1]:
+            ps = range(k * B, (k + 1) * B)
+            assert [shape(p) for p in ps] == [fast(p) for p in ps]
+            assert [shape.index(fast(p)) for p in ps] == list(ps)
+
+
 @st.composite
 def _masked_scripts(draw):
     """Two marker conditions of the bundled hA shape, any t comparison."""
@@ -553,8 +619,17 @@ def test_opponent_event_form_engages():
 
 
 # ---------------------------------------------------------------------------
-# an identity enumeration as a count, against a twin that stores it
+# a shaped enumeration as a count, against a twin that stores it
 # ---------------------------------------------------------------------------
+
+# block scripts by block size: the identity, an odd block, randomgen's
+# block of 100 and the bundled gdesc
+BLOCK_SCRIPTS = {
+    1: "n",
+    7: "(+ (* (div n 7) 7) (mod (* 3 (mod n 7)) 7))",
+    100: "(+ (* (div n 100) 100) (- 99 (mod n 100)))",
+    1000: "(+ (* (div n 1000) 1000) (- 999 (mod n 1000)))",
+}
 
 def _random_masked_h(rng):
     """Two marker conditions of the bundled hA shape, any t comparison."""
@@ -582,32 +657,37 @@ class _StoredTape(Tape):
         self.extend(list(range(len(self), len(self) + n)))
 
 
-def _identity_count_case(seed):
-    """Drive an opponent whose g is the script n through a random schedule
-    of bulk advances, single steps and asks, against a twin whose g is the
-    closure n -> n: it stores σ and every enumerated value, and only
-    steps.  The fuel is sometimes below saturation, and the axiom limit
-    sometimes low enough to be reached.  After every move both states must
-    agree, the set code and first occurrences must be σ's, and a bulk
-    advance must keep next_event's promises.  Returns what the schedule
-    reached."""
+def _identity_count_case(seed, B=1):
+    """Drive an opponent whose g is the block script of BLOCK_SCRIPTS[B]
+    through a random schedule of bulk advances, single steps and asks,
+    against a twin whose g is the same script without its shape: it
+    stores σ and every enumerated value, and only steps.  The fuel is
+    sometimes below saturation, and the axiom limit sometimes low enough
+    to be reached.  The values asked about are g's near σ's end.  After
+    every move both states must agree, the set code and first occurrences
+    must be σ's, and a bulk advance must keep next_event's promises.
+    Returns what the schedule reached."""
     rng = random.Random(seed)
+    g = script(BLOCK_SCRIPTS[B]).fast
     h, k = _random_masked_h(rng), rng.randrange(1, 12)
     limit = rng.choice([MAX_AXIOM, MAX_AXIOM, rng.randint(60, 250)])
     horizon = rng.randint(50, 400)
     seen = dict.fromkeys(("in_count", "stalls", "beyond", "watched_in_count",
-                          "limit", "bulk"), 0)
+                          "limit", "bulk", "whole_blocks"), 0)
     with mock.patch.object(opponents, "MAX_AXIOM", limit):
-        a = _mk(script("n"), script(h), script("(+ n %d)" % k))
-        b = _mk(closure(lambda n: n), script(h), script("(+ n %d)" % k))
+        a = _mk(script(BLOCK_SCRIPTS[B]), script(h), script("(+ n %d)" % k))
+        unshaped = script(BLOCK_SCRIPTS[B])
+        unshaped.shape = None
+        b = _mk(unshaped, script(h), script("(+ n %d)" % k))
         b.tape = _StoredTape()
-        assert a.g.identity and not b.g.identity
+        assert a.g.shape.B == B and b.g.shape is None
         while a.stage < horizon:
             fuel = rng.choice([a.stage + 1] * 4 + [0, 1, 5, 12])
             roll, tape, L = rng.random(), a.tape, len(a.tape)
             if roll < 0.1:      # watched from here on, often inside the count
-                v = rng.randint(max(0, L - 30), L + 30)
-                seen["watched_in_count"] += len(tape.tokens) <= v < L
+                i = rng.randint(max(0, L - 30), L + 30)
+                v = g(i)
+                seen["watched_in_count"] += len(tape.tokens) <= i < L
                 assert a.first_occurrence(v) == b.first_occurrence(v)
             elif roll < 0.2:    # g asked beyond σ
                 j = rng.randint(L, L + 30)
@@ -617,10 +697,10 @@ def _identity_count_case(seed):
                 seen["stalls"] += got is None
                 seen["limit"] += type(got) is str
             elif roll < 0.3:    # only the resolved prefix answers
-                v = rng.randint(max(0, L - 10), L + 60)
+                v = g(rng.randint(max(0, L - 10), L + 60))
                 assert a.enum_position(v) == b.enum_position(v)
             else:
-                stops = (rng.sample(range(max(0, L - 5), L + 40), 2)
+                stops = (list(map(g, rng.sample(range(max(0, L - 5), L + 40), 2)))
                          if roll < 0.5 else ())
                 end = a.next_event(horizon, fuel, stops)
                 if end == a.stage:
@@ -639,6 +719,8 @@ def _identity_count_case(seed):
                     masked = a._code & M
                     a.skip_to(target)
                     seen["bulk"] += 1
+                    _, lo, hi = a.g.shape.image(L, len(tape))
+                    seen["whole_blocks"] += B > 1 and lo < hi
                     # inside a stretch the marker's inputs and the watched
                     # values' first occurrences stay put, no value in stops
                     # arrives and every value is an admissible axiom
@@ -658,10 +740,10 @@ def _identity_count_case(seed):
     return seen
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(seed=st.integers(0, 2 ** 30))
-def test_identity_enumeration_count_matches_stepping_twin(seed):
-    _identity_count_case(seed)
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2 ** 30), B=st.sampled_from(sorted(BLOCK_SCRIPTS)))
+def test_identity_enumeration_count_matches_stepping_twin(seed, B):
+    _identity_count_case(seed, B)
 
 
 def test_identity_count_corpus_reaches_every_path():
@@ -675,6 +757,14 @@ def test_identity_count_corpus_reaches_every_path():
     assert totals["watched_in_count"] > 60, totals
     assert totals["beyond"] > 300 and totals["stalls"] > 10, totals
     assert totals["limit"] > 3 and totals["bulk"] > 400, totals
+    # blocks of 7 and of 100, the same seeds: 39 and 18 cuts inside the
+    # count, 106 and 108 asks inside it, 7 and 18 axiom-limit errors, and
+    # 115 and 4 bulk advances over at least one whole block
+    for B, cuts, wholes in ((7, 30, 60), (100, 10, 2)):
+        cases = [_identity_count_case(seed, B) for seed in range(40)]
+        totals = {key: sum(case[key] for case in cases) for key in cases[0]}
+        assert totals["in_count"] > cuts and totals["whole_blocks"] > wholes, totals
+        assert totals["watched_in_count"] > 60 and totals["limit"] > 3, totals
 
 
 # ---------------------------------------------------------------------------

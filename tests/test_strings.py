@@ -9,7 +9,9 @@ from dialectic.strings import (
     BeliefString,
     IntervalSet,
     OperationError,
+    IDENTITY,
     ParseError,
+    Shape,
     Tape,
     axiom_from_str,
     contraction,
@@ -187,30 +189,46 @@ def _model_cover(model, values):
     return 1 + max((model.index(v) for v in values), default=-1)
 
 
-def _check_tape_ops(ops, f):
+def _check_tape_ops(ops, f, shape=None):
     """Apply ops to a tape over the listing f (None for the tape's
     default, the identity) and to a plain list, and compare them after
     every op; ``first`` equal to the list's first positions also means
-    that exactly the right watched values arrived and left."""
+    that exactly the right watched values arrived and left.  With a shape
+    (S, B) of f the tape lists f by its Shape, and each op also goes to a
+    stored twin, a tape over f itself, whose arrivals it must report."""
     tape, model, watched = Tape() if f is None else Tape(f), [], set()
+    twin = None
+    if shape is not None:
+        tape, twin = Tape(Shape(f, *shape)), tape
+        assert tape.shape is not None and twin.shape is None
     listing = f or (lambda i: i)
     for op, arg in ops:
         if op == "watch":
             tape.watch(arg)
             watched.add(arg)
-        elif op == "push":
-            tape.push(arg)
+            if twin:
+                twin.watch(arg)
+        elif op in ("push", "append"):
+            getattr(tape, op)(arg)
             model.append(arg)
+            if twin:
+                twin.push(arg)
         elif op == "extend":
-            tape.extend_listing(arg)
+            arrived = tape.extend_listing(arg)
             model.extend(map(listing, range(len(model), len(model) + arg)))
+            if twin:
+                assert sorted(arrived) == sorted(twin.extend_listing(arg))
         elif op == "extend_values":
             tape.extend(arg)
             model.extend(arg)
+            if twin:
+                twin.extend(arg)
         elif op == "cut":
             pos = arg % (len(model) + 1)
             tape.cut(pos)
             del model[pos:]
+            if twin:
+                twin.cut(pos)
         else:
             assert tape.store() is tape.tokens and tape.listing == 0
         # the stored tokens, then the listing count
@@ -219,6 +237,8 @@ def _check_tape_ops(ops, f):
         assert [tape.at(i) for i in range(len(model))] == model
         assert tape.head(len(model) // 2) == model[:len(model) // 2]
         assert tape.first == _model_first(model, watched)
+        if twin:
+            assert twin.first == tape.first and len(twin) == len(tape)
         ordered = sorted(watched)
         for values in [ordered, ordered[::2], ordered[-1:], []]:
             assert tape.cover(values) == _model_cover(model, values)
@@ -235,6 +255,74 @@ def test_tape_matches_list_model(ops):
 def test_tape_over_a_listing_function_matches_list_model(ops):
     # a listing that repeats the watched values 0..12 every 13 positions
     _check_tape_ops(ops, lambda i: (5 * i + 3) % 13)
+
+
+# a listing with a shape (S, B): a permutation of [0, S), then blocks of B
+# permuted alike, written out without the Shape class
+@st.composite
+def shaped_listings(draw):
+    S, B = draw(st.integers(0, 8)), draw(st.integers(1, 9))
+    head = draw(st.permutations(range(S)))
+    pi = draw(st.permutations(range(B)))
+
+    def f(p):
+        if p < S:
+            return head[p]
+        k, j = divmod(p - S, B)
+        return S + k * B + pi[j]
+
+    return f, (S, B)
+
+
+shaped_tape_ops = st.lists(st.one_of(
+    st.tuples(st.just("watch"), st.integers(0, 60)),
+    st.tuples(st.sampled_from(["push", "append"]),
+              st.one_of(st.just(GAP), st.integers(0, 60))),
+    st.tuples(st.just("extend"), st.integers(0, 25)),
+    st.tuples(st.just("extend_values"),
+              st.lists(st.one_of(st.just(GAP), st.integers(0, 60)), max_size=6)),
+    st.tuples(st.just("cut"), st.integers(0, 80)),
+    st.tuples(st.just("store"), st.just(None)),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shaped_listings(), shaped_tape_ops)
+def test_shaped_tape_matches_a_stored_tape(listing, ops):
+    # first positions, arrivals, cuts and heads, by arithmetic
+    f, shape = listing
+    _check_tape_ops(ops, f, shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shaped_listings(), st.integers(0, 70), st.integers(0, 70),
+       st.integers(0, 70))
+def test_shape_reads_its_listing_by_arithmetic(listing, lo, hi, limit):
+    f, (S, B) = listing
+    shape = Shape(f, S, B)
+    assert [shape(p) for p in range(90)] == [f(p) for p in range(90)]
+    assert list(shape.values(lo, hi)) == [f(p) for p in range(lo, hi)]
+    assert [f(shape.index(v)) for v in range(90)] == list(range(90))
+    assert shape.index(GAP) == -1
+    assert shape.first_above(limit) == next(p for p in range(200) if f(p) > limit)
+    # the whole cells are an interval, the partial ones lie at either end
+    values, a, b = shape.image(lo, hi)
+    assert sorted(values + list(range(a, b))) == sorted(map(f, range(lo, hi)))
+    if a < b:   # whole cells: [0, S) or blocks, each listing itself
+        assert lo <= a < b <= hi and shape._cell(a) == a and shape._cell(b) == b
+        assert len(values) == (a - lo) + (hi - b)
+        assert a - lo < max(S, B) and hi - b < max(S, B)
+    else:
+        assert len(values) == max(0, hi - lo)
+
+
+def test_shape_checks_its_listing():
+    assert (IDENTITY.S, IDENTITY.B) == (0, 1)
+    assert Shape(lambda p: p, 3, 4)(10) == 10
+    for f, S, B in [(lambda p: p + 1, 0, 1), (lambda p: [1, 2, 0][p % 3], 2, 1),
+                    (lambda p: p // 2, 0, 2), (lambda p: p, 0, 0)]:
+        with pytest.raises(ValueError, match="does not have the shape"):
+            Shape(f, S, B)
 
 
 def test_tape_reports_first_positions_only():
