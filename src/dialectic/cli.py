@@ -39,7 +39,7 @@ from .legacy import (
 )
 from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
-from .randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
+from .randomgen import MARKER_C, random_legacy, random_qsystem
 from .strings import ParseError, identity, natural_from_str, quoted, token_to_str
 from .systemspec import VariantError, check_variant, load_system
 
@@ -110,29 +110,30 @@ def _pair_legacy(system) -> LegacySystem:
     chains), so codes the spec never revises are parked on fresh spares
     above the marker range; a run that genuinely revises such a code dies
     on the plain-table side first, so the spares never reach a comparison.
+    The markers sit at MARKER_C and up, and above every code the spec names.
     """
-    marker = {BOT: MARKER_C, CE: MARKER_CE}
+    repl = system.replacement
+    c = max(MARKER_C, system.table.max_axiom() + 1, repl.max_index() + 1)
+    marker = {BOT: c, CE: c + 1}
     entries = [(max(1, r.stage), marker[r.conclusion], r.premises)
                for r in system.table if r.conclusion in marker]
-    repl = system.replacement
     spares: dict[int, int] = {}
-    spare_base = max(MARKER_CE, repl.max_index()) + 1
 
     def revise(code: int) -> int:
         nxt = repl.get(code)
         if nxt is not None:
             return nxt
         if code not in spares:
-            spares[code] = spare_base + len(spares)
+            spares[code] = c + 2 + len(spares)
         return spares[code]
 
     return LegacySystem(
         approximation=PairApproximation(entries),
         f=identity,
         f_inv=identity,
-        f_minus=marker_swap(MARKER_C, MARKER_CE, revise),
-        c=MARKER_C,
-        c_minus=MARKER_CE,
+        f_minus=marker_swap(c, c + 1, revise),
+        c=c,
+        c_minus=c + 1,
         shape=(0, 1),
     )
 
@@ -245,8 +246,10 @@ def _natural(text: str, least: int = 0, most: int | None = None) -> int:
 
 
 def _integer(text: str) -> int:
+    """ASCII digits with at most one leading ``-``, as the files write them."""
+    sign = -1 if text[:1] == "-" else 1
     try:
-        return int(text)
+        return sign * natural_from_str(text[1:] if sign < 0 else text, "")
     except ValueError:
         raise _flag_error("invalid int value:", text) from None
 

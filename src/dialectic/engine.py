@@ -11,7 +11,8 @@ Two implementations are provided on purpose: :func:`step` is a direct,
 definition-shaped reference, while :class:`RunEngine` keeps incremental
 state (first-occurrence positions of the premises) and skips the quiet
 stages between events in bulk (:func:`drive`), so that long horizons stay
-cheap.  The test-suite replays one against the other.
+cheap.  The test-suite replays one against the other.  RunEngine and the
+stack engine share one rule core: rule form, scan, tie rule, arrival bound.
 """
 from __future__ import annotations
 
@@ -279,6 +280,64 @@ def step(system: QSystem, sigma: BeliefString, s: int) -> tuple[BeliefString, St
 # incremental engine
 # ---------------------------------------------------------------------------
 
+def marker_rule(stage: int, premises: Iterable[int],
+                is_ce: bool) -> tuple[int, tuple[int, ...], bool]:
+    """(stage, premises highest first, is_ce), the one rule form: the
+    premise a cut removed or growth has yet to reach is most often the
+    highest (the diagonalizer's anchor N), and scans stop at it."""
+    return stage, tuple(sorted(premises, reverse=True)), is_ce
+
+
+def least_marks(rules, s: int, cover: Callable[[Iterable[int]], Optional[int]],
+                most: int) -> list[Optional[int]]:
+    """[z_c, z_ce]: per marker, the least prefix length at most ``most``
+    that ``cover`` gives a rule of its kind whose stage has come, or None."""
+    least = [most + 1, most + 1]
+    for stage, premises, is_ce in rules:
+        if stage <= s:
+            k = cover(premises)
+            if k is not None and k < least[is_ce]:
+                least[is_ce] = k
+    return [k if k <= most else None for k in least]
+
+
+def select_clause(z_c: Optional[int],
+                  z_ce: Optional[int]) -> tuple[int, Optional[int]]:
+    """The clause that fires and its position: 1 (expand), 2 (⊥ at z_c)
+    or 3 (ce at z_ce).  The least marked level decides, and at a tie the
+    inconsistency wins, as in the published recursion.  One rule serves
+    both machines; the stack engines look it up at call time as
+    ``legacy._select_clause``, so a test can patch their side alone."""
+    if z_c is None and z_ce is None:
+        return 1, None
+    if z_ce is None or (z_c is not None and z_c <= z_ce):
+        return 2, z_c
+    return 3, z_ce
+
+
+def next_usable(rules, s: int, horizon: int, tape: Tape,
+                index: Callable[[int], int], most: int) -> int:
+    """The first stage from ``s`` (at most ``horizon``) at which a rule's
+    premises can all lie below ``most`` while ``tape`` grows by one listing
+    token a stage: a premise at q needs q - most + 1 more stages, and an
+    absent one arrives where ``index`` places it (-1: never, so it bounds
+    nothing), unless that is below the tape's length."""
+    first, L, best = tape.first, len(tape), horizon
+    for stage, premises, _ in rules:
+        need = 0
+        for y in premises:
+            q = first.get(y)
+            if q is None:
+                q = index(y)
+                if 0 <= q < L:
+                    break  # cannot return without an event
+            if q - most >= need:   # no max(): most premises are present
+                need = q - most + 1
+        else:
+            best = min(best, max(stage, s + need))
+    return best
+
+
 def drive(runner, horizon: int, step: Callable[[], object]) -> None:
     """Take ``runner`` to stage ``horizon``: ``step`` where its
     ``next_event`` is the current stage, else ``skip_to`` that stage in
@@ -298,13 +357,12 @@ class RunEngine:
     """Stateful run driver whose cost follows the events, not the stages.
 
     σ lives on a :class:`Tape` that watches every axiom some event rule
-    mentions, so a rule marks the least prefix ``tape.cover`` gives for
-    its premises once its stage has come, as in the stack engine.
-    Expansions add to the tape's listing count, quiescent stretches (no
-    rule can fire) in bulk, so σ stores only the tokens up to its last
-    cut; only the events are recorded.  Rules may be appended while the
-    run is underway (the diagonalizer does); a rule whose stage has passed
-    acts at once, and a premise new to the engine is found in σ once.
+    mentions, and the rule core shared with the stack engine decides each
+    stage and bounds the next event.  Expansions add to the tape's listing
+    count, quiescent stretches (no rule can fire) in bulk, so σ stores only
+    the tokens up to its last cut; only the events are recorded.  Rules
+    may be appended mid-run (the diagonalizer does); a rule whose stage
+    has passed acts at once, and a new premise is found in σ once.
     """
 
     def __init__(self, system: QSystem) -> None:
@@ -312,10 +370,6 @@ class RunEngine:
         self.tape = Tape()
         self.stage = self.bulk_stretches = self.bulk_stages = 0
         self.event_records: list[StepRecord] = []
-        # (stage, premises highest first, is_ce) per event rule: the
-        # premise a cut removed or expansion has yet to reach is most often
-        # the highest (the diagonalizer's anchor N), and cover and
-        # next_event stop at the first absent premise
         self._rules: list[tuple[int, tuple[int, ...], bool]] = []
         for r in system.table:
             self._admit(r)
@@ -325,10 +379,10 @@ class RunEngine:
             return  # axiom-producing rules never trigger events
         if not r.premises:
             raise ValueError("event rule with empty premises")
-        premises = tuple(sorted(r.premises, reverse=True))
-        for p in premises:
+        rule = marker_rule(r.stage, r.premises, r.conclusion == CE)
+        for p in rule[1]:
             self.tape.watch(p)
-        self._rules.append((r.stage, premises, r.conclusion == CE))
+        self._rules.append(rule)
 
     def append_rule(self, r: Rule) -> None:
         """Admit a rule mid-run and add it to the system's table; it
@@ -340,51 +394,32 @@ class RunEngine:
 
     def step_once(self) -> StepRecord:
         """Advance exactly one stage and return its record."""
-        s, cover = self.stage, self.tape.cover
-        # the least prefix any rule whose stage has come marks; at a tie ⊥
-        # (is_ce False) sorts first and wins over ce
-        least = min([(k, is_ce) for stage, premises, is_ce in self._rules
-                     if stage <= s and (k := cover(premises)) is not None],
-                    default=None)
-        if least is None:
-            self.tape.extend_listing(1)
-            rec = StepRecord(s, EXPANSION, None, None, None)
-        else:
-            rec = self._fire(s, *least)
-            self.event_records.append(rec)
-        self.stage = s + 1
-        return rec
-
-    def _fire(self, s: int, k: int, is_ce: bool) -> StepRecord:
-        tape = self.tape
-        old = tape.at(k - 1)
+        s, tape = self.stage, self.tape
+        clause, k = select_clause(*least_marks(self._rules, s, tape.cover,
+                                               len(tape)))
+        if clause == 1:
+            tape.extend_listing(1)
+            self.stage = s + 1
+            return StepRecord(s, EXPANSION, None, None, None)
+        old, new = tape.at(k - 1), None
         if old == GAP:
             raise GapSkipError(s, k - 1)
-        new: Optional[int] = None
-        if is_ce:
+        if clause == 3:
             new = self.system.replacement.get(old)
             if new is None:
                 raise MissingReplacementError(s, k - 1, old)
         tape.cut(k - 1)
         tape.push(GAP if new is None else new)
-        return StepRecord(s, REPLACEMENT if is_ce else EXCISION, k, old, new)
+        rec = StepRecord(s, EXCISION if new is None else REPLACEMENT, k, old, new)
+        self.event_records.append(rec)
+        self.stage = s + 1
+        return rec
 
     def next_event(self, horizon: int) -> int:
-        """The current stage when a rule can fire now; otherwise the
-        earliest stage (at most ``horizon``) at which one could fire
-        during pure expansion."""
-        best, s_now = horizon, self.stage
-        L, first = len(self.tape), self.tape.first
-        for stage, premises, _ in self._rules:
-            worst = max(stage, s_now)
-            for p in premises:
-                if p not in first:
-                    if p < L:
-                        break  # cannot re-enter without an event
-                    worst = max(worst, s_now + p - L + 1)
-            else:
-                best = min(best, worst)
-        return best
+        """:func:`next_usable` for the rules below σ's length."""
+        tape = self.tape
+        return next_usable(self._rules, self.stage, horizon, tape,
+                           tape.shape.index, len(tape))
 
     def skip_to(self, t: int) -> None:
         """Expand σ over the quiet stages up to t, as a listing count."""
@@ -399,8 +434,8 @@ class RunEngine:
     def trace(self) -> RunTrace:
         events, tape = self.event_records, self.tape
         k = events[-1].k if events else 0   # σ's length after the last event
-        return RunTrace(list(events), self.stage, BeliefString(tape.tokens[:k]),
-                        len(tape.tokens) + tape.listing - k)
+        return RunTrace(list(events), self.stage, BeliefString(tape.head(k)),
+                        len(tape) - k)
 
 
 def run(system: QSystem, horizon: int) -> RunTrace:

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .consequence import BOT, CE, Rule, RuleTable, evaluate
-from .engine import EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace, drive
+from .engine import (EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace, drive,
+                     least_marks, marker_rule, next_usable,
+                     select_clause as _select_clause)  # patchable: see its docstring
 from .strings import GAP, Shape, Tape, identity
 
 class UndefinedPositionError(RuntimeError):
@@ -89,13 +91,10 @@ class PairApproximation:
                 out.add(x)
         return frozenset(out)
 
-    def marker_pairs(self, c: int, c_minus: int) -> list[tuple[int, bool, frozenset[int]]]:
-        """(stage, is_c, premise codes) for the pairs that drive revision."""
-        out = []
-        for stage, x, F in self._pairs:
-            if x == c or x == c_minus:
-                out.append((stage, x == c, F))
-        return out
+    def marker_pairs(self, c: int, c_minus: int) -> list[tuple[int, tuple[int, ...], bool]]:
+        """The pairs that drive revision, as marker rules."""
+        return [marker_rule(stage, F, x == c_minus)
+                for stage, x, F in self._pairs if x == c or x == c_minus]
 
 
 class TableBackedApproximation:
@@ -165,17 +164,14 @@ class TableBackedApproximation:
                     out.add(v + 2)
         return frozenset(out)
 
-    def marker_pairs(self, c: int, c_minus: int) -> list[tuple[int, bool, frozenset[int]]]:
+    def marker_pairs(self, c: int, c_minus: int) -> list[tuple[int, tuple[int, ...], bool]]:
         # premise codes never exceed the bound, so table pairs enter at
         # exactly their rule stage plus the five-stage offset
         if (c, c_minus) != (0, 1):
             raise TranslationError("table-backed operators use marker codes 0 and 1")
-        out = [(1, True, frozenset({0})), (1, False, frozenset({1}))]
-        for r in self._table:
-            if r.conclusion in (BOT, CE):
-                prem = frozenset(p + 2 for p in r.premises)
-                out.append((r.stage + 5, r.conclusion == BOT, prem))
-        return out
+        return [marker_rule(1, (0,), False), marker_rule(1, (1,), True)] + [
+            marker_rule(r.stage + 5, [p + 2 for p in r.premises], r.conclusion == CE)
+            for r in self._table if r.conclusion in (BOT, CE)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +261,6 @@ def serialize_state(state: LegacyState) -> str:
 # the three-clause recursion
 # ---------------------------------------------------------------------------
 
-def _select_clause(z_c: Optional[int],
-                   z_ce: Optional[int]) -> tuple[int, Optional[int]]:
-    """Which clause fires, and at which position.
-
-    The operator is monotone along positions, so the least marked level
-    decides; where both markers sit at the same level the inconsistency
-    wins (clause 2), as in the published recursion and the string engine.
-    Both stack engines look it up at call time, so a test can patch it.
-    """
-    if z_c is None and z_ce is None:
-        return 1, None
-    if z_ce is None or (z_c is not None and z_c <= z_ce):
-        return 2, z_c
-    return 3, z_ce
-
-
 def _provisional(system: LegacySystem, stacks, h: int, s: int) -> frozenset[int]:
     """A_s: union of the operator's output strictly below the settled height."""
     out: set[int] = set()
@@ -368,10 +348,11 @@ class FastLegacyEngine:
     Only the marker pairs can change the course of a run, so each stage
     asks merely: which pairs have all premises among the current tips, and
     how deep is the shallowest prefix containing them?  Everything else is
-    frontier growth.  The tips ρ(0..p) live on a :class:`Tape` over the
-    system's :func:`listing`, by arithmetic when it declares a shape, that
-    watches the pair premises, with GAP for an empty stack.  The tape
-    stores the tips only below the last clause-2 or
+    frontier growth.  The string engine's rule core decides the stage, with
+    the frontier p as the deepest usable prefix.  The tips ρ(0..p) live on
+    a :class:`Tape` over the system's :func:`listing`, by arithmetic when
+    it declares a shape, that watches the pair premises, with GAP for an
+    empty stack.  The tape stores the tips only below the last clause-2 or
     clause-3 stage; past them they are a count of listing tips f(L),
     f(L+1), ..., since such a stage at z leaves the positions from z on as
     listing again.  Most stacks are the singleton of their tip;
@@ -385,7 +366,7 @@ class FastLegacyEngine:
         self._pairs = system.approximation.marker_pairs(system.c, system.c_minus)
         f, self._index = listing(system)
         self.tape = Tape(f)
-        for _, _, prem in self._pairs:
+        for _, prem, _ in self._pairs:
             for code in prem:
                 self.tape.watch(code)
         self.tape.extend_listing(1)
@@ -399,16 +380,7 @@ class FastLegacyEngine:
     def step(self) -> tuple[int, Optional[int]]:
         """Advance one stage; return the clause applied and its position."""
         s, tape, m = self.stage, self.tape, self.p
-        # the shallowest usable position of a ce pair and of a c pair,
-        # m + 1 while there is none
-        least, cover = [m + 1, m + 1], tape.cover
-        for stage, is_c, prem in self._pairs:
-            if stage <= s:
-                z = cover(prem)
-                if z is not None and z < least[is_c]:
-                    least[is_c] = z
-        z_ce, z_c = (z if z <= m else None for z in least)
-        clause, z = _select_clause(z_c, z_ce)
+        clause, z = _select_clause(*least_marks(self._pairs, s, tape.cover, m))
         if clause == 1:
             self.h = m + 1
         else:
@@ -433,26 +405,10 @@ class FastLegacyEngine:
         return clause, z
 
     def next_event(self, horizon: int) -> int:
-        """Lower bound (at most ``horizon``) on the next stage at which a
-        marker pair can be usable (stage reached, every premise below the
-        frontier p), assuming clause-1 growth until then.  Growth lists
-        f(p+1), f(p+2), ..., so an absent premise y arrives at the
-        position that lists it; at or below p it cannot return without an
-        event, and a premise no position lists bounds nothing."""
-        s, p, first, index = self.stage, self.p, self.tape.first, self._index
-        best = horizon
-        for stage, _, prem in self._pairs:
-            need = 0
-            for y in prem:
-                q = first.get(y)
-                if q is None:
-                    q = index(y)
-                    if 0 <= q <= p:
-                        break  # cannot return without an event
-                need = max(need, q - p + 1)
-            else:
-                best = min(best, max(stage, s + need))
-        return best
+        """:func:`~dialectic.engine.next_usable` for the pairs below the
+        frontier p under clause-1 growth, which lists f(p+1), f(p+2), ...."""
+        return next_usable(self._pairs, self.stage, horizon, self.tape,
+                           self._index, self.p)
 
     def skip_to(self, t: int) -> None:
         """Clause-1 growth to stage t: the tips f(p+1..) join the count.  It

@@ -211,7 +211,7 @@ class PartialPSystem:
                 return None
             if v > MAX_AXIOM:
                 raise AxiomLimitError(self.name, "g", v)
-            enum.append(v)
+            enum.push(v)
             del self._g_ahead[:1]
         return enum.at(j)
 
@@ -273,7 +273,7 @@ class PartialPSystem:
             tape.cut(cut)
             self._code = _bits(tape.tokens) | _listing_code(tape.shape,
                                                             len(tape.tokens), cut)
-        tape.append(val)
+        tape.push(val)
         self._code |= 1 << (val + 1)
         self.version += 1
 

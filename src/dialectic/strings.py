@@ -27,10 +27,15 @@ AxiomId = int
 GAP: int = -1
 
 MAX_ECHO = 40   # characters of a rejected token or flag value an error quotes
+MAX_STORED = 2 ** 24   # tokens a tape stores, its listing count aside
 
 
 class OperationError(ValueError):
     """A primitive string operation was applied outside its precondition."""
+
+
+class StoreLimitError(ValueError):
+    """A tape was asked to store more than MAX_STORED tokens."""
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +265,13 @@ class Tape:
     tokens f(L), f(L+1), ... (f(p) at position p), where f is the listing
     the tape was made with, by default the identity (a_L, a_L+1, ...):
     ``extend_listing`` only adds to the count, a cut into it shortens it,
-    and ``push`` and ``extend`` store a pending count first.  So a run's
-    quiet stretches cost no memory.  A listing that is a :class:`Shape`
-    (``shape``) is listed and searched by arithmetic, without calling f;
-    any other f is called over the count, and ``watch`` stores it.
-    ``first`` holds the watched values that are present;
-    ``extend_listing`` reports the watched values that arrived.
+    ``push``, the one append, counts a value the shape lists next, and
+    otherwise it and ``extend`` store a pending count first (at most
+    MAX_STORED tokens).  So a run's quiet stretches cost no memory.  A
+    listing that is a :class:`Shape` (``shape``) is listed and searched by
+    arithmetic, without calling f; any other f is called over the count,
+    and ``watch`` stores it.  ``first`` holds the watched values that are
+    present; ``extend_listing`` reports the watched values that arrived.
     """
 
     __slots__ = ("tokens", "listing", "first", "watched", "f", "shape")
@@ -296,9 +302,13 @@ class Tape:
         return self.tokens[:k] + list(self._listed(len(self.tokens), k))
 
     def store(self) -> list[int]:
-        """The whole string as ``tokens``; the count is stored from now on."""
-        tokens = self.tokens
-        tokens.extend(self._listed(len(tokens), len(tokens) + self.listing))
+        """The whole string as ``tokens``, refused before anything grows
+        past MAX_STORED; the count is stored from now on."""
+        tokens, n = self.tokens, len(self)
+        if n > MAX_STORED:
+            raise StoreLimitError("cannot store a string of %d tokens (the limit"
+                                  " is %d)" % (n, MAX_STORED))
+        tokens.extend(self._listed(len(tokens), n))
         self.listing = 0
         return tokens
 
@@ -317,19 +327,14 @@ class Tape:
                     self.first[v] = p
 
     def push(self, v: int) -> None:
-        """Append v."""
+        """Append v, to the count when the shape lists v next."""
+        if self.shape and v == self.shape(len(self)):
+            self.extend_listing(1)
+            return
         tokens = self.store() if self.listing else self.tokens
         tokens.append(v)
         if v in self.watched and v not in self.first:
             self.first[v] = len(tokens) - 1
-
-    def append(self, v: int) -> None:
-        """Append v: to the count when the shape lists v next, else as
-        ``push`` does."""
-        if self.shape and v == self.shape(len(self)):
-            self.extend_listing(1)
-        else:
-            self.push(v)
 
     def extend(self, values: list[int]) -> None:
         """Append values."""

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -22,9 +23,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dialectic.cli
 import dialectic.legacy
+import dialectic.strings
 from dialectic.cli import MAX_HORIZON, _jobs, main
 from dialectic.engine import estimate_beliefs, run
 from dialectic.opponents import MAX_AXIOM
+from dialectic.strings import MAX_STORED
 from dialectic.systemspec import load_system
 from dialectic.universe import MAX_SEXPR_DEPTH
 
@@ -657,6 +660,27 @@ def test_negative_seed_is_still_accepted(capsys):
     assert code == 0 and out == "fuzz: 2 of 2 seeds agree\n"
 
 
+@pytest.mark.parametrize("text", ["1_0", " 7", "+7", "\u0663", "-", "-\u0663"],
+                         ids=ascii)
+def test_seed_follows_the_files_digits_rule(capsys, text):
+    # int() read each of these; --seed takes ASCII digits and one leading -
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "--fuzz", "1", "--seed", text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        "dialectic diff: error: argument --seed: invalid int value: %r" % text)
+
+
+# -3 is test_negative_seed_is_still_accepted's
+@pytest.mark.parametrize("text", ["0", "-0"])
+def test_seed_takes_digits_with_an_optional_minus(capsys, text):
+    assert dialectic.cli._integer(text) == 0
+    code, out, err = run_cli(capsys, "diff", "--fuzz", "1", "--seed", text,
+                             "--horizon", "50")
+    assert (code, out, err) == (0, "fuzz: 1 of 1 seeds agree\n", "")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -733,6 +757,38 @@ def test_diff_spec_with_a_rule_that_concludes_an_axiom(capsys, tmp_path):
     assert run_cli(capsys, "diff", str(path), "--horizon", "2000") == (
         0, "alignment ok (backward, 2001 stages)\n"
            "alignment ok (forward, 2001 stages)\n", "")
+
+
+# one event at position 10^12: storing the string up to it would list a
+# trillion tokens, which ended in a MemoryError traceback
+HUGE_SPEC = "at 0 : a999999999999 |- BOT\n"
+
+
+@pytest.mark.parametrize("command", ["run", "diff"])
+def test_an_event_past_the_stored_token_limit_is_one_error_line(capsys, tmp_path,
+                                                                command):
+    path = tmp_path / "huge.spec"
+    path.write_text(HUGE_SPEC, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, str(path), "--horizon",
+                             str(MAX_HORIZON))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("error: cannot store a string of 999999999999 tokens"
+                   " (the limit is %d)\n" % MAX_STORED)
+
+
+@pytest.mark.parametrize("axiom, code", [(20, 0), (21, 1)])
+def test_the_stored_token_limit_is_inclusive(capsys, tmp_path, monkeypatch,
+                                             axiom, code):
+    # the excision at a20 lists a string of 20 tokens, at a21 one too many
+    monkeypatch.setattr(dialectic.strings, "MAX_STORED", 20)
+    path = tmp_path / "edge.spec"
+    path.write_text("at 0 : a%d |- BOT\n" % axiom, encoding="utf-8")
+    got, out, err = run_cli(capsys, "run", str(path), "--horizon", "100")
+    assert got == code
+    assert err == ("" if code == 0 else "error: cannot store a string of 21"
+                   " tokens (the limit is 20)\n")
 
 
 def test_diff_clause_order_mutation_is_caught(capsys, tmp_path, monkeypatch):

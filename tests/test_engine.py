@@ -33,12 +33,15 @@ from dialectic.engine import (
     classify_variant,
     estimate_beliefs,
     is_clean_window,
+    least_marks,
+    marker_rule,
+    next_usable,
     run,
     step,
     variant_flags,
     write_trace,
 )
-from dialectic.strings import GAP, BeliefString, token_to_str
+from dialectic.strings import GAP, BeliefString, Shape, Tape, token_to_str
 
 
 def qsys(rules=(), repl=(), default_fn=None):
@@ -387,6 +390,71 @@ def _append_schedule_case(rng):
             eng.append_rule(r)
             rules.append(r)
     return eng, rules, recounted
+
+
+# ---------------------------------------------------------------------------
+# the rule core both run engines share
+# ---------------------------------------------------------------------------
+
+core_values = st.integers(0, 24)
+core_rules = st.lists(st.builds(marker_rule, st.integers(0, 6),
+                                st.frozensets(core_values, min_size=1, max_size=3),
+                                st.booleans()), max_size=5)
+core_ops = st.lists(st.one_of(
+    st.tuples(st.just("extend"), st.integers(0, 9)),
+    st.tuples(st.just("push"), st.one_of(st.just(GAP), core_values)),
+    st.tuples(st.just("cut"), st.integers(0, 60)),
+), max_size=10)
+
+
+def _scan_marks(rules, s, tokens, most):
+    """[z_c, z_ce] by trying every prefix length up to most in turn."""
+    marks, seen = [None, None], set()
+    for k in range(min(most, len(tokens)) + 1):
+        if k:
+            seen.add(tokens[k - 1])
+        for stage, premises, is_ce in rules:
+            if marks[is_ce] is None and stage <= s and seen.issuperset(premises):
+                marks[is_ce] = k
+    return marks
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.data(), core_rules, core_ops, st.booleans(), st.integers(0, 8),
+       st.booleans())
+def test_rule_core_matches_a_prefix_scan(data, rules, ops, early, s, frontier):
+    # a tape over a random shape (S, B), its premises watched before or
+    # after the pushes, cuts and listing counts, as an engine admits rules
+    # at its start or mid-run; ``most`` is the string engine's length or
+    # the stack engine's frontier, one below it
+    S, B = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+    head, pi = data.draw(st.permutations(range(S))), data.draw(st.permutations(range(B)))
+    shape = Shape(lambda p: head[p] if p < S else p - (p - S) % B + pi[(p - S) % B],
+                  S, B)
+    tape, premises = Tape(shape), [y for _, prem, _ in rules for y in prem]
+    for y in premises if early else ():
+        tape.watch(y)
+    for op, arg in ops:
+        if op == "extend":
+            tape.extend_listing(arg)
+        elif op == "push":
+            tape.push(arg)
+        else:
+            tape.cut(arg % (len(tape) + 1))
+    for y in premises:
+        tape.watch(y)
+    most, horizon = len(tape) - frontier, s + 60
+    t = next_usable(rules, s, horizon, tape, shape.index, most)
+    # pure growth, one listing token a stage: every premise that can
+    # arrive does so where the shape lists it, so the bound is the first
+    # stage that marks a prefix, or the horizon
+    for u in range(s, horizon + 1):
+        marks = least_marks(rules, u, tape.cover, most + u - s)
+        assert marks == _scan_marks(rules, u, tape.head(len(tape)), most + u - s)
+        if marks != [None, None]:
+            break
+        tape.extend_listing(1)
+    assert t == u
 
 
 def test_rules_appended_mid_run_match_full_table_run():

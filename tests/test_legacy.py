@@ -14,7 +14,8 @@ import dialectic.cli
 import dialectic.legacy
 from dialectic.cli import _diff_one, _pair_legacy
 from dialectic.consequence import BOT, CE, Rule, RuleTable, evaluate, rule
-from dialectic.engine import EXPANSION, QSystem, ReplacementMap, RunEngine, run
+from dialectic.engine import (EXPANSION, QSystem, ReplacementMap, RunEngine,
+                              StepRecord, run)
 from dialectic.legacy import (
     AlignmentScopeError,
     EmptyNeighbourError,
@@ -764,6 +765,20 @@ def test_every_stack_system_swaps_its_markers():
     rand = random_legacy(Random(0))
     assert [rand.f_minus(y) for y in (MARKER_C, MARKER_CE, 4)] == [
         MARKER_CE, MARKER_C, 6]
+
+
+def test_spec_markers_sit_above_every_code_the_spec_names():
+    # a1000000 is MARKER_C's code: with the markers there, the marker swap
+    # replaced it by a1000001 on the stack side, not by the spec's a1000005
+    spec = qsys([rule(0, {10 ** 6}, CE)], [(10 ** 6, 10 ** 6 + 5)])
+    legacy = _pair_legacy(spec)
+    assert (legacy.c, legacy.c_minus) == (10 ** 6 + 6, 10 ** 6 + 7)
+    horizon = 10 ** 6 + 10
+    assert run(forward_translate(legacy), horizon).event_records == \
+        run(spec, horizon).event_records == [
+            StepRecord(10 ** 6 + 1, "REP", 10 ** 6 + 1, 10 ** 6, 10 ** 6 + 5)]
+    # a spec whose codes stay below MARKER_C keeps the markers there
+    assert _pair_legacy(qsys(repl=[(3, 5)])).c == MARKER_C
 
 
 def test_spec_pairs_come_from_marker_rules_only():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dialectic.strings
 from dialectic.strings import (
     GAP,
     BeliefString,
@@ -12,6 +13,7 @@ from dialectic.strings import (
     IDENTITY,
     ParseError,
     Shape,
+    StoreLimitError,
     Tape,
     axiom_from_str,
     contraction,
@@ -208,8 +210,8 @@ def _check_tape_ops(ops, f, shape=None):
             watched.add(arg)
             if twin:
                 twin.watch(arg)
-        elif op in ("push", "append"):
-            getattr(tape, op)(arg)
+        elif op == "push":
+            tape.push(arg)
             model.append(arg)
             if twin:
                 twin.push(arg)
@@ -276,8 +278,7 @@ def shaped_listings(draw):
 
 shaped_tape_ops = st.lists(st.one_of(
     st.tuples(st.just("watch"), st.integers(0, 60)),
-    st.tuples(st.sampled_from(["push", "append"]),
-              st.one_of(st.just(GAP), st.integers(0, 60))),
+    st.tuples(st.just("push"), st.one_of(st.just(GAP), st.integers(0, 60))),
     st.tuples(st.just("extend"), st.integers(0, 25)),
     st.tuples(st.just("extend_values"),
               st.lists(st.one_of(st.just(GAP), st.integers(0, 60)), max_size=6)),
@@ -363,6 +364,21 @@ def test_tape_listing_keeps_an_earlier_first_position(extra):
     tape.push(2)
     assert sorted(tape.extend_listing(3)) == [1, 3]   # a1 a2 a3 after a2
     assert tape.first == {2: 0, 1: 1, 3: 3}
+
+
+def test_tape_refuses_to_store_past_its_limit(monkeypatch):
+    # the check comes before the list grows, so the tape is left as it was
+    monkeypatch.setattr(dialectic.strings, "MAX_STORED", 5)
+    tape = Tape()
+    tape.extend_listing(5)
+    assert tape.store() == [0, 1, 2, 3, 4]
+    tape.extend_listing(1)
+    with pytest.raises(StoreLimitError, match=r"^cannot store a string of 6 "
+                       r"tokens \(the limit is 5\)$"):
+        tape.push(GAP)
+    assert (tape.tokens, tape.listing) == ([0, 1, 2, 3, 4], 1)
+    tape.push(6)   # listed next: counted, so nothing is stored
+    assert (tape.tokens, tape.listing) == ([0, 1, 2, 3, 4], 2)
 
 
 # ---------------------------------------------------------------------------
