@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .consequence import (
-    BOT, CE, Rule, RuleTable, from_horn, revision_operator,
-    stream_revision_operator,
+    BOT, CE, Rule, RuleTable, from_horn, stream_revision_operator,
 )
 from .engine import (
-    QSystem, ReplacementMap, RunTrace, StabilityReport, estimate_beliefs,
-    is_clean_window, run,
+    MissingReplacementError, QSystem, ReplacementCycleError, ReplacementMap,
+    RunTrace, StabilityReport, estimate_beliefs, is_clean_window, run,
 )
 from .strings import ParseError, numbered_lines, quoted, read_input
 
@@ -33,28 +32,38 @@ from .strings import ParseError, numbered_lines, quoted, read_input
 # ---------------------------------------------------------------------------
 
 @dataclass
-class KnowledgeBase:
-    """Items in entrenchment order with rules and conflicts over them.
-
-    ``horn_rules`` are (premises, conclusion) pairs; ``conflicts`` are
-    sets that cannot jointly stand.  ``replacements`` are optional
-    per-item substitution hints, only consulted by q-mode repair.
-    """
+class _ItemSet:
+    """Items with definite rules, as (premises, conclusion) pairs, and
+    conflicts, sets that cannot jointly stand."""
 
     items: tuple[int, ...]
     horn_rules: tuple[tuple[frozenset[int], int], ...] = ()
     conflicts: tuple[frozenset[int], ...] = ()
     labels: dict[int, str] = field(default_factory=dict)
-    replacements: dict[int, int] = field(default_factory=dict)
+
+    _where = "the items"      # names the set in the duplicate-item error
 
     def __post_init__(self) -> None:
         self.items = tuple(self.items)
         if len(set(self.items)) != len(self.items):
-            raise ValueError("duplicate items in the listing")
-        known = set(self.items)
+            raise ValueError("duplicate items in %s" % self._where)
         self.horn_rules = tuple(
             (frozenset(p), c) for p, c in self.horn_rules)
         self.conflicts = tuple(frozenset(g) for g in self.conflicts)
+
+
+@dataclass
+class KnowledgeBase(_ItemSet):
+    """Items in entrenchment order with rules and conflicts over them;
+    ``replacements`` are per-item hints, only read by q-mode repair."""
+
+    replacements: dict[int, int] = field(default_factory=dict)
+
+    _where = "the listing"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        known = set(self.items)
         for prem, concl in self.horn_rules:
             if not prem <= known or concl not in known:
                 raise ValueError("rule mentions an undeclared item")
@@ -74,25 +83,14 @@ class KnowledgeBase:
 
 
 @dataclass
-class Additions:
+class Additions(_ItemSet):
     """Externally given items, in arrival order, with their rules.
 
     Rules and conflicts may mention base items as well; validation
     happens against the base at use time.
     """
 
-    items: tuple[int, ...]
-    horn_rules: tuple[tuple[frozenset[int], int], ...] = ()
-    conflicts: tuple[frozenset[int], ...] = ()
-    labels: dict[int, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.items = tuple(self.items)
-        self.horn_rules = tuple(
-            (frozenset(p), c) for p, c in self.horn_rules)
-        self.conflicts = tuple(frozenset(g) for g in self.conflicts)
-        if len(set(self.items)) != len(self.items):
-            raise ValueError("duplicate items in the additions")
+    _where = "the additions"
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +163,19 @@ def _window_default(kb: KnowledgeBase, horizon: int,
     return min(100, max(1, horizon // 4))
 
 
-def _finish(kb: KnowledgeBase, system: QSystem, horizon: int, window: int):
+def _finish(kb: KnowledgeBase, system: QSystem, horizon: int, window: int,
+            *, mode: str = "d", accepted: tuple[int, ...] = (),
+            inconsistent_input: bool = False) -> RepairResult:
+    """Run the system and read the base items that stand at the horizon."""
     tr = run(system, horizon)
     rep = estimate_beliefs(tr, window)
     items = kb.items
     kept = frozenset(map(items.__getitem__,
                          rep.belief_estimate.below(len(items))))
-    removed = frozenset(kb.items) - kept
-    partial = not is_clean_window(system, rep)
-    return kept, removed, rep, tr, partial
+    return RepairResult(kept, frozenset(items) - kept, rep, tr,
+                        not is_clean_window(system, rep), mode,
+                        accepted=accepted,
+                        inconsistent_input=inconsistent_input)
 
 
 # ---------------------------------------------------------------------------
@@ -187,47 +189,53 @@ def repair(kb: KnowledgeBase, horizon: int,
     The default mode excises conflicted items outright.  Mode "q"
     substitutes the base's replacement hints instead, where present: a
     conflict whose least entrenched member carries a hint becomes a
-    replacement event rather than an excision.  A hint chain that fails
-    to cover a value the run ends up replacing surfaces as a
-    missing-replacement error naming the stage and position.
+    replacement event rather than an excision.  Hints with a fixed point
+    or a cycle, and a hint chain that fails to cover a value the run ends
+    up replacing, surface as errors naming the item by its label.
     """
     if mode not in ("d", "q"):
         raise ValueError("mode must be 'd' or 'q'")
     window = _window_default(kb, horizon, window)
-    n, _, table = _ranked_table(kb)
-    replacement = ReplacementMap()
+    _, _, table = _ranked_table(kb)
+    hints: dict[int, int] = {}
     if mode == "q":
         rank = kb.rank()
         hints = {rank[a]: rank[b] for a, b in kb.replacements.items()}
-        replacement = ReplacementMap(sorted(hints.items()))
-        flipped = []
-        for r in table:
-            if r.conclusion == BOT and max(r.premises) in hints:
-                r = Rule(r.stage, r.premises, CE)
-            flipped.append(r)
-        table = RuleTable(flipped)
-    system = QSystem(table, replacement)
-    kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
-    return RepairResult(kept, removed, rep, tr, partial, mode)
+        table = RuleTable(
+            Rule(r.stage, r.premises, CE)
+            if r.conclusion == BOT and max(r.premises) in hints else r
+            for r in table)
+    try:
+        system = QSystem(table, ReplacementMap(sorted(hints.items())))
+        return _finish(kb, system, horizon, window, mode=mode)
+    except (ReplacementCycleError, MissingReplacementError) as exc:
+        # the map and the run speak of ranks; name the item the user wrote
+        exc.args = (exc.template % quoted(kb.label(kb.items[exc.axiom])),)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # revision
 # ---------------------------------------------------------------------------
 
-def _nullary_markers(table: RuleTable) -> list[Rule]:
-    return [r for r in table
-            if not r.premises and r.conclusion in (BOT, CE)]
-
-
-def _runnable(table: RuleTable) -> RuleTable:
-    """The table with premise-free marker rules removed.
-
-    Such rules mean the injected items refute themselves; the caller
-    records that verdict separately and runs the salvageable part.
-    """
-    return RuleTable(r for r in table
-                     if r.premises or r.conclusion not in (BOT, CE))
+def _revision(kb: KnowledgeBase, additions: Additions, horizon: int,
+              window: Optional[int], lone: bool) -> RepairResult:
+    """Run the base with ``additions`` held true, item i arriving at stage
+    i.  If they refute themselves (a premise-free marker rule), a ``lone``
+    item is rejected unrun; otherwise the rest of the table runs, flagged."""
+    window = _window_default(kb, horizon, window)
+    n, m, table = _ranked_table(kb, additions)
+    revised = stream_revision_operator(table, range(n), range(n, n + m))
+    runnable = RuleTable(r for r in revised
+                         if r.premises or r.conclusion not in (BOT, CE))
+    refuted = len(runnable) < len(revised)
+    if refuted and lone:
+        return RepairResult(
+            kept=frozenset(kb.items), removed=frozenset(),
+            stability=None, trace=None, partial=False, mode="d",
+            rejected=True)
+    return _finish(kb, QSystem(runnable, ReplacementMap()), horizon, window,
+                   accepted=additions.items, inconsistent_input=refuted)
 
 
 def revise(kb: KnowledgeBase, addition: Additions, horizon: int,
@@ -241,18 +249,7 @@ def revise(kb: KnowledgeBase, addition: Additions, horizon: int,
     """
     if len(addition.items) != 1:
         raise ValueError("revise takes exactly one added item")
-    window = _window_default(kb, horizon, window)
-    n, _, table = _ranked_table(kb, addition)
-    revised = revision_operator(table, range(n), n)
-    if _nullary_markers(revised):
-        return RepairResult(
-            kept=frozenset(kb.items), removed=frozenset(),
-            stability=None, trace=None, partial=False, mode="d",
-            rejected=True)
-    system = QSystem(_runnable(revised), ReplacementMap())
-    kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
-    return RepairResult(kept, removed, rep, tr, partial, "d",
-                        accepted=tuple(addition.items))
+    return _revision(kb, addition, horizon, window, lone=True)
 
 
 def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
@@ -265,15 +262,7 @@ def revise_stream(kb: KnowledgeBase, additions: Additions, horizon: int,
     the inconsistency marker the result is flagged and the salvageable
     rules still run.
     """
-    window = _window_default(kb, horizon, window)
-    n, m, table = _ranked_table(kb, additions)
-    revised = stream_revision_operator(table, range(n), range(n, n + m))
-    flagged = bool(_nullary_markers(revised))
-    system = QSystem(_runnable(revised), ReplacementMap())
-    kept, removed, rep, tr, partial = _finish(kb, system, horizon, window)
-    return RepairResult(kept, removed, rep, tr, partial, "d",
-                        accepted=tuple(additions.items),
-                        inconsistent_input=flagged)
+    return _revision(kb, additions, horizon, window, lone=False)
 
 
 # ---------------------------------------------------------------------------

@@ -67,19 +67,23 @@ def _writing():
         raise OutputError(exc) from exc
 
 
-def cmd_validate(args) -> int:
-    spec = load_system(args.spec)
+def _load_spec(path: str):
+    """(spec, system) for the spec file at path; every command that reads
+    a spec refuses what `run` refuses, a table or map it cannot run."""
+    spec = load_system(path)
     check_variant(spec)
-    spec.build()  # refuse what `run` refuses: a table or map it cannot run
+    return spec, spec.build()
+
+
+def cmd_validate(args) -> int:
+    spec, _ = _load_spec(args.spec)
     report = validate_aco(spec.table, bound=args.bound)
     print(report.render())
     return 0 if report.ok else 1
 
 
 def cmd_run(args) -> int:
-    spec = load_system(args.spec)
-    check_variant(spec)
-    system = spec.build()
+    _, system = _load_spec(args.spec)
     trace = run(system, args.horizon)
     report = estimate_beliefs(trace, args.window)
     beliefs = report.belief_estimate
@@ -174,9 +178,7 @@ def cmd_diff(args) -> int:
     if not args.spec:
         print("diff needs a spec file or --fuzz", file=sys.stderr)
         return 2
-    spec = load_system(args.spec)
-    check_variant(spec)
-    system = spec.build()
+    _, system = _load_spec(args.spec)
     back = stream_alignment("backward", qsys=system, horizon=args.horizon)
     print(back.render())
     fwd = stream_alignment("forward", legacy=_pair_legacy(system),

@@ -383,11 +383,7 @@ class DiagonalizationReport:
     opponent_names: tuple[str, ...]
     statuses: tuple[str, ...]
     Ns: tuple[int, ...]
-    Ss: tuple[frozenset, ...]
-    Es: tuple[Optional[frozenset], ...]
     Zs: tuple[frozenset, ...]
-    skips: tuple[bool, ...]
-    rhos: tuple[Optional[tuple], ...]
     witnesses: tuple[Optional[int], ...]
     gamma: StabilityReport
     thetas: tuple[StabilityReport, ...]
@@ -526,11 +522,7 @@ def report_of(diag: Diagonalizer, window: int) -> DiagonalizationReport:
         opponent_names=tuple(st.theta.name for st in diag.strategies),
         statuses=tuple(st.status for st in diag.strategies),
         Ns=tuple(st.N for st in diag.strategies),
-        Ss=tuple(st.S for st in diag.strategies),
-        Es=tuple(st.E for st in diag.strategies),
         Zs=tuple(st.Z for st in diag.strategies),
-        skips=tuple(st.skip for st in diag.strategies),
-        rhos=tuple(st.rho for st in diag.strategies),
         witnesses=tuple(witnesses),
         gamma=gamma,
         thetas=thetas,

@@ -17,7 +17,7 @@ stack engine share one rule core: rule form, scan, tie rule, arrival bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -31,7 +31,13 @@ REPLACEMENT = "REP"
 
 
 class ReplacementCycleError(ValueError):
-    """An inserted replacement edge closes a cycle within the checked depth."""
+    """An inserted replacement edge closes a cycle within the checked depth;
+    ``template`` names ``axiom`` with one ``%s`` for a caller to fill."""
+
+    def __init__(self, template: str, axiom: Optional[int] = None) -> None:
+        super().__init__(template if axiom is None
+                         else template % ("a%d" % axiom))
+        self.template, self.axiom = template, axiom
 
 
 class GapSkipError(RuntimeError):
@@ -44,13 +50,13 @@ class GapSkipError(RuntimeError):
 
 
 class MissingReplacementError(RuntimeError):
-    """A replacement was demanded for an axiom the map does not cover."""
+    """A replacement was demanded for an axiom the map does not cover;
+    ``template`` names ``axiom`` with one ``%s`` for a caller to fill."""
 
     def __init__(self, stage: int, position: int, axiom: int) -> None:
-        super().__init__(
-            "no replacement for a%d (stage %d, position %d)"
-            % (axiom, stage, position)
-        )
+        self.template = ("no replacement for %%s (stage %d, position %d)"
+                         % (stage, position))
+        super().__init__(self.template % ("a%d" % axiom))
         self.stage = stage
         self.position = position
         self.axiom = axiom
@@ -84,15 +90,14 @@ class ReplacementMap:
         if i < 0 or j < 0:
             raise ReplacementCycleError("replacement entries must be axioms")
         if i == j:
-            raise ReplacementCycleError("replacement fixed point at a%d" % i)
+            raise ReplacementCycleError("replacement fixed point at %s", i)
         if not (self._allow and i in self._allow and j in self._allow):
             v = j
             for _ in range(self.CHECK_DEPTH):
                 if v == i:
                     raise ReplacementCycleError(
-                        "replacement cycle through a%d within depth %d"
-                        % (i, self.CHECK_DEPTH)
-                    )
+                        "replacement cycle through %%s within depth %d"
+                        % self.CHECK_DEPTH, i)
                 nxt = self._map.get(v)
                 if nxt is None:
                     break
@@ -599,22 +604,31 @@ def variant_flags(system: QSystem) -> tuple[bool, bool]:
 # trace files
 # ---------------------------------------------------------------------------
 
+TRACE_CHUNK = 1 << 15   # stages or final tokens write_trace formats at once
+
+
 def write_trace(trace: RunTrace, path) -> None:
-    """One tab-separated line per stage, then ``final`` and the last string."""
-    lines = []
-    for start, end, rec in trace._stretches():
-        if start < end:
-            lines.append(("%d\texpand\n" * (end - start)
-                          % tuple(range(start, end)))[:-1])
-        if rec is None:
-            continue
-        if rec.kind == EXCISION:
-            lines.append("%d\texcise\tk=%d\told=%s"
+    """One tab-separated line per stage, then ``final`` and the last string,
+    written as the run is read: TRACE_CHUNK stages or tokens at a time."""
+    toks = trace.prefix.tokens
+    sigma = chain(toks, range(len(toks), len(toks) + trace.listing))
+    with open(path, "w", encoding="utf-8") as fh:
+        for start, end, rec in trace._stretches():
+            for lo in range(start, end, TRACE_CHUNK):
+                hi = min(end, lo + TRACE_CHUNK)
+                fh.write("%d\texpand\n" * (hi - lo) % tuple(range(lo, hi)))
+            if rec is None:
+                continue
+            if rec.kind == EXCISION:
+                fh.write("%d\texcise\tk=%d\told=%s\n"
                          % (rec.stage, rec.k, token_to_str(rec.old)))
-        else:
-            lines.append("%d\treplace\tk=%d\told=%s\tnew=%s"
+            else:
+                fh.write("%d\treplace\tk=%d\told=%s\tnew=%s\n"
                          % (rec.stage, rec.k, token_to_str(rec.old),
                             token_to_str(rec.new)))
-    lines.append("final\t%s" % trace.final_sigma.serialize())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("final\t")
+        sep = ""
+        while chunk := BeliefString(islice(sigma, TRACE_CHUNK)):
+            fh.write(sep + chunk.serialize())
+            sep = " "
+        fh.write("\n")

@@ -206,6 +206,45 @@ def test_revise_keeps_a_subset_consistent_with_the_input():
             assert BOT not in limit_closure(table, held), "seed %d" % seed
 
 
+def test_revise_is_the_one_item_stream():
+    # one item arriving: both entry points run the same revision, except
+    # that a lone item refuting itself is rejected by revise, unrun, and
+    # flagged by revise_stream, which runs the rest of the table
+    rejected = agreed = 0
+    for seed in range(200):
+        rng = random.Random(3000 + seed)
+        kb = _random_kb(rng, n_max=5)
+        b = len(kb.items) + 5
+        pool = kb.items + (b,)
+        rules = []
+        for _ in range(rng.randrange(0, 3)):
+            prem = frozenset(rng.sample(pool, rng.randrange(1, 3)))
+            concl = rng.choice(pool)
+            if concl not in prem:
+                rules.append((prem, concl))
+        confl = [frozenset(rng.sample(pool, rng.randrange(1, 3)))
+                 for _ in range(rng.randrange(0, 3))]
+        add = Additions((b,), tuple(rules), tuple(confl))
+        one = revise(kb, add, 150, window=30)
+        stream = revise_stream(kb, add, 150, window=30)
+        assert not stream.rejected, "seed %d" % seed
+        if one.rejected:
+            rejected += 1
+            assert (one.kept, one.removed, one.trace, one.accepted) == (
+                frozenset(kb.items), frozenset(), None, ())
+            assert stream.inconsistent_input and stream.trace is not None
+            assert stream.accepted == (b,)
+        else:
+            agreed += 1
+            assert not one.inconsistent_input
+            assert not stream.inconsistent_input, "seed %d" % seed
+            assert ((one.kept, one.removed, one.partial, one.accepted,
+                     one.trace)
+                    == (stream.kept, stream.removed, stream.partial,
+                        stream.accepted, stream.trace)), "seed %d" % seed
+    assert rejected >= 10 and agreed >= 100
+
+
 # ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------

@@ -1041,6 +1041,27 @@ def test_repair_q_mode_follows_hint(capsys, sample_kb, tmp_path):
     assert "\treplace\t" in trace.read_text(encoding="utf-8")
 
 
+_COMPASS = ("item north\nitem east\nitem south\nitem west\nitem up\n"
+            "conflict east south\nconflict west up\n")
+
+
+@pytest.mark.parametrize("hints, message", [
+    # south -> up; up is then replaced by west, which has no hint
+    ("replace up -> west\nreplace south -> up\n",
+     "error: no replacement for 'west' (stage 5, position 3)\n"),
+    ("replace south -> south\n", "error: replacement fixed point at 'south'\n"),
+    ("replace south -> east\nreplace east -> south\n",
+     "error: replacement cycle through 'south' within depth 64\n"),
+], ids=["missing", "fixed-point", "cycle"])
+def test_repair_q_mode_errors_name_the_item(capsys, tmp_path, hints, message):
+    kb = tmp_path / "compass.kb"
+    kb.write_text(_COMPASS + hints, encoding="utf-8")
+    assert run_cli(capsys, "repair", str(kb), "--mode", "q") == (1, "", message)
+    # d mode does not read the hints
+    code, out, err = run_cli(capsys, "repair", str(kb))
+    assert (code, err) == (0, "") and "removed: south up\n" in out
+
+
 def test_revise_accepts_supported_item(capsys, sample_kb, tmp_path):
     adds = tmp_path / "adds.kb"
     adds.write_text(ADD_OK, encoding="utf-8")

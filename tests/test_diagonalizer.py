@@ -66,11 +66,7 @@ def test_lone_opponent_full_chain():
     ]
     assert rep.statuses == ("S8done",)
     assert rep.Ns == (3,)
-    assert rep.Ss == (frozenset({0, 1, 2}),)
-    assert rep.Es == (frozenset({3}),)
     assert rep.Zs == (frozenset({3, 5}),)
-    assert rep.skips == (False,)
-    assert rep.rhos == ((0, 1, 2, 4),)
     assert rep.verdict_lines() == ["opponent 0: S8done witness=a4"]
     assert rep.injuries == ()
     assert rep.act_records == (
@@ -121,9 +117,7 @@ def test_lone_opponent_decoy_first():
         "at 8 : a0 a1 a2 a4 a5 |- BOT",
         "at 30 : a0 a1 a2 a4 |- BOT",
     ]
-    assert rep.skips == (True,)
     assert rep.Zs == (frozenset({4}),)
-    assert rep.rhos == ((1, 0, 2, 5),)
     assert rep.act_records == (
         {"stage": 7, "strategy": 0, "label": "S2", "mode": "decoy-first",
          "E": None},
@@ -185,7 +179,11 @@ def test_family_outcomes():
     assert rep.statuses == (
         "S8done", "S5wait", "S5wait", "S7wait", "PO2wait", "S2wait")
     assert rep.Ns == (3, 83, 164, 245, 1002, 1028)
-    assert rep.skips == (False, False, False, True, False, False)
+    # each strategy's last S2 act: only R3 found a decoy first; R5 never acted
+    assert {r["strategy"]: r["mode"] for r in rep.act_records
+            if r["label"] == "S2"} == {
+        0: "anchor-first", 1: "anchor-first", 2: "anchor-first",
+        3: "decoy-first", 4: "anchor-first"}
     assert [sorted(z) for z in rep.Zs] == [
         [3, 5], [83], [164], [247], [], []]
     # excisions sit inside each strategy's own fresh block

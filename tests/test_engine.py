@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -827,7 +828,10 @@ def _line_per_stage_write_trace(trace, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def test_trace_writer_matches_line_per_stage_writer(tmp_path):
+def test_trace_writer_matches_line_per_stage_writer(tmp_path, monkeypatch):
+    # a low chunk makes the quiet stretches and final strings below cross
+    # chunk boundaries, cheaply
+    monkeypatch.setattr(dialectic.engine, "TRACE_CHUNK", 7)
     rng = random.Random(515)
     traces = [run(_random_system(rng), rng.choice([0, 1, 2, 9, 40, 200]))
               for _ in range(150)]
@@ -851,6 +855,11 @@ def test_trace_writer_matches_line_per_stage_writer(tmp_path):
         RunTrace([], 5, bs(GAP, 3, 10**9, 0, GAP)),
         run(qsys([rule(2, {0}, CE), rule(4, {10**9 + 1}, BOT)],
                  repl=[(0, 10**9)]), 50),
+        # a stored string, a quiet stretch and a listing count, each longer
+        # than two chunks of the patched writer
+        RunTrace([StepRecord(40, REPLACEMENT, 3, 2, 30)], 80,
+                 bs(0, GAP, *range(2, 20)), listing=23),
+        RunTrace([], 20, bs(), listing=20),
     ]
     kinds = set()
     for i, trace in enumerate(traces):
@@ -862,9 +871,24 @@ def test_trace_writer_matches_line_per_stage_writer(tmp_path):
     assert kinds == {EXCISION, REPLACEMENT}
     assert any(GAP in t.final_sigma.tokens for t in traces[:150])
     assert any(t.horizon == 0 and not t.final_sigma for t in traces[:150])
-    assert traces[-1].final_sigma.tokens[:2] == (10**9, 1)
+    assert traces[-3].final_sigma.tokens[:2] == (10**9, 1)
     for toks in ((), (GAP,), (0,), (GAP, GAP), (5, GAP, 1, 10, 100, GAP),
                  (GAP, 10**9, GAP), (10**9,),
                  tuple(rng.choice([GAP, *range(12)]) for _ in range(500)),
                  tuple(rng.randrange(GAP, 10**6) for _ in range(10**5))):
         assert bs(*toks).serialize() == " ".join(map(token_to_str, toks))
+
+
+def test_trace_writer_memory_stays_bounded(tmp_path):
+    # a million quiet stages and a final string of a million tokens: the
+    # writer holds a chunk of them at a time, not the file or the string
+    trace = run(qsys([rule(3, {0}, BOT)]), 10**6)
+    assert trace.listing > 10**6 - 10
+    tracemalloc.start()
+    try:
+        write_trace(trace, tmp_path / "steps.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert (tmp_path / "steps.txt").stat().st_size > 14 * 10**6

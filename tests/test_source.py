@@ -94,6 +94,38 @@ def test_benchmark_wrappers_find_every_name_they_wrap(monkeypatch):
         assert all(now[k] is old[k] for k in old), owner
 
 
+def repeated_blocks(paths, span=3, least=60):
+    """Each run of ``span`` consecutive lines, of ``least`` characters or
+    more, that occurs more than once, as "name:line" of every occurrence.
+    Blank lines, comments and import statements are left out, and every
+    line's whitespace is collapsed."""
+    seen = {}
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        imports = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.update(range(node.lineno, node.end_lineno + 1))
+        lines = [(no, " ".join(line.split()))
+                 for no, line in enumerate(text.splitlines(), 1)
+                 if no not in imports]
+        lines = [(no, line) for no, line in lines
+                 if line and not line.startswith("#")]
+        for i in range(len(lines) - span + 1):
+            block = tuple(line for _, line in lines[i:i + span])
+            if sum(map(len, block)) >= least:
+                seen.setdefault(block, []).append(
+                    "%s:%d" % (path.name, lines[i][0]))
+    return sorted(where for where in seen.values() if len(where) > 1)
+
+
+def test_no_block_of_code_is_written_twice():
+    # the same bookkeeping written twice is one helper waiting to be made
+    import dialectic.legacy
+    root = Path(dialectic.legacy.__file__).parent
+    assert repeated_blocks(sorted(root.rglob("*.py"))) == []
+
+
 if __name__ == "__main__":
     src = Path(__file__).resolve().parent.parent / "src" / "dialectic"
     sums = [0, 0]
