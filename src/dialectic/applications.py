@@ -210,7 +210,7 @@ def repair(kb: KnowledgeBase, horizon: int,
         return _finish(kb, system, horizon, window, mode=mode)
     except (ReplacementCycleError, MissingReplacementError) as exc:
         # the map and the run speak of ranks; name the item the user wrote
-        exc.args = (exc.template % quoted(kb.label(kb.items[exc.axiom])),)
+        exc.name = quoted(kb.label(kb.items[exc.axiom]))
         raise
 
 

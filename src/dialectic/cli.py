@@ -10,7 +10,9 @@ One binary, subcommand style:
     dialectic revise KB ADDITIONS [--trace OUT]
 
 Exit codes: 0 success, 1 domain failure (failed validation, mismatch,
-refused input) or unwritable output, 2 usage or unparsable input.  All
+refused input, a broken invariant) or unwritable output, 2 usage or
+unparsable input.  A package error carries its exit code and label, and
+prints one ``label: message`` line, a ``--jobs`` worker's as well.  All
 output is deterministic for fixed inputs.
 """
 
@@ -28,20 +30,14 @@ from random import Random
 from .applications import (
     load_additions, load_kb, render_result, repair, revise, revise_stream,
 )
-from .consequence import BOT, CE, TableError, validate_aco
-from .engine import (
-    MissingReplacementError, classify_variant, estimate_beliefs, run,
-    write_trace,
-)
-from .legacy import (
-    AlignmentScopeError, LegacySystem, PairApproximation, TranslationError,
-    marker_swap, stream_alignment,
-)
+from .consequence import BOT, CE, validate_aco
+from .engine import classify_variant, estimate_beliefs, run, write_trace
+from .legacy import LegacySystem, PairApproximation, marker_swap, stream_alignment
 from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
 from .randomgen import MARKER_C, random_legacy, random_qsystem
-from .strings import ParseError, identity, natural_from_str, quoted, token_to_str
-from .systemspec import VariantError, check_variant, load_system
+from .strings import DialecticError, identity, natural_from_str, quoted, token_to_str
+from .systemspec import check_variant, load_system
 
 DEFAULT_HORIZON = 10000
 DEFAULT_WINDOW = 100
@@ -54,8 +50,10 @@ MAX_HORIZON = 10 ** 18   # a stage count fits an index-sized integer
 # subcommands
 # ---------------------------------------------------------------------------
 
-class OutputError(Exception):
+class OutputError(DialecticError):
     """An output file could not be written (exit 1, not an input error)."""
+
+    text = "cannot write output: %(detail)s"
 
 
 @contextlib.contextmanager
@@ -361,9 +359,6 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return 2
     except BrokenPipeError as exc:
         # the reader of stdout went away: send what is still buffered to the
         # null device, or the flush at interpreter exit fails once more
@@ -371,18 +366,14 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (AttributeError, OSError, ValueError):
             pass  # stdout is an in-process stream without a descriptor
-        print("error: cannot write output: %s" % exc, file=sys.stderr)
-        return 1
-    except OutputError as exc:
-        print("error: cannot write output: %s" % exc, file=sys.stderr)
-        return 1
+        err = OutputError(exc)
     except (OSError, UnicodeDecodeError) as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)
         return 2
-    except (VariantError, TableError, TranslationError, AlignmentScopeError,
-            MissingReplacementError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    except (DialecticError, ValueError) as exc:
+        err = exc if isinstance(exc, DialecticError) else DialecticError(exc)
+    print("%s: %s" % (err.label, err), file=sys.stderr)
+    return err.exit_code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Iterable, Sequence
 
-from .strings import AxiomId, axiom_from_str, natural_from_str, quoted
+from .strings import AxiomId, DialecticError, axiom_from_str, natural_from_str, quoted
 
 # Conclusion sentinels.  Axioms are their own (non-negative) codes.
 BOT: int = -2   # inconsistency marker
@@ -40,7 +40,7 @@ def symbol_from_str(text: str) -> int:
     return axiom_from_str(text, "malformed conclusion symbol %s" % quoted(text))
 
 
-class TableError(ValueError):
+class TableError(DialecticError, ValueError):
     """A rule table violates a structural requirement."""
 
 
@@ -154,7 +154,7 @@ def check_no_empty_derivation(table: RuleTable) -> None:
 # validation
 # ---------------------------------------------------------------------------
 
-class ValidationScopeError(ValueError):
+class ValidationScopeError(DialecticError, ValueError):
     """The requested validation bound does not cover the table, or the
     validation would do more work than the limits below allow."""
 

@@ -48,7 +48,7 @@ from .consequence import BOT, CE, Rule, RuleTable
 from .engine import (QSystem, ReplacementMap, RunEngine, StabilityReport,
                      drive, estimate_beliefs, run)
 from .opponents import PartialPSystem, pi_encode, r_iterate
-from .strings import IntervalSet
+from .strings import DialecticError, IntervalSet
 
 __all__ = [
     "ClaimFreshnessError", "Strategy", "Diagonalizer", "DiagonalizationReport",
@@ -58,13 +58,11 @@ __all__ = [
 ]
 
 
-class ClaimFreshnessError(RuntimeError):
+class ClaimFreshnessError(DialecticError, RuntimeError):
     """A strategy entered on a claimed axiom that already has a replacement."""
 
-    def __init__(self, stage: int, axiom: int) -> None:
-        super().__init__("claimed axiom a%d already mapped (stage %d)"
-                         % (axiom, stage))
-        self.stage, self.axiom = stage, axiom
+    fields = ("stage", "axiom")
+    text = "claimed axiom %(axiom)s already mapped (stage %(stage)d)"
 
 
 # strategy statuses; the waits name the condition being watched

@@ -22,44 +22,41 @@ from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .consequence import BOT, CE, Rule, RuleTable, check_no_empty_derivation, evaluate
-from .strings import (GAP, IDENTITY, BeliefString, IntervalSet, Shape, Tape,
-                      contraction, excision, expansion, replacement, token_to_str)
+from .strings import (GAP, IDENTITY, BeliefString, DialecticError, IntervalSet, Shape,
+                      Tape, contraction, excision, expansion, replacement, token_to_str)
 
 EXPANSION = "EXP"
 EXCISION = "EXC"
 REPLACEMENT = "REP"
 
 
-class ReplacementCycleError(ValueError):
-    """An inserted replacement edge closes a cycle within the checked depth;
-    ``template`` names ``axiom`` with one ``%s`` for a caller to fill."""
+class ReplacementCycleError(DialecticError, ValueError):
+    """An inserted replacement edge closes a cycle within ``depth`` steps."""
 
-    def __init__(self, template: str, axiom: Optional[int] = None) -> None:
-        super().__init__(template if axiom is None
-                         else template % ("a%d" % axiom))
-        self.template, self.axiom = template, axiom
+    fields = ("axiom", "depth")
+    text = "replacement cycle through %(axiom)s within depth %(depth)d"
 
 
-class GapSkipError(RuntimeError):
+class ReplacementFixedPointError(ReplacementCycleError):
+    """A replacement entry maps an axiom to itself: a cycle of one step."""
+
+    fields = ("axiom",)
+    text = "replacement fixed point at %(axiom)s"
+
+
+class GapSkipError(DialecticError, RuntimeError):
     """The least marked prefix ends in a gap, which the run recursion excludes."""
 
-    def __init__(self, stage: int, position: int) -> None:
-        super().__init__("gap-skip violated: least prefix ends in a gap"
-                         " (stage %d, position %d)" % (stage, position))
-        self.stage, self.position = stage, position
+    fields = ("stage", "position")
+    text = ("gap-skip violated: least prefix ends in a gap"
+            " (stage %(stage)d, position %(position)d)")
 
 
-class MissingReplacementError(RuntimeError):
-    """A replacement was demanded for an axiom the map does not cover;
-    ``template`` names ``axiom`` with one ``%s`` for a caller to fill."""
+class MissingReplacementError(DialecticError, RuntimeError):
+    """A replacement was demanded for an axiom the map does not cover."""
 
-    def __init__(self, stage: int, position: int, axiom: int) -> None:
-        self.template = ("no replacement for %%s (stage %d, position %d)"
-                         % (stage, position))
-        super().__init__(self.template % ("a%d" % axiom))
-        self.stage = stage
-        self.position = position
-        self.axiom = axiom
+    fields = ("stage", "position", "axiom")
+    text = "no replacement for %(axiom)s (stage %(stage)d, position %(position)d)"
 
 
 class ReplacementMap:
@@ -88,16 +85,14 @@ class ReplacementMap:
 
     def define(self, i: int, j: int) -> None:
         if i < 0 or j < 0:
-            raise ReplacementCycleError("replacement entries must be axioms")
+            raise ValueError("replacement entries must be axioms")
         if i == j:
-            raise ReplacementCycleError("replacement fixed point at %s", i)
+            raise ReplacementFixedPointError(i)
         if not (self._allow and i in self._allow and j in self._allow):
             v = j
             for _ in range(self.CHECK_DEPTH):
                 if v == i:
-                    raise ReplacementCycleError(
-                        "replacement cycle through %%s within depth %d"
-                        % self.CHECK_DEPTH, i)
+                    raise ReplacementCycleError(i, self.CHECK_DEPTH)
                 nxt = self._map.get(v)
                 if nxt is None:
                     break

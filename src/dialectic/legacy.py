@@ -25,40 +25,36 @@ from .consequence import BOT, CE, Rule, RuleTable, evaluate
 from .engine import (EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace, drive,
                      least_marks, marker_rule, next_usable,
                      select_clause as _select_clause)  # patchable: see its docstring
-from .strings import GAP, Shape, Tape, identity
+from .strings import GAP, DialecticError, Shape, Tape, identity
 
-class UndefinedPositionError(RuntimeError):
+class UndefinedPositionError(DialecticError, RuntimeError):
     """A revision clause selected position zero, which has no neighbour."""
 
-    def __init__(self, stage: int, clause: int) -> None:
-        super().__init__("clause %d fired at position 0 (stage %d)" % (clause, stage))
-        self.stage = stage
-        self.clause = clause
+    fields = ("stage", "clause")
+    text = "clause %(clause)d fired at position 0 (stage %(stage)d)"
 
 
-class EmptyNeighbourError(RuntimeError):
+class EmptyNeighbourError(DialecticError, RuntimeError):
     """The revision clause selected a position whose left neighbour stack
     is empty, which the least-position rule excludes."""
 
-    def __init__(self, stage: int, position: int) -> None:
-        super().__init__("revision clause selected an empty neighbour stack"
-                         " (stage %d, position %d)" % (stage, position))
-        self.stage, self.position = stage, position
+    fields = ("stage", "position")
+    text = ("revision clause selected an empty neighbour stack"
+            " (stage %(stage)d, position %(position)d)")
 
 
-class StateInvariantError(RuntimeError):
+class StateInvariantError(DialecticError, RuntimeError):
     """A stack state breaks a structural invariant of the recursion."""
 
-    def __init__(self, stage: int, detail: str) -> None:
-        super().__init__("%s (stage %d)" % (detail, stage))
-        self.stage, self.detail = stage, detail
+    fields = ("stage", "detail")
+    text = "%(detail)s (stage %(stage)d)"
 
 
-class TranslationError(ValueError):
+class TranslationError(DialecticError, ValueError):
     """A system cannot be carried across to the other formalism."""
 
 
-class AlignmentScopeError(ValueError):
+class AlignmentScopeError(DialecticError, ValueError):
     """The two runs do not cover the stage range being compared."""
 
 

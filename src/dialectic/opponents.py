@@ -32,13 +32,11 @@ from typing import NamedTuple, Optional
 from .consequence import CE, RuleTable
 from .engine import (DisturbanceStamps, QSystem, ReplacementMap,
                      StabilityReport, variant_flags)
-from .strings import (
-    IDENTITY, ParseError, Shape, Tape, natural_from_str, numbered_lines, quoted,
-    read_input,
-)
+from .strings import (IDENTITY, DialecticError, ParseError, Shape, Tape,
+                      natural_from_str, numbered_lines, quoted, read_input)
 from .systemspec import VariantError
-from .universe import (FueledFunction, ProgramUniverse, _Diverge, closure,
-                       parse_sexpr)
+from .universe import (FueledFunction, ProgramError, ProgramUniverse, _Diverge,
+                       closure, parse_sexpr)
 
 __all__ = [
     "pi_encode", "pi_decode", "decode_index",
@@ -121,12 +119,11 @@ class Diverged(NamedTuple):
 MAX_AXIOM = 2 ** 24
 
 
-class AxiomLimitError(ValueError):
-    """An opponent's g or r named an axiom above MAX_AXIOM."""
+class AxiomLimitError(DialecticError, ValueError):
+    """An opponent's g or r named an axiom above ``limit``, MAX_AXIOM."""
 
-    def __init__(self, opponent: str, part: str, value: int) -> None:
-        super().__init__("opponent %s: %s gave a%d, above the limit a%d"
-                         % (opponent, part, value, MAX_AXIOM))
+    fields = ("opponent", "part", "value", "limit")
+    text = "opponent %(opponent)s: %(part)s gave a%(value)d, above the limit a%(limit)d"
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +200,14 @@ class PartialPSystem:
             over = self._g_over
             enum.extend_listing(min(j + 1, over) - len(enum))
             if over <= j:
-                raise AxiomLimitError(self.name, "g", g.shape(over))
+                raise AxiomLimitError(self.name, "g", g.shape(over), MAX_AXIOM)
         while len(enum) <= j:
             v = g.call((len(enum),), fuel)
             if v is None:
                 self.diverge_counts["g"] += 1
                 return None
             if v > MAX_AXIOM:
-                raise AxiomLimitError(self.name, "g", v)
+                raise AxiomLimitError(self.name, "g", v, MAX_AXIOM)
             enum.push(v)
             del self._g_ahead[:1]
         return enum.at(j)
@@ -229,7 +226,7 @@ class PartialPSystem:
             self.diverge_counts["r"] += 1
             return None
         if v > MAX_AXIOM:
-            raise AxiomLimitError(self.name, "r", v)
+            raise AxiomLimitError(self.name, "r", v, MAX_AXIOM)
         self._r_memo[x] = v
         return v
 
@@ -563,7 +560,7 @@ def parse_family(text: str) -> tuple[ProgramUniverse, list[PartialPSystem]]:
                     raise ValueError("expected 'prog <name> = <script>'")
                 try:
                     ast = parse_sexpr(script_text.strip())
-                except Exception as exc:
+                except ProgramError as exc:
                     raise ValueError("bad script: %s" % exc) from None
                 universe.register(FueledFunction("sexpr", ast, name=prog_name))
             elif head == "opponent":

@@ -30,11 +30,34 @@ MAX_ECHO = 40   # characters of a rejected token or flag value an error quotes
 MAX_STORED = 2 ** 24   # tokens a tape stores, its listing count aside
 
 
-class OperationError(ValueError):
+class DialecticError(Exception):
+    """The base of every package error.  A subclass declares its
+    constructor's ``fields``, kept as ``args`` so that it pickles whole, a
+    ``%(field)s`` format ``text`` and, unless 1 and ``error``, the
+    ``exit_code`` and ``label`` the command line prints it with."""
+
+    fields: tuple[str, ...] = ("detail",)
+    text = "%(detail)s"
+    exit_code = 1
+    label = "error"
+    name: Optional[str] = None   # an ``axiom`` field prints as this, or aN
+
+    def __init__(self, *values) -> None:
+        super().__init__(*values)
+        self.__dict__.update(zip(self.fields, values))
+
+    def __str__(self) -> str:
+        values = dict(zip(self.fields, self.args))
+        if "axiom" in values:
+            values["axiom"] = self.name or "a%d" % values["axiom"]
+        return self.text % values
+
+
+class OperationError(DialecticError, ValueError):
     """A primitive string operation was applied outside its precondition."""
 
 
-class StoreLimitError(ValueError):
+class StoreLimitError(DialecticError, ValueError):
     """A tape was asked to store more than MAX_STORED tokens."""
 
 
@@ -42,13 +65,13 @@ class StoreLimitError(ValueError):
 # input layer (spec, knowledge-base, additions and family files)
 # ---------------------------------------------------------------------------
 
-class ParseError(ValueError):
+class ParseError(DialecticError, ValueError):
     """Line ``line_no`` of an input file could not be understood."""
 
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
-        self.message = message
+    fields = ("line_no", "message")
+    text = "line %(line_no)d: %(message)s"
+    exit_code = 2
+    label = "parse error"
 
 
 def read_input(path) -> str:

@@ -22,14 +22,13 @@ from typing import Optional
 
 from .consequence import Rule, RuleTable, parse_rule_line
 from .engine import QSystem, ReplacementMap, variant_flags
-from .strings import (
-    ParseError, axiom_from_str, natural_from_str, numbered_lines, quoted, read_input,
-)
+from .strings import (DialecticError, ParseError, axiom_from_str, natural_from_str,
+                      numbered_lines, quoted, read_input)
 
 VARIANTS = ("d", "p", "q")
 
 
-class VariantError(ValueError):
+class VariantError(DialecticError, ValueError):
     """A declared variant tag conflicts with the rules actually present."""
 
 

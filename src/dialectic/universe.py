@@ -17,10 +17,10 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .strings import IDENTITY, Shape, natural_from_str, quoted
+from .strings import IDENTITY, DialecticError, Shape, natural_from_str, quoted
 
 
-class ProgramError(ValueError):
+class ProgramError(DialecticError, ValueError):
     """Malformed program text, or a call that cannot be well-formed."""
 
 

@@ -25,7 +25,10 @@ import dialectic.cli
 import dialectic.legacy
 import dialectic.strings
 from dialectic.cli import MAX_HORIZON, _jobs, main
-from dialectic.engine import estimate_beliefs, run
+from dialectic.engine import (
+    GapSkipError, MissingReplacementError, estimate_beliefs, run,
+)
+from dialectic.legacy import StateInvariantError
 from dialectic.opponents import MAX_AXIOM
 from dialectic.strings import MAX_STORED
 from dialectic.systemspec import load_system
@@ -828,6 +831,38 @@ def test_diff_fuzz_lists_the_first_ten_failing_seeds(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert out == "".join("seed %d: fails at horizon 50\n" % seed
                           for seed in range(10)) + "fuzz: 3 of 15 seeds agree\n"
+
+
+def _diff_one_failing_on_seed_3(seed, horizon):
+    """A stand-in for cli._diff_one at module level, so that a forked pool
+    worker finds it by name."""
+    if seed == 3:
+        raise MissingReplacementError(1, 2, 3)
+    return True, ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_worker_error_reads_as_a_serial_one(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(dialectic.cli, "_diff_one", _diff_one_failing_on_seed_3)
+    code, out, err = run_cli(capsys, "diff", "--fuzz", "6", "--horizon", "100",
+                             "--jobs", jobs)
+    assert (code, out, err) == (
+        1, "", "error: no replacement for a3 (stage 1, position 2)\n")
+
+
+@pytest.mark.parametrize("error, line", [
+    (GapSkipError(5, 0),
+     "gap-skip violated: least prefix ends in a gap (stage 5, position 0)"),
+    (StateInvariantError(4, "frontier stack must be nonempty"),
+     "frontier stack must be nonempty (stage 4)"),
+], ids=["gap-skip", "state-invariant"])
+def test_an_invariant_error_is_one_error_line(capsys, monkeypatch, spec_file,
+                                               error, line):
+    def broken_run(system, horizon):
+        raise error
+    monkeypatch.setattr(dialectic.cli, "run", broken_run)
+    code, out, err = run_cli(capsys, "run", spec_file)
+    assert (code, out, err) == (1, "", "error: %s\n" % line)
 
 
 def test_diff_fuzz_parallel_matches_serial(capsys):

@@ -914,3 +914,11 @@ def test_family_parse_errors():
     for fields in ("g=p h=p r=p scan=full", "m=1 scan=full"):
         (opp,) = parse_family("prog p = n\nopponent a : " + fields)[1]
         assert not opp.monotone_h
+
+
+def test_a_script_parser_bug_is_not_a_bad_script():
+    def broken(text):
+        raise IndexError("parser bug")
+    with mock.patch.object(opponents, "parse_sexpr", broken):
+        with pytest.raises(IndexError):
+            parse_family("prog p = n\n")

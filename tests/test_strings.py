@@ -1,6 +1,10 @@
 """Primitive belief-string operations."""
 from __future__ import annotations
 
+import importlib
+import pickle
+import pkgutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +12,7 @@ import dialectic.strings
 from dialectic.strings import (
     GAP,
     BeliefString,
+    DialecticError,
     IntervalSet,
     OperationError,
     IDENTITY,
@@ -138,6 +143,37 @@ def test_input_layer():
     err = ParseError(3, "oops")
     assert isinstance(err, ValueError)
     assert (str(err), err.line_no, err.message) == ("line 3: oops", 3, "oops")
+
+
+def _package_exceptions():
+    """Every exception class that some module of the package defines."""
+    found = []
+    for info in pkgutil.iter_modules(dialectic.__path__):
+        module = importlib.import_module("dialectic." + info.name)
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+def test_every_package_error_joins_the_base_and_pickles_whole():
+    classes = _package_exceptions()
+    names = {cls.__name__ for cls in classes}
+    assert {"DialecticError", "ParseError", "OutputError",
+            "MissingReplacementError", "ClaimFreshnessError"} <= names
+    for cls in classes:
+        if cls.__name__ == "_Diverge":
+            # control flow inside the interpreter, never reported to a user
+            continue
+        assert issubclass(cls, DialecticError), cls
+        err = cls(*range(1, len(cls.fields) + 1))
+        if "axiom" in cls.fields:
+            err.name = "'item'"
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert (back.args, str(back)) == (err.args, str(err)), cls
+        for field in cls.fields + ("name",):
+            assert getattr(back, field) == getattr(err, field), (cls, field)
 
 
 tokens = st.lists(st.one_of(st.just(GAP), st.integers(0, 30)), max_size=12)
