@@ -123,12 +123,17 @@ class Diagonalizer:
         self.mentions: list[int] = []
         self.events: list[tuple] = []   # see the module docstring
         self.stage = self.bulk_stretches = self.bulk_stages = 0
+        self.acts = self.top_mention = 0   # the "act" events; max(mentions)
 
     def _fuel(self, s: int) -> int:
         """Budget for opponent programs at stage s (capped if asked)."""
         return s if self.fuel_cap is None else min(s, self.fuel_cap)
 
     # -- bookkeeping --------------------------------------------------------
+
+    def _mention(self, *values: int) -> None:
+        self.mentions += values
+        self.top_mention = max(self.top_mention, *values)
 
     def _set_z(self, strat: Strategy, z: frozenset, stage: int) -> None:
         strat.Z = z
@@ -139,11 +144,12 @@ class Diagonalizer:
         r = Rule(stage, premises, conclusion)
         self.engine.append_rule(r)
         self.events.append(("rule", stage, strat.index, label, r))
-        self.mentions += premises
+        self._mention(*premises)
 
     def _log_act(self, stage: int, strat: Strategy, label: str, detail: str,
                  **fields) -> None:
         self.events.append(("act", stage, strat.index, label, detail, fields))
+        self.acts += 1
 
     def _deactivate_below(self, index: int, stage: int) -> None:
         for strat in self.strategies[index + 1:]:
@@ -156,13 +162,13 @@ class Diagonalizer:
     def _enter(self, strat: Strategy, stage: int) -> None:
         # the idle chain's end k: one key per idle stage so far, skipping
         # the claims below it (explicit_items is ascending)
-        k = self.stage - sum(e[0] == "act" for e in self.events)
+        k = self.stage - self.acts
         for claim, _ in self.replacement.explicit_items():
             k += claim < k
-        if k > max(self.mentions, default=0):   # the chain mentions up to k
-            self.mentions.append(k)
+        if k > self.top_mention:   # the chain mentions up to k
+            self._mention(k)
         cut = len(self.mentions)
-        N = 3 + max(self.mentions, default=0)
+        N = 3 + self.top_mention
         strat.reset_for_entry()
         strat.N = N
         strat.S = frozenset(range(N)) - frozenset().union(
@@ -170,7 +176,7 @@ class Diagonalizer:
         if self.replacement.get(N) is not None:
             raise ClaimFreshnessError(stage, N)
         self.replacement.define(N, N + 2)
-        self.mentions += (N, N + 1, N + 2)
+        self._mention(N, N + 1, N + 2)
         strat.status = S2WAIT
         self.events.append(("activate", stage, strat.index, N, strat.S, cut))
 
@@ -193,7 +199,7 @@ class Diagonalizer:
         if th.r_value(g_l, self._fuel(s)) is None:
             return False
         strat.n = n
-        self.mentions += (th.top(), n)
+        self._mention(th.top(), n)
         if g_l == N:
             strat.E = frozenset({N}).union(
                 *(st.Z for st in self.strategies[:strat.index]))
@@ -224,7 +230,7 @@ class Diagonalizer:
                 return False
             tau.append(res[0])
         N = strat.N
-        self.mentions += tau
+        self._mention(*tau)
         idx = next(i for i, v in enumerate(tau) if v in (N + 1, N + 2))
         rho = strat.rho = tuple(tau[:idx + 1])
         if rho[-1] == N + 1:
@@ -251,7 +257,7 @@ class Diagonalizer:
             if fo_i is None or fo_j is None or fo_i >= fo_j:
                 return False
             strat.rho = tuple(th.tape.head(fo_i + 1))
-            self.mentions += strat.rho
+            self._mention(*strat.rho)
         elif not _shows(th, strat.rho):
             return False
         strat.rho_code = pi_encode(strat.rho)
@@ -329,7 +335,7 @@ class Diagonalizer:
             return s - 1
         end = self.engine.next_event(end)
         stops = [[v for v in range(st.N, st.N + 3)
-                  if st.theta.enum_position(v) is None]
+                  if st.theta.listed_at(v, self._fuel(s)) is None]
                  if st.status == S2WAIT else () for st in self.strategies]
         reach = 64
         while True:
@@ -343,11 +349,12 @@ class Diagonalizer:
     def _earliest_act(self, strat: Strategy, s: int):
         """The first stage from s at which strat's move may act or count a
         stall, while each opponent only extends its string or stalls, and
-        stops before enumerating a value that an S2wait block lacks and
-        before a watched value arrives."""
+        stops before enumerating a value of an S2wait block that it cannot
+        place yet (listed_at) and before a watched value arrives."""
         th, status = strat.theta, strat.status
         if status == S2WAIT:
-            pos = [th.enum_position(v) for v in range(strat.N, strat.N + 3)]
+            pos = [th.listed_at(v, self._fuel(s))
+                   for v in range(strat.N, strat.N + 3)]
             if None in pos:
                 return math.inf
             return s + max(0, max(pos) + 1 - len(th.tape))

@@ -218,6 +218,16 @@ class PartialPSystem:
         self._enum.watch(value)
         return self._enum.first.get(value)
 
+    def listed_at(self, value: int, fuel: int) -> Optional[int]:
+        """enum_position(value), or else, once fuel saturates a g with a
+        shape, the position at which g lists value: None at or past
+        _g_over, where step raises."""
+        p = self.enum_position(value)
+        if p is None and self.g.shape and fuel >= self.saturation:
+            p = self.g.shape.index(value)
+            return p if p < self._g_over else None
+        return p
+
     def r_value(self, x: int, fuel: int) -> Optional[int]:
         if x in self._r_memo:
             return self._r_memo[x]

@@ -449,11 +449,17 @@ def _expensive(depth):
     # r needs fuel 772 below a8, so R1's PO2wait test stalls on a3 and a5
     # (R0's claim) from stage 63 and acts at stage 769
     ["caseA : g=ident h=hA r=bump1", "slow : g=ident h=echo r=slow"],
+    # g without a shape: the scheduler cannot place R1's re-entered blocks
+    # by arithmetic, so it stops each opponent before their values arrive
+    # (shift takes S2 at stages 34, 56 and 72, half at 134)
+    ["caseA : g=ident h=hA r=bump1", "shift : g=bump1 h=hA r=bump10"],
+    ["caseB : g=ident h=hB r=bump2", "half : g=half h=echo r=bump1"],
 ])
 def test_event_form_matches_run_to_on_small_rosters(roster):
     head = _BUNDLED[:_BUNDLED.index("\nopponent ") + 1]
     text = head + "prog slow = (if (lt n 8) %s (+ n 1))\n" % _expensive(7)
     text += "prog h1 = (if (and (ge t 40) (eq (band x 30) 30)) (bor x 1) x)\n"
+    text += "prog half = (div n 2)\n"
     text += "".join("opponent %s\n" % line for line in roster)
     _same_runs(lambda: parse_family(text)[1], (25, 60, 1500))
 
@@ -510,10 +516,20 @@ def test_event_form_falls_back_for_unanalysed_opponents():
 
 def test_event_form_engages_on_the_bundled_family():
     # counted per stretch: a silent per-stage fall-back would show here
+    # the arrival of an S2wait block in a shaped enumeration is placed by
+    # the shape, so its stages go in bulk: 63 stepped stages, not 84
     _, opps = default_family()
     diag = Diagonalizer(opps)
-    diag.advance_to(10_000)
-    assert (diag.bulk_stretches, diag.bulk_stages) == (10, 9_916)
+    steps, real_step = [], PartialPSystem.step
+
+    def counting_step(th, fuel):
+        steps.append(th)
+        return real_step(th, fuel)
+
+    with mock.patch.object(PartialPSystem, "step", counting_step):
+        diag.advance_to(10_000)
+    assert (diag.bulk_stretches, diag.bulk_stages) == (10, 9_937)
+    assert len(steps) <= 6 * (10_000 - 9_937)
     for th in opps:
         assert th.bulk_stages >= 9_500
         assert th.bulk_stretches <= diag.bulk_stretches

@@ -7,7 +7,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dialectic import opponents
 from dialectic.consequence import CE, RuleTable, rule
@@ -540,6 +540,47 @@ def test_block_shape_agrees_with_its_script(B, kind, c, a, swap, var, blocks):
             ps = range(k * B, (k + 1) * B)
             assert [shape(p) for p in ps] == [fast(p) for p in ps]
             assert [shape.index(fast(p)) for p in ps] == list(ps)
+
+
+_HA = ("(if (and (ge t 40) (eq (band x 30) 30)) (bor x 1) "
+       "(if (and (ge t 60) (eq (band x 46) 46)) (bor x 1) x))")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(B=st.integers(1, 40),
+       kind=st.sampled_from(["ident", "id", "rev", "rot", "mul", "flip"]),
+       c=st.integers(0, 60), a=st.integers(1, 12),
+       values=st.lists(st.integers(0, 400), min_size=1, max_size=5),
+       limit=st.sampled_from([MAX_AXIOM, 150]))
+def test_listed_at_predicts_the_enumeration(B, kind, c, a, values, limit):
+    E = _BLOCK_E.get(kind, "").format(j="(mod n %d)" % B, B=B, B1=B - 1, c=c,
+                                      a=a, m=c % B + 1, m1=c % B)
+    text = "n" if kind == "ident" else "(+ (* (div n %d) %d) %s)" % (B, B, E)
+    assume(script(text).shape is not None)
+    unshaped = script(text)
+    unshaped.shape = None
+    with mock.patch.object(opponents, "MAX_AXIOM", limit):
+        th, low = (_mk(script(text), script(_HA), script("(+ n 1)"))
+                   for _ in range(2))
+        bare = _mk(unshaped, script(_HA), script("(+ n 1)"))
+    fuel, over, shape = th.saturation, th._g_over, th.g.shape
+    assert fuel < math.inf and shape(over) > limit
+    # step raises at _g_over, so no value is listed there or past it
+    wants = [p if p < over else None for p in map(shape.index, values)]
+    for v, want in zip(values, wants):
+        # below saturation, or without a shape, an unresolved value has no
+        # position; a saturated shape places it, watched
+        assert low.listed_at(v, fuel - 1) is None
+        assert bare.listed_at(v, fuel) is None
+        assert th.listed_at(v, fuel) == want and v in th._enum.watched
+    with mock.patch.object(opponents, "MAX_AXIOM", limit):
+        for p in [p for p in wants if p is not None]:
+            th.g_value(p, fuel)
+            bare.g_value(p, fuel)
+    for v, want in zip(values, wants):
+        if want is not None:   # listed past it: the prediction was right
+            assert th.enum_position(v) == want == th.listed_at(v, fuel)
+            assert bare.listed_at(v, fuel) == want
 
 
 @st.composite
