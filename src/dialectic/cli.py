@@ -36,7 +36,7 @@ from .legacy import LegacySystem, PairApproximation, marker_swap, stream_alignme
 from .opponents import default_family, load_family
 from .diagonalizer import diagonalize
 from .randomgen import MARKER_C, random_legacy, random_qsystem
-from .strings import DialecticError, identity, natural_from_str, quoted, token_to_str
+from .strings import IDENTITY, DialecticError, natural_from_str, quoted, token_to_str
 from .systemspec import check_variant, load_system
 
 DEFAULT_HORIZON = 10000
@@ -131,12 +131,10 @@ def _pair_legacy(system) -> LegacySystem:
 
     return LegacySystem(
         approximation=PairApproximation(entries),
-        f=identity,
-        f_inv=identity,
+        f=IDENTITY,
         f_minus=marker_swap(c, c + 1, revise),
         c=c,
         c_minus=c + 1,
-        shape=(0, 1),
     )
 
 
@@ -144,9 +142,8 @@ def _diff_one(seed: int, horizon: int) -> tuple[bool, str]:
     """Both translation directions on seeded random systems."""
     rng = Random(seed)
     qsys = random_qsystem(rng)
-    back = stream_alignment("backward", qsys=qsys, horizon=horizon)
-    legacy = random_legacy(rng)
-    fwd = stream_alignment("forward", legacy=legacy, horizon=horizon)
+    back = stream_alignment(qsys, horizon)
+    fwd = stream_alignment(random_legacy(rng), horizon)
     ok = back.ok and fwd.ok
     text = "seed %d: %s | %s" % (seed, back.render(), fwd.render())
     return ok, text
@@ -177,10 +174,9 @@ def cmd_diff(args) -> int:
         print("diff needs a spec file or --fuzz", file=sys.stderr)
         return 2
     _, system = _load_spec(args.spec)
-    back = stream_alignment("backward", qsys=system, horizon=args.horizon)
+    back = stream_alignment(system, args.horizon)
     print(back.render())
-    fwd = stream_alignment("forward", legacy=_pair_legacy(system),
-                           horizon=args.horizon)
+    fwd = stream_alignment(_pair_legacy(system), args.horizon)
     print(fwd.render())
     return 0 if back.ok and fwd.ok else 1
 

@@ -121,6 +121,7 @@ class Diagonalizer:
         self.fuel_cap = fuel_cap
         self.strategies = [Strategy(i, th) for i, th in enumerate(opponents)]
         self.mentions: list[int] = []
+        self.lost: frozenset[int] = frozenset()   # the Zs injuries abandoned
         self.events: list[tuple] = []   # see the module docstring
         self.stage = self.bulk_stretches = self.bulk_stages = 0
         self.acts = self.top_mention = 0   # the "act" events; max(mentions)
@@ -156,6 +157,7 @@ class Diagonalizer:
             if strat.status != DEACTIVATED:
                 self.events.append(("injure", stage, strat.index, index))
                 strat.status = DEACTIVATED
+                self.lost |= strat.Z
 
     # -- entries ------------------------------------------------------------
 
@@ -171,7 +173,9 @@ class Diagonalizer:
         N = 3 + self.top_mention
         strat.reset_for_entry()
         strat.N = N
-        strat.S = frozenset(range(N)) - frozenset().union(
+        # S leaves out what abandoned entries may have removed for good, so
+        # that every rule appended over S can fire
+        strat.S = frozenset(range(N)) - self.lost - frozenset().union(
             *(st.Z for st in self.strategies[:strat.index]))
         if self.replacement.get(N) is not None:
             raise ClaimFreshnessError(stage, N)
@@ -599,20 +603,22 @@ def audit_finite_injury(report: DiagonalizationReport) -> list[str]:
 
 
 def audit_hands_off(report: DiagonalizationReport) -> list[str]:
-    """Below each strategy's block, the home beliefs equal the default
-    listing minus exactly the removals claimed by higher strategies."""
+    """Each strategy's kept set S, from its last entry, lies in the home
+    beliefs, and below its block N the beliefs hold none of the higher
+    strategies' claims."""
     problems = []
     B = report.gamma.belief_estimate
-    for i, N in enumerate(report.Ns):
-        if N < 0:
-            continue
-        removed = IntervalSet.of(frozenset().union(*report.Zs[:i])).below(N)
-        expected = IntervalSet.of((), 0, N) ^ removed
-        actual = B.below(N)
-        if actual != expected:
+    entries = {i: payload[:2] for kind, _, i, *payload in report.events
+               if kind == "activate"}
+    for i, (N, S) in sorted(entries.items()):
+        held = B.below(N)
+        # the axioms of S that the beliefs lack, and the higher claims they hold
+        bad = {v for v in IntervalSet.of(S) ^ held if v in S}
+        bad.update(v for v in frozenset().union(*report.Zs[:i]) if v in held)
+        if bad:
             problems.append(
                 "below a%d the home beliefs differ from the claim at %s"
-                % (N, list(actual ^ expected)))
+                % (N, sorted(bad)))
     return problems
 
 

@@ -19,13 +19,13 @@ into a rule table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .consequence import BOT, CE, Rule, RuleTable, evaluate
 from .engine import (EXPANSION, QSystem, ReplacementMap, RunEngine, RunTrace, drive,
                      least_marks, marker_rule, next_usable,
                      select_clause as _select_clause)  # patchable: see its docstring
-from .strings import GAP, DialecticError, Shape, Tape, identity
+from .strings import GAP, IDENTITY, DialecticError, Shape, Tape
 
 class UndefinedPositionError(DialecticError, RuntimeError):
     """A revision clause selected position zero, which has no neighbour."""
@@ -174,24 +174,40 @@ class TableBackedApproximation:
 # systems and states
 # ---------------------------------------------------------------------------
 
+class Listing:
+    """An argument listing without a shape: f lists, and ``index`` places a
+    code at f_inv's position where f agrees, else at -1 (none)."""
+
+    __slots__ = ("f", "f_inv")
+
+    def __init__(self, f: Callable[[int], int], f_inv: Callable[[int], int]) -> None:
+        self.f, self.f_inv = f, f_inv
+
+    def __call__(self, i: int) -> int:
+        return self.f(i)
+
+    def index(self, code: int) -> int:
+        i = self.f_inv(code)
+        return i if i >= 0 and self.f(i) == code else -1
+
+
 @dataclass
 class LegacySystem:
     """Quintuple presentation: operator, argument listing, revision map.
 
     ``approximation`` answers ``query(s, Y)``; ``f`` lists the arguments
-    (f(i) is the i-th argument in consideration) with ``f_inv`` its inverse
-    on the inspected prefix, and ``shape``, if given, is f's
-    :class:`~dialectic.strings.Shape` (S, B); ``f_minus`` revises argument
-    values; ``c`` flags an inconsistency and ``c_minus`` a counterexample.
+    (f(i) is the i-th argument in consideration) and places them
+    (``f.index``): a :class:`~dialectic.strings.Shape`, checked when it is
+    built and read by arithmetic, or a :class:`Listing`; ``f_minus``
+    revises argument values; ``c`` flags an inconsistency and ``c_minus``
+    a counterexample.
     """
 
     approximation: object
-    f: Callable[[int], int]
-    f_inv: Callable[[int], int]
+    f: Union[Shape, Listing]
     f_minus: Callable[[int], int]
     c: int
     c_minus: int
-    shape: Optional[tuple[int, int]] = None
 
 
 def marker_swap(c: int, c_minus: int,
@@ -200,24 +216,6 @@ def marker_swap(c: int, c_minus: int,
     code goes through ``revise``."""
     swap = {c: c_minus, c_minus: c}
     return lambda code: swap[code] if code in swap else revise(code)
-
-
-def listing(system: LegacySystem) -> tuple[Callable[[int], int],
-                                          Callable[[int], int]]:
-    """system's argument listing and the position that lists a code (-1
-    for none).  A declared shape is checked on [0, S) and on the first
-    block, and lists and places codes by arithmetic; without one, f lists
-    and f_inv places, where f agrees."""
-    if system.shape is not None:
-        shape = Shape(system.f, *system.shape)
-        return shape, shape.index
-    f, f_inv = system.f, system.f_inv
-
-    def index(code: int) -> int:
-        i = f_inv(code)
-        return i if i >= 0 and f(i) == code else -1
-
-    return f, index
 
 
 @dataclass
@@ -257,15 +255,18 @@ def serialize_state(state: LegacyState) -> str:
 # the three-clause recursion
 # ---------------------------------------------------------------------------
 
-def _provisional(system: LegacySystem, stacks, h: int, s: int) -> frozenset[int]:
-    """A_s: union of the operator's output strictly below the settled height."""
-    out: set[int] = set()
+def _queries(system: LegacySystem, stacks, s: int, n: int) -> Iterable[frozenset[int]]:
+    """The operator's output at stage s over the tips below i, for i < n."""
     tips: set[int] = set()
-    for i in range(h):
-        out |= system.approximation.query(s, frozenset(tips))
+    for i in range(n):
+        yield system.approximation.query(s, frozenset(tips))
         if stacks[i]:
             tips.add(stacks[i][-1])
-    return frozenset(out)
+
+
+def _provisional(system: LegacySystem, stacks, h: int, s: int) -> frozenset[int]:
+    """A_s: union of the operator's output strictly below the settled height."""
+    return frozenset().union(*_queries(system, stacks, s, h))
 
 
 def legacy_step(
@@ -276,12 +277,7 @@ def legacy_step(
 ) -> LegacyState:
     """One stage of the stack recursion: the stage-s state to stage s+1."""
     m = state.p
-    chis = []
-    tips: set[int] = set()
-    for z in range(m + 1):
-        chis.append(system.approximation.query(s, frozenset(tips)))
-        if state.stacks[z]:
-            tips.add(state.stacks[z][-1])
+    chis = list(_queries(system, state.stacks, s, m + 1))
     z_c = next((z for z in range(m + 1) if system.c in chis[z]), None)
     z_ce = next((z for z in range(m + 1) if system.c_minus in chis[z]), None)
     clause, z = _select_clause(z_c, z_ce)
@@ -346,12 +342,12 @@ class FastLegacyEngine:
     how deep is the shallowest prefix containing them?  Everything else is
     frontier growth.  The string engine's rule core decides the stage, with
     the frontier p as the deepest usable prefix.  The tips ρ(0..p) live on
-    a :class:`Tape` over the system's :func:`listing`, by arithmetic when
-    it declares a shape, that watches the pair premises, with GAP for an
-    empty stack.  The tape stores the tips only below the last clause-2 or
-    clause-3 stage; past them they are a count of listing tips f(L),
-    f(L+1), ..., since such a stage at z leaves the positions from z on as
-    listing again.  Most stacks are the singleton of their tip;
+    a :class:`Tape` over the system's listing f, by arithmetic when f is a
+    :class:`~dialectic.strings.Shape`, that watches the pair premises, with
+    GAP for an empty stack.  The tape stores the tips only below the last
+    clause-2 or clause-3 stage; past them they are a count of listing tips
+    f(L), f(L+1), ..., since such a stage at z leaves the positions from z
+    on as listing again.  Most stacks are the singleton of their tip;
     ``_revised`` holds the others, the cleared and revised positions below
     the last cut, so a stack is stored once.  Provisional belief sets are
     not computed.
@@ -360,8 +356,8 @@ class FastLegacyEngine:
     def __init__(self, system: LegacySystem) -> None:
         self.system = system
         self._pairs = system.approximation.marker_pairs(system.c, system.c_minus)
-        f, self._index = listing(system)
-        self.tape = Tape(f)
+        self.tape = Tape(system.f)
+        self._index = system.f.index
         for _, prem, _ in self._pairs:
             for code in prem:
                 self.tape.watch(code)
@@ -409,7 +405,7 @@ class FastLegacyEngine:
     def skip_to(self, t: int) -> None:
         """Clause-1 growth to stage t: the tips f(p+1..) join the count.  It
         stops short where a listing without a shape repeats a code before
-        f_inv says."""
+        its index says."""
         tape, p, index = self.tape, self.p, self._index
         first = tape.first
         early = [first[y] + 1 for y in tape.extend_listing(t - self.stage)
@@ -470,10 +466,10 @@ def forward_translate(legacy: LegacySystem) -> QSystem:
     if not hasattr(legacy.approximation, "pairs"):
         raise TranslationError("forward translation needs an explicit pair set")
 
-    f, index = listing(legacy)
+    f = legacy.f
 
     def pull(code: int) -> int:
-        i = index(code)
+        i = f.index(code)
         if i < 0:
             raise TranslationError("argument listing is not invertible at %d" % code)
         return i
@@ -512,12 +508,10 @@ def backward_translate(qsys: QSystem) -> LegacySystem:
 
     return LegacySystem(
         approximation=TableBackedApproximation(qsys.table, repl),
-        f=identity,
-        f_inv=identity,
+        f=IDENTITY,
         f_minus=marker_swap(0, 1, revise),
         c=0,
         c_minus=1,
-        shape=(0, 1),
     )
 
 
@@ -597,43 +591,31 @@ def check_alignment(
     return AlignmentReport(True, direction, stages)
 
 
-def stream_alignment(
-    direction: str,
-    qsys: Optional[QSystem] = None,
-    legacy: Optional[LegacySystem] = None,
-    horizon: int = 100,
-) -> AlignmentReport:
+def stream_alignment(system: Union[QSystem, LegacySystem],
+                     horizon: int = 100) -> AlignmentReport:
     """Advance both engines event to event and compare what they did.
 
-    Supply the string system for the backward direction (the stack side is
-    derived) or the pair-backed stack system for the forward direction (the
-    string side is derived).  Both engines skip to the earlier of their
-    next possible events, appending the listing over aligned indices, or
-    take one stage together.  The lengths, which also tell the kinds and
-    positions of the stage apart, are compared after each advance, and the
-    one rewritten entry after an event.  At stage 0, at the horizon and
-    where those checks fail, every position that either engine stores is
-    compared, as in check_alignment; past both stored prefixes each engine
-    holds a count of listing entries over aligned indices, so equal lengths
-    settle the rest.
+    A string system is aligned backward (the stack side is derived), a
+    pair-backed stack system forward (the string side is derived).  Both
+    engines skip to the earlier of their next possible events, appending
+    the listing over aligned indices, or take one stage together.  The
+    lengths, which also tell the kinds and positions of the stage apart,
+    are compared after each advance, and the one rewritten entry after an
+    event.  At stage 0, at the horizon and where those checks fail, every
+    position that either engine stores is compared, as in
+    check_alignment; past both stored prefixes each engine holds a count
+    of listing entries over aligned indices, so equal lengths settle the
+    rest.
     """
-    if direction == "backward":
-        if qsys is None:
-            raise ValueError("backward streaming needs the string system")
-        legacy = backward_translate(qsys)
+    if isinstance(system, QSystem):
+        direction, qsys, legacy = "backward", system, backward_translate(system)
         off_stage, off_idx, f = 5, 2, None
-    elif direction == "forward":
-        if legacy is None:
-            raise ValueError("forward streaming needs the stack system")
-        qsys = forward_translate(legacy)
-        off_stage, off_idx = 0, 0
     else:
-        raise ValueError("direction must be 'forward' or 'backward'")
+        direction, qsys, legacy = "forward", forward_translate(system), system
+        off_stage, off_idx, f = 0, 0, system.f
 
     eng = RunEngine(qsys)
     fast = FastLegacyEngine(legacy)
-    if direction == "forward":
-        f = fast.tape.f   # the stack side's listing
     for _ in range(off_stage):
         fast.step()
 

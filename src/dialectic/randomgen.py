@@ -13,6 +13,7 @@ from random import Random
 from .consequence import BOT, CE, Rule, RuleTable
 from .engine import QSystem, ReplacementMap
 from .legacy import LegacySystem, PairApproximation, marker_swap
+from .strings import Shape
 
 # marker codes for generated stack systems sit far above any code a run
 # of reasonable horizon can reach by frontier growth
@@ -61,22 +62,14 @@ def random_legacy(
 ) -> LegacySystem:
     """Pair-backed stack system over a shuffled argument listing.
 
-    The listing permutes [0, pool) and is the identity beyond, the shape
-    (pool, 1); pair premises are codes below the pool.  With
-    ``axiom_pairs`` the operator also derives plain codes (including the
-    pool's inclusion pairs), which matters for belief sets but never for
-    the course of a run.
+    The listing permutes [0, pool) and is the identity beyond, the
+    :class:`~dialectic.strings.Shape` (pool, 1); pair premises are codes
+    below the pool.  With ``axiom_pairs`` the operator also derives plain
+    codes (including the pool's inclusion pairs), which matters for belief
+    sets but never for the course of a run.
     """
     perm = list(range(pool))
     rng.shuffle(perm)
-    inv = {code: i for i, code in enumerate(perm)}
-
-    def f(i: int) -> int:
-        return perm[i] if 0 <= i < pool else i
-
-    def f_inv(code: int) -> int:
-        return inv.get(code, code)
-
     entries = []
     if axiom_pairs:
         for code in range(pool):
@@ -95,12 +88,10 @@ def random_legacy(
         entries.append((stage, x, F))
     return LegacySystem(
         approximation=PairApproximation(entries),
-        f=f,
-        f_inv=f_inv,
+        f=Shape(lambda i: perm[i] if i < pool else i, pool, 1),
         f_minus=marker_swap(MARKER_C, MARKER_CE, lambda code: code + 1 + code % 3),
         c=MARKER_C,
         c_minus=MARKER_CE,
-        shape=(pool, 1),
     )
 
 

@@ -284,11 +284,11 @@ def test_criterion_04_translation_equivalence():
     for seed in range(100):
         rng = Random(seed)
         qsys = random_qsystem(rng)
-        back = stream_alignment("backward", qsys=qsys, horizon=horizon)
+        back = stream_alignment(qsys, horizon)
         if not back.ok:
             problems.append((seed, back.render()))
         legacy = random_legacy(rng)
-        fwd = stream_alignment("forward", legacy=legacy, horizon=horizon)
+        fwd = stream_alignment(legacy, horizon)
         if not fwd.ok:
             problems.append((seed, fwd.render()))
     # a slice re-checked position-by-position at every stage, which in the

@@ -22,6 +22,7 @@ from dialectic.legacy import (
     FastLegacyEngine,
     LegacyState,
     LegacySystem,
+    Listing,
     PairApproximation,
     StateInvariantError,
     TableBackedApproximation,
@@ -43,7 +44,7 @@ from dialectic.legacy import (
     stream_alignment,
 )
 from dialectic.randomgen import MARKER_C, MARKER_CE, random_legacy, random_qsystem
-from dialectic.strings import GAP, Tape, identity
+from dialectic.strings import GAP, IDENTITY, Shape, Tape, identity
 
 
 def qsys(rules=(), repl=()):
@@ -69,7 +70,7 @@ def tie_rule(swapped):
 
 def id_legacy(pairs=(), c=100, cm=101):
     """Identity listing, markers at 100/101, revision bumps codes by one."""
-    return LegacySystem(PairApproximation(pairs), lambda i: i, lambda i: i,
+    return LegacySystem(PairApproximation(pairs), Listing(lambda i: i, lambda i: i),
                         marker_swap(c, cm, lambda y: y + 1), c, cm)
 
 
@@ -209,7 +210,7 @@ def perm_legacy():
         return y + 1 + (y % 3)
 
     pairs = [(2, 100, {1}), (4, 101, {0, 4})]
-    return LegacySystem(PairApproximation(pairs), f, f_inv, fm, 100, 101)
+    return LegacySystem(PairApproximation(pairs), Listing(f, f_inv), fm, 100, 101)
 
 
 def test_forward_translation_rules():
@@ -257,7 +258,7 @@ def test_forward_translation_empty():
 
 def test_forward_translation_needs_invertible_listing():
     broken = perm_legacy()
-    broken.f_inv = lambda code: 0
+    broken.f = Listing(broken.f.f, lambda code: 0)
     with pytest.raises(TranslationError):
         forward_translate(broken)
 
@@ -336,9 +337,9 @@ def test_alignment_backward_random():
 
 def test_stream_alignment_agrees_both_directions():
     system = random_qsystem(Random(42))
-    assert stream_alignment("backward", qsys=system, horizon=200).ok
+    assert stream_alignment(system, horizon=200).ok
     legacy = random_legacy(Random(42))
-    assert stream_alignment("forward", legacy=legacy, horizon=200).ok
+    assert stream_alignment(legacy, horizon=200).ok
 
 
 def test_alignment_scope_error():
@@ -353,9 +354,9 @@ def test_corrupted_clause_order_is_caught():
     # ⊥ and ce from the same premises: the published precedence excises,
     # the swapped one revises, and the runs part ways at the first firing
     system = qsys([rule(0, {0}, BOT), rule(0, {0}, CE)], [(0, 1)])
-    assert stream_alignment("backward", qsys=system, horizon=20).ok
+    assert stream_alignment(system, horizon=20).ok
     with tie_rule(swapped=True):
-        bad = stream_alignment("backward", qsys=system, horizon=20)
+        bad = stream_alignment(system, horizon=20)
         states = fast_legacy_run(backward_translate(system), 25)
     assert not bad.ok
     assert bad.mismatch_stage == 2
@@ -382,7 +383,7 @@ def test_stack_side_disagreement_is_named_at_its_stage(monkeypatch, other,
     states = fast_legacy_run(backward_translate(other), 45)
     monkeypatch.setattr(dialectic.legacy, "backward_translate",
                         lambda _: backward_translate(other))
-    bad = stream_alignment("backward", qsys=system, horizon=40)
+    bad = stream_alignment(system, horizon=40)
     assert bad.render() == check_alignment(run(system, 40), states,
                                            "backward").render()
     assert (bad.mismatch_stage, bad.detail) == (stage, detail)
@@ -399,8 +400,7 @@ def test_a_short_quiet_stretch_is_named_where_it_ends(monkeypatch):
         self.tape.cut(self.p)
 
     monkeypatch.setattr(FastLegacyEngine, "skip_to", short_once)
-    bad = stream_alignment("backward", qsys=qsys([rule(0, {3}, CE)], [(3, 5)]),
-                           horizon=40)
+    bad = stream_alignment(qsys([rule(0, {3}, CE)], [(3, 5)]), horizon=40)
     assert (bad.mismatch_stage, bad.mismatch_position, bad.detail) == (
         4, None, "length 4 vs 3")
 
@@ -420,10 +420,9 @@ def test_lockstep_asks_each_engine_once_per_iteration(monkeypatch):
 
 
 def test_forward_runs_list_f_by_its_shape(monkeypatch):
-    # random_legacy declares its listing's shape (pool, 1), so _diff_one's
-    # forward runs call f only where the stack engine and the translation
-    # check it: 0.02 calls per σ position on seeds 0-199 (1.20 when every
-    # quiet stretch made a pass over f)
+    # random_legacy's listing is a shape (pool, 1), so _diff_one's forward
+    # runs call f only where the shape checks it, once per system (1.20
+    # calls per σ position when every quiet stretch made a pass over f)
     calls, made = [0], []
 
     def counted_legacy(rng, real=random_legacy):
@@ -434,7 +433,7 @@ def test_forward_runs_list_f_by_its_shape(monkeypatch):
             calls[0] += 1
             return f(i)
 
-        return dataclasses.replace(legacy, f=f)
+        return dataclasses.replace(legacy, f=Shape(f, legacy.f.S, legacy.f.B))
 
     monkeypatch.setattr(dialectic.cli, "random_legacy", counted_legacy)
     for seed in range(50):
@@ -450,38 +449,38 @@ def test_forward_runs_list_f_by_its_shape(monkeypatch):
 def test_a_declared_shape_is_checked_when_the_engine_is_built():
     # f swaps the codes of each pair: the shape (0, 2), not (0, 1)
     swapped = dataclasses.replace(id_legacy([(3, 100, {1, 4}), (9, 101, {6})]),
-                                  f=lambda i: i ^ 1, f_inv=lambda c: c ^ 1)
+                                  f=Listing(lambda i: i ^ 1, lambda c: c ^ 1))
     with pytest.raises(ValueError, match=r"does not have the shape \(0, 1\)"):
-        FastLegacyEngine(dataclasses.replace(swapped, shape=(0, 1)))
-    shaped = dataclasses.replace(swapped, shape=(0, 2))
+        Shape(swapped.f, 0, 1)
+    shaped = dataclasses.replace(swapped, f=Shape(swapped.f, 0, 2))
     assert FastLegacyEngine(shaped).tape.shape.pi == [1, 0]
     want = legacy_run(swapped, 60, compute_A=False)
     assert fast_legacy_run(shaped, 60) == want == fast_legacy_run(swapped, 60)
     legacy = random_legacy(Random(0))
-    assert legacy.shape == (10, 1)
+    assert (legacy.f.S, legacy.f.B) == (10, 1)
     for shape in [(0, 1), (9, 1), (5, 1), (0, 3)]:
         with pytest.raises(ValueError, match="does not have the shape"):
-            FastLegacyEngine(dataclasses.replace(legacy, shape=shape))
+            Shape(legacy.f, *shape)
 
 
 def test_alignment_empty_systems_long():
-    assert stream_alignment("backward", qsys=qsys(), horizon=100).ok
-    assert stream_alignment("forward", legacy=id_legacy(), horizon=100).ok
+    assert stream_alignment(qsys(), horizon=100).ok
+    assert stream_alignment(id_legacy(), horizon=100).ok
 
 
 # ---------------------------------------------------------------------------
 # the event form against per-stage stepping
 # ---------------------------------------------------------------------------
 
-def per_stage_alignment(direction, qsys=None, legacy=None, horizon=100):
+def per_stage_alignment(direction, system, horizon=100):
     """The alignment as it ran before the event form: both engines take
     every stage, and the positions each stage touched are re-read."""
     if direction == "backward":
-        legacy = backward_translate(qsys)
+        qsys, legacy = system, backward_translate(system)
         off_stage, off_idx, f = 5, 2, None
     else:
-        qsys = forward_translate(legacy)
-        off_stage, off_idx, f = 0, 0, legacy.f
+        qsys, legacy = forward_translate(system), system
+        off_stage, off_idx, f = 0, 0, system.f
     eng = RunEngine(qsys)
     fast = FastLegacyEngine(legacy)
     for _ in range(off_stage):
@@ -528,17 +527,16 @@ def test_event_alignment_matches_per_stage_alignment():
     for seed in range(300):
         rng = Random(seed)
         horizons = (0, 1, 4, 5, 6, rng.randrange(50, 401))
-        cases = [("backward", {"qsys": random_qsystem(rng)}),
-                 ("forward", {"legacy": random_legacy(rng)}),
-                 ("forward", {"legacy": _pair_legacy(random_qsystem(rng))})]
+        cases = [("backward", random_qsystem(rng)),
+                 ("forward", random_legacy(rng)),
+                 ("forward", _pair_legacy(random_qsystem(rng)))]
         for direction, system in cases:
             for swapped in (False, True):
                 for h in horizons:
                     with tie_rule(swapped):
-                        old = _outcome(per_stage_alignment, direction,
-                                       horizon=h, **system)
-                        new = _outcome(stream_alignment, direction,
-                                       horizon=h, **system)
+                        old = _outcome(per_stage_alignment, direction, system,
+                                       horizon=h)
+                        new = _outcome(stream_alignment, system, horizon=h)
                     assert new == old, (seed, direction, swapped, h)
                     mismatches += "MISMATCH" in old
     assert mismatches > 100
@@ -548,10 +546,10 @@ def _listing_variant(legacy, kind):
     """The same pairs over a listing whose f_inv does not carry codes back,
     or over a listing that repeats every code every ten positions."""
     if kind == "no-inverse":
-        return LegacySystem(legacy.approximation, legacy.f, lambda y: -1 - y,
-                            legacy.f_minus, legacy.c, legacy.c_minus)
-    return LegacySystem(legacy.approximation, lambda i: legacy.f(i % 10),
-                        legacy.f_inv, legacy.f_minus, legacy.c, legacy.c_minus)
+        f = Listing(legacy.f, lambda y: -1 - y)
+    else:
+        f = Listing(lambda i: legacy.f(i % 10), legacy.f.index)
+    return dataclasses.replace(legacy, f=f)
 
 
 def _kind_legacy(rng, kind):
@@ -659,6 +657,17 @@ def test_stack_count_corpus_reaches_cuts_in_the_count_and_early_cuts():
     assert totals["repeats"][1] > 150, totals
 
 
+def _counted(listing, calls):
+    """The same listing, of the same kind, recording every call of f."""
+    def f(i):
+        calls.append(i)
+        return listing(i)
+
+    if isinstance(listing, Shape):
+        return Shape(f, listing.S, listing.B)
+    return Listing(f, listing.f_inv)
+
+
 @pytest.mark.parametrize("kind", LISTING_KINDS)
 def test_fast_legacy_run_lists_each_position_once(kind):
     # the wrapper keeps the tips between its per-stage snapshots, so f is
@@ -669,8 +678,7 @@ def test_fast_legacy_run_lists_each_position_once(kind):
     for seed in range(10):
         legacy = _kind_legacy(Random(seed), kind)
         calls = []
-        counted = dataclasses.replace(
-            legacy, f=lambda i, f=legacy.f: calls.append(i) or f(i))
+        counted = dataclasses.replace(legacy, f=_counted(legacy.f, calls))
         try:
             want, error = legacy_run(legacy, horizon, compute_A=False), None
         except (UndefinedPositionError, EmptyNeighbourError) as exc:
@@ -686,13 +694,13 @@ def test_fast_legacy_run_lists_each_position_once(kind):
     assert stages >= 5 * horizon
 
 
-@pytest.mark.parametrize("shape", [(0, 1), None], ids=["identity", "lambda"])
-def test_quiet_stack_run_of_a_million_stages_stores_no_tip(shape):
+@pytest.mark.parametrize("listing", [IDENTITY, Listing(identity, identity)],
+                         ids=["identity", "lambda"])
+def test_quiet_stack_run_of_a_million_stages_stores_no_tip(listing):
     # the tape lists a listing with a shape without calling it, and finds
     # the arrivals of any other listing with one pass over it
     def legacy(pairs=()):
-        return dataclasses.replace(id_legacy(pairs), f=identity, f_inv=identity,
-                                   shape=shape)
+        return dataclasses.replace(id_legacy(pairs), f=listing)
 
     eng = FastLegacyEngine(legacy())
     eng.advance_to(10**6)
