@@ -17,7 +17,7 @@ stack engine share one rule core: rule form, scan, tie rule, arrival bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import compress, repeat
 from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -600,18 +600,40 @@ def variant_flags(system: QSystem) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 TRACE_CHUNK = 1 << 15   # stages or final tokens write_trace formats at once
+TRACE_DIGITS = 3        # 10**TRACE_DIGITS <= TRACE_CHUNK numbers share a template
+
+
+def _write_numbered(fh, fmt: str, start: int, end: int, templates: dict) -> None:
+    """Write ``fmt % i`` for i in [start, end), TRACE_CHUNK numbers at most
+    at a time.  A whole block qB .. qB+B-1 (B = 10**TRACE_DIGITS, q > 0) is
+    one template, fmt over the zero-padded last digits, with str(q) filled
+    in by one str.replace; ``templates`` holds it per fmt for one file."""
+    size = 10 ** TRACE_DIGITS
+    if end - start < size:   # no whole block: the one write of most stretches
+        fh.write(fmt * (end - start) % tuple(range(start, end)))
+        return
+    for lo in range(start, end, TRACE_CHUNK):
+        hi = min(end, lo + TRACE_CHUNK)
+        first, last = max(1, -(-lo // size)), hi // size
+        if first >= last:
+            fh.write(fmt * (hi - lo) % tuple(range(lo, hi)))
+            continue
+        if fmt not in templates:
+            item = fmt.replace("%d", "\0%%0%dd" % TRACE_DIGITS)
+            templates[fmt] = item * size % tuple(range(size))
+        template, head, tail = templates[fmt], first * size, last * size
+        fh.write(fmt * (head - lo) % tuple(range(lo, head))
+                 + "".join(template.replace("\0", str(q)) for q in range(first, last))
+                 + fmt * (hi - tail) % tuple(range(tail, hi)))
 
 
 def write_trace(trace: RunTrace, path) -> None:
     """One tab-separated line per stage, then ``final`` and the last string,
     written as the run is read: TRACE_CHUNK stages or tokens at a time."""
-    toks = trace.prefix.tokens
-    sigma = chain(toks, range(len(toks), len(toks) + trace.listing))
+    toks, templates = trace.prefix.tokens, {}
     with open(path, "w", encoding="utf-8") as fh:
         for start, end, rec in trace._stretches():
-            for lo in range(start, end, TRACE_CHUNK):
-                hi = min(end, lo + TRACE_CHUNK)
-                fh.write("%d\texpand\n" * (hi - lo) % tuple(range(lo, hi)))
+            _write_numbered(fh, "%d\texpand\n", start, end, templates)
             if rec is None:
                 continue
             if rec.kind == EXCISION:
@@ -622,8 +644,12 @@ def write_trace(trace: RunTrace, path) -> None:
                          % (rec.stage, rec.k, token_to_str(rec.old),
                             token_to_str(rec.new)))
         fh.write("final\t")
-        sep = ""
-        while chunk := BeliefString(islice(sigma, TRACE_CHUNK)):
-            fh.write(sep + chunk.serialize())
-            sep = " "
+        for lo in range(0, len(toks), TRACE_CHUNK):
+            chunk = BeliefString(toks[lo:lo + TRACE_CHUNK])
+            fh.write(" " * (lo > 0) + chunk.serialize())
+        start = len(toks)
+        if trace.listing and not toks:
+            fh.write("a0")   # the listing opens the line: no space before it
+            start = 1
+        _write_numbered(fh, " a%d", start, len(toks) + trace.listing, templates)
         fh.write("\n")

@@ -5,6 +5,7 @@ stepper throughout; the two paths must agree stage for stage.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -829,9 +830,6 @@ def _line_per_stage_write_trace(trace, path):
 
 
 def test_trace_writer_matches_line_per_stage_writer(tmp_path, monkeypatch):
-    # a low chunk makes the quiet stretches and final strings below cross
-    # chunk boundaries, cheaply
-    monkeypatch.setattr(dialectic.engine, "TRACE_CHUNK", 7)
     rng = random.Random(515)
     traces = [run(_random_system(rng), rng.choice([0, 1, 2, 9, 40, 200]))
               for _ in range(150)]
@@ -856,22 +854,34 @@ def test_trace_writer_matches_line_per_stage_writer(tmp_path, monkeypatch):
         run(qsys([rule(2, {0}, CE), rule(4, {10**9 + 1}, BOT)],
                  repl=[(0, 10**9)]), 50),
         # a stored string, a quiet stretch and a listing count, each longer
-        # than two chunks of the patched writer
+        # than two chunks of the writer patched to chunks of 25
         RunTrace([StepRecord(40, REPLACEMENT, 3, 2, 30)], 80,
-                 bs(0, GAP, *range(2, 20)), listing=23),
+                 bs(0, GAP, *range(2, 60)), listing=53),
         RunTrace([], 20, bs(), listing=20),
+        # quiet stretches and listing tails across 9 -> 10, 99 -> 100 and
+        # 999 -> 1000: from 0 with an empty prefix, and from mid-block
+        RunTrace([], 2100, bs(), listing=2100),
+        RunTrace([StepRecord(95, EXCISION, 2, 1, None),
+                  StepRecord(996, REPLACEMENT, 1, 0, 7)],
+                 2345, bs(7, GAP, 2, 3, 4, 5, 6), listing=2003),
+        RunTrace([StepRecord(3, EXCISION, 1, 0, None)], 1001, bs(GAP),
+                 listing=1000),
     ]
-    kinds = set()
-    for i, trace in enumerate(traces):
-        kinds.update(rec.kind for rec in trace.event_records)
-        new, old = tmp_path / ("new%d" % i), tmp_path / ("old%d" % i)
-        write_trace(trace, new)
-        _line_per_stage_write_trace(trace, old)
-        assert new.read_bytes() == old.read_bytes(), i
-    assert kinds == {EXCISION, REPLACEMENT}
+    # blocks of 10 and 100 with small chunks, which then hold whole blocks
+    # and straddle them, and the real sizes
+    for digits, chunk in ((1, 25), (2, 250),
+                          (dialectic.engine.TRACE_DIGITS, dialectic.engine.TRACE_CHUNK)):
+        monkeypatch.setattr(dialectic.engine, "TRACE_DIGITS", digits)
+        monkeypatch.setattr(dialectic.engine, "TRACE_CHUNK", chunk)
+        for i, trace in enumerate(traces):
+            new, old = tmp_path / ("new%d" % i), tmp_path / ("old%d" % i)
+            write_trace(trace, new)
+            _line_per_stage_write_trace(trace, old)
+            assert new.read_bytes() == old.read_bytes(), (digits, i)
+    assert {rec.kind for t in traces for rec in t.event_records} == {EXCISION, REPLACEMENT}
     assert any(GAP in t.final_sigma.tokens for t in traces[:150])
     assert any(t.horizon == 0 and not t.final_sigma for t in traces[:150])
-    assert traces[-3].final_sigma.tokens[:2] == (10**9, 1)
+    assert traces[-6].final_sigma.tokens[:2] == (10**9, 1)
     for toks in ((), (GAP,), (0,), (GAP, GAP), (5, GAP, 1, 10, 100, GAP),
                  (GAP, 10**9, GAP), (10**9,),
                  tuple(rng.choice([GAP, *range(12)]) for _ in range(500)),
@@ -891,4 +901,7 @@ def test_trace_writer_memory_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert (tmp_path / "steps.txt").stat().st_size > 14 * 10**6
+    data = (tmp_path / "steps.txt").read_bytes()
+    assert len(data) == 21_777_772
+    assert hashlib.sha256(data).hexdigest() == (
+        "dd8e2cb4a8a34ff8b2e43fa33a69e7acc88d35a5b4f49b57ffe80fe66fe421c0")

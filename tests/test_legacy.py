@@ -263,6 +263,13 @@ def test_forward_translation_needs_invertible_listing():
         forward_translate(broken)
 
 
+def test_listing_index_places_only_codes_that_f_lists():
+    # f_inv(3) = 1, but f(1) = 2: 3 is listed nowhere
+    evens = Listing(lambda i: 2 * i, lambda y: y // 2)
+    assert evens.index(3) == -1
+    assert evens.index(4) == 2
+
+
 def test_backward_pair_availability():
     legacy = backward_translate(qsys([rule(3, {0}, BOT)], [(0, 1)]))
     approx = legacy.approximation
